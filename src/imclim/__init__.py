@@ -36,22 +36,17 @@ from .graphs import (
     build_graph,
     communication_classes,
     cyclicity,
-    is_closed,
-    regularity_oracle,
     to_dot,
 )
 from .reachability import (
     StatePartition,
-    is_absorbing,
     lower_reach_set,
     partition_states,
 )
 from .restriction import (
     RestrictedOperator,
-    nested_restriction_check,
     restrict_family,
     restrict_to_maximal,
-    restrict_to_nonabs,
 )
 from .decomposition import (
     Decomposition,
@@ -114,20 +109,15 @@ __all__ = [
     "build_graph",
     "communication_classes",
     "cyclicity",
-    "is_closed",
-    "regularity_oracle",
     "to_dot",
     # reachability
     "StatePartition",
     "lower_reach_set",
     "partition_states",
-    "is_absorbing",
     # restriction
     "RestrictedOperator",
     "restrict_family",
     "restrict_to_maximal",
-    "restrict_to_nonabs",
-    "nested_restriction_check",
     # decomposition
     "Decomposition",
     "LevelRecord",

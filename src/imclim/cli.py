@@ -89,8 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_function(spec: str, op) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("random:"):
-        seed = int(spec.split(":", 1)[1])
-        return np.random.default_rng(seed).random(op.n)
+        seed = spec.split(":", 1)[1].strip()
+        if not seed.isdecimal():
+            raise ImclimError(
+                f"random function seed must be a non-negative integer, got {seed!r}"
+            )
+        return np.random.default_rng(int(seed)).random(op.n)
     if "," in spec:
         parts = [s.strip() for s in spec.split(",")]
         values = []

@@ -9,13 +9,13 @@ rule table in the project README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedOperatorError
-from .graphs import ClassInfo, build_graph, communication_classes
+from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, UpperOperator
 from .orbits import OrbitParams, orbit_limit_on_regular_class
 from .reachability import StatePartition, partition_states
@@ -37,16 +37,34 @@ _FOOTNOTE_NOTE = (
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One level of the decomposition, with all state sets in original indices."""
+    """One level of the decomposition.
+
+    ``operator``, ``graph`` and ``partition`` speak in the level's own
+    indices, where position ``i`` is original state ``states[i]``; ``classes``
+    and the derived state sets speak in original indices.
+    """
 
     index: int  # 1-based depth
     states: tuple[int, ...]  # original indices analysed at this level
     operator: UpperOperator  # restriction of the original operator to ``states``
+    graph: AccessGraph
+    partition: StatePartition
     classes: tuple[ClassInfo, ...]
-    maximal_classes: tuple[frozenset[int], ...]
-    absorbed: frozenset[int]
-    remaining: frozenset[int]
-    reach_sequence: tuple[frozenset[int], ...]
+
+    def _orig(self, local: Iterable[int]) -> frozenset[int]:
+        return frozenset(self.states[i] for i in local)
+
+    @property
+    def maximal_classes(self) -> tuple[frozenset[int], ...]:
+        return tuple(self._orig(m) for m in self.partition.maximal_classes)
+
+    @property
+    def absorbed(self) -> frozenset[int]:
+        return self._orig(self.partition.absorbed_transients)
+
+    @property
+    def remaining(self) -> frozenset[int]:
+        return self._orig(self.partition.unabsorbed_transients)
 
 
 @dataclass(frozen=True)
@@ -83,30 +101,16 @@ def decompose(op: UpperOperator) -> Decomposition:
     while True:
         graph = build_graph(current)
         local_classes = communication_classes(graph)
-        part = partition_states(current, local_classes)
-
-        def orig(local_set: Iterable[int]) -> frozenset[int]:
-            return frozenset(indices[i] for i in local_set)
-
-        classes = tuple(
-            ClassInfo(
-                members=orig(c.members),
-                is_maximal=c.is_maximal,
-                is_closed=c.is_closed,
-                cyclicity=c.cyclicity,
-                is_regular=c.is_regular,
-            )
-            for c in local_classes
-        )
         record = LevelRecord(
             index=len(levels) + 1,
             states=indices,
             operator=current,
-            classes=classes,
-            maximal_classes=tuple(orig(m) for m in part.maximal_classes),
-            absorbed=orig(part.absorbed_transients),
-            remaining=orig(part.unabsorbed_transients),
-            reach_sequence=tuple(orig(s) for s in part.reach_sequence),
+            graph=graph,
+            partition=partition_states(current, local_classes, graph),
+            classes=tuple(
+                replace(c, members=frozenset(indices[i] for i in c.members))
+                for c in local_classes
+            ),
         )
         levels.append(record)
         if not record.remaining:
@@ -178,7 +182,7 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
     is not necessary in general.
     """
     level1 = dec.levels[0]
-    ergodic = decide_ergodicity_from_level(level1)
+    ergodic = decide_ergodicity(level1.partition, level1.classes)
     convergent_on_xm = decide_convergence_on_xm(level1.classes)
     basis = {
         "ergodic": BASIS_ERGODIC,
@@ -217,16 +221,6 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         witness=witness,
         notes=tuple(notes),
     )
-
-
-def decide_ergodicity_from_level(level: LevelRecord) -> str:
-    maximal = [c for c in level.classes if c.is_maximal]
-    ok = (
-        len(maximal) == 1
-        and not level.remaining
-        and maximal[0].cyclicity == 1
-    )
-    return "yes" if ok else "no"
 
 
 @dataclass(frozen=True)

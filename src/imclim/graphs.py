@@ -1,8 +1,10 @@
 """Upper accessibility graphs: communication classes, cyclicity, regularity.
 
 The graph has an edge ``x -> y`` exactly when the one-step upper probability
-of reaching ``y`` from ``x`` is positive; adjacency is always derived from the
-operator's exact rational predicates, never from thresholded floats.
+of reaching ``y`` from ``x`` is positive.  Adjacency comes from the operator's
+structural hook, never from thresholded floats: finitely generated operators
+read it off their pmf supports, and only closed-form operators evaluate
+indicators in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedOperatorError
+from .errors import PreconditionError
 from .operators import UpperOperator
 
 _PALETTE = ("steelblue", "darkorange", "seagreen", "orchid", "firebrick", "goldenrod")
@@ -66,19 +68,8 @@ class ClassInfo:
 
 
 def build_graph(op: UpperOperator) -> AccessGraph:
-    """Accessibility graph of ``op``; requires exact edge predicates."""
-    if not op.has_exact_predicates:
-        raise UnsupportedOperatorError(
-            f"{type(op).__name__} provides no exact predicates; "
-            "refusing to build a graph from floating-point thresholds"
-        )
-    n = op.n
-    adjacency = np.zeros((n, n), dtype=bool)
-    for y in range(n):
-        row = op.upper_indicator(y)
-        for x in range(n):
-            adjacency[x, y] = row[x] > 0
-    return AccessGraph(op.space.labels, adjacency)
+    """Accessibility graph of ``op``; requires exact structure (see :meth:`UpperOperator.adjacency`)."""
+    return AccessGraph(op.space.labels, op.adjacency())
 
 
 def _strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]]:
@@ -130,25 +121,6 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]
     return components
 
 
-def _is_strongly_connected(block: np.ndarray) -> bool:
-    n = block.shape[0]
-    if n == 1:
-        return True
-
-    def reaches_all(adj):
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            u = frontier.popleft()
-            for w in np.flatnonzero(adj[u]):
-                if int(w) not in seen:
-                    seen.add(int(w))
-                    frontier.append(int(w))
-        return len(seen) == n
-
-    return reaches_all(block) and reaches_all(block.T)
-
-
 def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
     """Greatest common divisor of the lengths of closed paths inside the class.
 
@@ -164,7 +136,7 @@ def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
     if m[0] < 0 or m[-1] >= graph.n:
         raise PreconditionError(f"class members out of range: {m}")
     block = graph.adjacency[np.ix_(m, m)]
-    if not _is_strongly_connected(block):
+    if len(_strongly_connected_components(block)) != 1:
         raise PreconditionError("cyclicity requires a strongly connected class")
     if not block.any():
         return None
@@ -186,77 +158,31 @@ def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
 def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     """Communication classes of the graph, ordered by smallest member index.
 
-    Maximality comes from reachability in the condensation (a class is
-    maximal when no other class is reachable from it); closedness from a
-    direct scan for edges leaving the member set.
+    Closedness comes from a scan for edges leaving the member set.  For a
+    communication class, maximal (no other class reachable from it) and
+    closed are the same property, so ``is_maximal`` is ``is_closed``.
     """
     sccs = _strongly_connected_components(graph.adjacency)
     sccs.sort(key=min)
-    comp_of = {}
+    comp_of = np.empty(graph.n, dtype=np.intp)
     for k, members in enumerate(sccs):
-        for v in members:
-            comp_of[v] = k
-    c = len(sccs)
-    cond = np.zeros((c, c), dtype=bool)
-    for x, y in zip(*np.nonzero(graph.adjacency)):
-        i, j = comp_of[int(x)], comp_of[int(y)]
-        if i != j:
-            cond[i, j] = True
-    # transitive closure of the condensation
-    reach = cond.copy()
-    for k in range(c):
-        reach |= np.outer(reach[:, k], reach[k, :])
+        comp_of[list(members)] = k
+    xs, ys = np.nonzero(graph.adjacency)
+    open_classes = set(comp_of[xs[comp_of[xs] != comp_of[ys]]].tolist())
     out = []
-    everything = frozenset(range(graph.n))
     for k, members in enumerate(sccs):
-        is_maximal = not reach[k].any()
-        outside = sorted(everything - members)
-        if outside:
-            leaving = graph.adjacency[np.ix_(sorted(members), outside)]
-            is_closed = not leaving.any()
-        else:
-            is_closed = True
+        is_closed = k not in open_classes
         cyc = cyclicity(graph, members)
         out.append(
             ClassInfo(
                 members=members,
-                is_maximal=is_maximal,
+                is_maximal=is_closed,
                 is_closed=is_closed,
                 cyclicity=cyc,
-                is_regular=bool(is_maximal and cyc == 1),
+                is_regular=bool(is_closed and cyc == 1),
             )
         )
     return tuple(out)
-
-
-def is_closed(op: UpperOperator, members: Iterable[int]) -> bool:
-    """Exact test that no one-step upper probability leaves the class."""
-    inside = frozenset(members)
-    if not inside:
-        raise PreconditionError("closedness of an empty class is undefined")
-    outside = [y for y in range(op.n) if y not in inside]
-    return all(
-        not op.edge_positive(x, y) for x in sorted(inside) for y in outside
-    )
-
-
-def regularity_oracle(graph: AccessGraph, members: Iterable[int]) -> bool:
-    """Boolean-matrix-power regularity check, used to cross-validate the gcd route.
-
-    True exactly when some power ``k <= n^2`` of the class-internal adjacency
-    block is all-true and the block stays all-true at ``k + 1``.
-    """
-    m = tuple(sorted(set(members)))
-    block = graph.adjacency[np.ix_(m, m)].astype(np.uint8)
-    if not block.any():
-        return False
-    power = block.copy()
-    for _ in range(len(m) ** 2):
-        if power.all():
-            successor = (power @ block) > 0
-            return bool(successor.all())
-        power = ((power @ block) > 0).astype(np.uint8)
-    return bool(power.all() and ((power @ block) > 0).all())
 
 
 def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo] | None = None) -> str:

@@ -12,7 +12,9 @@ Model files are JSON documents::
 
 Probabilities are strings -- ``"1/4"``, ``"0.25"`` or ``"1"`` -- so that the
 model stays exact; bare JSON numbers are rejected because binary floats would
-contaminate the rational arithmetic.  Omitted targets carry mass zero.
+contaminate the rational arithmetic.  Omitted targets carry mass zero, and a
+key listed twice in one object (a state under ``credal_sets``, a target in a
+pmf) is an error rather than silently overwritten.
 Closed-form operators are addressed by registry name, e.g.
 ``builtin:counterexample-5.1``.
 """
@@ -86,6 +88,14 @@ def parse_model(data) -> CredalOperator:
     return CredalOperator(validate_family(states, credal_sets))
 
 
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise ModelValidationError(f"duplicate keys in one JSON object: {dupes}")
+    return dict(pairs)
+
+
 def load_model(source: str | Path) -> UpperOperator:
     """Load an operator from a model file path or a ``builtin:`` registry name."""
     name = str(source)
@@ -101,13 +111,11 @@ def load_model(source: str | Path) -> UpperOperator:
     except OSError as exc:
         raise ModelValidationError(f"cannot read model file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return parse_model(json.loads(text, object_pairs_hook=_reject_duplicate_keys))
     except json.JSONDecodeError as exc:
         raise ModelValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    try:
-        return parse_model(data)
     except ModelValidationError as exc:
         raise ModelValidationError(f"{path}: {exc}") from exc
 

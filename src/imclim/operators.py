@@ -11,10 +11,13 @@ dominated by the pointwise maximum.  Two implementations are provided:
   middle row maximises over a one-parameter curve of pmfs.  It is registered
   under ``builtin:counterexample-5.1``.
 
-Structural predicates (edges, closedness, one-step lower reachability) are
-evaluated in exact rational arithmetic so that strict-positivity tests never
-depend on the scale of the input.  Numerical iteration lives in
-:mod:`imclim.orbits` and uses IEEE doubles.
+Structure (edges, closedness, one-step lower reachability) comes from the
+hook :meth:`UpperOperator.adjacency` / :meth:`UpperOperator.lower_positive`.
+Finitely generated operators read it off their pmf supports, with no
+arithmetic; only closed-form operators evaluate indicators in exact rational
+arithmetic.  Either way strict-positivity tests never depend on the scale of
+the input.  Numerical iteration lives in :mod:`imclim.orbits` and uses IEEE
+doubles.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -219,10 +222,11 @@ class UpperOperator(ABC):
     Implementations must be subadditive, positively homogeneous and dominated
     by the pointwise maximum; the test suite exercises these properties rather
     than the constructor.  Implementations able to evaluate exactly on
-    rational inputs advertise ``has_exact_predicates`` and thereby expose the
-    structural predicates used by the graph and reachability machinery; graph
-    construction refuses operators without them rather than thresholding
-    floating-point values.
+    rational inputs advertise ``has_exact_predicates``; the default structural
+    hook (:meth:`adjacency` and :meth:`lower_positive`) evaluates indicators
+    exactly and refuses operators without them rather than thresholding
+    floating-point values.  Subclasses may override the hook with a faster
+    exact route.
     """
 
     is_finitely_generated: bool = False
@@ -279,13 +283,18 @@ class UpperOperator(ABC):
         complement = frozenset(range(self.n)) - idx
         return tuple(1 - v for v in self.upper_indicator(complement))
 
-    def edge_positive(self, x: int, y: int) -> bool:
-        """Exact test for a directed edge ``x -> y`` in the accessibility graph."""
-        return self.upper_indicator(y)[x] > 0
+    def adjacency(self) -> np.ndarray:
+        """Boolean ``(n, n)`` matrix: ``x -> y`` iff the upper probability of ``y`` at ``x`` is positive."""
+        if not self.has_exact_predicates:
+            raise UnsupportedOperatorError(
+                f"{type(self).__name__} provides no exact predicates; "
+                "refusing to derive structure from floating-point thresholds"
+            )
+        return np.array([self.upper_indicator(y) for y in range(self.n)]).T > 0
 
-    def lower_step_positive(self, x: int, targets: Iterable[int]) -> bool:
-        """Exact test that the one-step lower probability of ``targets`` at ``x`` is positive."""
-        return self.lower_indicator(targets)[x] > 0
+    def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
+        """States at which the one-step lower probability of ``targets`` is positive."""
+        return frozenset(x for x, v in enumerate(self.lower_indicator(targets)) if v > 0)
 
     def restrict(self, keep: Sequence[int]) -> "UpperOperator":
         """Operator restricted to the class ``keep`` (ascending original indices).
@@ -307,7 +316,12 @@ class UpperOperator(ABC):
 
 
 class CredalOperator(UpperOperator):
-    """Finitely generated operator: per-state maximum expectation over a finite pmf set."""
+    """Finitely generated operator: per-state maximum expectation over a finite pmf set.
+
+    Row ``k`` of the float matrix and of the support matrix belongs to the
+    ``k``-th pmf in the family's canonical order; ``_starts`` marks where each
+    state's rows begin.
+    """
 
     is_finitely_generated = True
     has_exact_predicates = True
@@ -316,9 +330,9 @@ class CredalOperator(UpperOperator):
         self._family = family
         lengths = [len(s) for s in family.per_state]
         self._starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
-        self._matrix = np.array(
-            [p.as_float() for sets in family.per_state for p in sets]
-        )
+        pmfs = [p for sets in family.per_state for p in sets]
+        self._matrix = np.array([p.as_float() for p in pmfs])
+        self._supports = np.array([list(map(bool, p.mass)) for p in pmfs], dtype=bool)
 
     @property
     def family(self) -> CredalFamily:
@@ -342,14 +356,17 @@ class CredalOperator(UpperOperator):
             max(p.expectation(vals) for p in sets) for sets in self._family.per_state
         )
 
-    def edge_positive(self, x, y):
-        # max_p p(y) over the candidates at x, without building the full row
-        if not 0 <= x < self.n or not 0 <= y < self.n:
-            raise ModelValidationError(f"state index out of range: ({x}, {y})")
-        return any(p.mass[y] > 0 for p in self._family.per_state[x])
+    def adjacency(self):
+        # x -> y iff some candidate at x has y in its support
+        return np.logical_or.reduceat(self._supports, self._starts, axis=0)
+
+    def lower_positive(self, targets):
+        # positive iff every candidate at x puts mass on targets
+        meets = self._supports[:, sorted(self._target_set(targets))].any(axis=1)
+        return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self._starts)).tolist())
 
     def restrict(self, keep):
-        return CredalOperator(self._family.restrict(keep))
+        return type(self)(self._family.restrict(keep))
 
 
 def identity_operator(labels: Sequence[str]) -> CredalOperator:
@@ -420,29 +437,17 @@ class CounterexampleOperator(UpperOperator):
         return (fa, max(fa, _curve_max(fa, fb, fc)), max(fa, fb))
 
     def restrict(self, keep):
-        keep = tuple(sorted(set(keep)))
-        if not keep:
-            raise ModelValidationError("cannot restrict to an empty class")
-        if keep[0] < 0 or keep[-1] >= 3:
-            raise ModelValidationError(f"restriction indices out of range: {keep}")
-        if keep == (0, 1, 2):
+        if tuple(sorted(set(keep))) == (0, 1, 2):
             return self
         # Candidates that can survive a restriction to a proper subclass: the
         # point masses among the defining pmfs (the curve only touches a point
         # mass at t = 0, where it sits entirely on state c).
-        vertex_sets = {
-            0: (onehot(0, 3),),
-            1: (onehot(0, 3), onehot(2, 3)),
-            2: (onehot(0, 3), onehot(1, 3)),
-        }
-        sub_space = self._SPACE.subset(keep)
-        per = []
-        for x in keep:
-            kept = [q for p in vertex_sets[x] if (q := p.restrict(keep)) is not None]
-            if not kept:
-                raise NotWellDefinedError(self._SPACE.labels[x], sub_space.labels)
-            per.append(tuple(kept))
-        return CredalOperator(CredalFamily(sub_space, tuple(per)))
+        vertices = (
+            (onehot(0, 3),),
+            (onehot(0, 3), onehot(2, 3)),
+            (onehot(0, 3), onehot(1, 3)),
+        )
+        return CredalOperator(CredalFamily(self._SPACE, vertices).restrict(keep))
 
 
 #: Closed-form operators addressable from model sources by name.

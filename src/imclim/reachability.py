@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InternalInvariantError, PreconditionError
-from .graphs import ClassInfo, build_graph, communication_classes
+from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, UpperOperator
 
 
@@ -41,47 +43,52 @@ class StatePartition:
 
 
 def lower_reach_set(
-    op: UpperOperator, targets: Iterable[int]
+    op: UpperOperator, targets: Iterable[int], adjacency: np.ndarray | None = None
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """States from which the closed class ``targets`` is lower reachable.
 
-    Grows the class one exact step at a time: a state joins as soon as its
-    one-step lower probability of the current set is positive.  The fixpoint
-    is reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
-    together with the whole growing sequence.
+    Grows the class one step at a time: a state joins as soon as its one-step
+    lower probability of the current set is positive.  Closedness and each
+    step come from the operator's structural hook.  The fixpoint is reached
+    after at most ``n - |targets|`` rounds.  Returns the fixpoint together
+    with the whole growing sequence.  ``adjacency`` is ``op.adjacency()``,
+    passed by callers that have already built it.
     """
     current = frozenset(op._target_set(targets))
     if not current:
         raise PreconditionError("the target class must be non-empty")
-    outside = frozenset(range(op.n)) - current
-    if outside:
-        upper_leak = op.upper_indicator(outside)
-        if any(upper_leak[x] > 0 for x in current):
-            raise PreconditionError(
-                f"class {{{', '.join(op.space.labels_of(current))}}} is not closed"
-            )
-    sequence = [current]
-    while True:
-        row = op.lower_indicator(current)
-        additions = frozenset(
-            x for x in range(op.n) if x not in current and row[x] > 0
+    outside = sorted(frozenset(range(op.n)) - current)
+    if adjacency is None:
+        adjacency = op.adjacency()
+    # the upper probability of leaving is positive iff some edge leaves
+    if outside and adjacency[np.ix_(sorted(current), outside)].any():
+        raise PreconditionError(
+            f"class {{{', '.join(op.space.labels_of(current))}}} is not closed"
         )
-        if not additions:
-            break
+    sequence = [current]
+    while additions := op.lower_positive(current) - current:
         current = current | additions
         sequence.append(current)
     return current, tuple(sequence)
 
 
 def partition_states(
-    op: UpperOperator, classes: Sequence[ClassInfo] | None = None
+    op: UpperOperator,
+    classes: Sequence[ClassInfo] | None = None,
+    graph: AccessGraph | None = None,
 ) -> StatePartition:
-    """Partition the states of ``op`` by their limit role."""
+    """Partition the states of ``op`` by their limit role.
+
+    ``classes`` and ``graph`` are those of ``op``, passed by callers that have
+    already built them.
+    """
+    if graph is None:
+        graph = build_graph(op)
     if classes is None:
-        classes = communication_classes(build_graph(op))
+        classes = communication_classes(graph)
     maximal = tuple(c.members for c in classes if c.is_maximal)
     maximal_states = frozenset().union(*maximal)
-    reach, sequence = lower_reach_set(op, maximal_states)
+    reach, sequence = lower_reach_set(op, maximal_states, graph.adjacency)
     return StatePartition(
         space=op.space,
         maximal_classes=maximal,
@@ -90,9 +97,3 @@ def partition_states(
         unabsorbed_transients=frozenset(range(op.n)) - reach,
         reach_sequence=sequence,
     )
-
-
-def is_absorbing(op: UpperOperator, targets: Iterable[int]) -> bool:
-    """True when the closed class ``targets`` is lower reachable from every state."""
-    reach, _ = lower_reach_set(op, targets)
-    return reach == frozenset(range(op.n))

@@ -1,9 +1,9 @@
 """End-to-end analysis pipeline and its JSON-facing report structure.
 
-``analyze`` runs graph construction, class analysis, the state partition, the
-recursive decomposition and all verdicts, and packs the outcome into an
-:class:`AnalysisReport` whose ``to_dict`` output validates against
-``docs/report.schema.json``.
+``analyze`` runs the recursive decomposition, whose first level holds the
+graph, classes and state partition of the whole space, and all verdicts, and
+packs the outcome into an :class:`AnalysisReport` whose ``to_dict`` output
+validates against ``docs/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .decomposition import (
     decide_convergence,
     decompose,
 )
-from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
+from .graphs import AccessGraph, ClassInfo
 from .operators import StateSpace, UpperOperator
 from .orbits import (
     OrbitCheck,
@@ -28,7 +28,7 @@ from .orbits import (
     oracle_compare,
     search_cycle_witness,
 )
-from .reachability import StatePartition, partition_states
+from .reachability import StatePartition
 
 
 def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
@@ -172,10 +172,8 @@ def analyze(
     functions.  A "no" verdict triggers a best-effort search for a concrete
     cycling orbit regardless.
     """
-    graph = build_graph(op)
-    classes = communication_classes(graph)
-    partition = partition_states(op, classes)
     dec = decompose(op)
+    level1 = dec.levels[0]
     verdict = decide_convergence(op, dec)
     witness_orbit = None
     if verdict.convergent == "no" and verdict.witness is not None:
@@ -188,9 +186,9 @@ def analyze(
         )
     return AnalysisReport(
         operator=op,
-        graph=graph,
-        classes=classes,
-        partition=partition,
+        graph=level1.graph,
+        classes=level1.classes,
+        partition=level1.partition,
         decomposition=dec,
         verdict=verdict,
         orbit_evidence=evidence,

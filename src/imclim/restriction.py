@@ -15,7 +15,6 @@ from .errors import (
 )
 from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import UpperOperator
-from .reachability import StatePartition
 
 
 @dataclass(frozen=True)
@@ -99,45 +98,3 @@ def restrict_to_maximal(
         raise InternalInvariantError(
             f"restriction to a maximal class failed unexpectedly: {exc}"
         ) from exc
-
-
-def restrict_to_nonabs(
-    op: UpperOperator, partition: StatePartition
-) -> RestrictedOperator:
-    """Restrict to the unabsorbed transient states.
-
-    This restriction is guaranteed to be well defined, so an empty restricted
-    set here is a bug in the library, not a user error.
-    """
-    members = partition.unabsorbed_transients
-    if not members:
-        raise PreconditionError("there are no unabsorbed transient states to restrict to")
-    try:
-        return restrict_family(op, members)
-    except NotWellDefinedError as exc:
-        raise InternalInvariantError(
-            f"restriction to the unabsorbed transient states failed: {exc}"
-        ) from exc
-
-
-def _same_family(p: UpperOperator, q: UpperOperator) -> bool:
-    if p is q:
-        return True
-    fp = getattr(p, "family", None)
-    fq = getattr(q, "family", None)
-    return fp is not None and fp == fq
-
-
-def nested_restriction_check(
-    op: UpperOperator, outer: Iterable[int], inner: Iterable[int]
-) -> bool:
-    """True when restricting in two cuts equals restricting once (test support)."""
-    outer_set = frozenset(outer)
-    inner_set = frozenset(inner)
-    if not inner_set <= outer_set:
-        raise PreconditionError("the inner class must be contained in the outer class")
-    direct = restrict_family(op, inner_set).operator
-    first = restrict_family(op, outer_set)
-    local_inner = tuple(first.from_parent(i) for i in sorted(inner_set))
-    two_step = first.operator.restrict(local_inner)
-    return _same_family(direct, two_step)

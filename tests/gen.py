@@ -1,4 +1,4 @@
-"""Seeded random instance generators and brute-force oracles shared by the tests."""
+"""Seeded random instance generators, brute-force oracles and test-only helpers shared by the tests."""
 
 from __future__ import annotations
 
@@ -12,10 +12,18 @@ from imclim import (
     AccessGraph,
     CredalFamily,
     CredalOperator,
+    InternalInvariantError,
+    NotWellDefinedError,
     Pmf,
+    PreconditionError,
+    RestrictedOperator,
+    StatePartition,
     StateSpace,
+    UpperOperator,
     build_graph,
     communication_classes,
+    lower_reach_set,
+    restrict_family,
 )
 
 LABELS = "abcdefgh"
@@ -196,14 +204,93 @@ def brute_force_lower_reach(op, targets: frozenset[int]) -> dict[int, frozenset[
     return out
 
 
-def closed_subsets(op) -> list[frozenset[int]]:
-    """All non-empty closed subsets by exhaustive enumeration (small spaces only)."""
-    from imclim import is_closed
+def is_closed(op: UpperOperator, members) -> bool:
+    """Exact test that no one-step upper probability leaves the class."""
+    inside = frozenset(members)
+    if not inside:
+        raise PreconditionError("closedness of an empty class is undefined")
+    outside = frozenset(range(op.n)) - inside
+    if not outside:
+        return True
+    leak = op.upper_indicator(outside)
+    return all(leak[x] == 0 for x in inside)
 
+
+def closed_subsets(op) -> list[frozenset[int]]:
+    """All non-empty closed subsets by exhaustive enumeration (small spaces only).
+
+    Reads the edges once from exact indicator evaluation (the base-class
+    hook): a subset is closed when no edge leaves it.
+    """
     n = op.n
+    adjacency = UpperOperator.adjacency(op)
     found = []
     for bits in range(1, 2**n):
-        subset = frozenset(i for i in range(n) if bits >> i & 1)
-        if is_closed(op, subset):
-            found.append(subset)
+        inside = [i for i in range(n) if bits >> i & 1]
+        outside = [i for i in range(n) if not bits >> i & 1]
+        if not adjacency[np.ix_(inside, outside)].any():
+            found.append(frozenset(inside))
     return found
+
+
+def is_absorbing(op: UpperOperator, targets) -> bool:
+    """True when the closed class ``targets`` is lower reachable from every state."""
+    reach, _ = lower_reach_set(op, targets)
+    return reach == frozenset(range(op.n))
+
+
+def regularity_oracle(graph: AccessGraph, members) -> bool:
+    """Boolean-matrix-power regularity check, used to cross-validate the gcd route.
+
+    True exactly when some power ``k <= n^2`` of the class-internal adjacency
+    block is all-true and the block stays all-true at ``k + 1``.
+    """
+    m = tuple(sorted(set(members)))
+    block = graph.adjacency[np.ix_(m, m)].astype(np.uint8)
+    if not block.any():
+        return False
+    power = block.copy()
+    for _ in range(len(m) ** 2):
+        if power.all():
+            successor = (power @ block) > 0
+            return bool(successor.all())
+        power = ((power @ block) > 0).astype(np.uint8)
+    return bool(power.all() and ((power @ block) > 0).all())
+
+
+# ---------------------------------------------------------------------------
+# restriction helpers
+
+
+def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> RestrictedOperator:
+    """Restrict to the unabsorbed transient states, which is always well defined."""
+    members = partition.unabsorbed_transients
+    if not members:
+        raise PreconditionError("there are no unabsorbed transient states to restrict to")
+    try:
+        return restrict_family(op, members)
+    except NotWellDefinedError as exc:
+        raise InternalInvariantError(
+            f"restriction to the unabsorbed transient states failed: {exc}"
+        ) from exc
+
+
+def _same_family(p: UpperOperator, q: UpperOperator) -> bool:
+    if p is q:
+        return True
+    fp = getattr(p, "family", None)
+    fq = getattr(q, "family", None)
+    return fp is not None and fp == fq
+
+
+def nested_restriction_check(op: UpperOperator, outer, inner) -> bool:
+    """True when restricting in two cuts equals restricting once."""
+    outer_set = frozenset(outer)
+    inner_set = frozenset(inner)
+    if not inner_set <= outer_set:
+        raise PreconditionError("the inner class must be contained in the outer class")
+    direct = restrict_family(op, inner_set).operator
+    first = restrict_family(op, outer_set)
+    local_inner = tuple(first.from_parent(i) for i in sorted(inner_set))
+    two_step = first.operator.restrict(local_inner)
+    return _same_family(direct, two_step)

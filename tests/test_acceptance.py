@@ -32,7 +32,6 @@ from imclim import (
     lower_reach_set,
     orbit_limit_on_regular_class,
     partition_states,
-    regularity_oracle,
     restrict_family,
     restrict_to_maximal,
     family_to_jsonable,
@@ -361,7 +360,7 @@ def test_criterion_4_property_suites():
     counts["maximal-class equality"] = equality_cases
 
     # nested two-cut identity
-    from imclim import NotWellDefinedError, nested_restriction_check
+    from imclim import NotWellDefinedError
 
     rng = random.Random(105)
     nested_cases = 0
@@ -376,7 +375,7 @@ def test_criterion_4_property_suites():
             restrict_family(op, inner)
         except NotWellDefinedError:
             continue
-        if not nested_restriction_check(op, outer, inner):
+        if not gen.nested_restriction_check(op, outer, inner):
             failures.append("nested restriction identity")
         nested_cases += 1
     counts["nested restriction"] = nested_cases
@@ -505,7 +504,7 @@ def test_criterion_6_cyclicity_vs_power_oracle():
         graph = gen.random_scc_graph(rng, max_nodes=8)
         members = range(graph.n)
         cyc = cyclicity(graph, members)
-        oracle = regularity_oracle(graph, members)
+        oracle = gen.regularity_oracle(graph, members)
         if (cyc == 1) != oracle:
             failures.append(f"cyclicity {cyc} vs oracle {oracle} on {graph.labels}")
         if oracle:

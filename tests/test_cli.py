@@ -1,12 +1,23 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from imclim.cli import main
 
 DEMO_MODEL = str(Path(__file__).resolve().parent.parent / "demos" / "running-example.json")
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+SCHEMA = json.loads(SCHEMA_PATH.read_text())
+# ``decompose --json`` prints the report's decomposition block on its own
+DECOMPOSITION_SCHEMA = {"$defs": SCHEMA["$defs"], **SCHEMA["properties"]["decomposition"]}
+
+
+def emitted_report(capsys) -> dict:
+    """The JSON report just printed, validated against docs/report.schema.json."""
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    return report
 
 NONCONVERGENT_MODEL = {
     "states": ["a", "b", "c"],
@@ -51,14 +62,11 @@ class TestAnalyze:
         assert "error:" in capsys.readouterr().err
 
     def test_json_report_validates_against_schema(self, capsys, nonconvergent_path):
-        jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads(SCHEMA_PATH.read_text())
         for model, extra in ((DEMO_MODEL, ["--suite", "2"]),
                              ("builtin:counterexample-5.1", []),
                              (nonconvergent_path, [])):
             assert main(["analyze", model, "--json", *extra]) in (0, 2, 3)
-            report = json.loads(capsys.readouterr().out)
-            jsonschema.validate(report, schema)
+            emitted_report(capsys)
 
     def test_verdict_and_exit_code_never_disagree(self, capsys, nonconvergent_path):
         expected = {DEMO_MODEL: ("yes", 0),
@@ -66,8 +74,22 @@ class TestAnalyze:
                     nonconvergent_path: ("no", 2)}
         for model, (verdict, code) in expected.items():
             assert main(["analyze", model, "--json"]) == code
-            report = json.loads(capsys.readouterr().out)
+            report = emitted_report(capsys)
             assert report["verdicts"]["convergent"] == verdict
+
+    def test_duplicate_state_in_credal_sets_exits_one(self, tmp_path, capsys):
+        # the second "b" would otherwise silently replace the first, and the
+        # swap model would be reported convergent
+        path = tmp_path / "dupe.json"
+        path.write_text(
+            '{"states": ["a", "b", "c"], "credal_sets": {'
+            '"a": [{"a": "1"}], "b": [{"a": "1"}, {"c": "1"}], '
+            '"c": [{"b": "1"}], "b": [{"a": "1"}]}}'
+        )
+        assert main(["analyze", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "duplicate" in captured.err
 
 
 class TestOrbit:
@@ -108,6 +130,11 @@ class TestOrbit:
         assert main(["orbit", DEMO_MODEL, "-f", "zz"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["x", "-3", "1.5", ""])
+    def test_bad_random_seed(self, seed, capsys):
+        assert main(["orbit", DEMO_MODEL, "-f", f"random:{seed}"]) == 1
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestGraph:
     def test_dot_output_is_stable(self, capsys):
@@ -129,6 +156,7 @@ class TestDecompose:
     def test_json_levels(self, capsys):
         assert main(["decompose", "builtin:counterexample-5.1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
         assert payload["depth"] == 2
         assert payload["levels"][1]["maximal_classes"][0]["members"] == ["b", "c"]
         assert payload["levels"][1]["maximal_classes"][0]["cyclicity"] == 2

@@ -277,7 +277,7 @@ class TestAbsorbedCases:
         # convergence of orbits restricted to a closed absorbing class goes
         # hand in hand with convergence of the full orbits, function by function
         rng = random.Random(77)
-        from imclim import OrbitParams, is_absorbing, iterate_orbit
+        from imclim import OrbitParams, iterate_orbit
 
         fast = OrbitParams(burn_in=20, max_iters=4000, max_period=16)
         checked = 0
@@ -286,7 +286,7 @@ class TestAbsorbedCases:
             targets = [
                 s
                 for s in gen.closed_subsets(op)
-                if len(s) < op.n and is_absorbing(op, s)
+                if len(s) < op.n and gen.is_absorbing(op, s)
             ]
             if not targets:
                 continue

@@ -12,8 +12,6 @@ from imclim import (
     build_graph,
     communication_classes,
     cyclicity,
-    is_closed,
-    regularity_oracle,
     to_dot,
 )
 from imclim.operators import StateSpace
@@ -103,7 +101,7 @@ class TestCommunicationClasses:
             assert seen == list(range(op.n))
             for c in classes:
                 assert c.is_maximal == c.is_closed
-                assert c.is_closed == is_closed(op, c.members)
+                assert c.is_closed == gen.is_closed(op, c.members)
                 if c.is_regular:
                     assert c.is_maximal
 
@@ -127,10 +125,10 @@ class TestClosed:
         assert subsets == {("a",), ("b",), ("a", "b"), ("a", "b", "c", "d", "e")}
 
     def test_full_space_closed(self, running_op):
-        assert is_closed(running_op, range(5))
+        assert gen.is_closed(running_op, range(5))
 
     def test_transient_class_not_closed(self, running_op):
-        assert not is_closed(running_op, {2, 3, 4})
+        assert not gen.is_closed(running_op, {2, 3, 4})
 
 
 class TestCyclicity:
@@ -165,14 +163,14 @@ class TestCyclicity:
 
 class TestRegularityOracle:
     def test_self_loop_true(self, running_op):
-        assert regularity_oracle(build_graph(running_op), {0})
+        assert gen.regularity_oracle(build_graph(running_op), {0})
 
     def test_two_cycle_false(self, two_cycle_op):
-        assert not regularity_oracle(build_graph(two_cycle_op), {0, 1})
+        assert not gen.regularity_oracle(build_graph(two_cycle_op), {0, 1})
 
     def test_two_nodes_complete_true(self, running_op):
         # induced block on {d, e}: self-loops plus both cross edges
-        assert regularity_oracle(build_graph(running_op), {3, 4})
+        assert gen.regularity_oracle(build_graph(running_op), {3, 4})
 
     def test_matches_gcd_route(self):
         rng = random.Random(34)
@@ -180,7 +178,7 @@ class TestRegularityOracle:
             graph = gen.random_scc_graph(rng)
             members = range(graph.n)
             cyc = cyclicity(graph, members)
-            assert (cyc == 1) == regularity_oracle(graph, members)
+            assert (cyc == 1) == gen.regularity_oracle(graph, members)
 
 
 class TestDot:

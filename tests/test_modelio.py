@@ -93,6 +93,31 @@ class TestLoadModel:
             load_model(bad)
 
 
+    def test_duplicate_state_in_credal_sets_rejected(self, tmp_path):
+        bad = tmp_path / "dupe-state.json"
+        bad.write_text(
+            '{"states": ["a", "b"], "credal_sets": '
+            '{"a": [{"a": "1"}], "b": [{"b": "1"}], "b": [{"a": "1"}]}}'
+        )
+        with pytest.raises(ModelValidationError, match=r"duplicate keys.*\['b'\]"):
+            load_model(bad)
+
+    def test_duplicate_target_in_pmf_rejected(self, tmp_path):
+        bad = tmp_path / "dupe-target.json"
+        bad.write_text(
+            '{"states": ["a", "b"], "credal_sets": '
+            '{"a": [{"a": "1"}], "b": [{"a": "1/2", "b": "1/2", "a": "1/2"}]}}'
+        )
+        with pytest.raises(ModelValidationError, match=r"duplicate keys.*\['a'\]"):
+            load_model(bad)
+
+    def test_duplicate_top_level_key_rejected(self, tmp_path):
+        bad = tmp_path / "dupe-top.json"
+        bad.write_text('{"states": ["a"], "states": ["a"], "credal_sets": {"a": [{"a": "1"}]}}')
+        with pytest.raises(ModelValidationError, match="duplicate keys"):
+            load_model(bad)
+
+
 class TestParseModel:
     def test_structure_errors(self):
         with pytest.raises(ModelValidationError, match="JSON object"):

@@ -7,9 +7,14 @@ import pytest
 import gen
 from imclim import (
     CounterexampleOperator,
+    CredalFamily,
+    CredalOperator,
     DimensionMismatchError,
     ModelValidationError,
     Pmf,
+    StateSpace,
+    UpperOperator,
+    analyze,
     identity_operator,
     validate_family,
 )
@@ -261,3 +266,56 @@ class TestCounterexampleAxioms:
         assert isinstance(op, CounterexampleOperator)
         assert not op.is_finitely_generated
         assert op.has_exact_predicates
+
+
+class ExactPathOperator(CredalOperator):
+    """Credal operator whose structure comes from the base class's exact indicators."""
+
+    adjacency = UpperOperator.adjacency
+    lower_positive = UpperOperator.lower_positive
+
+
+def _target_sets(rng, n):
+    if n <= 3:
+        return [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(2**n)]
+    return [frozenset()] + [gen.random_subset(rng, n) for _ in range(5)]
+
+
+class TestStructuralHook:
+    """The support-based hook of credal operators against exact indicator evaluation."""
+
+    def assert_hook_matches_exact(self, op, rng):
+        assert np.array_equal(op.adjacency(), UpperOperator.adjacency(op))
+        for targets in _target_sets(rng, op.n):
+            assert op.lower_positive(targets) == UpperOperator.lower_positive(op, targets)
+
+    def test_support_structure_matches_exact_indicators(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            op = gen.random_operator(
+                rng, n=rng.randint(1, 6), max_pmfs=rng.randint(1, 4), max_den=rng.randint(1, 8)
+            )
+            self.assert_hook_matches_exact(op, rng)
+
+    def test_masses_below_float_range_still_count(self):
+        tiny = F(1, 10**400)  # float(tiny) == 0.0
+        space = StateSpace(("a", "b"))
+        family = CredalFamily(space, ((Pmf((1 - tiny, tiny)),), (Pmf((F(0), F(1))),)))
+        op = CredalOperator(family)
+        assert op.adjacency()[0, 1]
+        assert op.lower_positive({1}) == frozenset({0, 1})
+        assert np.array_equal(op.adjacency(), UpperOperator.adjacency(op))
+
+    def test_exact_path_reports_are_byte_identical(self, running_op, delayed_cycle_op):
+        rng = random.Random(43)
+        ops = [running_op, delayed_cycle_op]
+        ops += [gen.random_operator(rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 3))
+                for _ in range(300)]
+        for op in ops:
+            exact = ExactPathOperator(op.family)
+            exact_report = analyze(exact)
+            assert all(
+                type(level.operator) is ExactPathOperator
+                for level in exact_report.decomposition.levels
+            )
+            assert exact_report.to_json() == analyze(op).to_json()

@@ -13,7 +13,6 @@ from imclim import (
     iterate_orbit,
     oracle_compare,
     orbit_limit_on_regular_class,
-    restrict_to_nonabs,
     partition_states,
     search_cycle_witness,
     write_orbit_trace,
@@ -137,7 +136,7 @@ class TestRegularClassLimit:
 
     def test_max_operator_pair(self, running_op):
         part = partition_states(running_op)
-        level2 = restrict_to_nonabs(running_op, part).operator
+        level2 = gen.restrict_to_nonabs(running_op, part).operator
         phi = orbit_limit_on_regular_class(level2, {0, 1}, [0.0, 1.0])
         assert phi == pytest.approx(1.0)
 

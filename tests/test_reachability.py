@@ -6,7 +6,6 @@ import pytest
 import gen
 from imclim import (
     PreconditionError,
-    is_absorbing,
     lower_reach_set,
     partition_states,
     validate_family,
@@ -96,10 +95,10 @@ class TestPartition:
 
 class TestAbsorbing:
     def test_running_maximal_states_not_absorbing(self, running_op):
-        assert not is_absorbing(running_op, {0, 1})
+        assert not gen.is_absorbing(running_op, {0, 1})
 
     def test_full_space_absorbing(self, running_op):
-        assert is_absorbing(running_op, range(5))
+        assert gen.is_absorbing(running_op, range(5))
 
     def test_singleton_chain_absorbing(self):
         sets = {
@@ -108,4 +107,4 @@ class TestAbsorbing:
             "c": [{"b": F(1)}],
         }
         op = CredalOperator(validate_family(["a", "b", "c"], sets))
-        assert is_absorbing(op, {0})
+        assert gen.is_absorbing(op, {0})

@@ -9,11 +9,9 @@ from imclim import (
     CredalOperator,
     NotWellDefinedError,
     PreconditionError,
-    nested_restriction_check,
     partition_states,
     restrict_family,
     restrict_to_maximal,
-    restrict_to_nonabs,
 )
 
 F = Fraction
@@ -140,13 +138,13 @@ class TestRestrictToMaximal:
 class TestRestrictToNonabs:
     def test_running_gives_maximum_operator(self, running_op):
         part = partition_states(running_op)
-        restricted = restrict_to_nonabs(running_op, part)
+        restricted = gen.restrict_to_nonabs(running_op, part)
         assert restricted.labels == ("d", "e")
         assert restricted.operator.apply_exact((F(1), F(4))) == (F(4), F(4))
 
     def test_counterexample_gives_swap(self, counterexample_op):
         part = partition_states(counterexample_op)
-        restricted = restrict_to_nonabs(counterexample_op, part)
+        restricted = gen.restrict_to_nonabs(counterexample_op, part)
         g = (F(2), F(9))
         assert restricted.operator.apply_exact(g) == (F(9), F(2))
 
@@ -156,7 +154,7 @@ class TestRestrictToNonabs:
         part = partition_states(op)
         if not part.unabsorbed_transients:
             with pytest.raises(PreconditionError):
-                restrict_to_nonabs(op, part)
+                gen.restrict_to_nonabs(op, part)
 
     def test_always_well_defined_on_random_instances(self):
         rng = random.Random(55)
@@ -167,21 +165,21 @@ class TestRestrictToNonabs:
             if not part.unabsorbed_transients:
                 continue
             tried += 1
-            restricted = restrict_to_nonabs(op, part)  # must never raise
+            restricted = gen.restrict_to_nonabs(op, part)  # must never raise
             assert restricted.operator.n == len(part.unabsorbed_transients)
         assert tried > 20
 
 
 class TestNestedRestriction:
     def test_two_cuts_equal_one_cut(self, running_op):
-        assert nested_restriction_check(running_op, {3, 4}, {3})
+        assert gen.nested_restriction_check(running_op, {3, 4}, {3})
 
     def test_equal_classes_trivial(self, running_op):
-        assert nested_restriction_check(running_op, {3, 4}, {3, 4})
+        assert gen.nested_restriction_check(running_op, {3, 4}, {3, 4})
 
     def test_inner_must_be_contained(self, running_op):
         with pytest.raises(PreconditionError):
-            nested_restriction_check(running_op, {3, 4}, {2, 3})
+            gen.nested_restriction_check(running_op, {3, 4}, {2, 3})
 
     def test_random_nested_pairs(self):
         rng = random.Random(56)
@@ -198,7 +196,7 @@ class TestNestedRestriction:
             except NotWellDefinedError:
                 continue
             hits += 1
-            assert nested_restriction_check(op, outer, inner)
+            assert gen.nested_restriction_check(op, outer, inner)
 
 
 class TestRoundTrip:
