@@ -43,11 +43,6 @@ from .reachability import (
     lower_reach_set,
     partition_states,
 )
-from .restriction import (
-    RestrictedOperator,
-    restrict_family,
-    restrict_to_maximal,
-)
 from .decomposition import (
     Decomposition,
     LevelRecord,
@@ -114,10 +109,6 @@ __all__ = [
     "StatePartition",
     "lower_reach_set",
     "partition_states",
-    # restriction
-    "RestrictedOperator",
-    "restrict_family",
-    "restrict_to_maximal",
     # decomposition
     "Decomposition",
     "LevelRecord",

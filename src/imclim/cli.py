@@ -8,6 +8,7 @@ logging level name (e.g. ``debug``) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -15,11 +16,12 @@ import sys
 
 import numpy as np
 
+from .decomposition import decompose
 from .errors import ImclimError
 from .modelio import load_model, parse_rational, write_orbit_trace
 from .graphs import build_graph, communication_classes, to_dot
 from .orbits import OrbitParams, iterate_orbit
-from .report import analyze
+from .report import analyze, decomposition_block
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,7 +54,9 @@ def _add_orbit_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for random suite functions (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="imclim",
         description="Decide whether all orbits of an upper transition operator converge.",
@@ -222,8 +226,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_decompose(args) -> int:
     op = load_model(args.model)
-    report = analyze(op, model_name=args.model)
-    data = report.to_dict()["decomposition"]
+    data = decomposition_block(decompose(op))
     if args.json:
         print(json.dumps(data, indent=2))
     else:

@@ -43,9 +43,6 @@ class AccessGraph:
     def n(self) -> int:
         return len(self.labels)
 
-    def successors(self, x: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.adjacency[x]))
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         xs, ys = np.nonzero(self.adjacency)
         return tuple(zip(xs.tolist(), ys.tolist()))

@@ -205,9 +205,8 @@ def validate_family(
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
                 )
-            mass = tuple(Fraction(entry.get(y, 0)) for y in space.labels)
             try:
-                pmfs.append(Pmf(mass))
+                pmfs.append(Pmf(tuple(entry.get(y, 0) for y in space.labels)))
             except ModelValidationError as exc:
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}': {exc}"
@@ -252,10 +251,6 @@ class UpperOperator(ABC):
         )
 
     # The lower operator is the conjugate map f -> -upper(-f).
-    def apply_lower(self, f: Sequence[float]) -> np.ndarray:
-        g = np.asarray(f, dtype=float)
-        return -self.apply(-g)
-
     def apply_lower_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         return tuple(-v for v in self.apply_exact(tuple(-Fraction(x) for x in f)))
 

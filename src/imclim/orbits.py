@@ -24,11 +24,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InternalInvariantError,
+    NotWellDefinedError,
     PreconditionError,
 )
-from .graphs import ClassInfo, build_graph, cyclicity
+from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import UpperOperator
-from .restriction import restrict_to_maximal
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ def iterate_orbit(
 
     window: list[np.ndarray] = [current.copy()]
     trace: list[np.ndarray] | None = [current.copy()] if p.keep_trace else None
-    streak = np.zeros(p.max_period + 1, dtype=np.int64)
+    # periods scored never exceed the number of iterations run
+    streak = np.zeros(min(p.max_period, p.max_iters) + 1, dtype=np.int64)
     last_step_residual = float("inf")
     best_period: int | None = None
     best_residual = float("inf")
@@ -179,16 +180,30 @@ def orbit_limit_on_regular_class(
     dominates the minimum of the start function, strictly so when the start is
     not constant on the class; violations raise
     :class:`InternalInvariantError`, as does non-convergence within budget.
+    Maximality and regularity are read from ``classes`` (computed once when not
+    given), and the class is restricted through :meth:`UpperOperator.restrict`.
     """
     p = params or OrbitParams()
-    restricted = restrict_to_maximal(op, members, classes)
-    sub = restricted.operator
-    sub_graph = build_graph(sub)
-    if cyclicity(sub_graph, range(sub.n)) != 1:
-        raise PreconditionError(
-            f"class {{{', '.join(restricted.labels)}}} is not regular"
-        )
-    start = restricted.restrict_function(f)
+    target = frozenset(members)
+    if classes is None:
+        classes = communication_classes(build_graph(op))
+    info = next((c for c in classes if c.members == target), None)
+    name = "{" + ", ".join(op.space.labels_of(target)) + "}"
+    if info is None or not info.is_maximal:
+        raise PreconditionError(f"{name} is not a maximal communication class")
+    if info.cyclicity != 1:
+        raise PreconditionError(f"class {name} is not regular")
+    keep = sorted(target)
+    try:
+        sub = op.restrict(keep)
+    except NotWellDefinedError as exc:  # closedness guarantees non-empty sets
+        raise InternalInvariantError(
+            f"restriction to a maximal class failed unexpectedly: {exc}"
+        ) from exc
+    g = np.asarray(f, dtype=float)
+    if g.shape != (op.n,):
+        raise PreconditionError(f"function has shape {g.shape}, expected ({op.n},)")
+    start = g[keep]
     result = iterate_orbit(sub, start, p)
     if not result.converged:
         raise InternalInvariantError(

@@ -35,6 +35,30 @@ def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
     return list(space.labels_of(members))
 
 
+def decomposition_block(dec: Decomposition) -> dict:
+    """The report's ``decomposition`` block: depth and per-level classes."""
+    space = dec.space
+    levels = [
+        {
+            "level": level.index,
+            "states": _labels(space, level.states),
+            "maximal_classes": [
+                {
+                    "members": _labels(space, c.members),
+                    "cyclicity": c.cyclicity,
+                    "regular": c.is_regular,
+                }
+                for c in level.classes
+                if c.is_maximal
+            ],
+            "absorbed": _labels(space, level.absorbed),
+            "remaining": _labels(space, level.remaining),
+        }
+        for level in dec.levels
+    ]
+    return {"depth": dec.depth, "levels": levels}
+
+
 @dataclass
 class AnalysisReport:
     operator: UpperOperator
@@ -78,25 +102,6 @@ class AnalysisReport:
                 _labels(space, s) for s in self.partition.reach_sequence
             ],
         }
-        levels_block = []
-        for level in self.decomposition.levels:
-            levels_block.append(
-                {
-                    "level": level.index,
-                    "states": _labels(space, level.states),
-                    "maximal_classes": [
-                        {
-                            "members": _labels(space, c.members),
-                            "cyclicity": c.cyclicity,
-                            "regular": c.is_regular,
-                        }
-                        for c in level.classes
-                        if c.is_maximal
-                    ],
-                    "absorbed": _labels(space, level.absorbed),
-                    "remaining": _labels(space, level.remaining),
-                }
-            )
         verdict = self.verdict
         verdict_block = {
             "convergent": verdict.convergent,
@@ -146,10 +151,7 @@ class AnalysisReport:
             "graph": graph_block,
             "classes": classes_block,
             "partition": partition_block,
-            "decomposition": {
-                "depth": self.decomposition.depth,
-                "levels": levels_block,
-            },
+            "decomposition": decomposition_block(self.decomposition),
             "verdicts": verdict_block,
             "orbit_evidence": evidence_block,
         }

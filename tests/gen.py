@@ -16,14 +16,12 @@ from imclim import (
     NotWellDefinedError,
     Pmf,
     PreconditionError,
-    RestrictedOperator,
     StatePartition,
     StateSpace,
     UpperOperator,
     build_graph,
     communication_classes,
     lower_reach_set,
-    restrict_family,
 )
 
 LABELS = "abcdefgh"
@@ -262,13 +260,13 @@ def regularity_oracle(graph: AccessGraph, members) -> bool:
 # restriction helpers
 
 
-def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> RestrictedOperator:
+def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOperator:
     """Restrict to the unabsorbed transient states, which is always well defined."""
     members = partition.unabsorbed_transients
     if not members:
         raise PreconditionError("there are no unabsorbed transient states to restrict to")
     try:
-        return restrict_family(op, members)
+        return op.restrict(sorted(members))
     except NotWellDefinedError as exc:
         raise InternalInvariantError(
             f"restriction to the unabsorbed transient states failed: {exc}"
@@ -289,8 +287,9 @@ def nested_restriction_check(op: UpperOperator, outer, inner) -> bool:
     inner_set = frozenset(inner)
     if not inner_set <= outer_set:
         raise PreconditionError("the inner class must be contained in the outer class")
-    direct = restrict_family(op, inner_set).operator
-    first = restrict_family(op, outer_set)
-    local_inner = tuple(first.from_parent(i) for i in sorted(inner_set))
-    two_step = first.operator.restrict(local_inner)
+    outer_keep = sorted(outer_set)
+    direct = op.restrict(sorted(inner_set))
+    first = op.restrict(outer_keep)
+    local_inner = tuple(outer_keep.index(i) for i in sorted(inner_set))
+    two_step = first.restrict(local_inner)
     return _same_family(direct, two_step)

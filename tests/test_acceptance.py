@@ -32,8 +32,6 @@ from imclim import (
     lower_reach_set,
     orbit_limit_on_regular_class,
     partition_states,
-    restrict_family,
-    restrict_to_maximal,
     family_to_jsonable,
 )
 
@@ -323,17 +321,17 @@ def test_criterion_4_property_suites():
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         keep = sorted(gen.random_subset(rng, op.n, allow_full=False))
         try:
-            restricted = restrict_family(op, keep)
+            restricted = op.restrict(keep)
         except Exception:
             continue
         f = gen.random_rational_function(rng, op.n)
-        local = restricted.restrict_function_exact(f)
+        local = tuple(f[i] for i in keep)
         global_iter = f
         ok = True
         for _ in range(3):
-            local = restricted.operator.apply_exact(local)
+            local = restricted.apply_exact(local)
             global_iter = op.apply_exact(global_iter)
-            clipped = tuple(global_iter[i] for i in restricted.members)
+            clipped = tuple(global_iter[i] for i in keep)
             ok = ok and all(a <= b for a, b in zip(local, clipped))
         if not ok:
             failures.append("restriction inequality")
@@ -346,14 +344,15 @@ def test_criterion_4_property_suites():
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         part = partition_states(op)
         for members in part.maximal_classes:
-            restricted = restrict_to_maximal(op, members)
+            keep = sorted(members)
+            restricted = op.restrict(keep)
             f = gen.random_rational_function(rng, op.n)
-            local = restricted.restrict_function_exact(f)
+            local = tuple(f[i] for i in keep)
             global_iter = f
             for _ in range(3):
-                local = restricted.operator.apply_exact(local)
+                local = restricted.apply_exact(local)
                 global_iter = op.apply_exact(global_iter)
-                clipped = tuple(global_iter[i] for i in restricted.members)
+                clipped = tuple(global_iter[i] for i in keep)
                 if local != clipped:
                     failures.append("maximal-class restriction equality")
             equality_cases += 1
@@ -371,8 +370,8 @@ def test_criterion_4_property_suites():
         if not inner:
             continue
         try:
-            restrict_family(op, outer)
-            restrict_family(op, inner)
+            op.restrict(outer)
+            op.restrict(inner)
         except NotWellDefinedError:
             continue
         if not gen.nested_restriction_check(op, outer, inner):

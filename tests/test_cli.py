@@ -36,6 +36,12 @@ def nonconvergent_path(tmp_path):
     return str(path)
 
 
+def test_parser_is_built_once():
+    from imclim.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
 class TestAnalyze:
     def test_convergent_model_exits_zero(self, capsys):
         assert main(["analyze", DEMO_MODEL]) == 0
@@ -155,6 +161,21 @@ class TestGraph:
 class TestDecompose:
     def test_json_levels(self, capsys):
         assert main(["decompose", "builtin:counterexample-5.1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
+        assert payload["depth"] == 2
+        assert payload["levels"][1]["maximal_classes"][0]["members"] == ["b", "c"]
+        assert payload["levels"][1]["maximal_classes"][0]["cyclicity"] == 2
+
+    def test_runs_no_orbits(self, nonconvergent_path, capsys, monkeypatch):
+        # a "no" verdict would start a witness search; decompose has no verdict
+        import imclim.orbits
+
+        def no_orbits(*args, **kwargs):
+            raise AssertionError("decompose ran the orbit engine")
+
+        monkeypatch.setattr(imclim.orbits, "iterate_orbit", no_orbits)
+        assert main(["decompose", nonconvergent_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
         assert payload["depth"] == 2

@@ -18,7 +18,6 @@ from imclim import (
     decompose,
     identity_operator,
     partition_states,
-    restrict_family,
     single_class_equivalence_report,
     validate_family,
 )
@@ -79,7 +78,7 @@ class TestDecompose:
     def test_levels_restrict_the_original_family(self, running_op):
         dec = decompose(running_op)
         level2 = dec.levels[1]
-        direct = restrict_family(running_op, level2.states).operator
+        direct = running_op.restrict(level2.states)
         assert level2.operator.family == direct.family
 
     def test_unsupported_restriction_carries_partial_levels(self, running_op):
@@ -227,7 +226,7 @@ class TestConvergenceOnMaximalStates:
 
     def test_matches_per_class_orbit_behaviour(self):
         rng = random.Random(74)
-        from imclim import OrbitParams, iterate_orbit, restrict_to_maximal
+        from imclim import OrbitParams, iterate_orbit
 
         fast = OrbitParams(burn_in=20, max_iters=3000, max_period=16)
         for _ in range(80):
@@ -237,7 +236,7 @@ class TestConvergenceOnMaximalStates:
             for info in classes:
                 if not info.is_maximal:
                     continue
-                sub = restrict_to_maximal(op, info.members, classes).operator
+                sub = op.restrict(sorted(info.members))
                 f = np.zeros(sub.n)
                 f[0] = 1.0
                 result = iterate_orbit(sub, f, fast)
@@ -291,12 +290,11 @@ class TestAbsorbedCases:
             if not targets:
                 continue
             members = targets[0]
-            restricted = restrict_family(op, members)
+            keep = sorted(members)
+            restricted = op.restrict(keep)
             f = np.array([rng.random() for _ in range(op.n)])
             full = iterate_orbit(op, f, fast)
-            local = iterate_orbit(
-                restricted.operator, restricted.restrict_function(f), fast
-            )
+            local = iterate_orbit(restricted, f[keep], fast)
             assert full.converged == local.converged
             checked += 1
 
@@ -311,7 +309,7 @@ class TestTheoremRouteEquivalence:
         part = partition_states(op, classes)
         if not part.unabsorbed_transients:
             return True
-        sub = restrict_family(op, part.unabsorbed_transients).operator
+        sub = op.restrict(sorted(part.unabsorbed_transients))
         return TestTheoremRouteEquivalence._recursive_route(sub)
 
     def test_flat_and_recursive_routes_agree(self):

@@ -86,6 +86,14 @@ class TestIterateOrbit:
             for vec in result.iterates_kept:
                 assert lo <= vec.min() and vec.max() <= hi
 
+    def test_huge_max_period_is_bounded_by_the_budget(self, two_cycle_op):
+        # only periods up to the number of iterations run can be scored, so a
+        # huge max_period costs no memory
+        params = OrbitParams(max_period=10**12, max_iters=50)
+        result = iterate_orbit(two_cycle_op, [1.0, 0.0], params)
+        assert result.detected_period == 2 and not result.converged
+        assert result.iterations == 2
+
     def test_trace_collection_and_csv(self, two_cycle_op):
         params = OrbitParams(burn_in=0, max_iters=10, max_period=4, keep_trace=True)
         result = iterate_orbit(two_cycle_op, [1.0, 0.0], params)
@@ -136,7 +144,7 @@ class TestRegularClassLimit:
 
     def test_max_operator_pair(self, running_op):
         part = partition_states(running_op)
-        level2 = gen.restrict_to_nonabs(running_op, part).operator
+        level2 = gen.restrict_to_nonabs(running_op, part)
         phi = orbit_limit_on_regular_class(level2, {0, 1}, [0.0, 1.0])
         assert phi == pytest.approx(1.0)
 
@@ -158,6 +166,25 @@ class TestRegularClassLimit:
             if op.n > 1:
                 assert phi > f.min()
             checked += 1
+
+    def test_given_classes_build_no_structure(self, running_op, monkeypatch):
+        import imclim.graphs
+        import imclim.orbits
+        from imclim import build_graph, communication_classes
+
+        classes = communication_classes(build_graph(running_op))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("structure computed again")
+
+        for module, name in ((imclim.orbits, "build_graph"),
+                             (imclim.orbits, "communication_classes"),
+                             (imclim.graphs, "cyclicity")):
+            monkeypatch.setattr(module, name, forbidden)
+        phi = orbit_limit_on_regular_class(
+            running_op, {1}, [0, 2.5, 0, 0, 0], classes=classes
+        )
+        assert phi == pytest.approx(2.5)
 
     def test_non_regular_class_rejected(self, two_cycle_op):
         with pytest.raises(Exception) as exc_info:

@@ -9,9 +9,11 @@ from imclim import (
     CredalOperator,
     NotWellDefinedError,
     PreconditionError,
+    build_graph,
+    communication_classes,
+    decompose,
+    orbit_limit_on_regular_class,
     partition_states,
-    restrict_family,
-    restrict_to_maximal,
 )
 
 F = Fraction
@@ -23,37 +25,29 @@ def masses(op):
 
 class TestRestrictFamily:
     def test_running_tail_pair(self, running_op):
-        restricted = restrict_family(running_op, {3, 4})
-        assert restricted.labels == ("d", "e")
+        restricted = running_op.restrict([3, 4])
+        assert restricted.space.labels == ("d", "e")
         point_d, point_e = (F(1), F(0)), (F(0), F(1))
-        for sets in masses(restricted.operator):
+        for sets in masses(restricted):
             assert set(sets) == {point_d, point_e}
         # with both point masses available the restriction maximises
-        assert restricted.operator.apply_exact((F(2), F(5))) == (F(5), F(5))
+        assert restricted.apply_exact((F(2), F(5))) == (F(5), F(5))
 
     def test_full_space_is_identity_transformation(self, running_op, counterexample_op):
-        assert restrict_family(running_op, range(5)).operator.family == running_op.family
-        assert restrict_family(counterexample_op, range(3)).operator is counterexample_op
+        assert running_op.restrict(range(5)).family == running_op.family
+        assert counterexample_op.restrict(range(3)) is counterexample_op
 
     def test_counterexample_swap_pair(self, counterexample_op):
-        restricted = restrict_family(counterexample_op, {1, 2})
-        assert restricted.labels == ("b", "c")
-        assert masses(restricted.operator) == (
+        restricted = counterexample_op.restrict([1, 2])
+        assert restricted.space.labels == ("b", "c")
+        assert masses(restricted) == (
             ((F(0), F(1)),),  # at b: point mass on c
             ((F(1), F(0)),),  # at c: point mass on b
         )
 
     def test_empty_restricted_set_names_state(self, counterexample_op):
         with pytest.raises(NotWellDefinedError, match="state 'b'"):
-            restrict_family(counterexample_op, {1})
-
-    def test_index_maps(self, running_op):
-        restricted = restrict_family(running_op, {3, 4})
-        assert restricted.to_parent(0) == 3
-        assert restricted.from_parent(4) == 1
-        assert np.allclose(
-            restricted.restrict_function([0.0, 1.0, 2.0, 3.0, 4.0]), [3.0, 4.0]
-        )
+            counterexample_op.restrict([1])
 
     def test_restricted_pmfs_supported_and_normalised(self):
         rng = random.Random(51)
@@ -62,17 +56,17 @@ class TestRestrictFamily:
             op = gen.random_operator(rng)
             keep = sorted(gen.random_subset(rng, op.n, allow_full=False))
             try:
-                restricted = restrict_family(op, keep)
+                restricted = op.restrict(keep)
             except NotWellDefinedError:
                 continue
             hits += 1
-            for x, sets in enumerate(restricted.operator.family.per_state):
+            for x, sets in enumerate(restricted.family.per_state):
                 assert sets
                 for p in sets:
                     assert sum(p.mass) == 1
             # every kept pmf comes from a parent pmf supported inside the class
-            for local_x, parent_x in enumerate(restricted.members):
-                kept = {p.mass for p in restricted.operator.family.per_state[local_x]}
+            for local_x, parent_x in enumerate(keep):
+                kept = {p.mass for p in restricted.family.per_state[local_x]}
                 expected = {
                     tuple(p.mass[i] for i in keep)
                     for p in op.family.per_state[parent_x]
@@ -89,30 +83,30 @@ class TestRestrictionInequality:
             op = gen.random_operator(rng, n=rng.randint(2, 4))
             keep = sorted(gen.random_subset(rng, op.n, allow_full=False))
             try:
-                restricted = restrict_family(op, keep)
+                restricted = op.restrict(keep)
             except NotWellDefinedError:
                 continue
             hits += 1
             f = gen.random_rational_function(rng, op.n)
-            local = restricted.restrict_function_exact(f)
+            local = tuple(f[i] for i in keep)
             global_iter = f
             for _ in range(4):
-                local = restricted.operator.apply_exact(local)
+                local = restricted.apply_exact(local)
                 global_iter = op.apply_exact(global_iter)
-                clipped = tuple(global_iter[i] for i in restricted.members)
+                clipped = tuple(global_iter[i] for i in keep)
                 assert all(a <= b for a, b in zip(local, clipped))
 
 
 class TestRestrictToMaximal:
     def test_running_singletons(self, running_op):
         for index, label in ((0, "a"), (1, "b")):
-            restricted = restrict_to_maximal(running_op, {index})
-            assert restricted.labels == (label,)
-            assert restricted.operator.apply_exact((F(7),)) == (F(7),)
+            restricted = running_op.restrict([index])
+            assert restricted.space.labels == (label,)
+            assert restricted.apply_exact((F(7),)) == (F(7),)
 
     def test_rejects_non_maximal(self, running_op):
         with pytest.raises(PreconditionError, match="not a maximal"):
-            restrict_to_maximal(running_op, {2, 3, 4})
+            orbit_limit_on_regular_class(running_op, {2, 3, 4}, [0.0] * 5)
 
     def test_exact_commutation_on_maximal_classes(self):
         # on a maximal class, restricting then iterating equals iterating then
@@ -123,30 +117,64 @@ class TestRestrictToMaximal:
             op = gen.random_operator(rng, n=rng.randint(2, 4))
             part = partition_states(op)
             for members in part.maximal_classes:
-                restricted = restrict_to_maximal(op, members)
+                keep = sorted(members)
+                restricted = op.restrict(keep)
                 f = gen.random_rational_function(rng, op.n)
-                local = restricted.restrict_function_exact(f)
+                local = tuple(f[i] for i in keep)
                 global_iter = f
                 for _ in range(4):
-                    local = restricted.operator.apply_exact(local)
+                    local = restricted.apply_exact(local)
                     global_iter = op.apply_exact(global_iter)
-                    clipped = tuple(global_iter[i] for i in restricted.members)
+                    clipped = tuple(global_iter[i] for i in keep)
                     assert local == clipped
                 checked += 1
+
+
+class TestMaximalClassPremise:
+    """A maximal class's restriction has the structure its level already records."""
+
+    @staticmethod
+    def _check(op):
+        checked = 0
+        for level in decompose(op).levels:
+            parent_adjacency = level.graph.adjacency
+            for info in level.classes:
+                if not info.is_maximal:
+                    continue
+                local = sorted(level.states.index(i) for i in info.members)
+                sub_graph = build_graph(level.operator.restrict(local))
+                assert np.array_equal(
+                    sub_graph.adjacency, parent_adjacency[np.ix_(local, local)]
+                )
+                sub_classes = communication_classes(sub_graph)
+                assert len(sub_classes) == 1
+                assert sub_classes[0].cyclicity == info.cyclicity
+                checked += 1
+        return checked
+
+    def test_counterexample_levels(self, counterexample_op):
+        assert self._check(counterexample_op) == 2
+
+    def test_random_operators(self):
+        rng = random.Random(57)
+        checked = 0
+        for _ in range(400):
+            checked += self._check(gen.random_operator(rng))
+        assert checked > 400
 
 
 class TestRestrictToNonabs:
     def test_running_gives_maximum_operator(self, running_op):
         part = partition_states(running_op)
         restricted = gen.restrict_to_nonabs(running_op, part)
-        assert restricted.labels == ("d", "e")
-        assert restricted.operator.apply_exact((F(1), F(4))) == (F(4), F(4))
+        assert restricted.space.labels == ("d", "e")
+        assert restricted.apply_exact((F(1), F(4))) == (F(4), F(4))
 
     def test_counterexample_gives_swap(self, counterexample_op):
         part = partition_states(counterexample_op)
         restricted = gen.restrict_to_nonabs(counterexample_op, part)
         g = (F(2), F(9))
-        assert restricted.operator.apply_exact(g) == (F(9), F(2))
+        assert restricted.apply_exact(g) == (F(9), F(2))
 
     def test_precise_operator_has_nothing_to_restrict(self):
         rng = random.Random(54)
@@ -166,7 +194,7 @@ class TestRestrictToNonabs:
                 continue
             tried += 1
             restricted = gen.restrict_to_nonabs(op, part)  # must never raise
-            assert restricted.operator.n == len(part.unabsorbed_transients)
+            assert restricted.n == len(part.unabsorbed_transients)
         assert tried > 20
 
 
@@ -191,8 +219,8 @@ class TestNestedRestriction:
             if not inner:
                 continue
             try:
-                restrict_family(op, outer)
-                restrict_family(op, inner)
+                op.restrict(outer)
+                op.restrict(inner)
             except NotWellDefinedError:
                 continue
             hits += 1
@@ -203,8 +231,8 @@ class TestRoundTrip:
     def test_restricted_family_serialises_like_a_model(self, running_op):
         from imclim import family_to_jsonable, parse_model
 
-        restricted = restrict_family(running_op, {3, 4})
-        payload = family_to_jsonable(restricted.operator.family)
+        restricted = running_op.restrict([3, 4])
+        payload = family_to_jsonable(restricted.family)
         reparsed = parse_model(payload)
         assert isinstance(reparsed, CredalOperator)
-        assert reparsed.family == restricted.operator.family
+        assert reparsed.family == restricted.family
