@@ -29,10 +29,7 @@ def random_pmf(rng: random.Random, n: int) -> Pmf:
     q = rng.randint(1, 8)
     cuts = sorted(rng.randint(0, q) for _ in range(len(support) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-    mass = [Fraction(0)] * n
-    for idx, part in zip(support, parts):
-        mass[idx] = Fraction(part, q)
-    return Pmf(tuple(mass))
+    return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
 
 
 def random_operator(rng: random.Random) -> CredalOperator:

@@ -32,7 +32,7 @@ class NotWellDefinedError(PreconditionError):
 
 
 class UnsupportedOperatorError(ImclimError, TypeError):
-    """The operator lacks a required capability (exact predicates, restriction rules).
+    """The operator lacks a required capability (exact evaluation, restriction rules).
 
     When raised while decomposing, ``partial`` carries the levels completed
     before the failure.

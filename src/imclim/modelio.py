@@ -125,11 +125,7 @@ def family_to_jsonable(family: CredalFamily) -> dict:
     sets: dict[str, list[dict[str, str]]] = {}
     for x, label in enumerate(family.space.labels):
         sets[label] = [
-            {
-                family.space.labels[y]: str(mass)
-                for y, mass in enumerate(p.mass)
-                if mass
-            }
+            {family.space.labels[y]: str(mass) for y, mass in p.mass}
             for p in family.per_state[x]
         ]
     return {"states": list(family.space.labels), "credal_sets": sets}

@@ -77,52 +77,53 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function with exact rational entries.
+    """Probability mass function over ``n`` states with exact rational masses.
 
-    Entries are non-negative and sum to exactly one; both checks happen at
-    construction time so downstream code never has to revalidate.
+    ``mass`` maps state index to mass; it is stored as ascending
+    ``(index, mass)`` pairs with zero masses dropped, so the pairs are the
+    support.  Masses are non-negative, indices lie in ``0..n-1`` and the
+    masses sum to exactly one; all checks happen at construction time so
+    downstream code never has to revalidate.
     """
 
-    mass: tuple[Fraction, ...]
+    n: int
+    mass: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        mass = tuple(Fraction(m) for m in self.mass)
-        object.__setattr__(self, "mass", mass)
-        negative = [i for i, m in enumerate(mass) if m < 0]
+        items = sorted((i, Fraction(m)) for i, m in dict(self.mass).items())
+        bad = [i for i, _ in items if not 0 <= i < self.n]
+        if bad:
+            raise ModelValidationError(f"state indices {bad} out of range 0..{self.n - 1}")
+        negative = [i for i, m in items if m < 0]
         if negative:
             raise ModelValidationError(f"negative mass at positions {negative}")
-        total = sum(mass)
+        total = sum(m for _, m in items)
         if total != 1:
             raise ModelValidationError(f"masses sum to {total}, expected exactly 1")
-
-    def __len__(self) -> int:
-        return len(self.mass)
+        object.__setattr__(self, "mass", tuple((i, m) for i, m in items if m))
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, m in enumerate(self.mass) if m)
+        return frozenset(i for i, _ in self.mass)
 
     def expectation(self, values: Sequence):
         """Expected value of ``values``; exact when the values are rational."""
-        if len(values) != len(self.mass):
+        if len(values) != self.n:
             raise DimensionMismatchError(
-                f"function has length {len(values)}, pmf has length {len(self.mass)}"
+                f"function has length {len(values)}, pmf has length {self.n}"
             )
-        return sum(m * values[i] for i, m in enumerate(self.mass) if m)
-
-    def restrict(self, keep: Sequence[int]) -> "Pmf | None":
-        """Entries on ``keep`` when the support lies inside it, else ``None``."""
-        if not self.support <= frozenset(keep):
-            return None
-        return Pmf(tuple(self.mass[i] for i in keep))
-
-    def as_float(self) -> np.ndarray:
-        return np.array([float(m) for m in self.mass])
+        return sum(m * values[i] for i, m in self.mass)
 
 
 def onehot(index: int, n: int) -> Pmf:
     """Point mass at ``index`` over ``n`` states."""
-    return Pmf(tuple(Fraction(int(i == index)) for i in range(n)))
+    return Pmf(n, {index: 1})
+
+
+def _dense_order(p: Pmf) -> tuple:
+    # Sorts like the dense mass vectors: a pmf whose first differing entry
+    # is larger comes later, and mass at a lower index is the larger entry.
+    return tuple((-i, m) for i, m in p.mass)
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ class CredalFamily:
     """Per-state finite, non-empty sets of candidate transition pmfs.
 
     Duplicate pmfs within a state's set are removed and the remainder is put
-    into a canonical order, so two families describing the same model compare
-    equal.
+    into a canonical order (that of the dense mass vectors), so two families
+    describing the same model compare equal.
     """
 
     space: StateSpace
@@ -149,18 +150,20 @@ class CredalFamily:
             if not pmfs:
                 raise ModelValidationError(f"state '{label}' has no candidate pmfs")
             for k, p in enumerate(pmfs):
-                if len(p) != n:
+                if p.n != n:
                     raise ModelValidationError(
-                        f"pmf #{k} for state '{label}' has length {len(p)}, expected {n}"
+                        f"pmf #{k} for state '{label}' has length {p.n}, expected {n}"
                     )
-            cleaned.append(tuple(sorted(set(pmfs), key=lambda p: p.mass)))
+            cleaned.append(tuple(sorted(set(pmfs), key=_dense_order)))
         object.__setattr__(self, "per_state", tuple(cleaned))
 
     def restrict(self, keep: Sequence[int]) -> "CredalFamily":
         """Family over ``keep`` built from the pmfs supported inside ``keep``.
 
-        Raises :class:`NotWellDefinedError` when some retained state keeps no
-        pmf at all.
+        A kept pmf is the parent pmf with its indices renumbered; its masses
+        are unchanged, so it is not validated again.  Raises
+        :class:`NotWellDefinedError` when some retained state keeps no pmf at
+        all.
         """
         keep = tuple(sorted(set(keep)))
         if not keep:
@@ -168,9 +171,16 @@ class CredalFamily:
         if keep[0] < 0 or keep[-1] >= len(self.space):
             raise ModelValidationError(f"restriction indices out of range: {keep}")
         sub_space = self.space.subset(keep)
+        local = {x: i for i, x in enumerate(keep)}
         per = []
         for x in keep:
-            kept = [q for p in self.per_state[x] if (q := p.restrict(keep)) is not None]
+            kept = []
+            for p in self.per_state[x]:
+                if all(y in local for y, _ in p.mass):
+                    q = object.__new__(Pmf)
+                    object.__setattr__(q, "n", len(keep))
+                    object.__setattr__(q, "mass", tuple((local[y], m) for y, m in p.mass))
+                    kept.append(q)
             if not kept:
                 raise NotWellDefinedError(self.space.labels[x], sub_space.labels)
             per.append(tuple(kept))
@@ -191,6 +201,7 @@ def validate_family(
     unknown = sorted(set(credal_sets) - set(space.labels))
     if unknown:
         raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
+    n = len(space)
     per_state = []
     for label in space.labels:
         raw = credal_sets.get(label)
@@ -206,7 +217,7 @@ def validate_family(
                     f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
                 )
             try:
-                pmfs.append(Pmf(tuple(entry.get(y, 0) for y in space.labels)))
+                pmfs.append(Pmf(n, {space.index(y): m for y, m in entry.items()}))
             except ModelValidationError as exc:
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}': {exc}"
@@ -220,16 +231,14 @@ class UpperOperator(ABC):
 
     Implementations must be subadditive, positively homogeneous and dominated
     by the pointwise maximum; the test suite exercises these properties rather
-    than the constructor.  Implementations able to evaluate exactly on
-    rational inputs advertise ``has_exact_predicates``; the default structural
-    hook (:meth:`adjacency` and :meth:`lower_positive`) evaluates indicators
-    exactly and refuses operators without them rather than thresholding
-    floating-point values.  Subclasses may override the hook with a faster
-    exact route.
+    than the constructor.  The default structural hook (:meth:`adjacency` and
+    :meth:`lower_positive`) evaluates indicators through :meth:`apply_exact`,
+    so an operator without an exact evaluation path is refused rather than
+    thresholded in floating point.  Subclasses may override the hook with a
+    faster exact route.
     """
 
     is_finitely_generated: bool = False
-    has_exact_predicates: bool = False
 
     @property
     @abstractmethod
@@ -245,9 +254,10 @@ class UpperOperator(ABC):
         """Apply the operator to ``f`` in double precision."""
 
     def apply_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Apply the operator exactly; only available with exact predicates."""
+        """Apply the operator exactly on rational inputs."""
         raise UnsupportedOperatorError(
-            f"{type(self).__name__} has no exact evaluation path"
+            f"{type(self).__name__} has no exact evaluation path; "
+            "refusing to derive structure from floating-point thresholds"
         )
 
     # The lower operator is the conjugate map f -> -upper(-f).
@@ -280,11 +290,6 @@ class UpperOperator(ABC):
 
     def adjacency(self) -> np.ndarray:
         """Boolean ``(n, n)`` matrix: ``x -> y`` iff the upper probability of ``y`` at ``x`` is positive."""
-        if not self.has_exact_predicates:
-            raise UnsupportedOperatorError(
-                f"{type(self).__name__} provides no exact predicates; "
-                "refusing to derive structure from floating-point thresholds"
-            )
         return np.array([self.upper_indicator(y) for y in range(self.n)]).T > 0
 
     def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
@@ -315,19 +320,23 @@ class CredalOperator(UpperOperator):
 
     Row ``k`` of the float matrix and of the support matrix belongs to the
     ``k``-th pmf in the family's canonical order; ``_starts`` marks where each
-    state's rows begin.
+    state's rows begin.  The support matrix is kept beside the float one
+    because a positive mass may round to ``0.0``.
     """
 
     is_finitely_generated = True
-    has_exact_predicates = True
 
     def __init__(self, family: CredalFamily):
         self._family = family
         lengths = [len(s) for s in family.per_state]
         self._starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
         pmfs = [p for sets in family.per_state for p in sets]
-        self._matrix = np.array([p.as_float() for p in pmfs])
-        self._supports = np.array([list(map(bool, p.mass)) for p in pmfs], dtype=bool)
+        rows = np.repeat(np.arange(len(pmfs)), [len(p.mass) for p in pmfs])
+        cols = [y for p in pmfs for y, _ in p.mass]
+        self._matrix = np.zeros((len(pmfs), self.n))
+        self._matrix[rows, cols] = [float(m) for p in pmfs for _, m in p.mass]
+        self._supports = np.zeros((len(pmfs), self.n), dtype=bool)
+        self._supports[rows, cols] = True
 
     @property
     def family(self) -> CredalFamily:
@@ -361,6 +370,8 @@ class CredalOperator(UpperOperator):
         return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self._starts)).tolist())
 
     def restrict(self, keep):
+        if set(keep) == set(range(self.n)):
+            return self
         return type(self)(self._family.restrict(keep))
 
 
@@ -412,7 +423,6 @@ class CounterexampleOperator(UpperOperator):
     """
 
     is_finitely_generated = False
-    has_exact_predicates = True
 
     _SPACE = StateSpace(("a", "b", "c"))
 

@@ -143,23 +143,12 @@ def iterate_orbit(
             if best_period == 1 or exact_repeat:
                 break
 
-    if best_period is not None:
-        cycle = tuple(v.copy() for v in window[-best_period:])
-        return OrbitResult(
-            detected_period=best_period,
-            converged=best_period == 1,
-            limit_cycle=cycle,
-            residual=best_residual,
-            iterations=iterations_run,
-            iterates_kept=tuple(v.copy() for v in window),
-            params=p,
-            trace=tuple(trace) if trace is not None else None,
-        )
+    found = best_period is not None
     return OrbitResult(
-        detected_period=None,
-        converged=False,
-        limit_cycle=None,
-        residual=last_step_residual,
+        detected_period=best_period,
+        converged=best_period == 1,
+        limit_cycle=tuple(v.copy() for v in window[-best_period:]) if found else None,
+        residual=best_residual if found else last_step_residual,
         iterations=iterations_run,
         iterates_kept=tuple(v.copy() for v in window),
         params=p,

@@ -19,7 +19,6 @@ from .decomposition import (
     decide_convergence,
     decompose,
 )
-from .graphs import AccessGraph, ClassInfo
 from .operators import StateSpace, UpperOperator
 from .orbits import (
     OrbitCheck,
@@ -28,7 +27,6 @@ from .orbits import (
     oracle_compare,
     search_cycle_witness,
 )
-from .reachability import StatePartition
 
 
 def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
@@ -62,9 +60,6 @@ def decomposition_block(dec: Decomposition) -> dict:
 @dataclass
 class AnalysisReport:
     operator: UpperOperator
-    graph: AccessGraph
-    classes: tuple[ClassInfo, ...]
-    partition: StatePartition
     decomposition: Decomposition
     verdict: Verdict
     orbit_evidence: OrbitComparison | None = None
@@ -73,10 +68,11 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         space = self.operator.space
+        level1 = self.decomposition.levels[0]
         graph_block = {
             "states": list(space.labels),
             "edges": sorted(
-                [space.labels[x], space.labels[y]] for x, y in self.graph.edges()
+                [space.labels[x], space.labels[y]] for x, y in level1.graph.edges()
             ),
         }
         classes_block = [
@@ -87,20 +83,15 @@ class AnalysisReport:
                 "cyclicity": c.cyclicity,
                 "regular": c.is_regular,
             }
-            for c in self.classes
+            for c in level1.classes
         ]
+        partition = level1.partition
         partition_block = {
-            "maximal_classes": [
-                _labels(space, m) for m in self.partition.maximal_classes
-            ],
-            "maximal_states": _labels(space, self.partition.maximal_states),
-            "absorbed_transients": _labels(space, self.partition.absorbed_transients),
-            "unabsorbed_transients": _labels(
-                space, self.partition.unabsorbed_transients
-            ),
-            "reach_sequence": [
-                _labels(space, s) for s in self.partition.reach_sequence
-            ],
+            "maximal_classes": [_labels(space, m) for m in partition.maximal_classes],
+            "maximal_states": _labels(space, partition.maximal_states),
+            "absorbed_transients": _labels(space, partition.absorbed_transients),
+            "unabsorbed_transients": _labels(space, partition.unabsorbed_transients),
+            "reach_sequence": [_labels(space, s) for s in partition.reach_sequence],
         }
         verdict = self.verdict
         verdict_block = {
@@ -175,7 +166,6 @@ def analyze(
     cycling orbit regardless.
     """
     dec = decompose(op)
-    level1 = dec.levels[0]
     verdict = decide_convergence(op, dec)
     witness_orbit = None
     if verdict.convergent == "no" and verdict.witness is not None:
@@ -188,9 +178,6 @@ def analyze(
         )
     return AnalysisReport(
         operator=op,
-        graph=level1.graph,
-        classes=level1.classes,
-        partition=level1.partition,
         decomposition=dec,
         verdict=verdict,
         orbit_evidence=evidence,

@@ -33,10 +33,13 @@ def random_pmf(rng: random.Random, n: int, max_den: int = 8) -> Pmf:
     q = rng.randint(1, max_den)
     cuts = sorted(rng.randint(0, q) for _ in range(len(support) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-    mass = [Fraction(0)] * n
-    for idx, part in zip(support, parts):
-        mass[idx] = Fraction(part, q)
-    return Pmf(tuple(mass))
+    return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
+
+
+def dense(p: Pmf) -> tuple[Fraction, ...]:
+    """The pmf's masses as a length-``n`` tuple, zero off the support."""
+    mass = dict(p.mass)
+    return tuple(mass.get(i, Fraction(0)) for i in range(p.n))
 
 
 def random_family(
@@ -104,20 +107,11 @@ def block_cyclic_operator(
                 q = rng.randint(len(target), 8)
                 cuts = sorted(rng.randint(1, q - 1) for _ in range(len(target) - 1))
                 parts = [b2 - a2 for a2, b2 in zip([0] + cuts, cuts + [q])]
-                mass = [Fraction(0)] * n
-                ok = True
-                for idx, part in zip(target, parts):
-                    if part <= 0:
-                        ok = False
-                    mass[idx] = Fraction(part, q)
-                if ok:
-                    pmfs.append(Pmf(tuple(mass)))
+                if all(part > 0 for part in parts):
+                    mass = {idx: Fraction(part, q) for idx, part in zip(target, parts)}
+                    pmfs.append(Pmf(n, mass))
             if not pmfs:
-                uniform = Fraction(1, len(target))
-                mass = [Fraction(0)] * n
-                for idx in target:
-                    mass[idx] = uniform
-                pmfs.append(Pmf(tuple(mass)))
+                pmfs.append(Pmf(n, {idx: Fraction(1, len(target)) for idx in target}))
             per.append(tuple(pmfs))
     return CredalOperator(CredalFamily(space, tuple(per))), partition
 

@@ -83,8 +83,6 @@ class TestDecompose:
 
     def test_unsupported_restriction_carries_partial_levels(self, running_op):
         class ExactNoRestrict(UpperOperator):
-            has_exact_predicates = True
-
             def __init__(self, inner):
                 self._inner = inner
 

@@ -11,6 +11,7 @@ from imclim import (
     CredalOperator,
     DimensionMismatchError,
     ModelValidationError,
+    NotWellDefinedError,
     Pmf,
     StateSpace,
     UpperOperator,
@@ -46,10 +47,13 @@ class TestEvaluation:
 
     def test_float_path_matches_exact(self, running_op):
         rng = random.Random(3)
-        for _ in range(50):
-            f = gen.random_rational_function(rng, 5)
-            exact = running_op.apply_exact(f)
-            approx = running_op.apply([float(x) for x in f])
+        for k in range(350):
+            op = running_op if k < 50 else gen.random_operator(
+                rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 4)
+            )
+            f = gen.random_rational_function(rng, op.n)
+            exact = op.apply_exact(f)
+            approx = op.apply([float(x) for x in f])
             assert np.allclose(approx, [float(v) for v in exact], atol=1e-12)
 
     def test_dimension_mismatch(self, running_op):
@@ -148,7 +152,21 @@ class TestValidation:
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ModelValidationError, match="negative"):
-            Pmf((F(-1, 2), F(3, 2)))
+            Pmf(2, {0: F(-1, 2), 1: F(3, 2)})
+
+    def test_pmf_index_out_of_range_rejected(self):
+        with pytest.raises(ModelValidationError, match="out of range"):
+            Pmf(2, {0: F(1, 2), 2: F(1, 2)})
+        with pytest.raises(ModelValidationError, match="out of range"):
+            Pmf(2, {-1: F(1, 2), 1: F(1, 2)})
+
+    def test_pmf_sum_mismatch_rejected(self):
+        with pytest.raises(ModelValidationError, match="sum"):
+            Pmf(3, {0: F(1, 2), 2: F(1, 3)})
+
+    def test_pmf_zero_masses_dropped(self):
+        assert Pmf(2, {0: 1, 1: 0}) == Pmf(2, {0: 1})
+        assert Pmf(2, {1: 0, 0: 1}).mass == ((0, F(1)),)
 
     def test_duplicates_removed(self):
         fam = validate_family(
@@ -265,7 +283,6 @@ class TestCounterexampleAxioms:
         op = BUILTIN_OPERATORS["builtin:counterexample-5.1"]()
         assert isinstance(op, CounterexampleOperator)
         assert not op.is_finitely_generated
-        assert op.has_exact_predicates
 
 
 class ExactPathOperator(CredalOperator):
@@ -300,7 +317,7 @@ class TestStructuralHook:
     def test_masses_below_float_range_still_count(self):
         tiny = F(1, 10**400)  # float(tiny) == 0.0
         space = StateSpace(("a", "b"))
-        family = CredalFamily(space, ((Pmf((1 - tiny, tiny)),), (Pmf((F(0), F(1))),)))
+        family = CredalFamily(space, ((Pmf(2, {0: 1 - tiny, 1: tiny}),), (Pmf(2, {1: F(1)}),)))
         op = CredalOperator(family)
         assert op.adjacency()[0, 1]
         assert op.lower_positive({1}) == frozenset({0, 1})
@@ -319,3 +336,44 @@ class TestStructuralHook:
                 for level in exact_report.decomposition.levels
             )
             assert exact_report.to_json() == analyze(op).to_json()
+
+
+class TestSparseAgainstDense:
+    """Sparse pmfs, and the rows and restrictions built from them, against
+    dense mass vectors of the same masses."""
+
+    def test_random_families(self):
+        rng = random.Random(45)
+        for _ in range(2000):
+            n = rng.randint(1, 7)
+            family = gen.random_family(
+                rng, n, max_pmfs=rng.randint(1, 4), max_den=rng.randint(1, 8)
+            )
+            op = CredalOperator(family)
+            per_dense = [[gen.dense(p) for p in sets] for sets in family.per_state]
+            # canonical order is the order of the dense vectors
+            assert all(rows == sorted(set(rows)) for rows in per_dense)
+            rows = [row for sets in per_dense for row in sets]
+            f = gen.random_rational_function(rng, n)
+            pmfs = [p for sets in family.per_state for p in sets]
+            for p, row in zip(pmfs, rows):
+                assert p.expectation(f) == sum(m * v for m, v in zip(row, f))
+            assert np.array_equal(op._matrix, [[float(m) for m in row] for row in rows])
+            assert np.array_equal(op._supports, [[m > 0 for m in row] for row in rows])
+
+            keep = sorted(gen.random_subset(rng, n))
+            expected = [
+                sorted(
+                    {tuple(row[i] for i in keep) for row in per_dense[x]
+                     if all(row[j] == 0 for j in range(n) if j not in keep)}
+                )
+                for x in keep
+            ]
+            if not all(expected):
+                with pytest.raises(NotWellDefinedError):
+                    family.restrict(keep)
+                continue
+            restricted = family.restrict(keep)
+            assert all(p.n == len(keep) for sets in restricted.per_state for p in sets)
+            got = [[gen.dense(p) for p in sets] for sets in restricted.per_state]
+            assert got == expected
