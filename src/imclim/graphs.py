@@ -9,8 +9,6 @@ indicators in exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +18,7 @@ from .errors import PreconditionError
 from .operators import UpperOperator
 
 _PALETTE = ("steelblue", "darkorange", "seagreen", "orchid", "firebrick", "goldenrod")
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside a quoted DOT ID
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +68,13 @@ def build_graph(op: UpperOperator) -> AccessGraph:
     return AccessGraph(op.space.labels, op.adjacency())
 
 
-def _strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]]:
-    """Iterative Tarjan; components returned in reverse topological order."""
+def _strongly_connected_components(adjacency: np.ndarray) -> tuple[list[frozenset[int]], np.ndarray]:
+    """Iterative Tarjan: components in reverse topological order, and depth-first forest depths."""
     n = adjacency.shape[0]
     successors = [np.flatnonzero(adjacency[v]).tolist() for v in range(n)]
     index: dict[int, int] = {}
     low: dict[int, int] = {}
+    depth = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     counter = 0
@@ -88,6 +88,7 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]
             if start == 0:
                 index[v] = low[v] = counter
                 counter += 1
+                depth[v] = len(work) - 1
                 stack.append(v)
                 on_stack[v] = True
             descended = False
@@ -115,61 +116,58 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[frozenset[int]
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return components
+    return components, np.array(depth, dtype=np.intp)
 
 
 def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
     """Greatest common divisor of the lengths of closed paths inside the class.
 
-    Computed as the gcd, over the class-internal edges ``u -> v``, of
-    ``level(u) + 1 - level(v)`` with breadth-first levels from an arbitrary
-    root; linear in the class size.  Returns ``None`` for a class without
-    internal closed paths (cyclicity undefined there).  Raises
-    :class:`PreconditionError` when the members are not strongly connected.
+    The cyclicity that :func:`communication_classes` gives the members'
+    induced subgraph, which must be a single class.  Returns ``None`` for a
+    class without internal closed paths (cyclicity undefined there).  Raises
+    :class:`PreconditionError` when the members are empty, out of range or
+    not strongly connected.
     """
     m = tuple(sorted(set(members)))
     if not m:
         raise PreconditionError("cyclicity of an empty class is undefined")
     if m[0] < 0 or m[-1] >= graph.n:
         raise PreconditionError(f"class members out of range: {m}")
-    block = graph.adjacency[np.ix_(m, m)]
-    if len(_strongly_connected_components(block)) != 1:
+    block = AccessGraph(tuple(graph.labels[i] for i in m), graph.adjacency[np.ix_(m, m)])
+    classes = communication_classes(block)
+    if len(classes) != 1:
         raise PreconditionError("cyclicity requires a strongly connected class")
-    if not block.any():
-        return None
-    level = {0: 0}
-    frontier = deque([0])
-    while frontier:
-        u = frontier.popleft()
-        for w in np.flatnonzero(block[u]):
-            w = int(w)
-            if w not in level:
-                level[w] = level[u] + 1
-                frontier.append(w)
-    g = 0
-    for u, v in zip(*np.nonzero(block)):
-        g = math.gcd(g, level[int(u)] + 1 - level[int(v)])
-    return g
+    return classes[0].cyclicity
 
 
 def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     """Communication classes of the graph, ordered by smallest member index.
 
-    Closedness comes from a scan for edges leaving the member set.  For a
-    communication class, maximal (no other class reachable from it) and
-    closed are the same property, so ``is_maximal`` is ``is_closed``.
+    One Tarjan pass gives the classes and each state's depth-first depth; one
+    scan of the edges then gives each class its closedness (no edge leaves
+    it) and its cyclicity: the gcd, over internal edges ``u -> v``, of
+    ``depth(u) + 1 - depth(v)``, or ``None`` without internal edges.  The
+    tree path from a class's first visited state to a member stays inside
+    the class, so the depths are a spanning-tree potential, as breadth-first
+    levels are in Denardo (Math. Oper. Res. 1977).  For a communication
+    class, maximal (no other class reachable from it) and closed are the
+    same property, so ``is_maximal`` is ``is_closed``.
     """
-    sccs = _strongly_connected_components(graph.adjacency)
+    sccs, depth = _strongly_connected_components(graph.adjacency)
     sccs.sort(key=min)
     comp_of = np.empty(graph.n, dtype=np.intp)
     for k, members in enumerate(sccs):
         comp_of[list(members)] = k
     xs, ys = np.nonzero(graph.adjacency)
-    open_classes = set(comp_of[xs[comp_of[xs] != comp_of[ys]]].tolist())
+    cx, cy = comp_of[xs], comp_of[ys]
+    open_classes = set(cx[cx != cy].tolist())
+    inside = cx == cy
+    period = np.zeros(len(sccs), dtype=np.intp)
+    np.gcd.at(period, cx[inside], depth[xs[inside]] + 1 - depth[ys[inside]])
     out = []
     for k, members in enumerate(sccs):
         is_closed = k not in open_classes
-        cyc = cyclicity(graph, members)
+        cyc = int(period[k]) or None
         out.append(
             ClassInfo(
                 members=members,
@@ -197,20 +195,17 @@ def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo] | None = None) -> st
             if info.is_maximal:
                 title += " (maximal)"
             lines.append(f"  subgraph cluster_{k} {{")
-            lines.append(f'    label="{title}";')
+            lines.append(f'    label="{title.translate(_DOT_ESCAPES)}";')
             lines.append(f"    color={_PALETTE[k % len(_PALETTE)]};")
             if info.is_maximal:
                 lines.append("    penwidth=2;")
             for lab in member_labels:
-                lines.append(f'    "{lab}";')
+                lines.append(f'    "{lab.translate(_DOT_ESCAPES)}";')
             lines.append("  }")
     else:
         for lab in sorted(graph.labels):
-            lines.append(f'  "{lab}";')
-    edge_labels = sorted(
-        (graph.labels[x], graph.labels[y]) for x, y in graph.edges()
-    )
-    for src, dst in edge_labels:
-        lines.append(f'  "{src}" -> "{dst}";')
+            lines.append(f'  "{lab.translate(_DOT_ESCAPES)}";')
+    for src, dst in sorted((graph.labels[x], graph.labels[y]) for x, y in graph.edges()):
+        lines.append(f'  "{src.translate(_DOT_ESCAPES)}" -> "{dst.translate(_DOT_ESCAPES)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

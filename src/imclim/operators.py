@@ -90,7 +90,8 @@ class Pmf:
     mass: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        items = sorted((i, Fraction(m)) for i, m in dict(self.mass).items())
+        items = sorted((i, m if isinstance(m, Fraction) else Fraction(m))
+                       for i, m in dict(self.mass).items())
         bad = [i for i, _ in items if not 0 <= i < self.n]
         if bad:
             raise ModelValidationError(f"state indices {bad} out of range 0..{self.n - 1}")
@@ -161,9 +162,10 @@ class CredalFamily:
         """Family over ``keep`` built from the pmfs supported inside ``keep``.
 
         A kept pmf is the parent pmf with its indices renumbered; its masses
-        are unchanged, so it is not validated again.  Raises
-        :class:`NotWellDefinedError` when some retained state keeps no pmf at
-        all.
+        are unchanged, so it is not validated again, and the renumbering is
+        monotone and injective, so the kept pmfs stay distinct and in
+        canonical order.  Raises :class:`NotWellDefinedError` when some
+        retained state keeps no pmf at all.
         """
         keep = tuple(sorted(set(keep)))
         if not keep:
@@ -184,7 +186,10 @@ class CredalFamily:
             if not kept:
                 raise NotWellDefinedError(self.space.labels[x], sub_space.labels)
             per.append(tuple(kept))
-        return CredalFamily(sub_space, tuple(per))
+        family = object.__new__(CredalFamily)
+        object.__setattr__(family, "space", sub_space)
+        object.__setattr__(family, "per_state", tuple(per))
+        return family
 
 
 def validate_family(

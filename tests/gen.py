@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -153,6 +154,28 @@ def random_scc_graph(rng: random.Random, max_nodes: int = 8) -> AccessGraph:
     return AccessGraph(tuple(f"s{i}" for i in members), block)
 
 
+def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGraph:
+    """Random digraph with a planted period, transient classes and loopless singletons.
+
+    Each state gets one of ``p`` phases (``p`` from 1 to 5) and every edge
+    goes from phase ``i`` to phase ``i + 1 mod p``, so every closed path
+    length is a multiple of ``p``; with ``p = 1`` any edge, self-loops
+    included, may appear.  Sparse draws leave many classes transient and
+    many singletons without a loop.
+    """
+    n = rng.randint(1, max_nodes)
+    p = rng.randint(1, 5)
+    phase = [i % p for i in range(n)]
+    rng.shuffle(phase)
+    density = rng.choice([0.1, 0.3, 0.6, 0.9])
+    adjacency = np.array(
+        [[phase[y] == (phase[x] + 1) % p and rng.random() < density for y in range(n)]
+         for x in range(n)],
+        dtype=bool,
+    )
+    return AccessGraph(tuple(f"s{i}" for i in range(n)), adjacency)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
@@ -248,6 +271,26 @@ def regularity_oracle(graph: AccessGraph, members) -> bool:
             return bool(successor.all())
         power = ((power @ block) > 0).astype(np.uint8)
     return bool(power.all() and ((power @ block) > 0).all())
+
+
+def closed_walk_period(graph: AccessGraph, members) -> int | None:
+    """Cyclicity by boolean matrix powers, independent of any traversal.
+
+    The gcd of the lengths ``k <= |C|`` for which the power ``B^k`` of the
+    class block ``B`` has a true diagonal entry, i.e. for which a closed walk
+    of length ``k`` exists inside the class.  Every simple cycle is at most
+    ``|C|`` long and every closed walk is a union of simple cycles, so this is
+    the gcd of all closed path lengths.  ``None`` when there is no such ``k``.
+    """
+    m = sorted(set(members))
+    block = graph.adjacency[np.ix_(m, m)].astype(np.int64)
+    power = np.eye(len(m), dtype=np.int64)
+    g = 0
+    for k in range(1, len(m) + 1):
+        power = ((power @ block) > 0).astype(np.int64)
+        if power.diagonal().any():
+            g = math.gcd(g, k)
+    return g or None
 
 
 # ---------------------------------------------------------------------------

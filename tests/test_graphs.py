@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,6 +161,42 @@ class TestCyclicity:
         with pytest.raises(PreconditionError):
             cyclicity(build_graph(running_op), {0, 1})
 
+    def test_matches_closed_walk_reference(self):
+        rng = random.Random(35)
+        periods, transient, loopless = Counter(), 0, 0
+        for _ in range(2000):
+            graph = gen.random_phased_digraph(rng)
+            for c in communication_classes(graph):
+                expected = gen.closed_walk_period(graph, c.members)
+                assert c.cyclicity == expected
+                assert cyclicity(graph, c.members) == expected
+                others = sorted(set(range(graph.n)) - c.members)
+                members = sorted(c.members)
+                assert c.is_closed == (not graph.adjacency[np.ix_(members, others)].any())
+                periods[expected] += 1
+                transient += not c.is_closed
+                loopless += expected is None
+        # the draws reach every case the one-pass gcd has to get right
+        assert {None, 1, 2, 3, 4, 5} <= set(periods)
+        assert transient and loopless
+
+    def test_one_tarjan_pass_per_call(self, running_op, monkeypatch):
+        import imclim.graphs
+
+        calls = []
+        tarjan = imclim.graphs._strongly_connected_components
+
+        def counted(adjacency):
+            calls.append(adjacency.shape)
+            return tarjan(adjacency)
+
+        monkeypatch.setattr(imclim.graphs, "_strongly_connected_components", counted)
+        classes = communication_classes(build_graph(running_op))
+        assert len(classes) == 3 and len(calls) == 1
+        calls.clear()
+        assert cyclicity(build_graph(running_op), {2, 3, 4}) == 1
+        assert len(calls) == 1
+
 
 class TestRegularityOracle:
     def test_self_loop_true(self, running_op):
@@ -191,6 +228,14 @@ class TestDot:
         assert '"c" -> "a";' in text
         assert text.count("subgraph cluster_") == 3
         assert text.count("(maximal)") == 2
+
+    def test_quotes_and_backslashes_escaped(self):
+        adjacency = np.array([[False, True], [True, False]])
+        graph = AccessGraph(('a"b', "c\\"), adjacency)
+        text = to_dot(graph, communication_classes(graph))
+        assert '  "a\\"b" -> "c\\\\";' in text
+        assert '    label="{a\\"b, c\\\\} (maximal)";' in text
+        assert '    "a\\"b";' in text and '  "a\\"b";' in to_dot(graph)
 
     def test_without_classes(self, identity5_op):
         text = to_dot(build_graph(identity5_op))

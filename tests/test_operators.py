@@ -167,6 +167,7 @@ class TestValidation:
     def test_pmf_zero_masses_dropped(self):
         assert Pmf(2, {0: 1, 1: 0}) == Pmf(2, {0: 1})
         assert Pmf(2, {1: 0, 0: 1}).mass == ((0, F(1)),)
+        assert type(Pmf(2, {0: 1}).mass[0][1]) is F  # ints become Fractions
 
     def test_duplicates_removed(self):
         fam = validate_family(
