@@ -24,7 +24,7 @@ op = load_model(HERE / "running-example.json")
 labels = op.space.labels_of
 
 print("== accessibility graph ==")
-graph = build_graph(op)
+graph = build_graph(op.supports())
 for x, y in sorted((graph.labels[a], graph.labels[b]) for a, b in graph.edges()):
     print(f"  {x} -> {y}")
 

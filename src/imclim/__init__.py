@@ -25,8 +25,8 @@ from .operators import (
     CredalOperator,
     Pmf,
     StateSpace,
+    SupportTable,
     UpperOperator,
-    identity_operator,
     onehot,
     validate_family,
 )
@@ -93,10 +93,10 @@ __all__ = [
     "onehot",
     "CredalFamily",
     "validate_family",
+    "SupportTable",
     "UpperOperator",
     "CredalOperator",
     "CounterexampleOperator",
-    "identity_operator",
     "BUILTIN_OPERATORS",
     # graphs
     "AccessGraph",

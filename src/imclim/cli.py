@@ -212,7 +212,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_graph(args) -> int:
     op = load_model(args.model)
-    graph = build_graph(op)
+    graph = build_graph(op.supports())
     classes = communication_classes(graph)
     if args.dot:
         sys.stdout.write(to_dot(graph, classes))

@@ -2,9 +2,10 @@
 
 The decomposition peels the state space level by level: each level takes the
 maximal communication classes and the transient states that get absorbed into
-them, then recurses on the remaining (unabsorbed) transient states through the
-restricted operator.  Verdict ``basis`` strings name entries of the decision
-rule table in the project README.
+them, then recurses on the remaining (unabsorbed) transient states.  Only the
+operator's candidate supports matter, so each deeper level cuts the support
+table by mask and no restricted operator is built.  Verdict ``basis`` strings
+name entries of the decision rule table in the project README.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedOperatorError
+from .errors import PreconditionError
 from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, UpperOperator
 from .orbits import OrbitParams, orbit_limit_on_regular_class
@@ -39,14 +40,13 @@ _FOOTNOTE_NOTE = (
 class LevelRecord:
     """One level of the decomposition.
 
-    ``operator``, ``graph`` and ``partition`` speak in the level's own
-    indices, where position ``i`` is original state ``states[i]``; ``classes``
-    and the derived state sets speak in original indices.
+    ``graph`` and ``partition`` speak in the level's own indices, where
+    position ``i`` is original state ``states[i]``; ``classes`` and the
+    derived state sets speak in original indices.
     """
 
     index: int  # 1-based depth
     states: tuple[int, ...]  # original indices analysed at this level
-    operator: UpperOperator  # restriction of the original operator to ``states``
     graph: AccessGraph
     partition: StatePartition
     classes: tuple[ClassInfo, ...]
@@ -76,37 +76,28 @@ class Decomposition:
     def depth(self) -> int:
         return len(self.levels)
 
-    def partition_pieces(self) -> tuple[frozenset[int], ...]:
-        """All level maximal classes and absorbed sets; together they partition the space."""
-        pieces = []
-        for level in self.levels:
-            pieces.extend(level.maximal_classes)
-            if level.absorbed:
-                pieces.append(level.absorbed)
-        return tuple(pieces)
-
 
 def decompose(op: UpperOperator) -> Decomposition:
     """Peel the state space until no unabsorbed transient states remain.
 
-    Each level restricts the *original* operator to the current state set --
-    the two-cut and one-cut restrictions agree, so no nested restricted
-    representations are ever built.  If the operator cannot be restricted at
-    some level, the raised :class:`UnsupportedOperatorError` carries the
-    completed levels in its ``partial`` attribute.
+    Reads ``op.supports()`` once.  The next level keeps the candidates with
+    no support outside the remaining states; cutting in steps keeps the same
+    rows as cutting the original table once.  The cut cannot fail: a
+    remaining state whose every candidate met the lower-reach set would have
+    been absorbed.  Raises :class:`UnsupportedOperatorError` when the
+    operator declares no supports.
     """
     levels: list[LevelRecord] = []
     indices = tuple(range(op.n))
-    current = op
+    table = op.supports()
     while True:
-        graph = build_graph(current)
+        graph = build_graph(table)
         local_classes = communication_classes(graph)
         record = LevelRecord(
             index=len(levels) + 1,
             states=indices,
-            operator=current,
             graph=graph,
-            partition=partition_states(current, local_classes, graph),
+            partition=partition_states(table, local_classes),
             classes=tuple(
                 replace(c, members=frozenset(indices[i] for i in c.members))
                 for c in local_classes
@@ -115,14 +106,9 @@ def decompose(op: UpperOperator) -> Decomposition:
         levels.append(record)
         if not record.remaining:
             break
-        indices = tuple(sorted(record.remaining))
-        try:
-            current = op.restrict(indices)
-        except UnsupportedOperatorError as exc:
-            raise UnsupportedOperatorError(
-                f"cannot restrict the operator at depth {len(levels) + 1}: {exc}",
-                partial=tuple(levels),
-            ) from exc
+        local = sorted(record.partition.unabsorbed_transients)
+        indices = tuple(indices[i] for i in local)
+        table = table.restrict(local)
     return Decomposition(op.space, tuple(levels))
 
 
@@ -260,7 +246,7 @@ def single_class_equivalence_report(
     the constant limit dominates the minimum of the start function, strictly
     when the start is not constant.
     """
-    classes = communication_classes(build_graph(op))
+    classes = communication_classes(build_graph(op.supports()))
     if len(classes) != 1:
         raise PreconditionError(
             f"expected a single communication class, found {len(classes)}"

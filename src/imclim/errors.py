@@ -32,15 +32,7 @@ class NotWellDefinedError(PreconditionError):
 
 
 class UnsupportedOperatorError(ImclimError, TypeError):
-    """The operator lacks a required capability (exact evaluation, restriction rules).
-
-    When raised while decomposing, ``partial`` carries the levels completed
-    before the failure.
-    """
-
-    def __init__(self, message: str, partial: tuple = ()):
-        super().__init__(message)
-        self.partial = partial
+    """The operator lacks a capability: candidate supports, exact evaluation or restriction."""
 
 
 class InternalInvariantError(ImclimError, RuntimeError):

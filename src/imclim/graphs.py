@@ -1,10 +1,9 @@
 """Upper accessibility graphs: communication classes, cyclicity, regularity.
 
 The graph has an edge ``x -> y`` exactly when the one-step upper probability
-of reaching ``y`` from ``x`` is positive.  Adjacency comes from the operator's
-structural hook, never from thresholded floats: finitely generated operators
-read it off their pmf supports, and only closed-form operators evaluate
-indicators in exact rational arithmetic.
+of reaching ``y`` from ``x`` is positive, that is, when some candidate pmf at
+``x`` has ``y`` in its support.  Adjacency is read off a
+:class:`~imclim.operators.SupportTable`, never from thresholded floats.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import UpperOperator
+from .operators import SupportTable
 
 _PALETTE = ("steelblue", "darkorange", "seagreen", "orchid", "firebrick", "goldenrod")
 _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside a quoted DOT ID
@@ -63,15 +62,17 @@ class ClassInfo:
     is_regular: bool
 
 
-def build_graph(op: UpperOperator) -> AccessGraph:
-    """Accessibility graph of ``op``; requires exact structure (see :meth:`UpperOperator.adjacency`)."""
-    return AccessGraph(op.space.labels, op.adjacency())
+def build_graph(table: SupportTable) -> AccessGraph:
+    """Accessibility graph of the candidate supports in ``table`` (``op.supports()``)."""
+    return AccessGraph(table.space.labels, table.adjacency())
 
 
-def _strongly_connected_components(adjacency: np.ndarray) -> tuple[list[frozenset[int]], np.ndarray]:
-    """Iterative Tarjan: components in reverse topological order, and depth-first forest depths."""
-    n = adjacency.shape[0]
-    successors = [np.flatnonzero(adjacency[v]).tolist() for v in range(n)]
+def _strongly_connected_components(n, xs, ys) -> tuple[list[frozenset[int]], np.ndarray]:
+    """Iterative Tarjan over the edges ``xs[k] -> ys[k]``, sorted by ``xs``: components
+    in reverse topological order, and depth-first forest depths."""
+    bounds = np.searchsorted(xs, np.arange(n + 1)).tolist()
+    heads = ys.tolist()
+    successors = [heads[bounds[v]:bounds[v + 1]] for v in range(n)]
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     depth = [0] * n
@@ -143,22 +144,23 @@ def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
 def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     """Communication classes of the graph, ordered by smallest member index.
 
-    One Tarjan pass gives the classes and each state's depth-first depth; one
-    scan of the edges then gives each class its closedness (no edge leaves
-    it) and its cyclicity: the gcd, over internal edges ``u -> v``, of
-    ``depth(u) + 1 - depth(v)``, or ``None`` without internal edges.  The
+    One edge list feeds one Tarjan pass, which gives the classes and each
+    state's depth-first depth, and one scan, which gives each class its
+    closedness (no edge leaves it) and its cyclicity: the gcd, over internal
+    edges ``u -> v``, of ``depth(u) + 1 - depth(v)``, or ``None`` without
+    internal edges.  The
     tree path from a class's first visited state to a member stays inside
     the class, so the depths are a spanning-tree potential, as breadth-first
     levels are in Denardo (Math. Oper. Res. 1977).  For a communication
     class, maximal (no other class reachable from it) and closed are the
     same property, so ``is_maximal`` is ``is_closed``.
     """
-    sccs, depth = _strongly_connected_components(graph.adjacency)
+    xs, ys = np.nonzero(graph.adjacency)
+    sccs, depth = _strongly_connected_components(graph.n, xs, ys)
     sccs.sort(key=min)
     comp_of = np.empty(graph.n, dtype=np.intp)
     for k, members in enumerate(sccs):
         comp_of[list(members)] = k
-    xs, ys = np.nonzero(graph.adjacency)
     cx, cy = comp_of[xs], comp_of[ys]
     open_classes = set(cx[cx != cy].tolist())
     inside = cx == cy

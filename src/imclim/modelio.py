@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelValidationError
+from .errors import ImclimError, ModelValidationError
 from .operators import (
     BUILTIN_OPERATORS,
     CredalFamily,
@@ -89,11 +90,11 @@ def parse_model(data) -> CredalOperator:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    keys = [k for k, _ in pairs]
-    if len(set(keys)) < len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        dupes = sorted(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
         raise ModelValidationError(f"duplicate keys in one JSON object: {dupes}")
-    return dict(pairs)
+    return data
 
 
 def load_model(source: str | Path) -> UpperOperator:
@@ -108,7 +109,7 @@ def load_model(source: str | Path) -> UpperOperator:
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelValidationError(f"cannot read model file {path}: {exc}") from exc
     try:
         return parse_model(json.loads(text, object_pairs_hook=_reject_duplicate_keys))
@@ -116,6 +117,8 @@ def load_model(source: str | Path) -> UpperOperator:
         raise ModelValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ModelValidationError(f"{path}: JSON nested too deeply to parse") from exc
     except ModelValidationError as exc:
         raise ModelValidationError(f"{path}: {exc}") from exc
 
@@ -154,6 +157,9 @@ def write_orbit_trace(
 
     if hasattr(target, "write"):
         _write(target)
-    else:
+        return
+    try:
         with open(target, "w", newline="") as handle:
             _write(handle)
+    except OSError as exc:
+        raise ImclimError(f"cannot write orbit trace {target}: {exc}") from exc

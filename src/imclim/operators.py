@@ -11,13 +11,14 @@ dominated by the pointwise maximum.  Two implementations are provided:
   middle row maximises over a one-parameter curve of pmfs.  It is registered
   under ``builtin:counterexample-5.1``.
 
-Structure (edges, closedness, one-step lower reachability) comes from the
-hook :meth:`UpperOperator.adjacency` / :meth:`UpperOperator.lower_positive`.
-Finitely generated operators read it off their pmf supports, with no
-arithmetic; only closed-form operators evaluate indicators in exact rational
-arithmetic.  Either way strict-positivity tests never depend on the scale of
-the input.  Numerical iteration lives in :mod:`imclim.orbits` and uses IEEE
-doubles.
+Structure (edges, closedness, one-step lower reachability) depends only on
+which states each candidate pmf can reach, so every operator declares it as a
+:class:`SupportTable` through :meth:`UpperOperator.supports`: one boolean row
+per candidate support.  Edges and lower reachability are read off the rows
+with no arithmetic, so strict-positivity tests never depend on the scale of
+the input, and deeper decomposition levels cut the table by mask instead of
+rebuilding an operator.  Numerical iteration lives in :mod:`imclim.orbits` and
+uses IEEE doubles.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -26,6 +27,7 @@ safe to share across threads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -54,7 +56,7 @@ class StateSpace:
         if not self.labels:
             raise ModelValidationError("a state space needs at least one state")
         if len(set(self.labels)) != len(self.labels):
-            dupes = sorted({x for x in self.labels if self.labels.count(x) > 1})
+            dupes = sorted(x for x, k in Counter(self.labels).items() if k > 1)
             raise ModelValidationError(f"duplicate state labels: {dupes}")
         object.__setattr__(self, "_pos", {x: i for i, x in enumerate(self.labels)})
 
@@ -102,10 +104,6 @@ class Pmf:
         if total != 1:
             raise ModelValidationError(f"masses sum to {total}, expected exactly 1")
         object.__setattr__(self, "mass", tuple((i, m) for i, m in items if m))
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.mass)
 
     def expectation(self, values: Sequence):
         """Expected value of ``values``; exact when the values are rational."""
@@ -231,16 +229,61 @@ def validate_family(
     return CredalFamily(space, tuple(per_state))
 
 
+@dataclass(frozen=True, eq=False)
+class SupportTable:
+    """Which states each candidate pmf of an operator can reach.
+
+    ``rows[k]`` is the support of candidate ``k``, a boolean vector over
+    ``space``.  The candidates of state ``x`` are the rows from ``starts[x]``
+    up to the next state's start, and every state has at least one.  Edges,
+    closedness and one-step lower reachability depend on the supports alone
+    (Hermans & de Cooman, IJAR 53(4), 2012), so they need no arithmetic.
+    """
+
+    space: StateSpace
+    starts: np.ndarray  # (n,) ascending row offsets, starts[0] == 0
+    rows: np.ndarray  # (candidates, n) bool
+
+    def __post_init__(self):
+        self.starts.setflags(write=False)  # shared by every caller of ``supports()``
+        self.rows.setflags(write=False)
+
+    def adjacency(self) -> np.ndarray:
+        """Boolean ``(n, n)`` matrix: ``x -> y`` iff some candidate at ``x`` puts mass on ``y``."""
+        return np.logical_or.reduceat(self.rows, self.starts, axis=0)
+
+    def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
+        """States at which the one-step lower probability of ``targets`` is
+        positive, i.e. every candidate puts mass on ``targets``."""
+        meets = self.rows[:, sorted(targets)].any(axis=1)
+        return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self.starts)).tolist())
+
+    def restrict(self, keep: Sequence[int]) -> "SupportTable":
+        """Table over ``keep``: the rows with no support outside ``keep``, columns renumbered.
+
+        Raises :class:`NotWellDefinedError` naming the first kept state that
+        keeps no row.
+        """
+        keep = sorted(set(keep))
+        n = len(self.space)
+        inside = np.zeros(n, dtype=bool)
+        inside[keep] = True
+        owner = np.repeat(np.arange(n), np.diff(self.starts, append=len(self.rows)))
+        kept = inside[owner] & ~self.rows[:, ~inside].any(axis=1)
+        counts = np.bincount(owner[kept], minlength=n)[keep]
+        space = self.space.subset(keep)
+        if not counts.all():
+            raise NotWellDefinedError(self.space.labels[keep[counts.argmin()]], space.labels)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+        return SupportTable(space, starts, self.rows[kept][:, keep])
+
+
 class UpperOperator(ABC):
     """Upper transition operator over a finite state space.
 
     Implementations must be subadditive, positively homogeneous and dominated
     by the pointwise maximum; the test suite exercises these properties rather
-    than the constructor.  The default structural hook (:meth:`adjacency` and
-    :meth:`lower_positive`) evaluates indicators through :meth:`apply_exact`,
-    so an operator without an exact evaluation path is refused rather than
-    thresholded in floating point.  Subclasses may override the hook with a
-    faster exact route.
+    than the constructor.  :meth:`supports` is the only structural hook.
     """
 
     is_finitely_generated: bool = False
@@ -260,46 +303,18 @@ class UpperOperator(ABC):
 
     def apply_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """Apply the operator exactly on rational inputs."""
+        raise UnsupportedOperatorError(f"{type(self).__name__} has no exact evaluation path")
+
+    def supports(self) -> SupportTable:
+        """The support of every candidate pmf, per state: the operator's structure.
+
+        Operators that declare none are refused rather than given structure
+        from floating-point thresholds.
+        """
         raise UnsupportedOperatorError(
-            f"{type(self).__name__} has no exact evaluation path; "
+            f"{type(self).__name__} declares no candidate supports; "
             "refusing to derive structure from floating-point thresholds"
         )
-
-    # The lower operator is the conjugate map f -> -upper(-f).
-    def apply_lower_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        return tuple(-v for v in self.apply_exact(tuple(-Fraction(x) for x in f)))
-
-    def _target_set(self, targets: int | Iterable[int]) -> frozenset[int]:
-        idx = frozenset([targets]) if isinstance(targets, int) else frozenset(targets)
-        for i in idx:
-            if not 0 <= i < self.n:
-                raise ModelValidationError(f"state index {i} out of range 0..{self.n - 1}")
-        return idx
-
-    def upper_indicator(self, targets: int | Iterable[int]) -> tuple[Fraction, ...]:
-        """Exact per-state upper probability of hitting ``targets`` in one step."""
-        idx = self._target_set(targets)
-        f = tuple(Fraction(int(i in idx)) for i in range(self.n))
-        return self.apply_exact(f)
-
-    def lower_indicator(self, targets: int | Iterable[int]) -> tuple[Fraction, ...]:
-        """Exact one-step lower probabilities, via the complement identity.
-
-        Only upper evaluations on rational indicators are ever needed:
-        the lower value of a set is one minus the upper value of its
-        complement.
-        """
-        idx = self._target_set(targets)
-        complement = frozenset(range(self.n)) - idx
-        return tuple(1 - v for v in self.upper_indicator(complement))
-
-    def adjacency(self) -> np.ndarray:
-        """Boolean ``(n, n)`` matrix: ``x -> y`` iff the upper probability of ``y`` at ``x`` is positive."""
-        return np.array([self.upper_indicator(y) for y in range(self.n)]).T > 0
-
-    def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
-        """States at which the one-step lower probability of ``targets`` is positive."""
-        return frozenset(x for x, v in enumerate(self.lower_indicator(targets)) if v > 0)
 
     def restrict(self, keep: Sequence[int]) -> "UpperOperator":
         """Operator restricted to the class ``keep`` (ascending original indices).
@@ -323,10 +338,9 @@ class UpperOperator(ABC):
 class CredalOperator(UpperOperator):
     """Finitely generated operator: per-state maximum expectation over a finite pmf set.
 
-    Row ``k`` of the float matrix and of the support matrix belongs to the
-    ``k``-th pmf in the family's canonical order; ``_starts`` marks where each
-    state's rows begin.  The support matrix is kept beside the float one
-    because a positive mass may round to ``0.0``.
+    Row ``k`` of the float matrix and of the support table belongs to the
+    ``k``-th pmf in the family's canonical order.  The support table is kept
+    beside the float matrix because a positive mass may round to ``0.0``.
     """
 
     is_finitely_generated = True
@@ -334,14 +348,15 @@ class CredalOperator(UpperOperator):
     def __init__(self, family: CredalFamily):
         self._family = family
         lengths = [len(s) for s in family.per_state]
-        self._starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
         pmfs = [p for sets in family.per_state for p in sets]
         rows = np.repeat(np.arange(len(pmfs)), [len(p.mass) for p in pmfs])
         cols = [y for p in pmfs for y, _ in p.mass]
         self._matrix = np.zeros((len(pmfs), self.n))
         self._matrix[rows, cols] = [float(m) for p in pmfs for _, m in p.mass]
-        self._supports = np.zeros((len(pmfs), self.n), dtype=bool)
-        self._supports[rows, cols] = True
+        supports = np.zeros((len(pmfs), self.n), dtype=bool)
+        supports[rows, cols] = True
+        self._table = SupportTable(family.space, starts, supports)
 
     @property
     def family(self) -> CredalFamily:
@@ -353,7 +368,7 @@ class CredalOperator(UpperOperator):
 
     def apply(self, f):
         g = self._check_vector(f)
-        return np.maximum.reduceat(self._matrix @ g, self._starts)
+        return np.maximum.reduceat(self._matrix @ g, self._table.starts)
 
     def apply_exact(self, f):
         if len(f) != self.n:
@@ -365,27 +380,13 @@ class CredalOperator(UpperOperator):
             max(p.expectation(vals) for p in sets) for sets in self._family.per_state
         )
 
-    def adjacency(self):
-        # x -> y iff some candidate at x has y in its support
-        return np.logical_or.reduceat(self._supports, self._starts, axis=0)
-
-    def lower_positive(self, targets):
-        # positive iff every candidate at x puts mass on targets
-        meets = self._supports[:, sorted(self._target_set(targets))].any(axis=1)
-        return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self._starts)).tolist())
+    def supports(self):
+        return self._table
 
     def restrict(self, keep):
         if set(keep) == set(range(self.n)):
             return self
         return type(self)(self._family.restrict(keep))
-
-
-def identity_operator(labels: Sequence[str]) -> CredalOperator:
-    """Operator whose only candidate at each state is the point mass on itself."""
-    space = StateSpace(tuple(labels))
-    n = len(space)
-    per = tuple((onehot(i, n),) for i in range(n))
-    return CredalOperator(CredalFamily(space, per))
 
 
 def _curve_max(fa, fb, fc):
@@ -417,7 +418,7 @@ class CounterexampleOperator(UpperOperator):
 
     The inner maximum of the quadratic in ``t`` is taken in closed form over
     the endpoints and the interior vertex, so evaluation is exact on rational
-    inputs and the derived edge and lower-step predicates are exact as well.
+    inputs.  The candidate supports are declared in :meth:`supports`.
 
     Every orbit of this operator converges, yet its restriction to the states
     ``{b, c}`` is a pure swap of cyclicity 2: it is the canonical witness that
@@ -445,6 +446,11 @@ class CounterexampleOperator(UpperOperator):
             raise DimensionMismatchError(f"function has length {len(f)}, expected 3")
         fa, fb, fc = (Fraction(x) for x in f)
         return (fa, max(fa, _curve_max(fa, fb, fc)), max(fa, fb))
+
+    def supports(self):
+        # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}
+        rows = [[1, 0, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [1, 0, 0], [0, 1, 0]]
+        return SupportTable(self._SPACE, np.array([0, 1, 4]), np.array(rows, dtype=bool))
 
     def restrict(self, keep):
         if tuple(sorted(set(keep))) == (0, 1, 2):

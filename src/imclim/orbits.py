@@ -175,7 +175,7 @@ def orbit_limit_on_regular_class(
     p = params or OrbitParams()
     target = frozenset(members)
     if classes is None:
-        classes = communication_classes(build_graph(op))
+        classes = communication_classes(build_graph(op.supports()))
     info = next((c for c in classes if c.members == target), None)
     name = "{" + ", ".join(op.space.labels_of(target)) + "}"
     if info is None or not info.is_maximal:

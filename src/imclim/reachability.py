@@ -1,4 +1,9 @@
-"""Lower reachability of closed classes and the induced three-way state split."""
+"""Lower reachability of closed classes and the induced three-way state split.
+
+Both read a :class:`~imclim.operators.SupportTable`: a state's one-step lower
+probability of a set is positive exactly when every candidate pmf at the
+state puts mass on the set.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, PreconditionError
-from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
-from .operators import StateSpace, UpperOperator
+from .errors import InternalInvariantError, ModelValidationError, PreconditionError
+from .graphs import ClassInfo, build_graph, communication_classes
+from .operators import StateSpace, SupportTable
 
 
 @dataclass(frozen=True)
@@ -43,57 +48,55 @@ class StatePartition:
 
 
 def lower_reach_set(
-    op: UpperOperator, targets: Iterable[int], adjacency: np.ndarray | None = None
+    table: SupportTable, targets: Iterable[int]
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """States from which the closed class ``targets`` is lower reachable.
 
     Grows the class one step at a time: a state joins as soon as its one-step
-    lower probability of the current set is positive.  Closedness and each
-    step come from the operator's structural hook.  The fixpoint is reached
-    after at most ``n - |targets|`` rounds.  Returns the fixpoint together
-    with the whole growing sequence.  ``adjacency`` is ``op.adjacency()``,
-    passed by callers that have already built it.
+    lower probability of the current set is positive.  The fixpoint is
+    reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
+    together with the whole growing sequence.
     """
-    current = frozenset(op._target_set(targets))
+    n = len(table.space)
+    current = frozenset(targets)
     if not current:
         raise PreconditionError("the target class must be non-empty")
-    outside = sorted(frozenset(range(op.n)) - current)
-    if adjacency is None:
-        adjacency = op.adjacency()
-    # the upper probability of leaving is positive iff some edge leaves
-    if outside and adjacency[np.ix_(sorted(current), outside)].any():
+    bad = sorted(i for i in current if not 0 <= i < n)
+    if bad:
+        raise ModelValidationError(f"state index {bad[0]} out of range 0..{n - 1}")
+    # the upper probability of leaving is positive iff some candidate at a
+    # member has support outside the class
+    outside = sorted(frozenset(range(n)) - current)
+    leaves = np.logical_or.reduceat(table.rows[:, outside].any(axis=1), table.starts)
+    if leaves[sorted(current)].any():
         raise PreconditionError(
-            f"class {{{', '.join(op.space.labels_of(current))}}} is not closed"
+            f"class {{{', '.join(table.space.labels_of(current))}}} is not closed"
         )
     sequence = [current]
-    while additions := op.lower_positive(current) - current:
+    while additions := table.lower_positive(current) - current:
         current = current | additions
         sequence.append(current)
     return current, tuple(sequence)
 
 
 def partition_states(
-    op: UpperOperator,
-    classes: Sequence[ClassInfo] | None = None,
-    graph: AccessGraph | None = None,
+    table: SupportTable, classes: Sequence[ClassInfo] | None = None
 ) -> StatePartition:
-    """Partition the states of ``op`` by their limit role.
+    """Partition the states of ``table`` by their limit role.
 
-    ``classes`` and ``graph`` are those of ``op``, passed by callers that have
-    already built them.
+    ``classes`` are the communication classes of ``build_graph(table)``,
+    passed by callers that have already computed them.
     """
-    if graph is None:
-        graph = build_graph(op)
     if classes is None:
-        classes = communication_classes(graph)
+        classes = communication_classes(build_graph(table))
     maximal = tuple(c.members for c in classes if c.is_maximal)
     maximal_states = frozenset().union(*maximal)
-    reach, sequence = lower_reach_set(op, maximal_states, graph.adjacency)
+    reach, sequence = lower_reach_set(table, maximal_states)
     return StatePartition(
-        space=op.space,
+        space=table.space,
         maximal_classes=maximal,
         maximal_states=maximal_states,
         absorbed_transients=reach - maximal_states,
-        unabsorbed_transients=frozenset(range(op.n)) - reach,
+        unabsorbed_transients=frozenset(range(len(table.space))) - reach,
         reach_sequence=sequence,
     )

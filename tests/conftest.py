@@ -1,9 +1,9 @@
 import pytest
 
+import gen
 from imclim import (
     CounterexampleOperator,
     CredalOperator,
-    identity_operator,
     validate_family,
 )
 
@@ -68,7 +68,7 @@ def counterexample_op() -> CounterexampleOperator:
 
 @pytest.fixture
 def identity5_op() -> CredalOperator:
-    return identity_operator(["a", "b", "c", "d", "e"])
+    return gen.identity_operator(["a", "b", "c", "d", "e"])
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ from imclim import (
     AccessGraph,
     CredalFamily,
     CredalOperator,
+    Decomposition,
     InternalInvariantError,
+    ModelValidationError,
     NotWellDefinedError,
     Pmf,
     PreconditionError,
@@ -23,6 +25,7 @@ from imclim import (
     build_graph,
     communication_classes,
     lower_reach_set,
+    onehot,
 )
 
 LABELS = "abcdefgh"
@@ -35,6 +38,27 @@ def random_pmf(rng: random.Random, n: int, max_den: int = 8) -> Pmf:
     cuts = sorted(rng.randint(0, q) for _ in range(len(support) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
     return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
+
+
+def support(p: Pmf) -> frozenset[int]:
+    return frozenset(i for i, _ in p.mass)
+
+
+def identity_operator(labels) -> CredalOperator:
+    """Operator whose only candidate at each state is the point mass on itself."""
+    space = StateSpace(tuple(labels))
+    n = len(space)
+    return CredalOperator(CredalFamily(space, tuple((onehot(i, n),) for i in range(n))))
+
+
+def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
+    """All level maximal classes and absorbed sets; together they partition the space."""
+    pieces = []
+    for level in dec.levels:
+        pieces.extend(level.maximal_classes)
+        if level.absorbed:
+            pieces.append(level.absorbed)
+    return tuple(pieces)
 
 
 def dense(p: Pmf) -> tuple[Fraction, ...]:
@@ -123,7 +147,7 @@ def random_single_class_operator(
     """Rejection-sample an operator whose graph is one communication class."""
     while True:
         op = random_operator(rng, n=rng.randint(1, max_states))
-        classes = communication_classes(build_graph(op))
+        classes = communication_classes(build_graph(op.supports()))
         if len(classes) == 1:
             return op
 
@@ -177,6 +201,45 @@ def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGrap
 
 
 # ---------------------------------------------------------------------------
+# exact indicator evaluation: the reference for the support tables
+
+
+def _target_set(op: UpperOperator, targets) -> frozenset[int]:
+    idx = frozenset([targets]) if isinstance(targets, int) else frozenset(targets)
+    for i in idx:
+        if not 0 <= i < op.n:
+            raise ModelValidationError(f"state index {i} out of range 0..{op.n - 1}")
+    return idx
+
+
+def apply_lower_exact(op: UpperOperator, f) -> tuple[Fraction, ...]:
+    """The lower operator as the conjugate map f -> -upper(-f)."""
+    return tuple(-v for v in op.apply_exact(tuple(-Fraction(x) for x in f)))
+
+
+def upper_indicator(op: UpperOperator, targets) -> tuple[Fraction, ...]:
+    """Exact per-state upper probability of hitting ``targets`` in one step."""
+    idx = _target_set(op, targets)
+    return op.apply_exact(tuple(Fraction(int(i in idx)) for i in range(op.n)))
+
+
+def lower_indicator(op: UpperOperator, targets) -> tuple[Fraction, ...]:
+    """Exact one-step lower probabilities: one minus the upper value of the complement."""
+    complement = frozenset(range(op.n)) - _target_set(op, targets)
+    return tuple(1 - v for v in upper_indicator(op, complement))
+
+
+def exact_adjacency(op: UpperOperator) -> np.ndarray:
+    """Boolean ``(n, n)`` matrix: ``x -> y`` iff the upper probability of ``y`` at ``x`` is > 0."""
+    return np.array([upper_indicator(op, y) for y in range(op.n)]).T > 0
+
+
+def exact_lower_positive(op: UpperOperator, targets) -> frozenset[int]:
+    """States at which the one-step lower probability of ``targets`` is positive."""
+    return frozenset(x for x, v in enumerate(lower_indicator(op, targets)) if v > 0)
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracles
 
 
@@ -214,7 +277,7 @@ def brute_force_lower_reach(op, targets: frozenset[int]) -> dict[int, frozenset[
     out = {0: frozenset(targets)}
     g = indicator
     for step in range(1, op.n + 1):
-        g = op.apply_lower_exact(g)
+        g = apply_lower_exact(op, g)
         out[step] = frozenset(i for i, v in enumerate(g) if v > 0)
     return out
 
@@ -227,18 +290,18 @@ def is_closed(op: UpperOperator, members) -> bool:
     outside = frozenset(range(op.n)) - inside
     if not outside:
         return True
-    leak = op.upper_indicator(outside)
+    leak = upper_indicator(op, outside)
     return all(leak[x] == 0 for x in inside)
 
 
 def closed_subsets(op) -> list[frozenset[int]]:
     """All non-empty closed subsets by exhaustive enumeration (small spaces only).
 
-    Reads the edges once from exact indicator evaluation (the base-class
-    hook): a subset is closed when no edge leaves it.
+    Reads the edges once from exact indicator evaluation: a subset is closed
+    when no edge leaves it.
     """
     n = op.n
-    adjacency = UpperOperator.adjacency(op)
+    adjacency = exact_adjacency(op)
     found = []
     for bits in range(1, 2**n):
         inside = [i for i in range(n) if bits >> i & 1]
@@ -250,7 +313,7 @@ def closed_subsets(op) -> list[frozenset[int]]:
 
 def is_absorbing(op: UpperOperator, targets) -> bool:
     """True when the closed class ``targets`` is lower reachable from every state."""
-    reach, _ = lower_reach_set(op, targets)
+    reach, _ = lower_reach_set(op.supports(), targets)
     return reach == frozenset(range(op.n))
 
 

@@ -55,7 +55,7 @@ def test_criterion_1_running_example_pipeline():
 
     failures = []
 
-    classes = communication_classes(build_graph(op))
+    classes = communication_classes(build_graph(op.supports()))
     got_members = {lab(c.members) for c in classes}
     if got_members != {("a",), ("b",), ("c", "d", "e")}:
         failures.append(f"classes {got_members}")
@@ -67,11 +67,11 @@ def test_criterion_1_running_example_pipeline():
     if closed != {("a",), ("b",), ("a", "b"), ("a", "b", "c", "d", "e")}:
         failures.append(f"closed classes {closed}")
 
-    reach, sequence = lower_reach_set(op, {0, 1})
+    reach, sequence = lower_reach_set(op.supports(), {0, 1})
     if lab(sequence[1]) != ("a", "b", "c") or lab(reach) != ("a", "b", "c"):
         failures.append(f"reach sequence {[lab(s) for s in sequence]}")
 
-    part = partition_states(op, classes)
+    part = partition_states(op.supports(), classes)
     if lab(part.absorbed_transients) != ("c",):
         failures.append(f"absorbed {lab(part.absorbed_transients)}")
     if lab(part.unabsorbed_transients) != ("d", "e"):
@@ -109,8 +109,8 @@ def test_criterion_2a_counterexample_symbolic():
     lab = op.space.labels_of
 
     failures = []
-    classes = communication_classes(build_graph(op))
-    part = partition_states(op, classes)
+    classes = communication_classes(build_graph(op.supports()))
+    part = partition_states(op.supports(), classes)
     if lab(part.maximal_states) != ("a",):
         failures.append(f"maximal states {lab(part.maximal_states)}")
     if lab(part.unabsorbed_transients) != ("b", "c"):
@@ -277,7 +277,7 @@ def test_criterion_4_property_suites():
         lam = F(rng.randint(0, 12), rng.randint(1, 6))
         if op.apply_exact(tuple(lam * a for a in f)) != tuple(lam * v for v in upper_f):
             failures.append("positive homogeneity")
-        lower_f = op.apply_lower_exact(f)
+        lower_f = gen.apply_lower_exact(op, f)
         if not all(min(f) <= a <= b <= max(f) for a, b in zip(lower_f, upper_f)):
             failures.append("bounds")
         bump = tuple(F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(op.n))
@@ -289,7 +289,7 @@ def test_criterion_4_property_suites():
             failures.append("constant additivity")
         xmax = max(range(op.n), key=lambda i: f[i])
         span = max(f) - min(f)
-        hit = op.upper_indicator(xmax)
+        hit = gen.upper_indicator(op, xmax)
         if not all(span * h + min(f) <= v for h, v in zip(hit, upper_f)):
             failures.append("argmax indicator bound")
         if lower_f != gen.lower_direct(op, f):
@@ -305,7 +305,7 @@ def test_criterion_4_property_suites():
             subset = frozenset(i for i in range(op.n) if bits >> i & 1)
             complement = frozenset(range(op.n)) - subset
             upper = (
-                op.upper_indicator(subset) if subset else (F(0),) * op.n
+                gen.upper_indicator(op, subset) if subset else (F(0),) * op.n
             )
             ind_complement = tuple(F(int(i in complement)) for i in range(op.n))
             lower = gen.lower_direct(op, ind_complement)
@@ -342,7 +342,7 @@ def test_criterion_4_property_suites():
     equality_cases = 0
     while equality_cases < 1000:
         op = gen.random_operator(rng, n=rng.randint(2, 4))
-        part = partition_states(op)
+        part = partition_states(op.supports())
         for members in part.maximal_classes:
             keep = sorted(members)
             restricted = op.restrict(keep)
@@ -385,7 +385,7 @@ def test_criterion_4_property_suites():
     while reach_cases < 1000:
         op = gen.random_operator(rng, n=rng.randint(2, 5))
         for target in gen.closed_subsets(op):
-            reach, sequence = lower_reach_set(op, target)
+            reach, sequence = lower_reach_set(op.supports(), target)
             oracle = gen.brute_force_lower_reach(op, target)
             for step, positives in oracle.items():
                 if positives != sequence[min(step, len(sequence) - 1)]:
@@ -431,7 +431,7 @@ def test_criterion_5_single_class_equivalences():
         else:
             op = gen.random_single_class_operator(rng)
             block_fns = []
-        graph = build_graph(op)
+        graph = build_graph(op.supports())
         cyc = cyclicity(graph, range(op.n))
         regular = cyc == 1
         numeric_constant = True
@@ -455,7 +455,7 @@ def test_criterion_5_single_class_equivalences():
     bound_checked = 0
     while bound_checked < 200:
         op = gen.random_single_class_operator(rng)
-        graph = build_graph(op)
+        graph = build_graph(op.supports())
         if cyclicity(graph, range(op.n)) != 1:
             continue
         f = np.array([rng.random() for _ in range(op.n)])
@@ -473,7 +473,7 @@ def test_criterion_5_single_class_equivalences():
     xm_checked = 0
     for _ in range(200):
         op = gen.random_operator(rng, n=rng.randint(2, 4))
-        classes = communication_classes(build_graph(op))
+        classes = communication_classes(build_graph(op.supports()))
         flag = decide_convergence_on_xm(classes)
         per_class = all(c.cyclicity == 1 for c in classes if c.is_maximal)
         if flag != per_class:

@@ -98,6 +98,38 @@ class TestAnalyze:
         assert "error:" in captured.err and "duplicate" in captured.err
 
 
+class TestBadInput:
+    """Input the model loader or the trace writer cannot use ends as exit 1 with
+    an ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_error(argv, capsys, phrase):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and phrase in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_model_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = '{"states": ["\xe9"], "credal_sets": {"\xe9": [{"\xe9": "1"}]}}'
+        path.write_bytes(text.encode("latin-1"))
+        for command in ("analyze", "graph", "decompose"):
+            self.assert_error([command, str(path)], capsys, "cannot read model file")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        self.assert_error(["analyze", str(path), "--json"], capsys, "nested too deeply")
+
+    def test_trace_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        self.assert_error(
+            ["orbit", DEMO_MODEL, "-f", "b", "--trace", str(target)], capsys,
+            "cannot write orbit trace",
+        )
+        assert not target.parent.exists()
+
+
 class TestOrbit:
     def test_indicator_function(self, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", "b"]) == 0

@@ -16,7 +16,6 @@ from imclim import (
     decide_convergence_on_xm,
     decide_ergodicity,
     decompose,
-    identity_operator,
     partition_states,
     single_class_equivalence_report,
     validate_family,
@@ -70,7 +69,7 @@ class TestDecompose:
         for _ in range(150):
             op = gen.random_operator(rng)
             dec = decompose(op)
-            pieces = dec.partition_pieces()
+            pieces = gen.partition_pieces(dec)
             assert sum(len(p) for p in pieces) == op.n
             assert frozenset().union(*pieces) == frozenset(range(op.n))
             assert dec.depth <= op.n
@@ -78,11 +77,14 @@ class TestDecompose:
     def test_levels_restrict_the_original_family(self, running_op):
         dec = decompose(running_op)
         level2 = dec.levels[1]
-        direct = running_op.restrict(level2.states)
-        assert level2.operator.family == direct.family
+        direct = running_op.restrict(level2.states).supports()
+        cut = running_op.supports().restrict(level2.states)
+        assert np.array_equal(cut.rows, direct.rows)
+        assert np.array_equal(cut.starts, direct.starts)
+        assert np.array_equal(level2.graph.adjacency, direct.adjacency())
 
-    def test_unsupported_restriction_carries_partial_levels(self, running_op):
-        class ExactNoRestrict(UpperOperator):
+    def test_operator_without_supports_is_refused(self, running_op):
+        class ExactNoSupports(UpperOperator):
             def __init__(self, inner):
                 self._inner = inner
 
@@ -96,11 +98,9 @@ class TestDecompose:
             def apply_exact(self, f):
                 return self._inner.apply_exact(f)
 
-        wrapped = ExactNoRestrict(running_op)
-        with pytest.raises(UnsupportedOperatorError) as exc_info:
+        wrapped = ExactNoSupports(running_op)
+        with pytest.raises(UnsupportedOperatorError, match="declares no candidate supports"):
             decompose(wrapped)
-        assert len(exc_info.value.partial) == 1
-        assert exc_info.value.partial[0].index == 1
 
 
 class TestDecideConvergence:
@@ -149,14 +149,14 @@ class TestDecideConvergence:
 
 class TestDecideErgodicity:
     def test_running_example_not_ergodic(self, running_op):
-        classes = communication_classes(build_graph(running_op))
-        part = partition_states(running_op, classes)
+        classes = communication_classes(build_graph(running_op.supports()))
+        part = partition_states(running_op.supports(), classes)
         assert decide_ergodicity(part, classes) == "no"
 
     def test_single_state_ergodic(self):
-        op = identity_operator(["only"])
-        classes = communication_classes(build_graph(op))
-        part = partition_states(op, classes)
+        op = gen.identity_operator(["only"])
+        classes = communication_classes(build_graph(op.supports()))
+        part = partition_states(op.supports(), classes)
         assert decide_ergodicity(part, classes) == "yes"
 
     def test_single_regular_class_with_absorbed_tail(self):
@@ -166,8 +166,8 @@ class TestDecideErgodicity:
             "c": [{"b": F(1)}],
         }
         op = CredalOperator(validate_family(["a", "b", "c"], sets))
-        classes = communication_classes(build_graph(op))
-        part = partition_states(op, classes)
+        classes = communication_classes(build_graph(op.supports()))
+        part = partition_states(op.supports(), classes)
         assert decide_ergodicity(part, classes) == "yes"
         # numeric confirmation: orbits flatten to a constant
         from imclim import iterate_orbit
@@ -177,8 +177,8 @@ class TestDecideErgodicity:
         assert result.limit.max() - result.limit.min() <= 1e-8
 
     def test_two_cycle_not_ergodic(self, two_cycle_op):
-        classes = communication_classes(build_graph(two_cycle_op))
-        part = partition_states(two_cycle_op, classes)
+        classes = communication_classes(build_graph(two_cycle_op.supports()))
+        part = partition_states(two_cycle_op.supports(), classes)
         assert decide_ergodicity(part, classes) == "no"
 
     def test_matches_numeric_constant_limits(self):
@@ -189,8 +189,8 @@ class TestDecideErgodicity:
         agree = 0
         for _ in range(60):
             op = gen.random_operator(rng, n=rng.randint(1, 4))
-            classes = communication_classes(build_graph(op))
-            part = partition_states(op, classes)
+            classes = communication_classes(build_graph(op.supports()))
+            part = partition_states(op.supports(), classes)
             symbolic = decide_ergodicity(part, classes) == "yes"
             numeric = True
             for _, f in default_function_suite(op, extra=3, rng=np.random.default_rng(1)):
@@ -205,11 +205,11 @@ class TestDecideErgodicity:
 
 class TestConvergenceOnMaximalStates:
     def test_running_true(self, running_op):
-        classes = communication_classes(build_graph(running_op))
+        classes = communication_classes(build_graph(running_op.supports()))
         assert decide_convergence_on_xm(classes) is True
 
     def test_maximal_two_cycle_false(self, two_cycle_op):
-        classes = communication_classes(build_graph(two_cycle_op))
+        classes = communication_classes(build_graph(two_cycle_op.supports()))
         assert decide_convergence_on_xm(classes) is False
         # the orbit of an indicator alternates on that class
         from imclim import iterate_orbit
@@ -218,8 +218,8 @@ class TestConvergenceOnMaximalStates:
         assert result.detected_period == 2
 
     def test_single_state_true(self):
-        op = identity_operator(["s"])
-        classes = communication_classes(build_graph(op))
+        op = gen.identity_operator(["s"])
+        classes = communication_classes(build_graph(op.supports()))
         assert decide_convergence_on_xm(classes) is True
 
     def test_matches_per_class_orbit_behaviour(self):
@@ -229,7 +229,7 @@ class TestConvergenceOnMaximalStates:
         fast = OrbitParams(burn_in=20, max_iters=3000, max_period=16)
         for _ in range(80):
             op = gen.random_operator(rng, n=rng.randint(2, 4))
-            classes = communication_classes(build_graph(op))
+            classes = communication_classes(build_graph(op.supports()))
             per_class_converged = True
             for info in classes:
                 if not info.is_maximal:
@@ -259,10 +259,10 @@ class TestAbsorbedCases:
                 op = CredalOperator(validate_family(labels, sets))
             else:
                 op = gen.random_operator(rng)
-            part = partition_states(op)
+            part = partition_states(op.supports())
             if part.unabsorbed_transients:
                 continue
-            classes = communication_classes(build_graph(op))
+            classes = communication_classes(build_graph(op.supports()))
             verdict = decide_convergence(op, decompose(op))
             all_regular = all(
                 c.cyclicity == 1 for c in classes if c.is_maximal
@@ -301,10 +301,10 @@ class TestTheoremRouteEquivalence:
     @staticmethod
     def _recursive_route(op: CredalOperator) -> bool:
         # maximal classes regular, then recurse on the unabsorbed remainder
-        classes = communication_classes(build_graph(op))
+        classes = communication_classes(build_graph(op.supports()))
         if not decide_convergence_on_xm(classes):
             return False
-        part = partition_states(op, classes)
+        part = partition_states(op.supports(), classes)
         if not part.unabsorbed_transients:
             return True
         sub = op.restrict(sorted(part.unabsorbed_transients))
@@ -338,7 +338,7 @@ class TestSingleClassReport:
         assert report.limit_bound.strict is True
 
     def test_single_state_trivially_regular(self):
-        op = identity_operator(["s"])
+        op = gen.identity_operator(["s"])
         report = single_class_equivalence_report(op)
         assert report.regular and report.ergodic
         assert report.limit_bound is not None

@@ -35,21 +35,21 @@ COUNTEREXAMPLE_EDGES = sorted(
 
 class TestBuildGraph:
     def test_running_example_edges(self, running_op):
-        assert edge_labels(build_graph(running_op)) == RUNNING_EDGES
+        assert edge_labels(build_graph(running_op.supports())) == RUNNING_EDGES
 
     def test_identity_self_loops_only(self, identity5_op):
-        graph = build_graph(identity5_op)
+        graph = build_graph(identity5_op.supports())
         assert edge_labels(graph) == [(l, l) for l in sorted(graph.labels)]
 
     def test_counterexample_edges(self, counterexample_op):
         # note: no self-loop at c
-        assert edge_labels(build_graph(counterexample_op)) == COUNTEREXAMPLE_EDGES
+        assert edge_labels(build_graph(counterexample_op.supports())) == COUNTEREXAMPLE_EDGES
 
     def test_matches_brute_force_positivity(self):
         rng = random.Random(31)
         for _ in range(100):
             op = gen.random_operator(rng)
-            graph = build_graph(op)
+            graph = build_graph(op.supports())
             for x in range(op.n):
                 for y in range(op.n):
                     expected = any(gen.dense(p)[y] > 0 for p in op.family.per_state[x])
@@ -66,12 +66,12 @@ class TestBuildGraph:
                 return np.full(2, g.max())
 
         with pytest.raises(UnsupportedOperatorError):
-            build_graph(FloatOnly())
+            build_graph(FloatOnly().supports())
 
 
 class TestCommunicationClasses:
     def test_running_example(self, running_op):
-        classes = communication_classes(build_graph(running_op))
+        classes = communication_classes(build_graph(running_op.supports()))
         by_members = {
             running_op.space.labels_of(c.members): c for c in classes
         }
@@ -81,13 +81,13 @@ class TestCommunicationClasses:
         assert by_members[("c", "d", "e")].cyclicity == 1
 
     def test_identity_all_singletons_maximal(self, identity5_op):
-        classes = communication_classes(build_graph(identity5_op))
+        classes = communication_classes(build_graph(identity5_op.supports()))
         assert len(classes) == 5
         assert all(len(c.members) == 1 and c.is_maximal and c.is_regular for c in classes)
 
     def test_counterexample_classes(self, counterexample_op):
         # b and c communicate (b -> c and c -> b), so the classes are {a} and {b, c}
-        classes = communication_classes(build_graph(counterexample_op))
+        classes = communication_classes(build_graph(counterexample_op.supports()))
         members = {counterexample_op.space.labels_of(c.members) for c in classes}
         assert members == {("a",), ("b", "c")}
         maximal = [c for c in classes if c.is_maximal]
@@ -97,7 +97,7 @@ class TestCommunicationClasses:
         rng = random.Random(32)
         for _ in range(150):
             op = gen.random_operator(rng)
-            classes = communication_classes(build_graph(op))
+            classes = communication_classes(build_graph(op.supports()))
             seen = sorted(i for c in classes for i in c.members)
             assert seen == list(range(op.n))
             for c in classes:
@@ -110,7 +110,7 @@ class TestCommunicationClasses:
         rng = random.Random(33)
         for _ in range(60):
             op = gen.random_operator(rng, n=rng.randint(2, 5))
-            classes = communication_classes(build_graph(op))
+            classes = communication_classes(build_graph(op.supports()))
             for subset in gen.closed_subsets(op):
                 covered = frozenset()
                 for c in classes:
@@ -134,10 +134,10 @@ class TestClosed:
 
 class TestCyclicity:
     def test_self_loop_singleton(self, running_op):
-        assert cyclicity(build_graph(running_op), {0}) == 1
+        assert cyclicity(build_graph(running_op.supports()), {0}) == 1
 
     def test_two_cycle(self, two_cycle_op):
-        assert cyclicity(build_graph(two_cycle_op), {0, 1}) == 2
+        assert cyclicity(build_graph(two_cycle_op.supports()), {0, 1}) == 2
 
     def test_three_cycle_with_self_loop(self):
         adjacency = np.zeros((3, 3), dtype=bool)
@@ -159,7 +159,7 @@ class TestCyclicity:
 
     def test_not_strongly_connected_rejected(self, running_op):
         with pytest.raises(PreconditionError):
-            cyclicity(build_graph(running_op), {0, 1})
+            cyclicity(build_graph(running_op.supports()), {0, 1})
 
     def test_matches_closed_walk_reference(self):
         rng = random.Random(35)
@@ -186,28 +186,28 @@ class TestCyclicity:
         calls = []
         tarjan = imclim.graphs._strongly_connected_components
 
-        def counted(adjacency):
-            calls.append(adjacency.shape)
-            return tarjan(adjacency)
+        def counted(n, xs, ys):
+            calls.append(n)
+            return tarjan(n, xs, ys)
 
         monkeypatch.setattr(imclim.graphs, "_strongly_connected_components", counted)
-        classes = communication_classes(build_graph(running_op))
+        classes = communication_classes(build_graph(running_op.supports()))
         assert len(classes) == 3 and len(calls) == 1
         calls.clear()
-        assert cyclicity(build_graph(running_op), {2, 3, 4}) == 1
+        assert cyclicity(build_graph(running_op.supports()), {2, 3, 4}) == 1
         assert len(calls) == 1
 
 
 class TestRegularityOracle:
     def test_self_loop_true(self, running_op):
-        assert gen.regularity_oracle(build_graph(running_op), {0})
+        assert gen.regularity_oracle(build_graph(running_op.supports()), {0})
 
     def test_two_cycle_false(self, two_cycle_op):
-        assert not gen.regularity_oracle(build_graph(two_cycle_op), {0, 1})
+        assert not gen.regularity_oracle(build_graph(two_cycle_op.supports()), {0, 1})
 
     def test_two_nodes_complete_true(self, running_op):
         # induced block on {d, e}: self-loops plus both cross edges
-        assert gen.regularity_oracle(build_graph(running_op), {3, 4})
+        assert gen.regularity_oracle(build_graph(running_op.supports()), {3, 4})
 
     def test_matches_gcd_route(self):
         rng = random.Random(34)
@@ -220,7 +220,7 @@ class TestRegularityOracle:
 
 class TestDot:
     def test_deterministic_and_clustered(self, running_op):
-        graph = build_graph(running_op)
+        graph = build_graph(running_op.supports())
         classes = communication_classes(graph)
         text = to_dot(graph, classes)
         assert text == to_dot(graph, classes)
@@ -238,6 +238,6 @@ class TestDot:
         assert '    "a\\"b";' in text and '  "a\\"b";' in to_dot(graph)
 
     def test_without_classes(self, identity5_op):
-        text = to_dot(build_graph(identity5_op))
+        text = to_dot(build_graph(identity5_op.supports()))
         assert '"a" -> "a";' in text
         assert "cluster" not in text

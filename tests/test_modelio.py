@@ -1,9 +1,11 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import gen
 from imclim import (
     CounterexampleOperator,
     CredalOperator,
@@ -51,7 +53,7 @@ class TestLoadModel:
         op = load_model(DEMO_MODEL)
         assert isinstance(op, CredalOperator)
         assert op.space.labels == ("a", "b", "c", "d", "e")
-        assert op.upper_indicator(2) == (F(0), F(0), F(0), F(1), F(1))
+        assert gen.upper_indicator(op, 2) == (F(0), F(0), F(0), F(1), F(1))
 
     def test_builtin_name(self):
         op = load_model("builtin:counterexample-5.1")
@@ -110,6 +112,17 @@ class TestLoadModel:
         )
         with pytest.raises(ModelValidationError, match=r"duplicate keys.*\['a'\]"):
             load_model(bad)
+
+    def test_duplicate_among_many_keys_rejected_quickly(self, tmp_path):
+        # counting once per key instead of once per key and element
+        labels = [f"s{i}" for i in range(20_000)]
+        sets = ", ".join(f'"{x}": [{{"{x}": "1"}}]' for x in labels)
+        path = tmp_path / "many.json"
+        path.write_text(f'{{"states": [], "credal_sets": {{{sets}, "s7": []}}}}')
+        start = time.perf_counter()
+        with pytest.raises(ModelValidationError, match=r"duplicate keys.*\['s7'\]"):
+            load_model(path)
+        assert time.perf_counter() - start < 2.0
 
     def test_duplicate_top_level_key_rejected(self, tmp_path):
         bad = tmp_path / "dupe-top.json"

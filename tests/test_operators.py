@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,7 @@ from imclim import (
     NotWellDefinedError,
     Pmf,
     StateSpace,
-    UpperOperator,
-    analyze,
-    identity_operator,
+    decompose,
     validate_family,
 )
 
@@ -40,7 +39,7 @@ class TestEvaluation:
             assert op.apply_exact((mu,) * op.n) == (mu,) * op.n
 
     def test_identity_operator_fixes_everything(self):
-        op = identity_operator(["x", "y", "z"])
+        op = gen.identity_operator(["x", "y", "z"])
         f = (F(3, 7), F(-1), F(2))
         assert op.apply_exact(f) == f
         assert np.allclose(op.apply([0.3, -1.0, 2.0]), [0.3, -1.0, 2.0])
@@ -65,17 +64,17 @@ class TestEvaluation:
 
 class TestLower:
     def test_lower_identity(self):
-        op = identity_operator(["x", "y"])
+        op = gen.identity_operator(["x", "y"])
         f = (F(1, 3), F(5))
-        assert op.apply_lower_exact(f) == f
+        assert gen.apply_lower_exact(op, f) == f
 
     def test_lower_single_indicator(self, running_op):
-        got = running_op.lower_indicator(0)
+        got = gen.lower_indicator(running_op, 0)
         assert got[2] == F(1, 4)
         assert got == (F(1), F(0), F(1, 4), F(0), F(0))
 
     def test_counterexample_lower_indicator_is_fixed(self, counterexample_op):
-        assert counterexample_op.lower_indicator(0) == ind(3, 0)
+        assert gen.lower_indicator(counterexample_op, 0) == ind(3, 0)
 
     def test_lower_matches_direct_minimum(self):
         # conjugate route vs direct per-state minimum expectation
@@ -83,24 +82,24 @@ class TestLower:
         for _ in range(200):
             op = gen.random_operator(rng)
             f = gen.random_rational_function(rng, op.n)
-            assert op.apply_lower_exact(f) == gen.lower_direct(op, f)
+            assert gen.apply_lower_exact(op, f) == gen.lower_direct(op, f)
 
 
 class TestIndicators:
     def test_running_indicator_row(self, running_op):
-        assert running_op.upper_indicator(2) == (F(0), F(0), F(0), F(1), F(1))
+        assert gen.upper_indicator(running_op, 2) == (F(0), F(0), F(0), F(1), F(1))
 
     def test_identity_indicator(self):
-        op = identity_operator(["x", "y", "z"])
+        op = gen.identity_operator(["x", "y", "z"])
         for i in range(3):
-            assert op.upper_indicator(i) == ind(3, i)
+            assert gen.upper_indicator(op, i) == ind(3, i)
 
     def test_counterexample_indicator_b(self, counterexample_op):
-        assert counterexample_op.upper_indicator(1) == (F(0), F(1, 2), F(1))
+        assert gen.upper_indicator(counterexample_op, 1) == (F(0), F(1, 2), F(1))
 
     def test_invalid_state_index(self, running_op):
         with pytest.raises(ModelValidationError):
-            running_op.upper_indicator(9)
+            gen.upper_indicator(running_op, 9)
 
 
 class TestCounterexampleClosedForm:
@@ -169,6 +168,13 @@ class TestValidation:
         assert Pmf(2, {1: 0, 0: 1}).mass == ((0, F(1)),)
         assert type(Pmf(2, {0: 1}).mass[0][1]) is F  # ints become Fractions
 
+    def test_duplicate_labels_among_many_rejected_quickly(self):
+        labels = tuple(f"s{i}" for i in range(20_000)) + ("s7",)
+        start = time.perf_counter()
+        with pytest.raises(ModelValidationError, match=r"duplicate state labels: \['s7'\]"):
+            StateSpace(labels)
+        assert time.perf_counter() - start < 2.0
+
     def test_duplicates_removed(self):
         fam = validate_family(
             ["x", "y"], {"x": [{"x": F(1)}, {"x": F(1)}], "y": [{"y": F(1)}]}
@@ -207,7 +213,7 @@ class TestAxioms:
             f = gen.random_rational_function(rng, op.n)
             lo, hi = min(f), max(f)
             upper = op.apply_exact(f)
-            lower = op.apply_lower_exact(f)
+            lower = gen.apply_lower_exact(op, f)
             assert all(lo <= a <= b <= hi for a, b in zip(lower, upper))
 
     def test_monotone(self):
@@ -235,7 +241,7 @@ class TestAxioms:
             f = gen.random_rational_function(rng, op.n)
             x = max(range(op.n), key=lambda i: f[i])
             span = max(f) - min(f)
-            hit = op.upper_indicator(x)
+            hit = gen.upper_indicator(op, x)
             upper = op.apply_exact(f)
             assert all(span * h + min(f) <= v for h, v in zip(hit, upper))
 
@@ -246,7 +252,7 @@ class TestAxioms:
             for bits in range(2**op.n):
                 subset = frozenset(i for i in range(op.n) if bits >> i & 1)
                 complement = frozenset(range(op.n)) - subset
-                upper = op.upper_indicator(subset) if subset else (F(0),) * op.n
+                upper = gen.upper_indicator(op, subset) if subset else (F(0),) * op.n
                 lower = gen.lower_direct(op, ind(op.n, *complement))
                 assert upper == tuple(1 - v for v in lower)
 
@@ -286,26 +292,33 @@ class TestCounterexampleAxioms:
         assert not op.is_finitely_generated
 
 
-class ExactPathOperator(CredalOperator):
-    """Credal operator whose structure comes from the base class's exact indicators."""
-
-    adjacency = UpperOperator.adjacency
-    lower_positive = UpperOperator.lower_positive
-
-
 def _target_sets(rng, n):
     if n <= 3:
         return [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(2**n)]
     return [frozenset()] + [gen.random_subset(rng, n) for _ in range(5)]
 
 
-class TestStructuralHook:
-    """The support-based hook of credal operators against exact indicator evaluation."""
+def assert_table_matches_exact(table, op, rng):
+    """``table`` gives the edges and lower-positive sets that exact indicator
+    evaluation of ``op`` gives."""
+    assert table.space == op.space
+    assert np.array_equal(table.adjacency(), gen.exact_adjacency(op))
+    for targets in _target_sets(rng, op.n):
+        assert table.lower_positive(targets) == gen.exact_lower_positive(op, targets)
 
-    def assert_hook_matches_exact(self, op, rng):
-        assert np.array_equal(op.adjacency(), UpperOperator.adjacency(op))
-        for targets in _target_sets(rng, op.n):
-            assert op.lower_positive(targets) == UpperOperator.lower_positive(op, targets)
+
+def level_tables(op):
+    """Each level of ``decompose(op)`` with the table cut that ``decompose`` analyses."""
+    levels = decompose(op).levels
+    table = op.supports()
+    yield levels[0], table
+    for above, level in zip(levels, levels[1:]):
+        table = table.restrict([above.states.index(x) for x in level.states])
+        yield level, table
+
+
+class TestStructuralHook:
+    """Support tables, and their cuts at every level, against exact indicator evaluation."""
 
     def test_support_structure_matches_exact_indicators(self):
         rng = random.Random(41)
@@ -313,30 +326,59 @@ class TestStructuralHook:
             op = gen.random_operator(
                 rng, n=rng.randint(1, 6), max_pmfs=rng.randint(1, 4), max_den=rng.randint(1, 8)
             )
-            self.assert_hook_matches_exact(op, rng)
+            assert_table_matches_exact(op.supports(), op, rng)
 
     def test_masses_below_float_range_still_count(self):
         tiny = F(1, 10**400)  # float(tiny) == 0.0
         space = StateSpace(("a", "b"))
         family = CredalFamily(space, ((Pmf(2, {0: 1 - tiny, 1: tiny}),), (Pmf(2, {1: F(1)}),)))
-        op = CredalOperator(family)
-        assert op.adjacency()[0, 1]
-        assert op.lower_positive({1}) == frozenset({0, 1})
-        assert np.array_equal(op.adjacency(), UpperOperator.adjacency(op))
+        table = CredalOperator(family).supports()
+        assert table.adjacency()[0, 1]
+        assert table.lower_positive({1}) == frozenset({0, 1})
+        assert np.array_equal(table.adjacency(), gen.exact_adjacency(CredalOperator(family)))
 
-    def test_exact_path_reports_are_byte_identical(self, running_op, delayed_cycle_op):
+    def test_exact_path_reports_are_byte_identical(
+        self, running_op, delayed_cycle_op, counterexample_op
+    ):
+        # Every level's graph and lower reach come from the exact indicators
+        # of the operator restricted to the level's states.
         rng = random.Random(43)
-        ops = [running_op, delayed_cycle_op]
+        ops = [running_op, delayed_cycle_op, counterexample_op]
         ops += [gen.random_operator(rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 3))
-                for _ in range(300)]
+                for _ in range(2000)]
+        levels = 0
         for op in ops:
-            exact = ExactPathOperator(op.family)
-            exact_report = analyze(exact)
-            assert all(
-                type(level.operator) is ExactPathOperator
-                for level in exact_report.decomposition.levels
-            )
-            assert exact_report.to_json() == analyze(op).to_json()
+            for level, table in level_tables(op):
+                reference = op.restrict(level.states)
+                assert_table_matches_exact(table, reference, rng)
+                assert np.array_equal(level.graph.adjacency, gen.exact_adjacency(reference))
+                current = level.partition.maximal_states
+                sequence = [current]
+                while added := gen.exact_lower_positive(reference, current) - current:
+                    current |= added
+                    sequence.append(current)
+                assert level.partition.reach_sequence == tuple(sequence)
+                levels += 1
+        assert levels > len(ops)
+
+    def test_counterexample_table_matches_exact(self, counterexample_op):
+        rng = random.Random(44)
+        table = counterexample_op.supports()
+        assert_table_matches_exact(table, counterexample_op, rng)
+        for bits in range(1, 7):
+            keep = [i for i in range(3) if bits >> i & 1]
+            try:
+                direct = counterexample_op.restrict(keep).supports()
+            except NotWellDefinedError as exc:
+                with pytest.raises(NotWellDefinedError) as cut_exc:
+                    table.restrict(keep)
+                assert str(cut_exc.value) == str(exc)
+                continue
+            cut = table.restrict(keep)
+            assert cut.space == direct.space
+            assert np.array_equal(cut.rows, direct.rows)
+            assert np.array_equal(cut.starts, direct.starts)
+            assert_table_matches_exact(cut, counterexample_op.restrict(keep), rng)
 
 
 class TestSparseAgainstDense:
@@ -360,7 +402,7 @@ class TestSparseAgainstDense:
             for p, row in zip(pmfs, rows):
                 assert p.expectation(f) == sum(m * v for m, v in zip(row, f))
             assert np.array_equal(op._matrix, [[float(m) for m in row] for row in rows])
-            assert np.array_equal(op._supports, [[m > 0 for m in row] for row in rows])
+            assert np.array_equal(op.supports().rows, [[m > 0 for m in row] for row in rows])
 
             keep = sorted(gen.random_subset(rng, n))
             expected = [
@@ -373,8 +415,14 @@ class TestSparseAgainstDense:
             if not all(expected):
                 with pytest.raises(NotWellDefinedError):
                     family.restrict(keep)
+                with pytest.raises(NotWellDefinedError):
+                    op.supports().restrict(keep)
                 continue
             restricted = family.restrict(keep)
             assert all(p.n == len(keep) for sets in restricted.per_state for p in sets)
             got = [[gen.dense(p) for p in sets] for sets in restricted.per_state]
             assert got == expected
+            cut = op.supports().restrict(keep)
+            rows = [[m > 0 for m in row] for sets in expected for row in sets]
+            assert np.array_equal(cut.rows, rows)
+            assert cut.starts.tolist() == np.cumsum([0] + [len(s) for s in expected[:-1]]).tolist()

@@ -143,7 +143,7 @@ class TestRegularClassLimit:
         assert phi == pytest.approx(3.5)
 
     def test_max_operator_pair(self, running_op):
-        part = partition_states(running_op)
+        part = partition_states(running_op.supports())
         level2 = gen.restrict_to_nonabs(running_op, part)
         phi = orbit_limit_on_regular_class(level2, {0, 1}, [0.0, 1.0])
         assert phi == pytest.approx(1.0)
@@ -155,7 +155,7 @@ class TestRegularClassLimit:
             op = gen.random_single_class_operator(rng)
             from imclim import build_graph, communication_classes
 
-            classes = communication_classes(build_graph(op))
+            classes = communication_classes(build_graph(op.supports()))
             if classes[0].cyclicity != 1:
                 continue
             f = np.array([rng.random() for _ in range(op.n)])
@@ -172,7 +172,7 @@ class TestRegularClassLimit:
         import imclim.orbits
         from imclim import build_graph, communication_classes
 
-        classes = communication_classes(build_graph(running_op))
+        classes = communication_classes(build_graph(running_op.supports()))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("structure computed again")
@@ -198,7 +198,7 @@ class TestRegularClassLimit:
             op = gen.random_single_class_operator(rng)
             from imclim import build_graph, cyclicity
 
-            if cyclicity(build_graph(op), range(op.n)) != 1:
+            if cyclicity(build_graph(op.supports()), range(op.n)) != 1:
                 continue
             f = gen.random_float_function(rng, op.n)
             result = iterate_orbit(op, f, FAST)

@@ -5,6 +5,7 @@ import pytest
 
 import gen
 from imclim import (
+    ModelValidationError,
     PreconditionError,
     lower_reach_set,
     partition_states,
@@ -21,23 +22,28 @@ def labelled(op, states):
 
 class TestLowerReachSet:
     def test_running_example_sequence(self, running_op):
-        reach, sequence = lower_reach_set(running_op, {0, 1})
+        reach, sequence = lower_reach_set(running_op.supports(), {0, 1})
         assert labelled(running_op, reach) == ("a", "b", "c")
         assert [labelled(running_op, s) for s in sequence] == [("a", "b"), ("a", "b", "c")]
 
     def test_full_space_in_zero_steps(self, running_op):
-        reach, sequence = lower_reach_set(running_op, range(5))
+        reach, sequence = lower_reach_set(running_op.supports(), range(5))
         assert reach == frozenset(range(5))
         assert len(sequence) == 1
 
     def test_counterexample_stays_put(self, counterexample_op):
-        reach, sequence = lower_reach_set(counterexample_op, {0})
+        reach, sequence = lower_reach_set(counterexample_op.supports(), {0})
         assert reach == frozenset({0})
         assert len(sequence) == 1
 
     def test_not_closed_rejected(self, running_op):
         with pytest.raises(PreconditionError, match="not closed"):
-            lower_reach_set(running_op, {2, 3, 4})
+            lower_reach_set(running_op.supports(), {2, 3, 4})
+
+    def test_index_out_of_range_rejected(self, running_op):
+        for bad in ({5}, {-1, 0}):
+            with pytest.raises(ModelValidationError, match="out of range"):
+                lower_reach_set(running_op.supports(), bad)
 
     def test_matches_brute_force_iteration(self):
         rng = random.Random(41)
@@ -45,7 +51,7 @@ class TestLowerReachSet:
         while checked < 120:
             op = gen.random_operator(rng, n=rng.randint(2, 5))
             for target in gen.closed_subsets(op):
-                reach, sequence = lower_reach_set(op, target)
+                reach, sequence = lower_reach_set(op.supports(), target)
                 oracle = gen.brute_force_lower_reach(op, target)
                 for step, positives in oracle.items():
                     expected = sequence[min(step, len(sequence) - 1)]
@@ -57,7 +63,7 @@ class TestLowerReachSet:
 
 class TestPartition:
     def test_running_example(self, running_op):
-        part = partition_states(running_op)
+        part = partition_states(running_op.supports())
         assert labelled(running_op, part.maximal_states) == ("a", "b")
         assert labelled(running_op, part.absorbed_transients) == ("c",)
         assert labelled(running_op, part.unabsorbed_transients) == ("d", "e")
@@ -67,14 +73,14 @@ class TestPartition:
         rng = random.Random(42)
         for _ in range(60):
             op = gen.random_operator(rng, max_pmfs=1)
-            part = partition_states(op)
+            part = partition_states(op.supports())
             assert not part.unabsorbed_transients
             assert part.absorbed_transients == (
                 frozenset(range(op.n)) - part.maximal_states
             )
 
     def test_counterexample(self, counterexample_op):
-        part = partition_states(counterexample_op)
+        part = partition_states(counterexample_op.supports())
         assert labelled(counterexample_op, part.maximal_states) == ("a",)
         assert not part.absorbed_transients
         assert labelled(counterexample_op, part.unabsorbed_transients) == ("b", "c")
@@ -83,7 +89,7 @@ class TestPartition:
         rng = random.Random(43)
         for _ in range(150):
             op = gen.random_operator(rng)
-            part = partition_states(op)
+            part = partition_states(op.supports())
             pieces = [
                 part.maximal_states,
                 part.absorbed_transients,
