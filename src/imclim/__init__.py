@@ -63,6 +63,7 @@ from .orbits import (
     OrbitResult,
     default_function_suite,
     iterate_orbit,
+    iterate_orbits,
     oracle_compare,
     orbit_limit_on_regular_class,
     search_cycle_witness,
@@ -127,6 +128,7 @@ __all__ = [
     "OrbitCheck",
     "OrbitComparison",
     "iterate_orbit",
+    "iterate_orbits",
     "orbit_limit_on_regular_class",
     "oracle_compare",
     "default_function_suite",

@@ -8,6 +8,7 @@ logging level name (e.g. ``debug``) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -178,13 +179,28 @@ def _cmd_analyze(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+@contextlib.contextmanager
+def _trace_file(path: str | None):
+    """The ``--trace`` file, opened before any iteration so a bad path fails fast."""
+    if path is None:
+        yield None
+        return
+    try:
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise ImclimError(f"cannot write orbit trace {path}: {exc}") from exc
+
+
 def _cmd_orbit(args) -> int:
     op = load_model(args.model)
     f = _parse_function(args.function, op)
     params = _orbit_params(args, keep_trace=bool(args.trace))
-    result = iterate_orbit(op, f, params)
+    with _trace_file(args.trace) as handle:
+        result = iterate_orbit(op, f, params)
+        if handle is not None:
+            write_orbit_trace(handle, op.space.labels, result.trace)
     if args.trace:
-        write_orbit_trace(args.trace, op.space.labels, result.trace)
         log.info("trace written to %s", args.trace)
     period = result.detected_period
     payload = {

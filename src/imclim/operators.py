@@ -43,8 +43,6 @@ from .errors import (
 
 RationalLike = Fraction | int
 
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -299,7 +297,8 @@ class UpperOperator(ABC):
 
     @abstractmethod
     def apply(self, f: Sequence[float]) -> np.ndarray:
-        """Apply the operator to ``f`` in double precision."""
+        """Apply the operator in double precision to an ``(n,)`` function or,
+        column by column, to an ``(n, m)`` block of functions."""
 
     def apply_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         """Apply the operator exactly on rational inputs."""
@@ -328,9 +327,9 @@ class UpperOperator(ABC):
 
     def _check_vector(self, f) -> np.ndarray:
         g = np.asarray(f, dtype=float)
-        if g.shape != (self.n,):
+        if g.ndim not in (1, 2) or g.shape[0] != self.n:
             raise DimensionMismatchError(
-                f"function has shape {g.shape}, expected ({self.n},)"
+                f"function has shape {g.shape}, expected ({self.n},) or ({self.n}, m)"
             )
         return g
 
@@ -389,22 +388,26 @@ class CredalOperator(UpperOperator):
         return type(self)(self._family.restrict(keep))
 
 
-def _curve_max(fa, fb, fc):
-    # max over t in [0, 1/2] of (fa - fc) t^2 + (fb - fc) t + fc;
-    # concave case checks the interior vertex, everything else the endpoints.
+def _max2(x, y):
+    # Python's max(x, y), elementwise: y only where strictly larger, so a tie
+    # of 0.0 and -0.0 keeps x; np.maximum may return either zero
+    return np.where(y > x, y, x)
+
+
+def _curve_max(fa, fb, fc, half):
+    # max over t in [0, half] of (fa - fc) t^2 + (fb - fc) t + fc, elementwise;
+    # the concave case checks the interior vertex, everything else the endpoints.
+    # ``half`` is 0.5 on float arrays and Fraction(1, 2) on exact scalars.
+    # Overflow to inf and inf - inf stay silent, as in Python float arithmetic.
     a2 = fa - fc
     a1 = fb - fc
-    best = fc
-    half_val = a2 * _HALF * _HALF + a1 * _HALF + fc
-    if half_val > best:
-        best = half_val
-    if a2 < 0:
-        vertex = -a1 / (2 * a2)
-        if 0 < vertex < _HALF:
-            v_val = a2 * vertex * vertex + a1 * vertex + fc
-            if v_val > best:
-                best = v_val
-    return best
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = _max2(fc, a2 * half * half + a1 * half + fc)
+        concave = a2 < 0
+        vertex = -a1 / (2 * np.where(concave, a2, -1))
+        inside = concave & (0 < vertex) & (vertex < half)
+        v_val = a2 * vertex * vertex + a1 * vertex + fc
+        return np.where(inside & (v_val > best), v_val, best)
 
 
 class CounterexampleOperator(UpperOperator):
@@ -436,16 +439,17 @@ class CounterexampleOperator(UpperOperator):
     def space(self) -> StateSpace:
         return self._SPACE
 
+    @staticmethod
+    def _evaluate(fa, fb, fc, half):
+        return np.stack([fa, _max2(fa, _curve_max(fa, fb, fc, half)), _max2(fa, fb)])
+
     def apply(self, f):
-        g = self._check_vector(f)
-        fa, fb, fc = float(g[0]), float(g[1]), float(g[2])
-        return np.array([fa, max(fa, _curve_max(fa, fb, fc)), max(fa, fb)])
+        return self._evaluate(*self._check_vector(f), 0.5)
 
     def apply_exact(self, f):
         if len(f) != 3:
             raise DimensionMismatchError(f"function has length {len(f)}, expected 3")
-        fa, fb, fc = (Fraction(x) for x in f)
-        return (fa, max(fa, _curve_max(fa, fb, fc)), max(fa, fb))
+        return tuple(self._evaluate(*(Fraction(x) for x in f), Fraction(1, 2)))
 
     def supports(self):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}

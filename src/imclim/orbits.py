@@ -12,6 +12,18 @@ Because the operator is sup-norm non-expansive, the residual
 so detection is monotone: once a candidate period holds it keeps holding.
 The engine never reports divergence; exhausting the budget only means "no
 cycle found within budget".
+
+One engine, :func:`iterate_orbits`, iterates a whole suite of start
+functions as the columns of one ``(n, m)`` block: each step is a single
+``apply`` on the columns still running.  The last ``P + 1`` iterates, with
+``P = min(max_period, max_iters)``, live in a ring buffer allocated once per
+block.  Every step takes the residuals against all ring slots in storage
+order and reorders only the small per-slot result into period order, so no
+window is ever gathered.  Each column is certified on its own and retires on
+its own step; the running columns stay a contiguous prefix of the buffers.
+A suite whose ring and residual buffers would exceed ``_BLOCK_BYTES`` runs as
+several blocks, one after another.  :func:`iterate_orbit` is the one-column
+case.
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ from .errors import (
 )
 from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import UpperOperator
+
+#: Ring and residual buffer memory one block of columns may take; wider suites
+#: run in several blocks, so memory stays bounded however many functions are
+#: iterated.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +73,12 @@ class OrbitResult:
     budget -- never a claim of divergence.  When a cycle is found,
     ``limit_cycle`` holds its elements in iteration order, so consecutive
     entries map to each other under one application of the operator (and the
-    last maps back to the first, within tolerance).
+    last maps back to the first, within tolerance).  ``stop_reason`` says
+    why the run ended: ``"exact_repeat"`` (some residual was exactly zero),
+    ``"sustained"`` (period 1 certified by a residual sustained within
+    tolerance) or ``"budget"`` (the iteration budget was spent, possibly after
+    a period above one was certified).  The vectors
+    of ``limit_cycle`` and ``iterates_kept`` are read-only rows of one array.
     """
 
     detected_period: int | None
@@ -64,6 +86,7 @@ class OrbitResult:
     limit_cycle: tuple[np.ndarray, ...] | None
     residual: float
     iterations: int
+    stop_reason: str
     iterates_kept: tuple[np.ndarray, ...]
     params: OrbitParams
     trace: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
@@ -76,12 +99,27 @@ class OrbitResult:
         return None
 
 
+def _as_function(op: UpperOperator, f: Sequence[float]) -> np.ndarray:
+    g = np.asarray(f, dtype=float)
+    if g.shape != (op.n,):
+        raise DimensionMismatchError(f"function has shape {g.shape}, expected ({op.n},)")
+    return g
+
+
 def iterate_orbit(
     op: UpperOperator, f: Sequence[float], params: OrbitParams | None = None
 ) -> OrbitResult:
-    """Iterate ``op`` on ``f`` and scan for the smallest limit-cycle period.
+    """Iterate ``op`` on ``f``: the one-column case of :func:`iterate_orbits`."""
+    return iterate_orbits(op, _as_function(op, f)[:, None], params)[0]
 
-    A period ``q`` in ``1..max_period`` is certified once
+
+def iterate_orbits(
+    op: UpperOperator, starts: np.ndarray, params: OrbitParams | None = None
+) -> tuple[OrbitResult, ...]:
+    """Iterate ``op`` on every column of the ``(n, m)`` array ``starts``.
+
+    Returns one result per column, in column order.  Each column is certified
+    independently: a period ``q`` in ``1..max_period`` is certified once
     ``max|T^n f - T^(n+q) f|`` is exactly zero (iteration is deterministic, so
     an exact repeat is a genuine cycle) or, after the burn-in, once some
     period's residual has stayed within tolerance for ``max_period``
@@ -93,67 +131,124 @@ def iterate_orbit(
     slowly damped alternation the even-step residual can cross the threshold
     long before the step residual, so iteration continues and a later, smaller
     certificate wins.  Only period one, an exact repeat (residuals are frozen
-    from then on), or budget exhaustion end the run.
+    from then on), or budget exhaustion end a column's run.
     """
     p = params or OrbitParams()
-    current = np.asarray(f, dtype=float)
-    if current.shape != (op.n,):
-        raise DimensionMismatchError(
-            f"function has shape {current.shape}, expected ({op.n},)"
-        )
-    if not np.isfinite(current).all():
+    block = np.asarray(starts, dtype=float)
+    if block.ndim != 2 or block.shape[0] != op.n:
+        raise DimensionMismatchError(f"starts have shape {block.shape}, expected ({op.n}, m)")
+    if not np.isfinite(block).all():
         raise PreconditionError("function values must be finite")
-
-    window: list[np.ndarray] = [current.copy()]
-    trace: list[np.ndarray] | None = [current.copy()] if p.keep_trace else None
     # periods scored never exceed the number of iterations run
-    streak = np.zeros(min(p.max_period, p.max_iters) + 1, dtype=np.int64)
-    last_step_residual = float("inf")
-    best_period: int | None = None
-    best_residual = float("inf")
-    iterations_run = 0
+    cap = min(p.max_period, p.max_iters)
+    # per column: the ring's cap + 1 iterates and as many differences
+    width = max(1, _BLOCK_BYTES // (2 * (cap + 1) * op.n * block.itemsize))
+    results: list[OrbitResult] = []
+    for lo in range(0, block.shape[1], width):
+        results.extend(_iterate_block(op, block[:, lo:lo + width], p, cap))
+    return tuple(results)
+
+
+def _iterate_block(
+    op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int
+) -> list[OrbitResult]:
+    n, m = block.shape
+    size = cap + 1  # the window: the newest iterate and up to ``cap`` before it
+    # The iterate t of the running column at position k sits at
+    # ring[k, :, t % size].  Residuals are taken over the slots in storage
+    # order, and only the small (column, slot) result is put in period order.
+    # Columns lead, so the running ones stay a contiguous prefix: a retired
+    # column's place is refilled from beyond the prefix, and the two big
+    # buffers are allocated once per block.
+    ring = np.empty((m, n, size))
+    ring[:, :, 0] = block.T
+    gaps = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
+    current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
+    # back[size - s + j] is the slot j + 1 steps before slot s (and back[size - s - 1]
+    # is s itself), so the slots of past iterates are one basic slice of it
+    back = np.arange(2 * size - 1, -1, -1) % size
+    streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
+    best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
+    best_residual = np.zeros(m)
+    column = np.arange(m)  # block column of each running column
+    traces = [[v.copy()] for v in block.T] if p.keep_trace else None
+    results: list[OrbitResult | None] = [None] * m
 
     for iteration in range(1, p.max_iters + 1):
-        iterations_run = iteration
-        nxt = op.apply(window[-1])
-        window.append(nxt)
-        if len(window) > p.max_period + 1:
-            window.pop(0)
-        if trace is not None:
-            trace.append(nxt.copy())
+        slot = iteration % size
+        current = op.apply(current)
+        running = len(column)
+        ring[:running, :, slot] = current.T
+        if traces is not None:
+            for k, c in enumerate(column):
+                traces[c].append(current[:, k].copy())
 
-        history = np.stack(window[:-1])  # oldest..newest
-        residuals = np.max(np.abs(history - nxt), axis=1)
-        periods = np.arange(len(residuals), 0, -1)  # residuals[j] belongs to period L-1-j
+        scored = min(iteration, cap)
+        filled = scored + 1  # slots 0..t hold iterates 0..t until the ring wraps
+        diff = np.subtract(ring[:running, :, :filled], current.T[:, :, None],
+                           out=gaps[:running, :, :filled])
+        by_slot = np.abs(diff, out=diff).max(axis=1)
+        # residuals[k, q - 1] = max|T^(t-q) f - T^t f| for the function in column k
+        residuals = by_slot[:, back[size - slot:size - slot + scored]]
         within = residuals <= p.tolerance
-        streak[periods] = np.where(within, streak[periods] + 1, 0)
-        last_step_residual = float(residuals[-1])
+        scoring = streak[:, :scored]
+        scoring += 1
+        scoring *= within
 
-        exact_repeat = bool((residuals == 0.0).any())
-        sustained = iteration >= p.burn_in and bool(
-            (streak[periods] >= p.max_period).any()
-        )
-        if exact_repeat or sustained:
-            eligible = periods[within]
-            candidate = int(eligible.min())
-            if best_period is None or candidate < best_period:
-                best_period = candidate
-                pos = int(np.flatnonzero(periods == candidate)[0])
-                best_residual = float(residuals[pos])
-            if best_period == 1 or exact_repeat:
-                break
+        # both rules need some period within tolerance
+        done = exact = np.zeros(running, dtype=bool)
+        if within.any():
+            exact = (residuals == 0.0).any(axis=1)
+            fired = exact
+            if iteration >= p.burn_in:
+                fired = exact | (scoring >= p.max_period).any(axis=1)
+            if fired.any():
+                candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
+                better = (fired & ((best == 0) | (candidate < best))).nonzero()[0]
+                best[better] = candidate[better]
+                best_residual[better] = residuals[better, candidate[better] - 1]
+                done = fired & ((best == 1) | exact)
+        if iteration == p.max_iters:
+            done = np.ones_like(done)
+        elif not done.any():
+            continue
 
-    found = best_period is not None
-    return OrbitResult(
-        detected_period=best_period,
-        converged=best_period == 1,
-        limit_cycle=tuple(v.copy() for v in window[-best_period:]) if found else None,
-        residual=best_residual if found else last_step_residual,
-        iterations=iterations_run,
-        iterates_kept=tuple(v.copy() for v in window),
-        params=p,
-        trace=tuple(trace) if trace is not None else None,
-    )
+        order = back[size - slot - 1:size - slot + scored][::-1]  # oldest..newest
+        for k in done.nonzero()[0]:
+            kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
+            kept.setflags(write=False)
+            period = int(best[k]) or None
+            if exact[k]:
+                reason = "exact_repeat"
+            elif period == 1:
+                reason = "sustained"
+            else:
+                reason = "budget"
+            results[column[k]] = OrbitResult(
+                detected_period=period,
+                converged=period == 1,
+                limit_cycle=tuple(kept[-period:]) if period else None,
+                residual=float(best_residual[k] if period else residuals[k, 0]),
+                iterations=iteration,
+                stop_reason=reason,
+                iterates_kept=tuple(kept),
+                params=p,
+                trace=tuple(traces[column[k]]) if traces is not None else None,
+            )
+        keep = (~done).nonzero()[0]
+        if not len(keep):
+            break
+        # the new prefix keeps its running columns in place; each retired
+        # place in it takes a running column from beyond it
+        moved = np.arange(len(keep))
+        holes = done[:len(keep)].nonzero()[0]
+        moved[holes] = keep[len(keep) - len(holes):]
+        for hole, source in zip(holes, moved[holes]):
+            ring[hole] = ring[source]
+        current = current[:, moved]
+        streak, best, best_residual = streak[moved], best[moved], best_residual[moved]
+        column = column[moved]
+    return results
 
 
 def orbit_limit_on_regular_class(
@@ -271,7 +366,7 @@ def oracle_compare(
     extra_random: int = 10,
     seed: int = 0,
 ) -> OrbitComparison:
-    """Run an orbit suite against a convergence verdict.
+    """Run an orbit suite, as one :func:`iterate_orbits` call, against a convergence verdict.
 
     ``verdict`` may be the string ``"yes"``/``"no"``/``"inconclusive"`` or any
     object with a ``convergent`` attribute.  A "yes" verdict disagrees with
@@ -289,17 +384,17 @@ def oracle_compare(
         )
     if not fn_suite:
         raise PreconditionError("the function suite must be non-empty")
-    checks = []
-    for label, vec in fn_suite:
-        result = iterate_orbit(op, vec, params)
-        checks.append(
-            OrbitCheck(
-                label=label,
-                function=tuple(float(v) for v in np.asarray(vec, dtype=float)),
-                period=result.detected_period,
-                converged=result.converged,
-            )
+    functions = [_as_function(op, vec) for _, vec in fn_suite]
+    results = iterate_orbits(op, np.stack(functions, axis=1), params)
+    checks = [
+        OrbitCheck(
+            label=label,
+            function=tuple(float(v) for v in g),
+            period=result.detected_period,
+            converged=result.converged,
         )
+        for (label, _), g, result in zip(fn_suite, functions, results)
+    ]
     discrepancies = []
     note = None
     if verdict_str == "yes":
@@ -339,8 +434,9 @@ def search_cycle_witness(
     """Best-effort hunt for a sampled orbit with period >= 2 touching ``members``.
 
     Tries the indicators of the class states, then random 0/1 vectors
-    supported on the class.  Returns the first find, or ``None``; a miss
-    downgrades nothing, the symbolic verdict stands on its own.
+    supported on the class, one orbit at a time so the search stops at the
+    first find.  Returns that find, or ``None``; a miss downgrades nothing,
+    the symbolic verdict stands on its own.
     """
     member_list = sorted(set(members))
     rng = np.random.default_rng(seed)

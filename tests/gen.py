@@ -17,6 +17,8 @@ from imclim import (
     InternalInvariantError,
     ModelValidationError,
     NotWellDefinedError,
+    OrbitParams,
+    OrbitResult,
     Pmf,
     PreconditionError,
     StatePartition,
@@ -82,6 +84,25 @@ def random_family(
 
 def random_operator(rng, n=None, max_pmfs=3, max_den=8) -> CredalOperator:
     return CredalOperator(random_family(rng, n, max_pmfs, max_den))
+
+
+def random_wide_operator(rng: random.Random, n: int, max_pmfs: int = 3) -> CredalOperator:
+    """Operator over ``n`` states with up to ``max_pmfs`` sparse candidates per state.
+
+    Supports have at most four states, so wide operators keep non-trivial
+    structure: several classes, transients and cycles.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    per = []
+    for _ in range(n):
+        pmfs = []
+        for _ in range(rng.randint(1, max_pmfs)):
+            targets = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            weights = [rng.randint(1, 6) for _ in targets]
+            total = sum(weights)
+            pmfs.append(Pmf(n, {y: Fraction(w, total) for y, w in zip(targets, weights)}))
+        per.append(tuple(pmfs))
+    return CredalOperator(CredalFamily(space, tuple(per)))
 
 
 def random_rational_function(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -393,3 +414,82 @@ def nested_restriction_check(op: UpperOperator, outer, inner) -> bool:
     local_inner = tuple(outer_keep.index(i) for i in sorted(inner_set))
     two_step = first.restrict(local_inner)
     return _same_family(direct, two_step)
+
+
+def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = None) -> OrbitResult:
+    """The scalar orbit engine the batched one replaced, kept as the reference.
+
+    One function at a time: the window is a list of the last ``max_period + 1``
+    iterates, stacked on every step to score every period.
+    """
+    p = params or OrbitParams()
+    current = np.asarray(f, dtype=float)
+    window: list[np.ndarray] = [current.copy()]
+    trace: list[np.ndarray] | None = [current.copy()] if p.keep_trace else None
+    streak = np.zeros(min(p.max_period, p.max_iters) + 1, dtype=np.int64)
+    last_step_residual = float("inf")
+    best_period: int | None = None
+    best_residual = float("inf")
+    iterations_run = 0
+    reason = "budget"
+
+    for iteration in range(1, p.max_iters + 1):
+        iterations_run = iteration
+        nxt = op.apply(window[-1])
+        window.append(nxt)
+        if len(window) > p.max_period + 1:
+            window.pop(0)
+        if trace is not None:
+            trace.append(nxt.copy())
+
+        history = np.stack(window[:-1])  # oldest..newest
+        residuals = np.max(np.abs(history - nxt), axis=1)
+        periods = np.arange(len(residuals), 0, -1)  # residuals[j] belongs to period L-1-j
+        within = residuals <= p.tolerance
+        streak[periods] = np.where(within, streak[periods] + 1, 0)
+        last_step_residual = float(residuals[-1])
+
+        exact_repeat = bool((residuals == 0.0).any())
+        sustained = iteration >= p.burn_in and bool(
+            (streak[periods] >= p.max_period).any()
+        )
+        if exact_repeat or sustained:
+            eligible = periods[within]
+            candidate = int(eligible.min())
+            if best_period is None or candidate < best_period:
+                best_period = candidate
+                pos = int(np.flatnonzero(periods == candidate)[0])
+                best_residual = float(residuals[pos])
+            if best_period == 1 or exact_repeat:
+                reason = "exact_repeat" if exact_repeat else "sustained"
+                break
+
+    found = best_period is not None
+    return OrbitResult(
+        detected_period=best_period,
+        converged=best_period == 1,
+        limit_cycle=tuple(v.copy() for v in window[-best_period:]) if found else None,
+        residual=best_residual if found else last_step_residual,
+        iterations=iterations_run,
+        stop_reason=reason,
+        iterates_kept=tuple(v.copy() for v in window),
+        params=p,
+        trace=tuple(trace) if trace is not None else None,
+    )
+
+
+def reference_counterexample_apply(f) -> np.ndarray:
+    """The counterexample operator on one function, in scalar Python floats."""
+    fa, fb, fc = (float(v) for v in f)
+    a2, a1 = fa - fc, fb - fc
+    curve = fc
+    half_val = a2 * 0.5 * 0.5 + a1 * 0.5 + fc
+    if half_val > curve:
+        curve = half_val
+    if a2 < 0:
+        vertex = -a1 / (2 * a2)
+        if 0 < vertex < 0.5:
+            v_val = a2 * vertex * vertex + a1 * vertex + fc
+            if v_val > curve:
+                curve = v_val
+    return np.array([fa, max(fa, curve), max(fa, fb)])

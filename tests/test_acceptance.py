@@ -29,6 +29,7 @@ from imclim import (
     decompose,
     default_function_suite,
     iterate_orbit,
+    iterate_orbits,
     lower_reach_set,
     orbit_limit_on_regular_class,
     partition_states,
@@ -197,9 +198,9 @@ def test_criterion_3_verdict_oracle_agreement():
         op = gen.random_operator(rng, n=rng.randint(2, 5), max_pmfs=3, max_den=8)
         verdict = decide_convergence(op, decompose(op))
         suite = default_function_suite(op, extra=10, rng=np.random.default_rng(k))
+        results = iterate_orbits(op, np.stack([f for _, f in suite], axis=1), params)
         if verdict.convergent == "yes":
-            for label, f in suite:
-                result = iterate_orbit(op, f, params)
+            for (label, f), result in zip(suite, results):
                 if result.detected_period != 1:
                     # one honest retry with a larger budget before flagging
                     result = iterate_orbit(op, f, retry_params)
@@ -214,10 +215,7 @@ def test_criterion_3_verdict_oracle_agreement():
                     )
         elif verdict.convergent == "no":
             no_count += 1
-            if any(
-                iterate_orbit(op, f, params).detected_period not in (None, 1)
-                for _, f in suite
-            ):
+            if any(result.detected_period not in (None, 1) for result in results):
                 no_witnessed += 1
             else:
                 no_exceptions.append(

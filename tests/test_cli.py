@@ -121,7 +121,14 @@ class TestBadInput:
         path.write_text("[" * 200_000 + "]" * 200_000)
         self.assert_error(["analyze", str(path), "--json"], capsys, "nested too deeply")
 
-    def test_trace_into_missing_directory(self, tmp_path, capsys):
+    def test_trace_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        # the trace file is opened before the orbit is iterated
+        import imclim.cli
+
+        def no_orbits(*args, **kwargs):
+            raise AssertionError("iterated before opening the trace file")
+
+        monkeypatch.setattr(imclim.cli, "iterate_orbit", no_orbits)
         target = tmp_path / "missing" / "x.csv"
         self.assert_error(
             ["orbit", DEMO_MODEL, "-f", "b", "--trace", str(target)], capsys,
@@ -207,6 +214,7 @@ class TestDecompose:
             raise AssertionError("decompose ran the orbit engine")
 
         monkeypatch.setattr(imclim.orbits, "iterate_orbit", no_orbits)
+        monkeypatch.setattr(imclim.orbits, "iterate_orbits", no_orbits)
         assert main(["decompose", nonconvergent_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, DECOMPOSITION_SCHEMA)

@@ -127,6 +127,49 @@ class TestCounterexampleClosedForm:
             assert np.allclose(approx, [float(v) for v in exact], atol=1e-12)
 
 
+class TestBlockApply:
+    """``apply`` on an ``(n, m)`` block acts column by column."""
+
+    def test_counterexample_columns_match_the_scalar_form_bit_for_bit(self, counterexample_op):
+        rng = np.random.default_rng(5)
+        # signed zeros, ties and extremes next to plain draws
+        specials = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 5e-324])
+        for k in range(2000):
+            m = int(rng.integers(1, 9))
+            if k % 3 == 0:
+                block = rng.random((3, m))
+            elif k % 3 == 1:
+                block = rng.choice(specials, size=(3, m))
+            else:
+                block = rng.normal(size=(3, m)) * 10.0 ** int(rng.integers(-5, 5))
+            out = counterexample_op.apply(block)
+            assert out.shape == (3, m)
+            for j in range(m):
+                expected = gen.reference_counterexample_apply(block[:, j]).tobytes()
+                assert out[:, j].tobytes() == expected
+                assert counterexample_op.apply(block[:, j]).tobytes() == expected
+
+    def test_credal_columns_match_single_vectors(self):
+        rng = random.Random(9)
+        draws = np.random.default_rng(9)
+        for k in range(600):
+            if k % 2:
+                op = gen.random_operator(rng, max_pmfs=4)
+            else:
+                op = gen.random_wide_operator(rng, rng.randint(20, 30), max_pmfs=4)
+            block = draws.random((op.n, int(draws.integers(1, 40))))
+            out = op.apply(block)
+            assert out.shape == block.shape
+            for j in range(block.shape[1]):
+                assert np.max(np.abs(out[:, j] - op.apply(block[:, j]))) <= 1e-15
+
+    def test_block_shape_is_checked(self, running_op):
+        with pytest.raises(DimensionMismatchError):
+            running_op.apply(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            running_op.apply(np.zeros((5, 2, 2)))
+
+
 class TestValidation:
     def test_running_model_accepted(self, running_op):
         assert running_op.n == 5

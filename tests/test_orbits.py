@@ -1,5 +1,7 @@
 import io
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,13 @@ import pytest
 
 import gen
 from imclim import (
+    DimensionMismatchError,
     InternalInvariantError,
     OrbitParams,
+    PreconditionError,
     default_function_suite,
     iterate_orbit,
+    iterate_orbits,
     oracle_compare,
     orbit_limit_on_regular_class,
     partition_states,
@@ -42,6 +47,7 @@ class TestIterateOrbit:
     def test_two_cycle_alternates(self, two_cycle_op):
         result = iterate_orbit(two_cycle_op, [1.0, 0.0], FAST)
         assert result.detected_period == 2
+        assert result.stop_reason == "exact_repeat"
         cycle = result.limit_cycle
         assert len(cycle) == 2
         assert np.allclose(sorted(cycle[0]), [0.0, 1.0])
@@ -55,6 +61,8 @@ class TestIterateOrbit:
         result = iterate_orbit(counterexample_op, [0.0, 1.0, 0.0])
         assert result.detected_period is None
         assert not result.converged
+        assert result.stop_reason == "budget"
+        assert result.iterations == OrbitParams().max_iters
 
     def test_counterexample_limit_at_coarse_tolerance(self, counterexample_op):
         # the gap to the limit shrinks like 1/n, so certifying period 1 at
@@ -63,6 +71,8 @@ class TestIterateOrbit:
         result = iterate_orbit(counterexample_op, [0.0, 1.0, 0.0], params)
         assert result.converged
         assert np.allclose(result.limit, [0.0, 1.0, 1.0], atol=5e-3)
+        # the harmonic approach never repeats exactly
+        assert result.stop_reason == "sustained" and result.residual > 0
 
     def test_counterexample_fast_orbit(self, counterexample_op):
         # weight on the first state propagates everywhere in one step
@@ -103,6 +113,94 @@ class TestIterateOrbit:
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "iteration,b,c"
         assert len(lines) == len(result.trace) + 1
+
+
+def _bits(vectors):
+    return None if vectors is None else tuple(v.tobytes() for v in vectors)
+
+
+class TestBatchedEngine:
+    """``iterate_orbits`` against the scalar engine it replaced (``gen.reference_iterate_orbit``)."""
+
+    PARAMS = OrbitParams(burn_in=20, max_iters=400, max_period=16)
+
+    @staticmethod
+    def suites(columns: int):
+        """Seeded (operator, start block) pairs: random operators of up to 5
+        states and, every fourth, a sparse multi-pmf operator of 20 to 24 states."""
+        rng = random.Random(71)
+        done = 0
+        for k in itertools.count():
+            if done >= columns:
+                return
+            if k % 4:
+                op = gen.random_operator(rng)
+            else:
+                op = gen.random_wide_operator(rng, rng.randint(20, 24))
+            suite = default_function_suite(op, extra=4, rng=np.random.default_rng(k))
+            block = np.stack([f for _, f in suite], axis=1)
+            done += block.shape[1]
+            yield op, block
+
+    def test_matches_the_scalar_reference(self):
+        # The block's matrix product may round differently from the one-column
+        # matrix-vector product, so batched iteration counts may move; the
+        # certified periods may not.  The one-column case is bit for bit.
+        reasons = Counter()
+        columns = 0
+        for op, block in self.suites(2000):
+            batch = iterate_orbits(op, block, self.PARAMS)
+            assert len(batch) == block.shape[1]
+            for f, result in zip(block.T, batch):
+                ref = gen.reference_iterate_orbit(op, f, self.PARAMS)
+                assert result.detected_period == ref.detected_period
+                assert result.converged == ref.converged
+                one = iterate_orbit(op, f, self.PARAMS)
+                assert one.iterations == ref.iterations
+                assert one.residual == ref.residual
+                assert one.stop_reason == ref.stop_reason
+                assert _bits(one.limit_cycle) == _bits(ref.limit_cycle)
+                assert _bits(one.iterates_kept) == _bits(ref.iterates_kept)
+                reasons[ref.stop_reason] += 1
+                columns += 1
+        assert columns >= 2000
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}
+
+    def test_blocks_split_by_memory_budget(self, monkeypatch):
+        import imclim.orbits
+
+        for op, block in itertools.islice(self.suites(2000), 8):
+            whole = iterate_orbits(op, block, self.PARAMS)
+            # one column per block: every column is its own one-column run
+            monkeypatch.setattr(imclim.orbits, "_BLOCK_BYTES", 1)
+            split = iterate_orbits(op, block, self.PARAMS)
+            monkeypatch.undo()
+            for f, a, b in zip(block.T, whole, split):
+                one = iterate_orbit(op, f, self.PARAMS)
+                assert a.detected_period == b.detected_period
+                assert (b.iterations, b.residual, _bits(b.iterates_kept)) == (
+                    one.iterations, one.residual, _bits(one.iterates_kept))
+
+    def test_traces_follow_their_columns(self, running_op):
+        params = OrbitParams(burn_in=0, max_iters=300, max_period=4, keep_trace=True)
+        block = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.3, 0.9, 0.1, 0.4, 0.2],
+                          [0.0, 0.0, 1.0, 0.0, 0.0]]).T
+        for f, result in zip(block.T, iterate_orbits(running_op, block, params)):
+            trace = result.trace
+            assert len(trace) == result.iterations + 1
+            assert trace[0].tobytes() == f.tobytes()
+            assert _bits(trace[-len(result.iterates_kept):]) == _bits(result.iterates_kept)
+            for before, after in zip(trace, trace[1:]):
+                assert np.allclose(running_op.apply(before), after, rtol=0, atol=1e-15)
+
+    def test_rejects_bad_blocks(self, running_op):
+        with pytest.raises(DimensionMismatchError):
+            iterate_orbits(running_op, np.zeros(5))
+        with pytest.raises(DimensionMismatchError):
+            iterate_orbits(running_op, np.zeros((4, 2)))
+        with pytest.raises(PreconditionError):
+            iterate_orbits(running_op, np.array([[0.0, np.inf]] * 5))
+        assert iterate_orbits(running_op, np.zeros((5, 0))) == ()
 
 
 class TestCycleClosure:
