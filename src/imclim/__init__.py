@@ -27,7 +27,6 @@ from .operators import (
     StateSpace,
     SupportTable,
     UpperOperator,
-    onehot,
     validate_family,
 )
 from .graphs import (
@@ -35,7 +34,6 @@ from .graphs import (
     ClassInfo,
     build_graph,
     communication_classes,
-    cyclicity,
     to_dot,
 )
 from .reachability import (
@@ -46,15 +44,12 @@ from .reachability import (
 from .decomposition import (
     Decomposition,
     LevelRecord,
-    LimitBoundCheck,
-    SingleClassReport,
     Verdict,
     Witness,
     decide_convergence,
     decide_convergence_on_xm,
     decide_ergodicity,
     decompose,
-    single_class_equivalence_report,
 )
 from .orbits import (
     OrbitCheck,
@@ -65,12 +60,9 @@ from .orbits import (
     iterate_orbit,
     iterate_orbits,
     oracle_compare,
-    orbit_limit_on_regular_class,
     search_cycle_witness,
 )
 from .modelio import (
-    dump_model,
-    family_to_jsonable,
     load_model,
     parse_model,
     parse_rational,
@@ -91,7 +83,6 @@ __all__ = [
     # operators
     "StateSpace",
     "Pmf",
-    "onehot",
     "CredalFamily",
     "validate_family",
     "SupportTable",
@@ -104,7 +95,6 @@ __all__ = [
     "ClassInfo",
     "build_graph",
     "communication_classes",
-    "cyclicity",
     "to_dot",
     # reachability
     "StatePartition",
@@ -119,9 +109,6 @@ __all__ = [
     "decide_convergence",
     "decide_convergence_on_xm",
     "decide_ergodicity",
-    "single_class_equivalence_report",
-    "SingleClassReport",
-    "LimitBoundCheck",
     # orbits
     "OrbitParams",
     "OrbitResult",
@@ -129,7 +116,6 @@ __all__ = [
     "OrbitComparison",
     "iterate_orbit",
     "iterate_orbits",
-    "orbit_limit_on_regular_class",
     "oracle_compare",
     "default_function_suite",
     "search_cycle_witness",
@@ -137,8 +123,6 @@ __all__ = [
     "load_model",
     "parse_model",
     "parse_rational",
-    "family_to_jsonable",
-    "dump_model",
     "write_orbit_trace",
     # report
     "AnalysisReport",

@@ -51,14 +51,20 @@ def _add_orbit_flags(parser: argparse.ArgumentParser) -> None:
                         help="largest cycle length scanned for (default 64)")
     parser.add_argument("--burn-in", type=int, default=200,
                         help="iterations before detection may fire (default 200)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for random suite functions (default 0)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`ImclimError` instead of exiting with
+    status 2, which ``analyze`` reserves for "not convergent"."""
+
+    def error(self, message):
+        raise ImclimError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imclim",
         description="Decide whether all orbits of an upper transition operator converge.",
     )
@@ -69,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true", help="emit the JSON report")
     p_analyze.add_argument("--suite", type=int, default=None, metavar="N",
                            help="also run the orbit suite with N extra random functions")
+    p_analyze.add_argument("--seed", type=int, default=0,
+                           help="seed for random suite functions (default 0)")
     _add_orbit_flags(p_analyze)
 
     p_orbit = sub.add_parser("orbit", help="iterate one function numerically")
@@ -107,7 +115,11 @@ def _parse_function(spec: str, op) -> np.ndarray:
             try:
                 values.append(float(part))
             except ValueError:
-                values.append(float(parse_rational(part, where="function entry")))
+                value = parse_rational(part, where="function entry")
+                try:
+                    values.append(float(value))
+                except OverflowError:
+                    raise ImclimError(f"function entry {part!r} is out of float range") from None
         if len(values) != op.n:
             raise ImclimError(
                 f"function has {len(values)} entries, the model has {op.n} states"
@@ -267,8 +279,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     level_name = os.environ.get("IMC_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ImclimError as exc:
         print(f"error: {exc}", file=sys.stderr)

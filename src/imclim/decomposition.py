@@ -6,6 +6,10 @@ them, then recurses on the remaining (unabsorbed) transient states.  Only the
 operator's candidate supports matter, so each deeper level cuts the support
 table by mask and no restricted operator is built.  Verdict ``basis`` strings
 name entries of the decision rule table in the project README.
+
+The module is purely structural: it reads support tables and graphs only,
+and runs no orbit.  The numerical cross-check of a verdict lives in
+:mod:`imclim.orbits` and is combined with the verdict in :mod:`imclim.report`.
 """
 
 from __future__ import annotations
@@ -13,18 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .errors import PreconditionError
 from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, UpperOperator
-from .orbits import OrbitParams, orbit_limit_on_regular_class
 from .reachability import StatePartition, partition_states
 
 BASIS_ERGODIC = "Proposition 1"
-BASIS_SINGLE_CLASS = "Proposition 2"
 BASIS_XM = "Proposition 3"
-BASIS_LIMIT_BOUND = "Proposition 4"
 BASIS_SUFFICIENT = "Theorem 1"
 BASIS_FINITELY_GENERATED = "Theorem 2"
 BASIS_CONDITION_FAILED = "Theorem 1 condition not met"
@@ -206,75 +204,4 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         basis=basis,
         witness=witness,
         notes=tuple(notes),
-    )
-
-
-@dataclass(frozen=True)
-class LimitBoundCheck:
-    """Numeric domination check for the limit of one sampled orbit."""
-
-    function: tuple[float, ...]
-    limit: float
-    min_value: float
-    dominates: bool
-    strict: bool | None  # None when the start function is constant
-
-
-@dataclass(frozen=True)
-class SingleClassReport:
-    """For single-class operators the three notions coincide with regularity."""
-
-    members: tuple[str, ...]
-    cyclicity: int | None
-    regular: bool
-    convergent: bool
-    ergodic: bool
-    basis: str
-    limit_bound: LimitBoundCheck | None
-
-
-def single_class_equivalence_report(
-    op: UpperOperator,
-    f: Sequence[float] | None = None,
-    params: OrbitParams | None = None,
-) -> SingleClassReport:
-    """Report on an operator whose accessibility graph is a single class.
-
-    Convergence, ergodicity and regularity are equivalent here, so the report
-    simply evaluates the cyclicity and mirrors it.  When the class is regular
-    the limit-domination check runs on ``f`` (a non-constant ramp by default):
-    the constant limit dominates the minimum of the start function, strictly
-    when the start is not constant.
-    """
-    classes = communication_classes(build_graph(op.supports()))
-    if len(classes) != 1:
-        raise PreconditionError(
-            f"expected a single communication class, found {len(classes)}"
-        )
-    info = classes[0]
-    regular = info.cyclicity == 1
-    limit_bound = None
-    if regular:
-        if f is None:
-            f = np.arange(op.n, dtype=float) / max(1, op.n - 1)
-        start = np.asarray(f, dtype=float)
-        p = params or OrbitParams()
-        phi = orbit_limit_on_regular_class(op, info.members, start, p, classes)
-        lowest = float(start.min())
-        constant = bool(float(start.max()) == lowest)
-        limit_bound = LimitBoundCheck(
-            function=tuple(float(v) for v in start),
-            limit=phi,
-            min_value=lowest,
-            dominates=phi >= lowest - p.tolerance,
-            strict=None if constant else bool(phi > lowest),
-        )
-    return SingleClassReport(
-        members=op.space.labels_of(info.members),
-        cyclicity=info.cyclicity,
-        regular=regular,
-        convergent=regular,
-        ergodic=regular,
-        basis=BASIS_SINGLE_CLASS,
-        limit_bound=limit_bound,
     )

@@ -32,7 +32,7 @@ class NotWellDefinedError(PreconditionError):
 
 
 class UnsupportedOperatorError(ImclimError, TypeError):
-    """The operator lacks a capability: candidate supports, exact evaluation or restriction."""
+    """The operator lacks a capability: candidate supports or exact evaluation."""
 
 
 class InternalInvariantError(ImclimError, RuntimeError):

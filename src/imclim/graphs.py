@@ -9,7 +9,7 @@ of reaching ``y`` from ``x`` is positive, that is, when some candidate pmf at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,27 +118,6 @@ def _strongly_connected_components(n, xs, ys) -> tuple[list[frozenset[int]], np.
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return components, np.array(depth, dtype=np.intp)
-
-
-def cyclicity(graph: AccessGraph, members: Iterable[int]) -> int | None:
-    """Greatest common divisor of the lengths of closed paths inside the class.
-
-    The cyclicity that :func:`communication_classes` gives the members'
-    induced subgraph, which must be a single class.  Returns ``None`` for a
-    class without internal closed paths (cyclicity undefined there).  Raises
-    :class:`PreconditionError` when the members are empty, out of range or
-    not strongly connected.
-    """
-    m = tuple(sorted(set(members)))
-    if not m:
-        raise PreconditionError("cyclicity of an empty class is undefined")
-    if m[0] < 0 or m[-1] >= graph.n:
-        raise PreconditionError(f"class members out of range: {m}")
-    block = AccessGraph(tuple(graph.labels[i] for i in m), graph.adjacency[np.ix_(m, m)])
-    classes = communication_classes(block)
-    if len(classes) != 1:
-        raise PreconditionError("cyclicity requires a strongly connected class")
-    return classes[0].cyclicity
 
 
 def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:

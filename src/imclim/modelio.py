@@ -31,13 +31,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ImclimError, ModelValidationError
-from .operators import (
-    BUILTIN_OPERATORS,
-    CredalFamily,
-    CredalOperator,
-    UpperOperator,
-    validate_family,
-)
+from .operators import BUILTIN_OPERATORS, CredalOperator, UpperOperator, validate_family
 
 RATIONAL_HINT = 'write probabilities as strings like "1/4", "0.25" or "1"'
 
@@ -112,7 +106,7 @@ def load_model(source: str | Path) -> UpperOperator:
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelValidationError(f"cannot read model file {path}: {exc}") from exc
     try:
-        return parse_model(json.loads(text, object_pairs_hook=_reject_duplicate_keys))
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ModelValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -121,25 +115,12 @@ def load_model(source: str | Path) -> UpperOperator:
         raise ModelValidationError(f"{path}: JSON nested too deeply to parse") from exc
     except ModelValidationError as exc:
         raise ModelValidationError(f"{path}: {exc}") from exc
-
-
-def family_to_jsonable(family: CredalFamily) -> dict:
-    """Serialize a family back into the model-file structure (round-trippable)."""
-    sets: dict[str, list[dict[str, str]]] = {}
-    for x, label in enumerate(family.space.labels):
-        sets[label] = [
-            {family.space.labels[y]: str(mass) for y, mass in p.mass}
-            for p in family.per_state[x]
-        ]
-    return {"states": list(family.space.labels), "credal_sets": sets}
-
-
-def dump_model(family: CredalFamily, target: str | Path | IO[str]) -> None:
-    payload = json.dumps(family_to_jsonable(family), indent=2) + "\n"
-    if hasattr(target, "write"):
-        target.write(payload)
-    else:
-        Path(target).write_text(payload)
+    except ValueError as exc:  # the decoder's own limits, e.g. on the digits of an integer
+        raise ModelValidationError(f"{path}: cannot decode JSON: {exc}") from exc
+    try:
+        return parse_model(data)
+    except ModelValidationError as exc:
+        raise ModelValidationError(f"{path}: {exc}") from exc
 
 
 def write_orbit_trace(

@@ -16,9 +16,11 @@ which states each candidate pmf can reach, so every operator declares it as a
 :class:`SupportTable` through :meth:`UpperOperator.supports`: one boolean row
 per candidate support.  Edges and lower reachability are read off the rows
 with no arithmetic, so strict-positivity tests never depend on the scale of
-the input, and deeper decomposition levels cut the table by mask instead of
-rebuilding an operator.  Numerical iteration lives in :mod:`imclim.orbits` and
-uses IEEE doubles.
+the input.  :meth:`SupportTable.restrict` is the one restriction: deeper
+decomposition levels cut the table by mask, and no restricted operator is
+ever built.  An operator therefore declares only its ``space``, ``apply``
+and ``supports``, and optionally ``apply_exact``.  Numerical iteration lives
+in :mod:`imclim.orbits` and uses IEEE doubles.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -100,7 +102,11 @@ class Pmf:
             raise ModelValidationError(f"negative mass at positions {negative}")
         total = sum(m for _, m in items)
         if total != 1:
-            raise ModelValidationError(f"masses sum to {total}, expected exactly 1")
+            try:
+                text = str(total)
+            except ValueError:  # more digits than the interpreter converts to text
+                text = "a rational too long to print"
+            raise ModelValidationError(f"masses sum to {text}, expected exactly 1")
         object.__setattr__(self, "mass", tuple((i, m) for i, m in items if m))
 
     def expectation(self, values: Sequence):
@@ -110,11 +116,6 @@ class Pmf:
                 f"function has length {len(values)}, pmf has length {self.n}"
             )
         return sum(m * values[i] for i, m in self.mass)
-
-
-def onehot(index: int, n: int) -> Pmf:
-    """Point mass at ``index`` over ``n`` states."""
-    return Pmf(n, {index: 1})
 
 
 def _dense_order(p: Pmf) -> tuple:
@@ -153,39 +154,6 @@ class CredalFamily:
                     )
             cleaned.append(tuple(sorted(set(pmfs), key=_dense_order)))
         object.__setattr__(self, "per_state", tuple(cleaned))
-
-    def restrict(self, keep: Sequence[int]) -> "CredalFamily":
-        """Family over ``keep`` built from the pmfs supported inside ``keep``.
-
-        A kept pmf is the parent pmf with its indices renumbered; its masses
-        are unchanged, so it is not validated again, and the renumbering is
-        monotone and injective, so the kept pmfs stay distinct and in
-        canonical order.  Raises :class:`NotWellDefinedError` when some
-        retained state keeps no pmf at all.
-        """
-        keep = tuple(sorted(set(keep)))
-        if not keep:
-            raise ModelValidationError("cannot restrict to an empty class")
-        if keep[0] < 0 or keep[-1] >= len(self.space):
-            raise ModelValidationError(f"restriction indices out of range: {keep}")
-        sub_space = self.space.subset(keep)
-        local = {x: i for i, x in enumerate(keep)}
-        per = []
-        for x in keep:
-            kept = []
-            for p in self.per_state[x]:
-                if all(y in local for y, _ in p.mass):
-                    q = object.__new__(Pmf)
-                    object.__setattr__(q, "n", len(keep))
-                    object.__setattr__(q, "mass", tuple((local[y], m) for y, m in p.mass))
-                    kept.append(q)
-            if not kept:
-                raise NotWellDefinedError(self.space.labels[x], sub_space.labels)
-            per.append(tuple(kept))
-        family = object.__new__(CredalFamily)
-        object.__setattr__(family, "space", sub_space)
-        object.__setattr__(family, "per_state", tuple(per))
-        return family
 
 
 def validate_family(
@@ -315,16 +283,6 @@ class UpperOperator(ABC):
             "refusing to derive structure from floating-point thresholds"
         )
 
-    def restrict(self, keep: Sequence[int]) -> "UpperOperator":
-        """Operator restricted to the class ``keep`` (ascending original indices).
-
-        Closed-form operators must register their own restriction rules;
-        without them this raises :class:`UnsupportedOperatorError`.
-        """
-        raise UnsupportedOperatorError(
-            f"{type(self).__name__} registers no restriction rules"
-        )
-
     def _check_vector(self, f) -> np.ndarray:
         g = np.asarray(f, dtype=float)
         if g.ndim not in (1, 2) or g.shape[0] != self.n:
@@ -381,11 +339,6 @@ class CredalOperator(UpperOperator):
 
     def supports(self):
         return self._table
-
-    def restrict(self, keep):
-        if set(keep) == set(range(self.n)):
-            return self
-        return type(self)(self._family.restrict(keep))
 
 
 def _max2(x, y):
@@ -455,19 +408,6 @@ class CounterexampleOperator(UpperOperator):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}
         rows = [[1, 0, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [1, 0, 0], [0, 1, 0]]
         return SupportTable(self._SPACE, np.array([0, 1, 4]), np.array(rows, dtype=bool))
-
-    def restrict(self, keep):
-        if tuple(sorted(set(keep))) == (0, 1, 2):
-            return self
-        # Candidates that can survive a restriction to a proper subclass: the
-        # point masses among the defining pmfs (the curve only touches a point
-        # mass at t = 0, where it sits entirely on state c).
-        vertices = (
-            (onehot(0, 3),),
-            (onehot(0, 3), onehot(2, 3)),
-            (onehot(0, 3), onehot(1, 3)),
-        )
-        return CredalOperator(CredalFamily(self._SPACE, vertices).restrict(keep))
 
 
 #: Closed-form operators addressable from model sources by name.

@@ -24,6 +24,9 @@ its own step; the running columns stay a contiguous prefix of the buffers.
 A suite whose ring and residual buffers would exceed ``_BLOCK_BYTES`` runs as
 several blocks, one after another.  :func:`iterate_orbit` is the one-column
 case.
+
+The module is purely numeric and reads no graph structure:
+:func:`search_cycle_witness` is handed its class as a list of members.
 """
 
 from __future__ import annotations
@@ -33,13 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InternalInvariantError,
-    NotWellDefinedError,
-    PreconditionError,
-)
-from .graphs import ClassInfo, build_graph, communication_classes
+from .errors import DimensionMismatchError, PreconditionError
 from .operators import UpperOperator
 
 #: Ring and residual buffer memory one block of columns may take; wider suites
@@ -251,67 +248,6 @@ def _iterate_block(
     return results
 
 
-def orbit_limit_on_regular_class(
-    op: UpperOperator,
-    members: Iterable[int],
-    f: Sequence[float],
-    params: OrbitParams | None = None,
-    classes: Sequence[ClassInfo] | None = None,
-) -> float:
-    """Constant limit of the orbit of ``f`` restricted to a regular maximal class.
-
-    The restricted orbit of a regular class converges to a constant that
-    dominates the minimum of the start function, strictly so when the start is
-    not constant on the class; violations raise
-    :class:`InternalInvariantError`, as does non-convergence within budget.
-    Maximality and regularity are read from ``classes`` (computed once when not
-    given), and the class is restricted through :meth:`UpperOperator.restrict`.
-    """
-    p = params or OrbitParams()
-    target = frozenset(members)
-    if classes is None:
-        classes = communication_classes(build_graph(op.supports()))
-    info = next((c for c in classes if c.members == target), None)
-    name = "{" + ", ".join(op.space.labels_of(target)) + "}"
-    if info is None or not info.is_maximal:
-        raise PreconditionError(f"{name} is not a maximal communication class")
-    if info.cyclicity != 1:
-        raise PreconditionError(f"class {name} is not regular")
-    keep = sorted(target)
-    try:
-        sub = op.restrict(keep)
-    except NotWellDefinedError as exc:  # closedness guarantees non-empty sets
-        raise InternalInvariantError(
-            f"restriction to a maximal class failed unexpectedly: {exc}"
-        ) from exc
-    g = np.asarray(f, dtype=float)
-    if g.shape != (op.n,):
-        raise PreconditionError(f"function has shape {g.shape}, expected ({op.n},)")
-    start = g[keep]
-    result = iterate_orbit(sub, start, p)
-    if not result.converged:
-        raise InternalInvariantError(
-            "orbit on a regular class failed to converge within budget"
-        )
-    limit = result.limit
-    spread = float(limit.max() - limit.min())
-    if spread > 10 * p.tolerance:
-        raise InternalInvariantError(
-            f"limit on a regular class must be constant; spread {spread:g}"
-        )
-    phi = float(limit.mean())
-    lowest = float(start.min())
-    if phi < lowest - p.tolerance:
-        raise InternalInvariantError(
-            f"limit {phi:g} fails to dominate the minimum {lowest:g}"
-        )
-    if float(start.max()) > lowest and not phi > lowest:
-        raise InternalInvariantError(
-            "limit must strictly dominate the minimum of a non-constant start"
-        )
-    return phi
-
-
 @dataclass(frozen=True)
 class OrbitCheck:
     """One suite entry: the function iterated and what the engine saw."""
@@ -339,8 +275,11 @@ def default_function_suite(
     """All single-state indicators plus ``extra`` random functions.
 
     Random entries alternate between uniform draws and random 0/1 vectors;
-    the latter are much better at exposing alternating limit cycles.
+    the latter are much better at exposing alternating limit cycles.  Raises
+    :class:`PreconditionError` for a negative ``extra``.
     """
+    if extra < 0:
+        raise PreconditionError(f"the number of random suite functions must be >= 0, got {extra}")
     n = op.n
     suite: list[tuple[str, np.ndarray]] = []
     for i, label in enumerate(op.space.labels):

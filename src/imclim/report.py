@@ -19,6 +19,7 @@ from .decomposition import (
     decide_convergence,
     decompose,
 )
+from .errors import PreconditionError
 from .operators import StateSpace, UpperOperator
 from .orbits import (
     OrbitCheck,
@@ -163,8 +164,15 @@ def analyze(
     ``suite_random=None`` skips the numerical cross-check entirely; any
     integer (including 0) runs the indicator suite plus that many random
     functions.  A "no" verdict triggers a best-effort search for a concrete
-    cycling orbit regardless.
+    cycling orbit regardless.  Raises :class:`PreconditionError` for a
+    negative ``seed`` or ``suite_random`` before any work is done.
     """
+    if seed < 0:
+        raise PreconditionError(f"the seed must be a non-negative integer, got {seed}")
+    if suite_random is not None and suite_random < 0:
+        raise PreconditionError(
+            f"the number of random suite functions must be >= 0, got {suite_random}"
+        )
     dec = decompose(op)
     verdict = decide_convergence(op, dec)
     witness_orbit = None

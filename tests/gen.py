@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
+from typing import IO
 
 import numpy as np
 
 from imclim import (
     AccessGraph,
+    ClassInfo,
+    CounterexampleOperator,
     CredalFamily,
     CredalOperator,
     Decomposition,
@@ -26,8 +32,8 @@ from imclim import (
     UpperOperator,
     build_graph,
     communication_classes,
+    iterate_orbit,
     lower_reach_set,
-    onehot,
 )
 
 LABELS = "abcdefgh"
@@ -50,7 +56,7 @@ def identity_operator(labels) -> CredalOperator:
     """Operator whose only candidate at each state is the point mass on itself."""
     space = StateSpace(tuple(labels))
     n = len(space)
-    return CredalOperator(CredalFamily(space, tuple((onehot(i, n),) for i in range(n))))
+    return CredalOperator(CredalFamily(space, tuple((Pmf(n, {i: 1}),) for i in range(n))))
 
 
 def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
@@ -378,7 +384,43 @@ def closed_walk_period(graph: AccessGraph, members) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# restriction helpers
+# operator restriction: the reference for ``SupportTable.restrict``
+
+
+def restrict(op: UpperOperator, keep) -> UpperOperator:
+    """Operator over ``keep`` built from the candidates supported inside ``keep``.
+
+    A kept pmf is the parent pmf with its indices renumbered.  Restricting to
+    the whole space returns ``op`` itself.  The closed-form builtin restricts
+    its point-mass candidates: the curve at ``b`` is a point mass only at
+    ``t = 0``, where it sits on ``c``.  Raises :class:`NotWellDefinedError`
+    naming the first kept state that keeps no pmf.
+    """
+    keep = tuple(sorted(set(keep)))
+    if keep == tuple(range(op.n)):
+        return op
+    if isinstance(op, CounterexampleOperator):
+        a, b, c = (Pmf(3, {i: 1}) for i in range(3))
+        family = CredalFamily(op.space, ((a,), (a, c), (a, b)))
+    else:
+        family = op.family
+    if not keep:
+        raise ModelValidationError("cannot restrict to an empty class")
+    if keep[0] < 0 or keep[-1] >= op.n:
+        raise ModelValidationError(f"restriction indices out of range: {keep}")
+    sub_space = op.space.subset(keep)
+    local = {x: i for i, x in enumerate(keep)}
+    per = []
+    for x in keep:
+        kept = tuple(
+            Pmf(len(keep), {local[y]: m for y, m in p.mass})
+            for p in family.per_state[x]
+            if all(y in local for y, _ in p.mass)
+        )
+        if not kept:
+            raise NotWellDefinedError(op.space.labels[x], sub_space.labels)
+        per.append(kept)
+    return CredalOperator(CredalFamily(sub_space, tuple(per)))
 
 
 def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOperator:
@@ -387,7 +429,7 @@ def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOpe
     if not members:
         raise PreconditionError("there are no unabsorbed transient states to restrict to")
     try:
-        return op.restrict(sorted(members))
+        return restrict(op, members)
     except NotWellDefinedError as exc:
         raise InternalInvariantError(
             f"restriction to the unabsorbed transient states failed: {exc}"
@@ -409,11 +451,192 @@ def nested_restriction_check(op: UpperOperator, outer, inner) -> bool:
     if not inner_set <= outer_set:
         raise PreconditionError("the inner class must be contained in the outer class")
     outer_keep = sorted(outer_set)
-    direct = op.restrict(sorted(inner_set))
-    first = op.restrict(outer_keep)
+    direct = restrict(op, inner_set)
+    first = restrict(op, outer_keep)
     local_inner = tuple(outer_keep.index(i) for i in sorted(inner_set))
-    two_step = first.restrict(local_inner)
+    two_step = restrict(first, local_inner)
     return _same_family(direct, two_step)
+
+
+# ---------------------------------------------------------------------------
+# paper checks: cyclicity of one class, and Propositions 2 and 4 on single classes
+
+
+def cyclicity(graph: AccessGraph, members) -> int | None:
+    """Greatest common divisor of the lengths of closed paths inside the class.
+
+    The cyclicity that :func:`communication_classes` gives the members'
+    induced subgraph, which must be a single class.  Returns ``None`` for a
+    class without internal closed paths (cyclicity undefined there).  Raises
+    :class:`PreconditionError` when the members are empty, out of range or
+    not strongly connected.
+    """
+    m = tuple(sorted(set(members)))
+    if not m:
+        raise PreconditionError("cyclicity of an empty class is undefined")
+    if m[0] < 0 or m[-1] >= graph.n:
+        raise PreconditionError(f"class members out of range: {m}")
+    block = AccessGraph(tuple(graph.labels[i] for i in m), graph.adjacency[np.ix_(m, m)])
+    classes = communication_classes(block)
+    if len(classes) != 1:
+        raise PreconditionError("cyclicity requires a strongly connected class")
+    return classes[0].cyclicity
+
+
+def orbit_limit_on_regular_class(
+    op: UpperOperator,
+    members,
+    f,
+    params: OrbitParams | None = None,
+    classes: tuple[ClassInfo, ...] | None = None,
+) -> float:
+    """Constant limit of the orbit of ``f`` restricted to a regular maximal class.
+
+    The restricted orbit of a regular class converges to a constant that
+    dominates the minimum of the start function, strictly so when the start is
+    not constant on the class; violations raise
+    :class:`InternalInvariantError`, as does non-convergence within budget.
+    Maximality and regularity are read from ``classes`` (computed once when not
+    given), and the class is restricted through :func:`restrict`.
+    """
+    p = params or OrbitParams()
+    target = frozenset(members)
+    if classes is None:
+        classes = communication_classes(build_graph(op.supports()))
+    info = next((c for c in classes if c.members == target), None)
+    name = "{" + ", ".join(op.space.labels_of(target)) + "}"
+    if info is None or not info.is_maximal:
+        raise PreconditionError(f"{name} is not a maximal communication class")
+    if info.cyclicity != 1:
+        raise PreconditionError(f"class {name} is not regular")
+    keep = sorted(target)
+    try:
+        sub = restrict(op, keep)
+    except NotWellDefinedError as exc:  # closedness guarantees non-empty sets
+        raise InternalInvariantError(
+            f"restriction to a maximal class failed unexpectedly: {exc}"
+        ) from exc
+    g = np.asarray(f, dtype=float)
+    if g.shape != (op.n,):
+        raise PreconditionError(f"function has shape {g.shape}, expected ({op.n},)")
+    start = g[keep]
+    result = iterate_orbit(sub, start, p)
+    if not result.converged:
+        raise InternalInvariantError(
+            "orbit on a regular class failed to converge within budget"
+        )
+    limit = result.limit
+    spread = float(limit.max() - limit.min())
+    if spread > 10 * p.tolerance:
+        raise InternalInvariantError(
+            f"limit on a regular class must be constant; spread {spread:g}"
+        )
+    phi = float(limit.mean())
+    lowest = float(start.min())
+    if phi < lowest - p.tolerance:
+        raise InternalInvariantError(
+            f"limit {phi:g} fails to dominate the minimum {lowest:g}"
+        )
+    if float(start.max()) > lowest and not phi > lowest:
+        raise InternalInvariantError(
+            "limit must strictly dominate the minimum of a non-constant start"
+        )
+    return phi
+
+
+BASIS_SINGLE_CLASS = "Proposition 2"
+
+
+@dataclass(frozen=True)
+class LimitBoundCheck:
+    """Numeric domination check for the limit of one sampled orbit."""
+
+    function: tuple[float, ...]
+    limit: float
+    min_value: float
+    dominates: bool
+    strict: bool | None  # None when the start function is constant
+
+
+@dataclass(frozen=True)
+class SingleClassReport:
+    """For single-class operators the three notions coincide with regularity."""
+
+    members: tuple[str, ...]
+    cyclicity: int | None
+    regular: bool
+    convergent: bool
+    ergodic: bool
+    basis: str
+    limit_bound: LimitBoundCheck | None
+
+
+def single_class_equivalence_report(
+    op: UpperOperator, f=None, params: OrbitParams | None = None
+) -> SingleClassReport:
+    """Report on an operator whose accessibility graph is a single class.
+
+    Convergence, ergodicity and regularity are equivalent here, so the report
+    simply evaluates the cyclicity and mirrors it.  When the class is regular
+    the limit-domination check runs on ``f`` (a non-constant ramp by default):
+    the constant limit dominates the minimum of the start function, strictly
+    when the start is not constant.
+    """
+    classes = communication_classes(build_graph(op.supports()))
+    if len(classes) != 1:
+        raise PreconditionError(
+            f"expected a single communication class, found {len(classes)}"
+        )
+    info = classes[0]
+    regular = info.cyclicity == 1
+    limit_bound = None
+    if regular:
+        if f is None:
+            f = np.arange(op.n, dtype=float) / max(1, op.n - 1)
+        start = np.asarray(f, dtype=float)
+        p = params or OrbitParams()
+        phi = orbit_limit_on_regular_class(op, info.members, start, p, classes)
+        lowest = float(start.min())
+        constant = bool(float(start.max()) == lowest)
+        limit_bound = LimitBoundCheck(
+            function=tuple(float(v) for v in start),
+            limit=phi,
+            min_value=lowest,
+            dominates=phi >= lowest - p.tolerance,
+            strict=None if constant else bool(phi > lowest),
+        )
+    return SingleClassReport(
+        members=op.space.labels_of(info.members),
+        cyclicity=info.cyclicity,
+        regular=regular,
+        convergent=regular,
+        ergodic=regular,
+        basis=BASIS_SINGLE_CLASS,
+        limit_bound=limit_bound,
+    )
+
+
+# ---------------------------------------------------------------------------
+# model serialisation, the inverse of ``parse_model``
+
+
+def family_to_jsonable(family: CredalFamily) -> dict:
+    """Serialize a family back into the model-file structure (round-trippable)."""
+    sets: dict[str, list[dict[str, str]]] = {}
+    for x, label in enumerate(family.space.labels):
+        sets[label] = [
+            {family.space.labels[y]: str(mass) for y, mass in p.mass}
+            for p in family.per_state[x]
+        ]
+    return {"states": list(family.space.labels), "credal_sets": sets}
+
+
+def dump_model(family: CredalFamily, target: str | Path | IO[str]) -> None:
+    payload = json.dumps(family_to_jsonable(family), indent=2) + "\n"
+    if hasattr(target, "write"):
+        target.write(payload)
+    else:
+        Path(target).write_text(payload)
 
 
 def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = None) -> OrbitResult:

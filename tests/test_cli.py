@@ -42,6 +42,27 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["analyze", DEMO_MODEL, "--bogus"],
+    ["analyze", DEMO_MODEL, "--max-iters", "abc"],
+    ["orbit", DEMO_MODEL, "-f", "b", "--seed", "3"],  # random starts take -f random:SEED
+    ["bogus", DEMO_MODEL],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # argparse would exit 2, the code of a "not convergent" verdict
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: imclim")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["analyze", "--help"])
+    assert exc_info.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
 class TestAnalyze:
     def test_convergent_model_exits_zero(self, capsys):
         assert main(["analyze", DEMO_MODEL]) == 0
@@ -83,6 +104,16 @@ class TestAnalyze:
             report = emitted_report(capsys)
             assert report["verdicts"]["convergent"] == verdict
 
+    @pytest.mark.parametrize("flags, phrase", [
+        (["--suite", "0", "--seed", "-1"], "seed must be a non-negative integer"),
+        (["--suite", "-3"], "random suite functions must be >= 0"),
+    ])
+    def test_negative_seed_or_suite_exits_one(self, flags, phrase, capsys):
+        assert main(["analyze", DEMO_MODEL, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and phrase in captured.err
+
     def test_duplicate_state_in_credal_sets_exits_one(self, tmp_path, capsys):
         # the second "b" would otherwise silently replace the first, and the
         # swap model would be reported convergent
@@ -115,6 +146,11 @@ class TestBadInput:
         path.write_bytes(text.encode("latin-1"))
         for command in ("analyze", "graph", "decompose"):
             self.assert_error([command, str(path)], capsys, "cannot read model file")
+
+    def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text('{"states": ["a"], "credal_sets": {"a": [{"a": %s}]}}' % ("1" * 5000))
+        self.assert_error(["analyze", str(path)], capsys, "cannot decode JSON")
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -174,6 +210,11 @@ class TestOrbit:
     def test_bad_function_spec(self, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", "zz"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_rational_beyond_float_range(self, capsys):
+        spec = "9" * 400 + "/1,0,0,0,0"
+        assert main(["orbit", DEMO_MODEL, "-f", spec]) == 1
+        assert "out of float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["x", "-3", "1.5", ""])
     def test_bad_random_seed(self, seed, capsys):

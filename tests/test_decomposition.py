@@ -17,7 +17,6 @@ from imclim import (
     decide_ergodicity,
     decompose,
     partition_states,
-    single_class_equivalence_report,
     validate_family,
 )
 from imclim.decomposition import (
@@ -77,7 +76,7 @@ class TestDecompose:
     def test_levels_restrict_the_original_family(self, running_op):
         dec = decompose(running_op)
         level2 = dec.levels[1]
-        direct = running_op.restrict(level2.states).supports()
+        direct = gen.restrict(running_op, level2.states).supports()
         cut = running_op.supports().restrict(level2.states)
         assert np.array_equal(cut.rows, direct.rows)
         assert np.array_equal(cut.starts, direct.starts)
@@ -234,7 +233,7 @@ class TestConvergenceOnMaximalStates:
             for info in classes:
                 if not info.is_maximal:
                     continue
-                sub = op.restrict(sorted(info.members))
+                sub = gen.restrict(op, sorted(info.members))
                 f = np.zeros(sub.n)
                 f[0] = 1.0
                 result = iterate_orbit(sub, f, fast)
@@ -289,7 +288,7 @@ class TestAbsorbedCases:
                 continue
             members = targets[0]
             keep = sorted(members)
-            restricted = op.restrict(keep)
+            restricted = gen.restrict(op, keep)
             f = np.array([rng.random() for _ in range(op.n)])
             full = iterate_orbit(op, f, fast)
             local = iterate_orbit(restricted, f[keep], fast)
@@ -307,7 +306,7 @@ class TestTheoremRouteEquivalence:
         part = partition_states(op.supports(), classes)
         if not part.unabsorbed_transients:
             return True
-        sub = op.restrict(sorted(part.unabsorbed_transients))
+        sub = gen.restrict(op, sorted(part.unabsorbed_transients))
         return TestTheoremRouteEquivalence._recursive_route(sub)
 
     def test_flat_and_recursive_routes_agree(self):
@@ -320,7 +319,7 @@ class TestTheoremRouteEquivalence:
 
 class TestSingleClassReport:
     def test_two_cycle_not_regular(self, two_cycle_op):
-        report = single_class_equivalence_report(two_cycle_op)
+        report = gen.single_class_equivalence_report(two_cycle_op)
         assert report.cyclicity == 2
         assert not report.regular and not report.convergent and not report.ergodic
         assert report.limit_bound is None
@@ -331,7 +330,7 @@ class TestSingleClassReport:
             "y": [{"x": F(1, 2), "y": F(1, 2)}, {"y": F(1)}],
         }
         op = CredalOperator(validate_family(["x", "y"], sets))
-        report = single_class_equivalence_report(op, [0.0, 1.0])
+        report = gen.single_class_equivalence_report(op, [0.0, 1.0])
         assert report.regular and report.convergent and report.ergodic
         assert report.limit_bound is not None
         assert report.limit_bound.dominates
@@ -339,11 +338,11 @@ class TestSingleClassReport:
 
     def test_single_state_trivially_regular(self):
         op = gen.identity_operator(["s"])
-        report = single_class_equivalence_report(op)
+        report = gen.single_class_equivalence_report(op)
         assert report.regular and report.ergodic
         assert report.limit_bound is not None
         assert report.limit_bound.strict is None  # constant start on one state
 
     def test_rejects_multiple_classes(self, running_op):
         with pytest.raises(PreconditionError):
-            single_class_equivalence_report(running_op)
+            gen.single_class_equivalence_report(running_op)

@@ -12,7 +12,6 @@ from imclim import (
     UpperOperator,
     build_graph,
     communication_classes,
-    cyclicity,
     to_dot,
 )
 from imclim.operators import StateSpace
@@ -134,32 +133,32 @@ class TestClosed:
 
 class TestCyclicity:
     def test_self_loop_singleton(self, running_op):
-        assert cyclicity(build_graph(running_op.supports()), {0}) == 1
+        assert gen.cyclicity(build_graph(running_op.supports()), {0}) == 1
 
     def test_two_cycle(self, two_cycle_op):
-        assert cyclicity(build_graph(two_cycle_op.supports()), {0, 1}) == 2
+        assert gen.cyclicity(build_graph(two_cycle_op.supports()), {0, 1}) == 2
 
     def test_three_cycle_with_self_loop(self):
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 0] = True
         adjacency[0, 0] = True
         graph = AccessGraph(("x", "y", "z"), adjacency)
-        assert cyclicity(graph, {0, 1, 2}) == 1
+        assert gen.cyclicity(graph, {0, 1, 2}) == 1
 
     def test_pure_three_cycle(self):
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 0] = True
         graph = AccessGraph(("x", "y", "z"), adjacency)
-        assert cyclicity(graph, {0, 1, 2}) == 3
+        assert gen.cyclicity(graph, {0, 1, 2}) == 3
 
     def test_singleton_without_loop_is_undefined(self, counterexample_op):
         adjacency = np.zeros((1, 1), dtype=bool)
         graph = AccessGraph(("x",), adjacency)
-        assert cyclicity(graph, {0}) is None
+        assert gen.cyclicity(graph, {0}) is None
 
     def test_not_strongly_connected_rejected(self, running_op):
         with pytest.raises(PreconditionError):
-            cyclicity(build_graph(running_op.supports()), {0, 1})
+            gen.cyclicity(build_graph(running_op.supports()), {0, 1})
 
     def test_matches_closed_walk_reference(self):
         rng = random.Random(35)
@@ -169,7 +168,7 @@ class TestCyclicity:
             for c in communication_classes(graph):
                 expected = gen.closed_walk_period(graph, c.members)
                 assert c.cyclicity == expected
-                assert cyclicity(graph, c.members) == expected
+                assert gen.cyclicity(graph, c.members) == expected
                 others = sorted(set(range(graph.n)) - c.members)
                 members = sorted(c.members)
                 assert c.is_closed == (not graph.adjacency[np.ix_(members, others)].any())
@@ -194,7 +193,7 @@ class TestCyclicity:
         classes = communication_classes(build_graph(running_op.supports()))
         assert len(classes) == 3 and len(calls) == 1
         calls.clear()
-        assert cyclicity(build_graph(running_op.supports()), {2, 3, 4}) == 1
+        assert gen.cyclicity(build_graph(running_op.supports()), {2, 3, 4}) == 1
         assert len(calls) == 1
 
 
@@ -214,7 +213,7 @@ class TestRegularityOracle:
         for _ in range(300):
             graph = gen.random_scc_graph(rng)
             members = range(graph.n)
-            cyc = cyclicity(graph, members)
+            cyc = gen.cyclicity(graph, members)
             assert (cyc == 1) == gen.regularity_oracle(graph, members)
 
 

@@ -10,8 +10,6 @@ from imclim import (
     CounterexampleOperator,
     CredalOperator,
     ModelValidationError,
-    dump_model,
-    family_to_jsonable,
     load_model,
     parse_model,
     parse_rational,
@@ -132,6 +130,11 @@ class TestLoadModel:
 
 
 class TestParseModel:
+    def test_sum_too_long_to_print(self):
+        # 1 - 10**-5000 has more digits than the interpreter converts to text
+        with pytest.raises(ModelValidationError, match="too long to print"):
+            parse_model({"states": ["a"], "credal_sets": {"a": [{"a": "1e-5000"}]}})
+
     def test_structure_errors(self):
         with pytest.raises(ModelValidationError, match="JSON object"):
             parse_model([1, 2])
@@ -145,17 +148,17 @@ class TestParseModel:
 
 class TestRoundTrip:
     def test_family_round_trips(self, running_op):
-        payload = family_to_jsonable(running_op.family)
+        payload = gen.family_to_jsonable(running_op.family)
         reparsed = parse_model(payload)
         assert reparsed.family == running_op.family
 
     def test_dump_and_load(self, running_op, tmp_path):
         target = tmp_path / "model.json"
-        dump_model(running_op.family, target)
+        gen.dump_model(running_op.family, target)
         op = load_model(target)
         assert op.family == running_op.family
 
     def test_serialised_masses_are_canonical_strings(self, running_op):
-        payload = family_to_jsonable(running_op.family)
+        payload = gen.family_to_jsonable(running_op.family)
         entry = payload["credal_sets"]["c"][0]
         assert entry == {"a": "1/4", "b": "1/4", "d": "1/4", "e": "1/4"}

@@ -392,7 +392,7 @@ class TestStructuralHook:
         levels = 0
         for op in ops:
             for level, table in level_tables(op):
-                reference = op.restrict(level.states)
+                reference = gen.restrict(op, level.states)
                 assert_table_matches_exact(table, reference, rng)
                 assert np.array_equal(level.graph.adjacency, gen.exact_adjacency(reference))
                 current = level.partition.maximal_states
@@ -411,7 +411,7 @@ class TestStructuralHook:
         for bits in range(1, 7):
             keep = [i for i in range(3) if bits >> i & 1]
             try:
-                direct = counterexample_op.restrict(keep).supports()
+                direct = gen.restrict(counterexample_op, keep).supports()
             except NotWellDefinedError as exc:
                 with pytest.raises(NotWellDefinedError) as cut_exc:
                     table.restrict(keep)
@@ -421,7 +421,7 @@ class TestStructuralHook:
             assert cut.space == direct.space
             assert np.array_equal(cut.rows, direct.rows)
             assert np.array_equal(cut.starts, direct.starts)
-            assert_table_matches_exact(cut, counterexample_op.restrict(keep), rng)
+            assert_table_matches_exact(cut, gen.restrict(counterexample_op, keep), rng)
 
 
 class TestSparseAgainstDense:
@@ -457,11 +457,11 @@ class TestSparseAgainstDense:
             ]
             if not all(expected):
                 with pytest.raises(NotWellDefinedError):
-                    family.restrict(keep)
+                    gen.restrict(op, keep)
                 with pytest.raises(NotWellDefinedError):
                     op.supports().restrict(keep)
                 continue
-            restricted = family.restrict(keep)
+            restricted = gen.restrict(op, keep).family
             assert all(p.n == len(keep) for sets in restricted.per_state for p in sets)
             got = [[gen.dense(p) for p in sets] for sets in restricted.per_state]
             assert got == expected

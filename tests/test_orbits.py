@@ -17,7 +17,6 @@ from imclim import (
     iterate_orbit,
     iterate_orbits,
     oracle_compare,
-    orbit_limit_on_regular_class,
     partition_states,
     search_cycle_witness,
     write_orbit_trace,
@@ -237,13 +236,13 @@ class TestNonExpansiveness:
 
 class TestRegularClassLimit:
     def test_singleton_class_returns_value(self, running_op):
-        phi = orbit_limit_on_regular_class(running_op, {0}, [3.5, 0, 0, 0, 0])
+        phi = gen.orbit_limit_on_regular_class(running_op, {0}, [3.5, 0, 0, 0, 0])
         assert phi == pytest.approx(3.5)
 
     def test_max_operator_pair(self, running_op):
         part = partition_states(running_op.supports())
         level2 = gen.restrict_to_nonabs(running_op, part)
-        phi = orbit_limit_on_regular_class(level2, {0, 1}, [0.0, 1.0])
+        phi = gen.orbit_limit_on_regular_class(level2, {0, 1}, [0.0, 1.0])
         assert phi == pytest.approx(1.0)
 
     def test_strict_domination_on_random_regular_classes(self):
@@ -259,15 +258,13 @@ class TestRegularClassLimit:
             f = np.array([rng.random() for _ in range(op.n)])
             if op.n > 1 and f.max() - f.min() < 1e-3:
                 continue
-            phi = orbit_limit_on_regular_class(op, classes[0].members, f, FAST)
+            phi = gen.orbit_limit_on_regular_class(op, classes[0].members, f, FAST)
             assert phi >= f.min() - 1e-9
             if op.n > 1:
                 assert phi > f.min()
             checked += 1
 
     def test_given_classes_build_no_structure(self, running_op, monkeypatch):
-        import imclim.graphs
-        import imclim.orbits
         from imclim import build_graph, communication_classes
 
         classes = communication_classes(build_graph(running_op.supports()))
@@ -275,18 +272,16 @@ class TestRegularClassLimit:
         def forbidden(*args, **kwargs):
             raise AssertionError("structure computed again")
 
-        for module, name in ((imclim.orbits, "build_graph"),
-                             (imclim.orbits, "communication_classes"),
-                             (imclim.graphs, "cyclicity")):
-            monkeypatch.setattr(module, name, forbidden)
-        phi = orbit_limit_on_regular_class(
+        for name in ("build_graph", "communication_classes", "cyclicity"):
+            monkeypatch.setattr(gen, name, forbidden)
+        phi = gen.orbit_limit_on_regular_class(
             running_op, {1}, [0, 2.5, 0, 0, 0], classes=classes
         )
         assert phi == pytest.approx(2.5)
 
     def test_non_regular_class_rejected(self, two_cycle_op):
         with pytest.raises(Exception) as exc_info:
-            orbit_limit_on_regular_class(two_cycle_op, {0, 1}, [1.0, 0.0], FAST)
+            gen.orbit_limit_on_regular_class(two_cycle_op, {0, 1}, [1.0, 0.0], FAST)
         assert exc_info.type.__name__ in ("PreconditionError", "InternalInvariantError")
 
     def test_constant_limit_across_states_on_regular_single_class(self):
@@ -294,9 +289,9 @@ class TestRegularClassLimit:
         checked = 0
         while checked < 40:
             op = gen.random_single_class_operator(rng)
-            from imclim import build_graph, cyclicity
+            from imclim import build_graph
 
-            if cyclicity(build_graph(op.supports()), range(op.n)) != 1:
+            if gen.cyclicity(build_graph(op.supports()), range(op.n)) != 1:
                 continue
             f = gen.random_float_function(rng, op.n)
             result = iterate_orbit(op, f, FAST)
@@ -333,6 +328,10 @@ class TestOracleCompare:
         labels = [label for label, _ in suite]
         assert labels[:5] == [f"indicator:{l}" for l in running_op.space.labels]
         assert len(suite) == 9
+
+    def test_negative_extra_refused(self, running_op):
+        with pytest.raises(PreconditionError, match=">= 0"):
+            default_function_suite(running_op, extra=-1)
 
 
 class TestWitnessSearch:
