@@ -103,11 +103,15 @@ def _parse_function(spec: str, op) -> np.ndarray:
     spec = spec.strip()
     if spec.startswith("random:"):
         seed = spec.split(":", 1)[1].strip()
-        if not seed.isdecimal():
+        try:
+            value = int(seed) if seed.isdecimal() else None
+        except ValueError:  # more digits than the interpreter converts to an int
+            value = None
+        if value is None:
             raise ImclimError(
                 f"random function seed must be a non-negative integer, got {seed!r}"
             )
-        return np.random.default_rng(int(seed)).random(op.n)
+        return np.random.default_rng(value).random(op.n)
     if "," in spec:
         parts = [s.strip() for s in spec.split(",")]
         values = []

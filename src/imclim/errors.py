@@ -32,7 +32,7 @@ class NotWellDefinedError(PreconditionError):
 
 
 class UnsupportedOperatorError(ImclimError, TypeError):
-    """The operator lacks a capability: candidate supports or exact evaluation."""
+    """The operator declares no candidate supports, so it has no structure to analyse."""
 
 
 class InternalInvariantError(ImclimError, RuntimeError):

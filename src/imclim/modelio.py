@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -35,14 +36,30 @@ from .operators import BUILTIN_OPERATORS, CredalOperator, UpperOperator, validat
 
 RATIONAL_HINT = 'write probabilities as strings like "1/4", "0.25" or "1"'
 
+#: Largest decimal exponent, in magnitude, a rational string may carry.
+#: ``Fraction`` expands the exponent into an exact power of ten, which for
+#: ``"1e-999999999"`` would take hours and gigabytes, so larger ones are
+#: refused before it runs.
+MAX_DECIMAL_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")  # \d, as in Fraction: any Unicode digit
+
 
 def parse_rational(value, where: str = "value") -> Fraction:
     if isinstance(value, bool) or not isinstance(value, str):
         raise ModelValidationError(
             f"{where}: expected a rational string, got {value!r}; {RATIONAL_HINT}"
         )
+    text = value.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ModelValidationError(
+                f"{where}: the decimal exponent of a rational may be at most "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude; {RATIONAL_HINT}"
+            )
     try:
-        return Fraction(value.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelValidationError(
             f"{where}: cannot parse {value!r} as a rational; {RATIONAL_HINT}"

@@ -1,4 +1,4 @@
-"""Exact upper and lower transition operators over finite state spaces.
+"""Upper transition operators over finite state spaces.
 
 The central object is :class:`UpperOperator`: a map on real-valued functions
 over a finite state space that is subadditive, positively homogeneous and
@@ -19,8 +19,10 @@ with no arithmetic, so strict-positivity tests never depend on the scale of
 the input.  :meth:`SupportTable.restrict` is the one restriction: deeper
 decomposition levels cut the table by mask, and no restricted operator is
 ever built.  An operator therefore declares only its ``space``, ``apply``
-and ``supports``, and optionally ``apply_exact``.  Numerical iteration lives
-in :mod:`imclim.orbits` and uses IEEE doubles.
+and ``supports``.  Models keep their masses as exact rationals, but the
+package evaluates operators in IEEE doubles only, through ``apply``: the
+verdicts need no arithmetic, and the orbit engine in :mod:`imclim.orbits`
+iterates in floats.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -108,14 +110,6 @@ class Pmf:
                 text = "a rational too long to print"
             raise ModelValidationError(f"masses sum to {text}, expected exactly 1")
         object.__setattr__(self, "mass", tuple((i, m) for i, m in items if m))
-
-    def expectation(self, values: Sequence):
-        """Expected value of ``values``; exact when the values are rational."""
-        if len(values) != self.n:
-            raise DimensionMismatchError(
-                f"function has length {len(values)}, pmf has length {self.n}"
-            )
-        return sum(m * values[i] for i, m in self.mass)
 
 
 def _dense_order(p: Pmf) -> tuple:
@@ -268,10 +262,6 @@ class UpperOperator(ABC):
         """Apply the operator in double precision to an ``(n,)`` function or,
         column by column, to an ``(n, m)`` block of functions."""
 
-    def apply_exact(self, f: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Apply the operator exactly on rational inputs."""
-        raise UnsupportedOperatorError(f"{type(self).__name__} has no exact evaluation path")
-
     def supports(self) -> SupportTable:
         """The support of every candidate pmf, per state: the operator's structure.
 
@@ -327,16 +317,6 @@ class CredalOperator(UpperOperator):
         g = self._check_vector(f)
         return np.maximum.reduceat(self._matrix @ g, self._table.starts)
 
-    def apply_exact(self, f):
-        if len(f) != self.n:
-            raise DimensionMismatchError(
-                f"function has length {len(f)}, expected {self.n}"
-            )
-        vals = tuple(Fraction(x) for x in f)
-        return tuple(
-            max(p.expectation(vals) for p in sets) for sets in self._family.per_state
-        )
-
     def supports(self):
         return self._table
 
@@ -347,18 +327,17 @@ def _max2(x, y):
     return np.where(y > x, y, x)
 
 
-def _curve_max(fa, fb, fc, half):
-    # max over t in [0, half] of (fa - fc) t^2 + (fb - fc) t + fc, elementwise;
+def _curve_max(fa, fb, fc):
+    # max over t in [0, 1/2] of (fa - fc) t^2 + (fb - fc) t + fc, elementwise;
     # the concave case checks the interior vertex, everything else the endpoints.
-    # ``half`` is 0.5 on float arrays and Fraction(1, 2) on exact scalars.
     # Overflow to inf and inf - inf stay silent, as in Python float arithmetic.
-    a2 = fa - fc
-    a1 = fb - fc
     with np.errstate(over="ignore", invalid="ignore"):
-        best = _max2(fc, a2 * half * half + a1 * half + fc)
+        a2 = fa - fc
+        a1 = fb - fc
+        best = _max2(fc, a2 * 0.5 * 0.5 + a1 * 0.5 + fc)
         concave = a2 < 0
         vertex = -a1 / (2 * np.where(concave, a2, -1))
-        inside = concave & (0 < vertex) & (vertex < half)
+        inside = concave & (0 < vertex) & (vertex < 0.5)
         v_val = a2 * vertex * vertex + a1 * vertex + fc
         return np.where(inside & (v_val > best), v_val, best)
 
@@ -373,8 +352,8 @@ class CounterexampleOperator(UpperOperator):
         c:  max( f(a), f(b) )
 
     The inner maximum of the quadratic in ``t`` is taken in closed form over
-    the endpoints and the interior vertex, so evaluation is exact on rational
-    inputs.  The candidate supports are declared in :meth:`supports`.
+    the endpoints and the interior vertex.  The candidate supports are
+    declared in :meth:`supports`.
 
     Every orbit of this operator converges, yet its restriction to the states
     ``{b, c}`` is a pure swap of cyclicity 2: it is the canonical witness that
@@ -392,17 +371,9 @@ class CounterexampleOperator(UpperOperator):
     def space(self) -> StateSpace:
         return self._SPACE
 
-    @staticmethod
-    def _evaluate(fa, fb, fc, half):
-        return np.stack([fa, _max2(fa, _curve_max(fa, fb, fc, half)), _max2(fa, fb)])
-
     def apply(self, f):
-        return self._evaluate(*self._check_vector(f), 0.5)
-
-    def apply_exact(self, f):
-        if len(f) != 3:
-            raise DimensionMismatchError(f"function has length {len(f)}, expected 3")
-        return tuple(self._evaluate(*(Fraction(x) for x in f), Fraction(1, 2)))
+        fa, fb, fc = self._check_vector(f)
+        return np.stack([fa, _max2(fa, _curve_max(fa, fb, fc)), _max2(fa, fb)])
 
     def supports(self):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}

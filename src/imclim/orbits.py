@@ -250,10 +250,9 @@ def _iterate_block(
 
 @dataclass(frozen=True)
 class OrbitCheck:
-    """One suite entry: the function iterated and what the engine saw."""
+    """One suite entry: the label of the function iterated and what the engine saw."""
 
     label: str
-    function: tuple[float, ...]
     period: int | None
     converged: bool
 
@@ -300,12 +299,11 @@ def default_function_suite(
 def oracle_compare(
     op: UpperOperator,
     verdict,
-    fn_suite: Sequence[tuple[str, Sequence[float]]] | None = None,
     params: OrbitParams | None = None,
     extra_random: int = 10,
     seed: int = 0,
 ) -> OrbitComparison:
-    """Run an orbit suite, as one :func:`iterate_orbits` call, against a convergence verdict.
+    """Run the default orbit suite, as one :func:`iterate_orbits` call, against a verdict.
 
     ``verdict`` may be the string ``"yes"``/``"no"``/``"inconclusive"`` or any
     object with a ``convergent`` attribute.  A "yes" verdict disagrees with
@@ -317,22 +315,11 @@ def oracle_compare(
     verdict_str = getattr(verdict, "convergent", verdict)
     if verdict_str not in ("yes", "no", "inconclusive"):
         raise PreconditionError(f"unknown verdict {verdict_str!r}")
-    if fn_suite is None:
-        fn_suite = default_function_suite(
-            op, extra=extra_random, rng=np.random.default_rng(seed)
-        )
-    if not fn_suite:
-        raise PreconditionError("the function suite must be non-empty")
-    functions = [_as_function(op, vec) for _, vec in fn_suite]
-    results = iterate_orbits(op, np.stack(functions, axis=1), params)
+    suite = default_function_suite(op, extra=extra_random, rng=np.random.default_rng(seed))
+    results = iterate_orbits(op, np.stack([vec for _, vec in suite], axis=1), params)
     checks = [
-        OrbitCheck(
-            label=label,
-            function=tuple(float(v) for v in g),
-            period=result.detected_period,
-            converged=result.converged,
-        )
-        for (label, _), g, result in zip(fn_suite, functions, results)
+        OrbitCheck(label=label, period=result.detected_period, converged=result.converged)
+        for (label, _), result in zip(suite, results)
     ]
     discrepancies = []
     note = None
@@ -391,10 +378,5 @@ def search_cycle_witness(
     for label, vec in candidates:
         result = iterate_orbit(op, vec, params)
         if result.detected_period is not None and result.detected_period >= 2:
-            return OrbitCheck(
-                label=label,
-                function=tuple(float(v) for v in vec),
-                period=result.detected_period,
-                converged=False,
-            )
+            return OrbitCheck(label=label, period=result.detected_period, converged=False)
     return None

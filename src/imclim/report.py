@@ -148,8 +148,8 @@ class AnalysisReport:
             "orbit_evidence": evidence_block,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def analyze(

@@ -20,6 +20,7 @@ from imclim import (
     CredalFamily,
     CredalOperator,
     Decomposition,
+    DimensionMismatchError,
     InternalInvariantError,
     ModelValidationError,
     NotWellDefinedError,
@@ -228,7 +229,44 @@ def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGrap
 
 
 # ---------------------------------------------------------------------------
-# exact indicator evaluation: the reference for the support tables
+# exact evaluation: the reference for ``apply`` and the support tables
+
+
+def expectation(p: Pmf, values) -> Fraction:
+    """Expected value of ``values`` under ``p``; exact when the values are rational."""
+    if len(values) != p.n:
+        raise DimensionMismatchError(
+            f"function has length {len(values)}, pmf has length {p.n}"
+        )
+    return sum(m * values[i] for i, m in p.mass)
+
+
+def _counterexample_exact(fa: Fraction, fb: Fraction, fc: Fraction) -> tuple[Fraction, ...]:
+    # max over t in [0, 1/2] of (fa - fc) t^2 + (fb - fc) t + fc: the endpoints
+    # t = 0 and t = 1/2, and the vertex when the quadratic is concave with its
+    # maximiser strictly inside
+    half = Fraction(1, 2)
+    a2, a1 = fa - fc, fb - fc
+    curve = max(fc, a2 * half * half + a1 * half + fc)
+    if a2 < 0:
+        vertex = -a1 / (2 * a2)
+        if 0 < vertex < half:
+            curve = max(curve, a2 * vertex * vertex + a1 * vertex + fc)
+    return (fa, max(fa, curve), max(fa, fb))
+
+
+def apply_exact(op: UpperOperator, f) -> tuple[Fraction, ...]:
+    """The operator on rational inputs, exactly: the reference for ``op.apply``.
+
+    A credal operator takes the per-state maximum of exact expectations; the
+    builtin counterexample runs its closed form in :class:`Fraction`.
+    """
+    if len(f) != op.n:
+        raise DimensionMismatchError(f"function has length {len(f)}, expected {op.n}")
+    vals = tuple(Fraction(x) for x in f)
+    if isinstance(op, CounterexampleOperator):
+        return _counterexample_exact(*vals)
+    return tuple(max(expectation(p, vals) for p in sets) for sets in op.family.per_state)
 
 
 def _target_set(op: UpperOperator, targets) -> frozenset[int]:
@@ -241,13 +279,13 @@ def _target_set(op: UpperOperator, targets) -> frozenset[int]:
 
 def apply_lower_exact(op: UpperOperator, f) -> tuple[Fraction, ...]:
     """The lower operator as the conjugate map f -> -upper(-f)."""
-    return tuple(-v for v in op.apply_exact(tuple(-Fraction(x) for x in f)))
+    return tuple(-v for v in apply_exact(op, tuple(-Fraction(x) for x in f)))
 
 
 def upper_indicator(op: UpperOperator, targets) -> tuple[Fraction, ...]:
     """Exact per-state upper probability of hitting ``targets`` in one step."""
     idx = _target_set(op, targets)
-    return op.apply_exact(tuple(Fraction(int(i in idx)) for i in range(op.n)))
+    return apply_exact(op, tuple(Fraction(int(i in idx)) for i in range(op.n)))
 
 
 def lower_indicator(op: UpperOperator, targets) -> tuple[Fraction, ...]:
@@ -274,7 +312,7 @@ def lower_direct(op: CredalOperator, f) -> tuple[Fraction, ...]:
     """Lower operator by direct per-state minimum expectation (independent of conjugacy)."""
     vals = tuple(Fraction(x) for x in f)
     return tuple(
-        min(p.expectation(vals) for p in sets) for sets in op.family.per_state
+        min(expectation(p, vals) for p in sets) for sets in op.family.per_state
     )
 
 
@@ -293,7 +331,7 @@ def brute_force_power(op: CredalOperator, f, steps: int) -> tuple[Fraction, ...]
     for sequence in itertools.product(selections, repeat=steps):
         vec = vals
         for selection in reversed(sequence):
-            vec = tuple(selection[x].expectation(vec) for x in range(n))
+            vec = tuple(expectation(selection[x], vec) for x in range(n))
         best = list(vec) if best is None else [max(a, b) for a, b in zip(best, vec)]
     return tuple(best)
 

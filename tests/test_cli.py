@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -152,6 +153,17 @@ class TestBadInput:
         path.write_text('{"states": ["a"], "credal_sets": {"a": [{"a": %s}]}}' % ("1" * 5000))
         self.assert_error(["analyze", str(path)], capsys, "cannot decode JSON")
 
+    def test_mass_with_huge_decimal_exponent(self, tmp_path, capsys):
+        # refused before ``Fraction`` expands the exponent into a power of ten
+        path = tmp_path / "exponent.json"
+        path.write_text(
+            '{"states": ["a", "b"], "credal_sets": '
+            '{"a": [{"a": "1e-999999999", "b": "1"}], "b": [{"b": "1"}]}}'
+        )
+        start = time.perf_counter()
+        self.assert_error(["analyze", str(path)], capsys, 'credal_sets["a"][0]["a"]')
+        assert time.perf_counter() - start < 1.0
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
@@ -216,7 +228,9 @@ class TestOrbit:
         assert main(["orbit", DEMO_MODEL, "-f", spec]) == 1
         assert "out of float range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["x", "-3", "1.5", ""])
+    @pytest.mark.parametrize(
+        "seed", ["x", "-3", "1.5", "", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_bad_random_seed(self, seed, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", f"random:{seed}"]) == 1
         assert "non-negative integer" in capsys.readouterr().err

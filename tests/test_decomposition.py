@@ -83,7 +83,7 @@ class TestDecompose:
         assert np.array_equal(level2.graph.adjacency, direct.adjacency())
 
     def test_operator_without_supports_is_refused(self, running_op):
-        class ExactNoSupports(UpperOperator):
+        class NoSupports(UpperOperator):
             def __init__(self, inner):
                 self._inner = inner
 
@@ -94,10 +94,7 @@ class TestDecompose:
             def apply(self, f):
                 return self._inner.apply(f)
 
-            def apply_exact(self, f):
-                return self._inner.apply_exact(f)
-
-        wrapped = ExactNoSupports(running_op)
+        wrapped = NoSupports(running_op)
         with pytest.raises(UnsupportedOperatorError, match="declares no candidate supports"):
             decompose(wrapped)
 

@@ -13,7 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(imclim.__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_running_example.py", "03_orbit_engine.py"])
+@pytest.mark.parametrize(
+    "script", ["01_running_example.py", "03_orbit_engine.py", "04_random_screening.py"]
+)
 def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

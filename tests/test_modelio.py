@@ -14,6 +14,7 @@ from imclim import (
     parse_model,
     parse_rational,
 )
+from imclim.modelio import MAX_DECIMAL_EXPONENT
 
 F = Fraction
 
@@ -44,6 +45,15 @@ class TestParseRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ModelValidationError):
             parse_rational("1/0")
+
+    def test_decimal_exponent_bound(self):
+        bound = MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"1e-{bound}") == F(1, 10**bound)
+        assert parse_rational(f"2E+{bound}") == 2 * 10**bound
+        assert parse_rational("1e-0_0_5") == F(1, 10**5)
+        for text in (f"1e-{bound + 1}", f"1e{bound + 1}", "1e-999999999", "1e-" + "9" * 5000):
+            with pytest.raises(ModelValidationError, match=r"mass: the decimal exponent"):
+                parse_rational(text, where="mass")
 
 
 class TestLoadModel:
