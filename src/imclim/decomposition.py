@@ -97,7 +97,8 @@ def decompose(op: UpperOperator) -> Decomposition:
             graph=graph,
             partition=partition_states(table, local_classes),
             classes=tuple(
-                replace(c, members=frozenset(indices[i] for i in c.members))
+                replace(c, members=frozenset(indices[i] for i in c.members),
+                        phases=tuple(frozenset(indices[i] for i in p) for p in c.phases))
                 for c in local_classes
             ),
         )
@@ -117,6 +118,7 @@ class Witness:
     level: int
     members: tuple[str, ...]
     cyclicity: int | None
+    phases: tuple[tuple[str, ...], ...] = ()  # labels of ``ClassInfo.phases``
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,7 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
             level=level.index,
             members=dec.space.labels_of(info.members),
             cyclicity=info.cyclicity,
+            phases=tuple(dec.space.labels_of(p) for p in info.phases),
         )
         if op.is_finitely_generated:
             convergent = "no"

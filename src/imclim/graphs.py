@@ -52,7 +52,10 @@ class ClassInfo:
 
     ``cyclicity`` is ``None`` for a class without internal closed paths (a
     singleton with no self-loop); such a class is never regular.  Regularity
-    is only asserted for maximal classes.
+    is only asserted for maximal classes.  A maximal class of cyclicity
+    ``d >= 2`` lists its ``d`` cyclic subclasses in ``phases``: every edge
+    inside the class goes from ``phases[j]`` to ``phases[(j + 1) % d]``, and
+    ``phases[0]`` holds the smallest member.  Other classes leave it empty.
     """
 
     members: frozenset[int]
@@ -60,6 +63,7 @@ class ClassInfo:
     is_closed: bool
     cyclicity: int | None
     is_regular: bool
+    phases: tuple[frozenset[int], ...] = ()
 
 
 def build_graph(table: SupportTable) -> AccessGraph:
@@ -130,7 +134,9 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     internal edges.  The
     tree path from a class's first visited state to a member stays inside
     the class, so the depths are a spanning-tree potential, as breadth-first
-    levels are in Denardo (Math. Oper. Res. 1977).  For a communication
+    levels are in Denardo (Math. Oper. Res. 1977): with cyclicity ``d``,
+    ``depth(v) = depth(u) + 1 (mod d)`` on every internal edge, so the depths
+    mod ``d`` are the cyclic subclasses.  For a communication
     class, maximal (no other class reachable from it) and closed are the
     same property, so ``is_maximal`` is ``is_closed``.
     """
@@ -149,6 +155,11 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     for k, members in enumerate(sccs):
         is_closed = k not in open_classes
         cyc = int(period[k]) or None
+        phases = ()
+        if is_closed and (cyc or 0) > 1:
+            order = np.array(sorted(members))
+            phase = (depth[order] - depth[order[0]]) % cyc
+            phases = tuple(frozenset(order[phase == j].tolist()) for j in range(cyc))
         out.append(
             ClassInfo(
                 members=members,
@@ -156,6 +167,7 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
                 is_closed=is_closed,
                 cyclicity=cyc,
                 is_regular=bool(is_closed and cyc == 1),
+                phases=phases,
             )
         )
     return tuple(out)

@@ -163,9 +163,10 @@ def analyze(
 
     ``suite_random=None`` skips the numerical cross-check entirely; any
     integer (including 0) runs the indicator suite plus that many random
-    functions.  A "no" verdict triggers a best-effort search for a concrete
-    cycling orbit regardless.  Raises :class:`PreconditionError` for a
-    negative ``seed`` or ``suite_random`` before any work is done.
+    functions drawn from ``seed``.  A "no" verdict carries the certificate
+    of :func:`~imclim.orbits.search_cycle_witness`, which runs no orbit.
+    Raises :class:`PreconditionError` for a negative ``seed`` or
+    ``suite_random`` before any work is done.
     """
     if seed < 0:
         raise PreconditionError(f"the seed must be a non-negative integer, got {seed}")
@@ -176,9 +177,8 @@ def analyze(
     dec = decompose(op)
     verdict = decide_convergence(op, dec)
     witness_orbit = None
-    if verdict.convergent == "no" and verdict.witness is not None:
-        members = [op.space.index(label) for label in verdict.witness.members]
-        witness_orbit = search_cycle_witness(op, members, orbit_params, seed=seed)
+    if verdict.convergent == "no":
+        witness_orbit = search_cycle_witness(verdict.witness.phases)
     evidence = None
     if suite_random is not None:
         evidence = oracle_compare(

@@ -24,6 +24,7 @@ from imclim import (
     InternalInvariantError,
     ModelValidationError,
     NotWellDefinedError,
+    OrbitCheck,
     OrbitParams,
     OrbitResult,
     Pmf,
@@ -35,6 +36,7 @@ from imclim import (
     communication_classes,
     iterate_orbit,
     lower_reach_set,
+    validate_family,
 )
 
 LABELS = "abcdefgh"
@@ -178,6 +180,81 @@ def random_single_class_operator(
         classes = communication_classes(build_graph(op.supports()))
         if len(classes) == 1:
             return op
+
+
+def _spread(rng: random.Random, targets) -> dict[str, Fraction]:
+    """A pmf with positive random mass on each of ``targets``."""
+    weights = [rng.randint(1, 4) for _ in targets]
+    return {t: Fraction(w, sum(weights)) for t, w in zip(targets, weights)}
+
+
+def planted_cyclic_operator(
+    rng: random.Random,
+) -> tuple[CredalOperator, int, tuple[tuple[int, ...], ...]]:
+    """A "no" model: a closed class of cyclicity 2, 3 or 4 planted at level 1, 2 or 3.
+
+    Below the planted level ``L``, level ``l`` holds an absorbing state
+    ``s_l`` (its pmf ``{s_l: 1}`` keeps it from being absorbed earlier; a
+    second pmf leaks into ``s_(l-1)``, which keeps it off level ``l - 1``)
+    and, at random, a transient ``t_l`` whose every pmf meets ``s_l``.  At
+    level 1 of a level-1 plant, ``s_1`` sits beside the class.  Each state of
+    the class's phase ``j`` spreads one pmf over all of phase ``j + 1``, so
+    the class has cyclicity exactly ``d``; it may add a pmf on part of that
+    phase and, below level 1, a pmf that leaks mass below level ``L``.  One
+    state's pmf leaks into ``s_(L-1)`` only, which keeps the class off level
+    ``L - 1``.  A transient at level ``L`` may be absorbed into the class.
+    Labels are drawn at random and states are shuffled.
+
+    Returns the operator, ``L`` and the class's phases as state indices, in
+    edge order from the one holding the class's smallest index.
+    """
+    level = rng.randint(1, 3)
+    d = rng.choice((2, 3, 4))
+    phases = [[f"c{j}.{k}" for k in range(rng.randint(1, 2))] for j in range(d)]
+    cls = [x for phase in phases for x in phase]
+    pmfs: dict[str, list[dict]] = {}
+    below: list[str] = []
+    for lev in range(1, max(level, 2)):
+        s = f"s{lev}"
+        pmfs[s] = [{s: Fraction(1)}]
+        if lev > 1:
+            pmfs[s].append(_spread(rng, [f"s{lev - 1}", s]))
+        if rng.random() < 0.5:
+            t = f"t{lev}"
+            pmfs[t] = [_spread(rng, [s, t])]
+            if rng.random() < 0.5:
+                pmfs[t].append(_spread(rng, [s] + rng.sample(below + cls, rng.randint(0, 2))))
+            below.append(t)
+        below.append(s)
+    for j, phase in enumerate(phases):
+        target = phases[(j + 1) % d]
+        for x in phase:
+            pmfs[x] = [_spread(rng, target)]
+            if rng.random() < 0.5:
+                pmfs[x].append(_spread(rng, rng.sample(target, rng.randint(1, len(target)))))
+            if level > 1 and rng.random() < 0.5:
+                leak = rng.sample(below, rng.randint(1, min(2, len(below))))
+                leak += rng.sample(cls, rng.randint(0, 2))
+                pmfs[x].append(_spread(rng, leak))
+    if level > 1:
+        pmfs[rng.choice(cls)].append(
+            _spread(rng, [f"s{level - 1}"] + rng.sample(cls, rng.randint(0, 2)))
+        )
+    if rng.random() < 0.5:
+        pmfs["u"] = [_spread(rng, rng.sample(cls, rng.randint(1, 2)))]
+        if level > 1 and rng.random() < 0.5:
+            pmfs["u"].append(_spread(rng, ["u"] + rng.sample(below, 1)))
+    names = list(pmfs)
+    rng.shuffle(names)
+    label = dict(zip(names, rng.sample("abcdefghijklmnopqrstuvwxyz", len(names))))
+    op = CredalOperator(validate_family(
+        [label[x] for x in names],
+        {label[x]: [{label[y]: m for y, m in p.items()} for p in ps] for x, ps in pmfs.items()},
+    ))
+    index = {x: i for i, x in enumerate(names)}
+    cyclic = [tuple(sorted(index[x] for x in phase)) for phase in phases]
+    first = min(range(d), key=lambda j: cyclic[j][0])
+    return op, level, tuple(cyclic[first:] + cyclic[:first])
 
 
 def random_scc_graph(rng: random.Random, max_nodes: int = 8) -> AccessGraph:
@@ -754,3 +831,34 @@ def reference_counterexample_apply(f) -> np.ndarray:
             if v_val > curve:
                 curve = v_val
     return np.array([fa, max(fa, curve), max(fa, fb)])
+
+
+def float_cycle_witness(
+    op: UpperOperator,
+    members,
+    params: OrbitParams | None = None,
+    extra_random: int = 6,
+    seed: int = 0,
+) -> OrbitCheck | None:
+    """The float witness search that the structural certificate replaced, kept as a reference.
+
+    Tries the indicators of the class states, then random 0/1 vectors
+    supported on the class, one orbit at a time, and returns the first
+    sampled orbit with period >= 2 touching ``members``, or ``None``.
+    """
+    member_list = sorted(set(members))
+    rng = np.random.default_rng(seed)
+    candidates: list[tuple[str, np.ndarray]] = []
+    for i in member_list:
+        vec = np.zeros(op.n)
+        vec[i] = 1.0
+        candidates.append((f"indicator:{op.space.labels[i]}", vec))
+    for k in range(extra_random):
+        vec = np.zeros(op.n)
+        vec[member_list] = rng.integers(0, 2, len(member_list)).astype(float)
+        candidates.append((f"random01:{k}", vec))
+    for label, vec in candidates:
+        result = iterate_orbit(op, vec, params)
+        if result.detected_period is not None and result.detected_period >= 2:
+            return OrbitCheck(label=label, period=result.detected_period, converged=False)
+    return None

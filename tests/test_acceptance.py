@@ -21,6 +21,7 @@ from conftest import make_running_operator
 from imclim import (
     CounterexampleOperator,
     OrbitParams,
+    analyze,
     build_graph,
     communication_classes,
     decide_convergence,
@@ -190,6 +191,7 @@ def test_criterion_3_verdict_oracle_agreement():
     no_count = 0
     no_witnessed = 0
     no_exceptions = []
+    no_uncertified = []
 
     for k in range(instances):
         op = gen.random_operator(rng, n=rng.randint(2, 5), max_pmfs=3, max_den=8)
@@ -212,6 +214,16 @@ def test_criterion_3_verdict_oracle_agreement():
                     )
         elif verdict.convergent == "no":
             no_count += 1
+            # the certificate: a cyclic indicator inside the witness class, period d
+            certificate = analyze(op).witness_orbit
+            label = certificate.label if certificate else ""
+            named = label.removeprefix("cyclic-indicator:{").removesuffix("}").split(", ")
+            if not (
+                label.startswith("cyclic-indicator:{")
+                and set(named) <= set(verdict.witness.members)
+                and certificate.period == verdict.witness.cyclicity
+            ):
+                no_uncertified.append(k)
             if any(result.detected_period not in (None, 1) for result in results):
                 no_witnessed += 1
             else:
@@ -233,6 +245,8 @@ def test_criterion_3_verdict_oracle_agreement():
         failures.append(f"{len(yes_failures)} 'yes' instances with a non-converging suite orbit")
     if witness_rate < 0.95:
         failures.append(f"witness rate {witness_rate:.1%} < 95%")
+    if no_uncertified:
+        failures.append(f"'no' instances {no_uncertified} without a certificate on their witness")
     if elapsed >= 120:
         failures.append(f"runtime {elapsed:.1f}s >= 120s")
 

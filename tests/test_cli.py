@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -79,6 +80,13 @@ class TestAnalyze:
         assert main(["analyze", nonconvergent_path]) == 2
         out = capsys.readouterr().out
         assert "convergent=no" in out
+
+    def test_nonconvergent_report_carries_the_certificate(self, nonconvergent_path, capsys):
+        assert main(["analyze", nonconvergent_path, "--json"]) == 2
+        report = emitted_report(capsys)
+        assert report["verdicts"]["witness_orbit"] == {
+            "function": "cyclic-indicator:{b}", "period": 2,
+        }
 
     def test_malformed_model_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -200,6 +208,16 @@ class TestOrbit:
         assert main(["orbit", DEMO_MODEL, "-f", "random:7", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["period"] == 1
+
+    def test_overflowing_orbit_warns_nothing(self, capsys):
+        # inf - inf residuals are nan, reported as such, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["orbit", "builtin:counterexample-5.1", "-f", "1e308,0,-1e308"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "residual: nan" in captured.out
+        assert "RuntimeWarning" not in captured.err
 
     def test_two_cycle_reports_period_two(self, nonconvergent_path, capsys):
         assert main(["orbit", nonconvergent_path, "-f", "b", "--json"]) == 0

@@ -7,6 +7,7 @@ import pytest
 import gen
 from imclim import (
     CredalOperator,
+    OrbitCheck,
     PreconditionError,
     UnsupportedOperatorError,
     UpperOperator,
@@ -17,6 +18,7 @@ from imclim import (
     decide_ergodicity,
     decompose,
     partition_states,
+    search_cycle_witness,
     validate_family,
 )
 from imclim.decomposition import (
@@ -126,10 +128,12 @@ class TestDecideConvergence:
         assert verdict.witness.level == 2
         assert verdict.witness.members == ("b", "c")
         # the verdict comes with a concrete alternating orbit
-        from imclim import search_cycle_witness
-
-        check = search_cycle_witness(delayed_cycle_op, {1, 2})
+        check = gen.float_cycle_witness(delayed_cycle_op, {1, 2})
         assert check is not None and check.period == 2
+        # and with the certificate read off the class's cyclic subclasses
+        assert verdict.witness.phases == (("b",), ("c",))
+        certificate = search_cycle_witness(verdict.witness.phases)
+        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2, False)
 
     def test_ergodic_implies_convergent(self):
         rng = random.Random(72)

@@ -11,8 +11,10 @@ import gen
 from imclim import (
     DimensionMismatchError,
     InternalInvariantError,
+    OrbitCheck,
     OrbitParams,
     PreconditionError,
+    analyze,
     default_function_suite,
     iterate_orbit,
     iterate_orbits,
@@ -336,9 +338,50 @@ class TestOracleCompare:
 
 class TestWitnessSearch:
     def test_finds_cycle_on_swap(self, delayed_cycle_op):
-        check = search_cycle_witness(delayed_cycle_op, {1, 2}, FAST)
+        check = gen.float_cycle_witness(delayed_cycle_op, {1, 2}, FAST)
         assert check is not None
         assert check.period == 2
+        # the certificate: the indicator of b, the phase of the class's first state
+        certificate = analyze(delayed_cycle_op).witness_orbit
+        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2, False)
 
     def test_no_witness_on_convergent_operator(self, running_op):
-        assert search_cycle_witness(running_op, {3, 4}, FAST) is None
+        assert gen.float_cycle_witness(running_op, {3, 4}, FAST) is None
+        assert analyze(running_op).witness_orbit is None
+
+
+class TestCertificate:
+    def test_label_sorts_the_first_phase(self):
+        check = search_cycle_witness((("d", "a"), ("c",), ("b",)))
+        assert check == OrbitCheck("cyclic-indicator:{a, d}", 3, False)
+
+    def test_planted_cyclic_classes_exact(self):
+        """On C_0, T^n 1_{C_0} is 1 exactly when d | n, in exact arithmetic.
+
+        At level 1 the orbit on the class is the indicator of phase -n mod d,
+        so its period there is exactly d.
+        """
+        rng = random.Random(20261019)
+        levels = Counter()
+        for _ in range(2000):
+            op, level, phases = gen.planted_cyclic_operator(rng)
+            d = len(phases)
+            levels[level] += 1
+            report = analyze(op)
+            witness = report.verdict.witness
+            assert report.verdict.convergent == "no"
+            assert (witness.level, witness.cyclicity) == (level, d)
+            assert witness.phases == tuple(op.space.labels_of(p) for p in phases)
+            label = "cyclic-indicator:{" + ", ".join(op.space.labels_of(phases[0])) + "}"
+            assert report.witness_orbit == OrbitCheck(label, d, False)
+            g = tuple(F(int(i in phases[0])) for i in range(op.n))
+            for n in range(1, 3 * d + 1):
+                g = gen.apply_exact(op, g)
+                if n % d == 0:
+                    assert all(g[i] == 1 for i in phases[0])
+                else:
+                    assert all(g[i] < 1 for i in phases[0])
+                if level == 1:
+                    hot = phases[-n % d]
+                    assert all(g[i] == int(i in hot) for p in phases for i in p)
+        assert levels[2] + levels[3] >= 2000 / 3, levels
