@@ -17,6 +17,12 @@ key listed twice in one object (a state under ``credal_sets``, a target in a
 pmf) is an error rather than silently overwritten.
 Closed-form operators are addressed by registry name, e.g.
 ``builtin:counterexample-5.1``.
+
+Loading is integer arithmetic throughout: :func:`parse_rational_pair` reads
+each mass once into its reduced ``(numerator, denominator)`` pair, and
+:func:`~imclim.operators.validate_family` checks every pmf's sign and exact
+sum on those integers, so a model is validated exactly without building a
+``Fraction`` per mass.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ import csv
 import json
 import re
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -44,7 +52,36 @@ MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")  # \d, as in Fraction: any Unicode digit
 
 
+def parse_rational_pair(value, where: str = "value") -> tuple[int, int]:
+    """Parse a rational string into its reduced ``(numerator, denominator)`` pair.
+
+    The denominator is positive, so two strings give the same pair exactly
+    when they spell the same rational.  ASCII ``"p"`` and ``"p/q"`` are read
+    with ``int`` alone; every other spelling (signs, whitespace, decimals,
+    exponents, underscores, other Unicode digits, a zero denominator) goes
+    through ``Fraction``, after the :data:`MAX_DECIMAL_EXPONENT` check.
+    """
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:  # more digits than int converts; Fraction decides
+                pass
+            else:
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
+    exact = _parse_fraction(value, where)
+    return exact.numerator, exact.denominator
+
+
 def parse_rational(value, where: str = "value") -> Fraction:
+    """Parse a rational string into a ``Fraction``; see :func:`parse_rational_pair`."""
+    return Fraction(*parse_rational_pair(value, where))
+
+
+def _parse_fraction(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, str):
         raise ModelValidationError(
             f"{where}: expected a rational string, got {value!r}; {RATIONAL_HINT}"
@@ -76,7 +113,7 @@ def parse_model(data) -> CredalOperator:
     raw_sets = data.get("credal_sets")
     if not isinstance(raw_sets, Mapping):
         raise ModelValidationError('"credal_sets" must be an object keyed by state label')
-    credal_sets: dict[str, list[dict[str, Fraction]]] = {}
+    credal_sets: dict[str, list[dict[str, tuple[int, int]]]] = {}
     for label, pmf_list in raw_sets.items():
         if not isinstance(pmf_list, list):
             raise ModelValidationError(
@@ -90,7 +127,7 @@ def parse_model(data) -> CredalOperator:
                 )
             parsed.append(
                 {
-                    target: parse_rational(
+                    target: parse_rational_pair(
                         mass, where=f'credal_sets["{label}"][{k}]["{target}"]'
                     )
                     for target, mass in entry.items()

@@ -19,10 +19,14 @@ with no arithmetic, so strict-positivity tests never depend on the scale of
 the input.  :meth:`SupportTable.restrict` is the one restriction: deeper
 decomposition levels cut the table by mask, and no restricted operator is
 ever built.  An operator therefore declares only its ``space``, ``apply``
-and ``supports``.  Models keep their masses as exact rationals, but the
-package evaluates operators in IEEE doubles only, through ``apply``: the
-verdicts need no arithmetic, and the orbit engine in :mod:`imclim.orbits`
-iterates in floats.
+and ``supports``.  Models keep their masses exact, as reduced integer
+``(numerator, denominator)`` pairs: they serve only to validate each pmf
+(signs on the numerators, the sum as one integer sum over the least common
+denominator), to drop duplicate pmfs and to fix the canonical pmf order (by
+cross-multiplication), all without a ``Fraction`` per mass.  The package
+evaluates operators in IEEE doubles only, through ``apply``, with each row
+entry the correctly rounded ``numerator / denominator``: the verdicts need no
+arithmetic, and the orbit engine in :mod:`imclim.orbits` iterates in floats.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -34,6 +38,8 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +51,9 @@ from .errors import (
     UnsupportedOperatorError,
 )
 
-RationalLike = Fraction | int
+#: A mass as :class:`Pmf` takes it: a reduced ``(numerator, denominator)`` pair
+#: with a positive denominator, or anything ``Fraction`` accepts.
+RationalLike = Fraction | int | tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -79,43 +87,60 @@ class StateSpace:
         return tuple(sorted(self.labels[i] for i in indices))
 
 
+def _pair(mass: RationalLike) -> tuple[int, int]:
+    if type(mass) is tuple:
+        return mass
+    if not isinstance(mass, (int, Fraction)):
+        mass = Fraction(mass)
+    return mass.numerator, mass.denominator
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function over ``n`` states with exact rational masses.
 
-    ``mass`` maps state index to mass; it is stored as ascending
-    ``(index, mass)`` pairs with zero masses dropped, so the pairs are the
-    support.  Masses are non-negative, indices lie in ``0..n-1`` and the
-    masses sum to exactly one; all checks happen at construction time so
-    downstream code never has to revalidate.
+    ``mass`` maps state index to mass, each a ``Fraction``, an ``int`` or a
+    reduced ``(numerator, denominator)`` pair with a positive denominator (as
+    :func:`~imclim.modelio.parse_rational_pair` returns it).  It is stored as
+    ascending ``(index, numerator, denominator)`` triples of reduced masses
+    with zero masses dropped, so the triples are the support and two pmfs
+    are equal exactly when their masses are.  Masses are non-negative,
+    indices lie in ``0..n-1`` and the masses sum to exactly one, checked in
+    integers (one common denominator, one integer sum); all checks happen at
+    construction time so downstream code never has to revalidate.
     """
 
     n: int
-    mass: tuple[tuple[int, Fraction], ...]
+    mass: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        items = sorted((i, m if isinstance(m, Fraction) else Fraction(m))
-                       for i, m in dict(self.mass).items())
-        bad = [i for i, _ in items if not 0 <= i < self.n]
+        items = sorted([(i, *_pair(m)) for i, m in dict(self.mass).items()])
+        bad = [i for i, _, _ in items if not 0 <= i < self.n]
         if bad:
             raise ModelValidationError(f"state indices {bad} out of range 0..{self.n - 1}")
-        negative = [i for i, m in items if m < 0]
+        negative = [i for i, num, _ in items if num < 0]
         if negative:
             raise ModelValidationError(f"negative mass at positions {negative}")
-        total = sum(m for _, m in items)
-        if total != 1:
+        common = lcm(*[den for _, _, den in items])
+        total = sum([num * (common // den) for _, num, den in items])
+        if total != common:
             try:
-                text = str(total)
+                text = str(Fraction(total, common))
             except ValueError:  # more digits than the interpreter converts to text
                 text = "a rational too long to print"
             raise ModelValidationError(f"masses sum to {text}, expected exactly 1")
-        object.__setattr__(self, "mass", tuple((i, m) for i, m in items if m))
+        object.__setattr__(self, "mass", tuple([t for t in items if t[1]]))
 
 
-def _dense_order(p: Pmf) -> tuple:
+def _dense_cmp(p: Pmf, q: Pmf) -> int:
     # Sorts like the dense mass vectors: a pmf whose first differing entry
     # is larger comes later, and mass at a lower index is the larger entry.
-    return tuple((-i, m) for i, m in p.mass)
+    for (i, a, b), (j, c, d) in zip(p.mass, q.mass):
+        if i != j:
+            return 1 if i < j else -1
+        if a * d != c * b:
+            return -1 if a * d < c * b else 1
+    return len(p.mass) - len(q.mass)
 
 
 @dataclass(frozen=True)
@@ -146,7 +171,7 @@ class CredalFamily:
                     raise ModelValidationError(
                         f"pmf #{k} for state '{label}' has length {p.n}, expected {n}"
                     )
-            cleaned.append(tuple(sorted(set(pmfs), key=_dense_order)))
+            cleaned.append(tuple(sorted(set(pmfs), key=cmp_to_key(_dense_cmp))))
         object.__setattr__(self, "per_state", tuple(cleaned))
 
 
@@ -157,14 +182,18 @@ def validate_family(
     """Validate a parsed model and assemble the credal family.
 
     ``credal_sets`` maps each state label to a list of pmfs, each given as a
-    ``{target_label: rational}`` mapping; omitted targets carry mass zero.
-    Validation errors name the offending state and pmf.
+    ``{target_label: mass}`` mapping, a mass being anything :class:`Pmf`
+    takes; omitted targets carry mass zero.  Validation errors name the
+    offending state and pmf: first any credal set given for an unknown state,
+    then per state in ``labels`` order a missing or empty set, and per pmf
+    unknown targets, negative masses and a sum other than one.
     """
     space = StateSpace(tuple(labels))
     unknown = sorted(set(credal_sets) - set(space.labels))
     if unknown:
         raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
     n = len(space)
+    index = space._pos
     per_state = []
     for label in space.labels:
         raw = credal_sets.get(label)
@@ -174,13 +203,13 @@ def validate_family(
             raise ModelValidationError(f"empty credal set for state '{label}'")
         pmfs = []
         for k, entry in enumerate(raw):
-            bad = sorted(set(entry) - set(space.labels))
-            if bad:
+            if not entry.keys() <= index.keys():
+                bad = sorted(y for y in entry if y not in index)
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
                 )
             try:
-                pmfs.append(Pmf(n, {space.index(y): m for y, m in entry.items()}))
+                pmfs.append(Pmf(n, {index[y]: m for y, m in entry.items()}))
             except ModelValidationError as exc:
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}': {exc}"
@@ -298,9 +327,10 @@ class CredalOperator(UpperOperator):
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
         pmfs = [p for sets in family.per_state for p in sets]
         rows = np.repeat(np.arange(len(pmfs)), [len(p.mass) for p in pmfs])
-        cols = [y for p in pmfs for y, _ in p.mass]
+        cols = [y for p in pmfs for y, _, _ in p.mass]
         self._matrix = np.zeros((len(pmfs), self.n))
-        self._matrix[rows, cols] = [float(m) for p in pmfs for _, m in p.mass]
+        # int / int is correctly rounded, so this equals float(Fraction(num, den))
+        self._matrix[rows, cols] = [num / den for p in pmfs for _, num, den in p.mass]
         supports = np.zeros((len(pmfs), self.n), dtype=bool)
         supports[rows, cols] = True
         self._table = SupportTable(family.space, starts, supports)
@@ -339,7 +369,19 @@ def _curve_max(fa, fb, fc):
         vertex = -a1 / (2 * np.where(concave, a2, -1))
         inside = concave & (0 < vertex) & (vertex < 0.5)
         v_val = a2 * vertex * vertex + a1 * vertex + fc
-        return np.where(inside & (v_val > best), v_val, best)
+        curve = np.where(inside & (v_val > best), v_val, best)
+        if np.isfinite(2 * a2 + a1).all():  # nothing below overflowed
+            return curve
+        # Finite inputs far apart near the float limit overflow a1, a2 or the
+        # vertex's 2 * a2, yet the curve, a convex combination of the inputs,
+        # is finite.  A quarter-scaled copy overflows nowhere, and scaling by
+        # 4 is exact above the subnormals; only the lanes that overflowed
+        # take its value.
+        lost = ~(np.isfinite(2 * a2) & np.isfinite(a1))
+        lost &= np.isfinite(fa) & np.isfinite(fb) & np.isfinite(fc)
+        if not lost.any():
+            return curve
+        return np.where(lost, 4 * _curve_max(fa / 4, fb / 4, fc / 4), curve)
 
 
 class CounterexampleOperator(UpperOperator):

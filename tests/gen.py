@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import random
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +40,7 @@ from imclim import (
     lower_reach_set,
     validate_family,
 )
+from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT
 
 LABELS = "abcdefgh"
 
@@ -51,8 +54,13 @@ def random_pmf(rng: random.Random, n: int, max_den: int = 8) -> Pmf:
     return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
 
 
+def masses(p: Pmf) -> tuple[tuple[int, Fraction], ...]:
+    """The pmf's ascending ``(index, mass)`` pairs, each mass a ``Fraction``."""
+    return tuple((i, Fraction(num, den)) for i, num, den in p.mass)
+
+
 def support(p: Pmf) -> frozenset[int]:
-    return frozenset(i for i, _ in p.mass)
+    return frozenset(i for i, _, _ in p.mass)
 
 
 def identity_operator(labels) -> CredalOperator:
@@ -74,7 +82,7 @@ def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
 
 def dense(p: Pmf) -> tuple[Fraction, ...]:
     """The pmf's masses as a length-``n`` tuple, zero off the support."""
-    mass = dict(p.mass)
+    mass = dict(masses(p))
     return tuple(mass.get(i, Fraction(0)) for i in range(p.n))
 
 
@@ -315,7 +323,7 @@ def expectation(p: Pmf, values) -> Fraction:
         raise DimensionMismatchError(
             f"function has length {len(values)}, pmf has length {p.n}"
         )
-    return sum(m * values[i] for i, m in p.mass)
+    return sum(m * values[i] for i, m in masses(p))
 
 
 def _counterexample_exact(fa: Fraction, fb: Fraction, fc: Fraction) -> tuple[Fraction, ...]:
@@ -528,9 +536,9 @@ def restrict(op: UpperOperator, keep) -> UpperOperator:
     per = []
     for x in keep:
         kept = tuple(
-            Pmf(len(keep), {local[y]: m for y, m in p.mass})
+            Pmf(len(keep), {local[y]: (num, den) for y, num, den in p.mass})
             for p in family.per_state[x]
-            if all(y in local for y, _ in p.mass)
+            if all(y in local for y, _, _ in p.mass)
         )
         if not kept:
             raise NotWellDefinedError(op.space.labels[x], sub_space.labels)
@@ -732,6 +740,126 @@ def single_class_equivalence_report(
 
 
 # ---------------------------------------------------------------------------
+# the Fraction-per-mass loader: the reference for ``parse_model``
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+
+
+def fraction_parse_rational(value, where: str = "value") -> Fraction:
+    """``parse_rational`` with one ``Fraction`` per string, for every spelling."""
+    if isinstance(value, bool) or not isinstance(value, str):
+        raise ModelValidationError(
+            f"{where}: expected a rational string, got {value!r}; {RATIONAL_HINT}"
+        )
+    text = value.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ModelValidationError(
+                f"{where}: the decimal exponent of a rational may be at most "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude; {RATIONAL_HINT}"
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelValidationError(
+            f"{where}: cannot parse {value!r} as a rational; {RATIONAL_HINT}"
+        ) from exc
+
+
+def _fraction_pmf(n: int, mass: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    items = sorted(mass.items())
+    bad = [i for i, _ in items if not 0 <= i < n]
+    if bad:
+        raise ModelValidationError(f"state indices {bad} out of range 0..{n - 1}")
+    negative = [i for i, m in items if m < 0]
+    if negative:
+        raise ModelValidationError(f"negative mass at positions {negative}")
+    total = sum(m for _, m in items)
+    if total != 1:
+        try:
+            text = str(total)
+        except ValueError:
+            text = "a rational too long to print"
+        raise ModelValidationError(f"masses sum to {text}, expected exactly 1")
+    return tuple((i, m) for i, m in items if m)
+
+
+def fraction_load(data) -> tuple[StateSpace, tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]]:
+    """``parse_model`` with a ``Fraction`` per mass and no operator.
+
+    Returns the state space and, per state, its distinct pmfs as ascending
+    ``(index, mass)`` pairs in the order of the dense mass vectors; raises
+    the same first error as ``parse_model``: every mass is parsed in document
+    order before any structural check runs.
+    """
+    if not isinstance(data, Mapping):
+        raise ModelValidationError("the model document must be a JSON object")
+    states = data.get("states")
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise ModelValidationError('"states" must be a list of state labels')
+    raw_sets = data.get("credal_sets")
+    if not isinstance(raw_sets, Mapping):
+        raise ModelValidationError('"credal_sets" must be an object keyed by state label')
+    credal_sets = {}
+    for label, pmf_list in raw_sets.items():
+        if not isinstance(pmf_list, list):
+            raise ModelValidationError(
+                f'credal set for state "{label}" must be a list of pmf objects'
+            )
+        parsed = []
+        for k, entry in enumerate(pmf_list):
+            if not isinstance(entry, Mapping):
+                raise ModelValidationError(
+                    f'pmf #{k} for state "{label}" must be an object mapping states to rationals'
+                )
+            parsed.append({
+                target: fraction_parse_rational(mass, where=f'credal_sets["{label}"][{k}]["{target}"]')
+                for target, mass in entry.items()
+            })
+        credal_sets[label] = parsed
+    space = StateSpace(tuple(states))
+    unknown = sorted(set(credal_sets) - set(space.labels))
+    if unknown:
+        raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
+    per_state = []
+    for label in space.labels:
+        raw = credal_sets.get(label)
+        if raw is None:
+            raise ModelValidationError(f"no credal set for state '{label}'")
+        if not raw:
+            raise ModelValidationError(f"empty credal set for state '{label}'")
+        pmfs = []
+        for k, entry in enumerate(raw):
+            bad = sorted(set(entry) - set(space.labels))
+            if bad:
+                raise ModelValidationError(
+                    f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
+                )
+            try:
+                pmfs.append(_fraction_pmf(len(space), {space.index(y): m for y, m in entry.items()}))
+            except ModelValidationError as exc:
+                raise ModelValidationError(f"pmf #{k} for state '{label}': {exc}") from exc
+        # the dense vectors' order: mass at a lower index is the larger entry
+        per_state.append(tuple(sorted(set(pmfs), key=lambda p: tuple((-i, m) for i, m in p))))
+    return space, tuple(per_state)
+
+
+def fraction_rows(n: int, per_state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row starts, float matrix and support rows of ``fraction_load``'s pmfs."""
+    pmfs = [p for sets in per_state for p in sets]
+    matrix = np.zeros((len(pmfs), n))
+    supports = np.zeros((len(pmfs), n), dtype=bool)
+    for k, p in enumerate(pmfs):
+        for i, m in p:
+            matrix[k, i] = float(m)
+            supports[k, i] = True
+    starts = np.cumsum([0] + [len(sets) for sets in per_state[:-1]])
+    return starts, matrix, supports
+
+
+# ---------------------------------------------------------------------------
 # model serialisation, the inverse of ``parse_model``
 
 
@@ -740,7 +868,7 @@ def family_to_jsonable(family: CredalFamily) -> dict:
     sets: dict[str, list[dict[str, str]]] = {}
     for x, label in enumerate(family.space.labels):
         sets[label] = [
-            {family.space.labels[y]: str(mass) for y, mass in p.mass}
+            {family.space.labels[y]: str(mass) for y, mass in masses(p)}
             for p in family.per_state[x]
         ]
     return {"states": list(family.space.labels), "credal_sets": sets}

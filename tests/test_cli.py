@@ -210,13 +210,14 @@ class TestOrbit:
         assert payload["period"] == 1
 
     def test_overflowing_orbit_warns_nothing(self, capsys):
-        # inf - inf residuals are nan, reported as such, without a RuntimeWarning
+        # f(a) - f(c) overflows; the closed form still finds the finite limit
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["orbit", "builtin:counterexample-5.1", "-f", "1e308,0,-1e308"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "residual: nan" in captured.out
+        assert "residual: 0.000e+00" in captured.out
+        assert "cycle[0]: (1e+308, 1e+308, 1e+308)" in captured.out
         assert "RuntimeWarning" not in captured.err
 
     def test_two_cycle_reports_period_two(self, nonconvergent_path, capsys):

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imclim import ImclimError, load_model, parse_model
+import gen
+from imclim import ImclimError, ModelValidationError, load_model, parse_model
 from imclim.cli import main
+from imclim.modelio import parse_rational_pair
 
 DEMO_MODEL = str(Path(__file__).resolve().parent.parent / "demos" / "running-example.json")
 SWAP_MODEL = {
@@ -87,6 +89,45 @@ def refuses_only_with_imclim_errors(call, *args):
 @given(DOCUMENTS)
 def test_parse_model_fails_only_with_imclim_errors(doc):
     refuses_only_with_imclim_errors(parse_model, doc)
+
+
+@FUZZ
+@given(DOCUMENTS)
+def test_parse_model_matches_the_fraction_loader(doc):
+    try:
+        space, reference = gen.fraction_load(doc)
+    except ModelValidationError as exc:
+        with pytest.raises(ModelValidationError) as got:
+            parse_model(doc)
+        assert str(got.value) == str(exc)
+    else:
+        op = parse_model(doc)
+        assert op.space == space
+        assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.family.per_state) == reference
+
+
+DIGITS = "0123456789\u0663\u0669\u0966\uff11"  # ASCII, Arabic-Indic, Devanagari, fullwidth
+RATIONAL_ALPHABET = DIGITS + "/._eE+- \t\n"
+RATIONAL_TEXTS = st.text(RATIONAL_ALPHABET, max_size=12) | st.tuples(
+    st.sampled_from(["", "+", "-", " "]),
+    st.text(DIGITS + "_", max_size=5),
+    st.sampled_from(["", "/", ".", "e-", "E+", "/0", "_"]),
+    st.text(DIGITS + "_", max_size=5),
+    st.sampled_from(["", " ", "\n", "e3", "e-10001"]),
+).map("".join)
+
+
+@settings(FUZZ, max_examples=1000)
+@given(RATIONAL_TEXTS)
+def test_pair_parser_matches_fraction(text):
+    try:
+        expected = gen.fraction_parse_rational(text, where="mass")
+    except ModelValidationError as exc:
+        with pytest.raises(ModelValidationError) as got:
+            parse_rational_pair(text, where="mass")
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_rational_pair(text, where="mass") == (expected.numerator, expected.denominator)
 
 
 @pytest.fixture(scope="module")

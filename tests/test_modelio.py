@@ -1,8 +1,10 @@
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gen
@@ -14,7 +16,7 @@ from imclim import (
     parse_model,
     parse_rational,
 )
-from imclim.modelio import MAX_DECIMAL_EXPONENT
+from imclim.modelio import MAX_DECIMAL_EXPONENT, parse_rational_pair
 
 F = Fraction
 
@@ -172,3 +174,140 @@ class TestRoundTrip:
         payload = gen.family_to_jsonable(running_op.family)
         entry = payload["credal_sets"]["c"][0]
         assert entry == {"a": "1/4", "b": "1/4", "d": "1/4", "e": "1/4"}
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def spell(rng: random.Random, m: Fraction) -> str:
+    """One of several strings that all parse to ``m``."""
+    p, q = m.numerator, m.denominator
+    k = rng.randint(2, 5)
+    forms = [f"{p}/{q}", f"{p * k}/{q * k}", f" {p}/{q} ", f"+{p}/{q}", f"\t{p}/{q}\n",
+             f"{p}/{q}".translate(ARABIC_INDIC), "_".join(str(11 * p)) + "/" + "_".join(str(11 * q))]
+    if q == 1:
+        forms.append(str(p))
+    digits = next((e for e in range(7) if 10**e % q == 0), None)
+    if digits is not None:  # a terminating decimal
+        scaled = str(p * 10**digits // q).rjust(digits + 1, "0")
+        forms += [f"{scaled[:-digits]}.{scaled[-digits:]}" if digits else f"{scaled}.0",
+                  f"{scaled}e-{digits}", f"{scaled}E-{digits}"]
+    return rng.choice(forms)
+
+
+def spelled_document(rng: random.Random, family) -> dict:
+    """The family as a model document: every mass spelled at random, zero
+    masses added, some pmfs repeated under other spellings, keys shuffled."""
+    labels = family.space.labels
+    sets = {}
+    for x in rng.sample(range(len(labels)), len(labels)):
+        pmfs = []
+        for p in family.per_state[x]:
+            for _ in range(1 + (rng.random() < 0.3)):
+                entry = {labels[i]: spell(rng, m) for i, m in gen.masses(p)}
+                for i in rng.sample(range(len(labels)), rng.randint(0, len(labels))):
+                    entry.setdefault(labels[i], rng.choice(["0", "0/7", "0.0", "0e5", " 0 "]))
+                keys = rng.sample(list(entry), len(entry))
+                pmfs.insert(rng.randint(0, len(pmfs)), {y: entry[y] for y in keys})
+        sets[labels[x]] = pmfs
+    return {"states": list(labels), "credal_sets": sets}
+
+
+def corrupt(rng: random.Random, doc: dict) -> None:
+    """Put one fault into ``doc``: a bad mass, target, pmf or credal set."""
+    sets = doc["credal_sets"]
+    whole = [x for x, pmfs in sets.items()
+             if isinstance(pmfs, list) and pmfs and all(isinstance(e, dict) and e for e in pmfs)]
+    if not whole:  # an earlier fault left no credal set to corrupt further
+        sets["zz"] = []
+        return
+    label = rng.choice(whole)
+    pmfs = sets[label]
+    entry = rng.choice(pmfs)
+    target = rng.choice(list(entry))
+    fault = rng.randrange(12)
+    if fault == 0:
+        entry[target] = "-1/2"
+    elif fault == 1:
+        entry[target] = rng.choice(["1/3", "2", "0.125", "7e-1"])  # the sum moves off 1
+    elif fault == 2:
+        entry[rng.choice(["zz", "?"])] = rng.choice(["0", "1/4"])
+    elif fault == 3:
+        entry[target] = rng.choice(["one half", "1//2", "", "1/2/3", "--1", "\u00b2"])
+    elif fault == 4:
+        entry[target] = rng.choice(["1/0", "0/0", " 3/0"])
+    elif fault == 5:
+        entry[target] = rng.choice(["1e-10001", "5E+20000", "1e-999999999"])
+    elif fault == 6:
+        entry[target] = rng.choice([0.5, 1, None, True])
+    elif fault == 7:
+        del sets[label]
+    elif fault == 8:
+        sets[label] = []
+    elif fault == 9:
+        sets[rng.choice(["zz", "?"])] = [{label: "1"}]
+    elif fault == 10:
+        sets[label] = {target: "1"}
+    else:
+        pmfs[rng.randrange(len(pmfs))] = rng.choice([[], "1", None])
+
+
+def first_error(call, doc) -> str | None:
+    try:
+        call(doc)
+    except ModelValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestIntegerLoader:
+    """``parse_model`` against the ``Fraction``-per-mass reference loader."""
+
+    def test_equivalent_spellings_load_identically(self):
+        rng = random.Random(1301)
+        for _ in range(2000):
+            n = rng.randint(1, 7)
+            max_den = rng.choice([8, 8, 1000, 10**30, 10**400])
+            family = gen.random_family(rng, n, max_pmfs=rng.randint(1, 4), max_den=max_den)
+            doc = spelled_document(rng, family)
+            op = parse_model(doc)
+            space, reference = gen.fraction_load(doc)
+            assert op.family == family
+            assert op.space == space
+            assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.family.per_state) \
+                == reference
+            starts, matrix, rows = gen.fraction_rows(n, reference)
+            assert np.array_equal(op._matrix.view(np.uint64), matrix.view(np.uint64))
+            assert np.array_equal(op.supports().rows, rows)
+            assert np.array_equal(op.supports().starts, starts)
+
+    def test_faults_raise_the_reference_error(self):
+        rng = random.Random(1302)
+        errors = 0
+        for case in range(600):
+            n = rng.randint(1, 6)
+            family = gen.random_family(rng, n, max_pmfs=rng.randint(1, 3))
+            doc = spelled_document(rng, family)
+            for _ in range(1 + case % 2):  # every other case has faults in two places
+                corrupt(rng, doc)
+            expected = first_error(lambda d: gen.fraction_load(d), doc)
+            assert first_error(parse_model, doc) == expected
+            errors += expected is not None
+        assert errors >= 500
+
+    def test_plain_fractions_build_no_fraction(self, tmp_path, monkeypatch):
+        path = tmp_path / "wide.json"
+        gen.dump_model(gen.random_wide_operator(random.Random(1303), 48).family, path)
+        calls = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        op = load_model(path)
+        assert calls == []
+        assert parse_rational("1/2") == F(1, 2) and calls  # the wrapper counts
+        monkeypatch.undo()
+        assert op.family == gen.random_wide_operator(random.Random(1303), 48).family

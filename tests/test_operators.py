@@ -125,7 +125,30 @@ class TestCounterexampleClosedForm:
             warnings.simplefilter("error")
             got = counterexample_op.apply([1e308, 0.0, -1e308])
             counterexample_op.apply([np.inf, 0.0, np.inf])
-        assert got[0] == 1e308 and got[1] == np.inf and got[2] == 1e308
+        # the exact curve at t = 1/2 is 0, so b keeps max(f(a), 0)
+        assert got.tolist() == [1e308, 1e308, 1e308]
+
+    def test_overflowing_differences_keep_the_exact_value(self, counterexample_op):
+        rng = random.Random(6)
+        big = [1e308, -1e308, 1.7e308, -1.7e308, np.finfo(float).max, -np.finfo(float).max,
+               9e307, -9e307, 1.0, -2.5, 0.0, 5e-324]
+        lost = 0
+        for _ in range(500):
+            f = [rng.choice(big) if rng.random() < 0.8 else rng.uniform(-1, 1) * 1e308
+                 for _ in range(3)]
+            with np.errstate(over="ignore"):
+                lost += not np.isfinite(2 * (f[0] - f[2])) or not np.isfinite(f[1] - f[2])
+            exact = [float(v) for v in gen.apply_exact(counterexample_op, f)]
+            got = counterexample_op.apply(f)
+            assert np.isfinite(got).all()
+            assert np.allclose(got, exact, rtol=0, atol=1e-12 * max(map(abs, f)))
+            # the lane that needed rescaling leaves its neighbours' bits alone
+            block = np.column_stack([f, [0.3, -0.5, 0.7], [1.0, 1e-300, -2.0]])
+            out = counterexample_op.apply(block)
+            assert out[:, 0].tobytes() == got.tobytes()
+            for j in (1, 2):
+                assert out[:, j].tobytes() == gen.reference_counterexample_apply(block[:, j]).tobytes()
+        assert lost > 200
 
     def test_float_matches_exact(self, counterexample_op):
         rng = random.Random(5)
@@ -217,8 +240,10 @@ class TestValidation:
 
     def test_pmf_zero_masses_dropped(self):
         assert Pmf(2, {0: 1, 1: 0}) == Pmf(2, {0: 1})
-        assert Pmf(2, {1: 0, 0: 1}).mass == ((0, F(1)),)
-        assert type(Pmf(2, {0: 1}).mass[0][1]) is F  # ints become Fractions
+        assert gen.masses(Pmf(2, {1: 0, 0: 1})) == ((0, F(1)),)
+        # ints, Fractions and pairs all become reduced integer triples
+        assert Pmf(2, {0: 1}).mass == ((0, 1, 1),)
+        assert Pmf(2, {1: F(2, 4), 0: (1, 2)}).mass == ((0, 1, 2), (1, 1, 2))
 
     def test_duplicate_labels_among_many_rejected_quickly(self):
         labels = tuple(f"s{i}" for i in range(20_000)) + ("s7",)
