@@ -19,7 +19,8 @@ Closed-form operators are addressed by registry name, e.g.
 ``builtin:counterexample-5.1``.
 
 Loading is integer arithmetic throughout: :func:`parse_rational_pair` reads
-each mass once into its reduced ``(numerator, denominator)`` pair, and
+each distinct mass string of a document once into its reduced
+``(numerator, denominator)`` pair, and
 :func:`~imclim.operators.validate_family` checks every pmf's sign and exact
 sum on those integers, so a model is validated exactly without building a
 ``Fraction`` per mass.
@@ -114,6 +115,7 @@ def parse_model(data) -> CredalOperator:
     if not isinstance(raw_sets, Mapping):
         raise ModelValidationError('"credal_sets" must be an object keyed by state label')
     credal_sets: dict[str, list[dict[str, tuple[int, int]]]] = {}
+    pairs: dict[str, tuple[int, int]] = {}  # each distinct mass string is parsed once
     for label, pmf_list in raw_sets.items():
         if not isinstance(pmf_list, list):
             raise ModelValidationError(
@@ -125,14 +127,18 @@ def parse_model(data) -> CredalOperator:
                 raise ModelValidationError(
                     f'pmf #{k} for state "{label}" must be an object mapping states to rationals'
                 )
-            parsed.append(
-                {
-                    target: parse_rational_pair(
-                        mass, where=f'credal_sets["{label}"][{k}]["{target}"]'
-                    )
-                    for target, mass in entry.items()
-                }
-            )
+            pmf = {}
+            for target, mass in entry.items():
+                pair = pairs.get(mass) if isinstance(mass, str) else None
+                if pair is None:
+                    try:
+                        pair = pairs[mass] = parse_rational_pair(mass)
+                    except ModelValidationError:
+                        # fails again, now naming the mass's place; formatted only here
+                        parse_rational_pair(mass, where=f'credal_sets["{label}"][{k}]["{target}"]')
+                        raise
+                pmf[target] = pair
+            parsed.append(pmf)
         credal_sets[label] = parsed
     return CredalOperator(validate_family(states, credal_sets))
 

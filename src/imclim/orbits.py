@@ -17,13 +17,20 @@ One engine, :func:`iterate_orbits`, iterates a whole suite of start
 functions as the columns of one ``(n, m)`` block: each step is a single
 ``apply`` on the columns still running.  The last ``P + 1`` iterates, with
 ``P = min(max_period, max_iters)``, live in a ring buffer allocated once per
-block.  Every step takes the residuals against all ring slots in storage
-order and reorders only the small per-slot result into period order, so no
-window is ever gathered.  Each column is certified on its own and retires on
-its own step; the running columns stay a contiguous prefix of the buffers.
-A suite whose ring and residual buffers would exceed ``_BLOCK_BYTES`` runs as
-several blocks, one after another.  :func:`iterate_orbit` is the one-column
-case.
+block.  The residuals against all ring slots are taken only where a rule can
+read them: on every step from ``W = burn_in - max_period + 1`` on (a
+sustained streak that can fire at or after the burn-in covers no earlier
+step), and on the budget's last step.  Before ``W`` only an exact repeat can
+end a column, and each column keeps a fingerprint of every iterate beside
+the ring; a column whose new print equals a past one has its residuals
+taken, and retires only if one is exactly zero, so a collision costs time
+and never a result.  Residuals are taken over the slots in storage order and
+only the small per-slot result is reordered into period order, so no window
+is ever gathered.  Each column is certified on its own and retires on its
+own step; the running columns stay a contiguous prefix of the buffers.  A
+suite whose ring, residual and print buffers would exceed ``_BLOCK_BYTES``
+runs as several blocks, one after another.  :func:`iterate_orbit` is the
+one-column case.
 
 Orbit iteration reads no graph structure.  :func:`search_cycle_witness`
 runs no orbit: it turns the cyclic subclasses of a "no" verdict's witness
@@ -40,10 +47,14 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import UpperOperator
 
-#: Ring and residual buffer memory one block of columns may take; wider suites
-#: run in several blocks, so memory stays bounded however many functions are
-#: iterated.
+#: Ring, residual and print buffer memory one block of columns may take; wider
+#: suites run in several blocks, so memory stays bounded however many functions
+#: are iterated.
 _BLOCK_BYTES = 8 << 20
+
+#: Odd multiplier of the per-state print weights ``(2i + 1) * _PRINT_ODD``:
+#: odd, so the ``n`` weights are distinct and odd modulo ``2**64``.
+_PRINT_ODD = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,14 @@ def iterate_orbits(
     long before the step residual, so iteration continues and a later, smaller
     certificate wins.  Only period one, an exact repeat (residuals are frozen
     from then on), or budget exhaustion end a column's run.
+
+    Residuals are scored on every step from ``W = burn_in - max_period + 1``
+    on and on the budget's last step; streaks start there, which changes no
+    certificate, since a streak of ``max_period`` steps ending at or after the
+    burn-in lies wholly at or after ``W``.  Before ``W`` a column's residuals
+    are taken only when the fingerprint of its new iterate equals that of one
+    of the ring's past iterates: equal iterates always have equal prints, and
+    the residuals decide, so the results are those of scoring every step.
     """
     p = params or OrbitParams()
     block = np.asarray(starts, dtype=float)
@@ -139,12 +158,37 @@ def iterate_orbits(
         raise PreconditionError("function values must be finite")
     # periods scored never exceed the number of iterations run
     cap = min(p.max_period, p.max_iters)
-    # per column: the ring's cap + 1 iterates and as many differences
-    width = max(1, _BLOCK_BYTES // (2 * (cap + 1) * op.n * block.itemsize))
+    # per column: the ring's cap + 1 iterates, as many differences and prints
+    width = max(1, _BLOCK_BYTES // ((2 * op.n + 1) * (cap + 1) * block.itemsize))
     results: list[OrbitResult] = []
     for lo in range(0, block.shape[1], width):
         results.extend(_iterate_block(op, block[:, lo:lo + width], p, cap))
     return tuple(results)
+
+
+def _fingerprint(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One ``uint64`` print per column of the ``(n, m)`` array ``values``.
+
+    The wrapping sum over states of each value's bit pattern times its
+    state's odd weight; ``values + 0.0`` turns -0.0 into +0.0, so columns that
+    compare equal get equal prints, whatever the order of summation.
+    """
+    return ((values + 0.0).view(np.uint64) * weights[:, None]).sum(axis=0)
+
+
+def _residuals(ring: np.ndarray, current: np.ndarray, past: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for ring row ``k``.
+
+    ``ring`` is ``(k, n, slots)`` and ``current`` the matching ``(n, k)``
+    iterates; ``past[q - 1]`` is the slot of period ``q``.  The differences
+    are taken over the slots in storage order, into ``out``, and only the
+    small (row, slot) result is put in period order.
+    """
+    filled = len(past) + 1  # slots 0..t hold iterates 0..t until the ring wraps
+    diff = np.subtract(ring[:, :, :filled], current.T[:, :, None],
+                       out=out[:len(ring), :, :filled])
+    return np.abs(diff, out=diff).max(axis=1)[:, past]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
@@ -154,18 +198,22 @@ def _iterate_block(
     n, m = block.shape
     size = cap + 1  # the window: the newest iterate and up to ``cap`` before it
     # The iterate t of the running column at position k sits at
-    # ring[k, :, t % size].  Residuals are taken over the slots in storage
-    # order, and only the small (column, slot) result is put in period order.
-    # Columns lead, so the running ones stay a contiguous prefix: a retired
-    # column's place is refilled from beyond the prefix, and the two big
-    # buffers are allocated once per block.
+    # ring[k, :, t % size] and its print at prints[k, t % size].  Columns
+    # lead, so the running ones stay a contiguous prefix: a retired column's
+    # place is refilled from beyond the prefix, and the big buffers are
+    # allocated once per block.
     ring = np.empty((m, n, size))
     ring[:, :, 0] = block.T
     gaps = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
+    weights = np.arange(1, 2 * n, 2, dtype=np.uint64) * _PRINT_ODD
+    prints = np.empty((m, size), dtype=np.uint64)
+    prints[:, 0] = _fingerprint(block, weights)
     current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
     # back[size - s + j] is the slot j + 1 steps before slot s (and back[size - s - 1]
     # is s itself), so the slots of past iterates are one basic slice of it
     back = np.arange(2 * size - 1, -1, -1) % size
+    # the first step whose residuals the sustained rule can read; streaks start here
+    scoring_from = max(1, p.burn_in - p.max_period + 1)
     streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
     best_residual = np.zeros(m)
@@ -183,41 +231,50 @@ def _iterate_block(
                 traces[c].append(current[:, k].copy())
 
         scored = min(iteration, cap)
-        filled = scored + 1  # slots 0..t hold iterates 0..t until the ring wraps
-        diff = np.subtract(ring[:running, :, :filled], current.T[:, :, None],
-                           out=gaps[:running, :, :filled])
-        by_slot = np.abs(diff, out=diff).max(axis=1)
-        # residuals[k, q - 1] = max|T^(t-q) f - T^t f| for the function in column k
-        residuals = by_slot[:, back[size - slot:size - slot + scored]]
+        past = back[size - slot:size - slot + scored]  # slot of each period 1..scored
+        if iteration >= scoring_from or iteration == p.max_iters:
+            rows = np.arange(running)
+            residuals = _residuals(ring[:running], current, past, gaps)
+            scoring = streak[:, :scored]
+            scoring += 1
+            scoring *= residuals <= p.tolerance
+        else:
+            # only the exact-repeat rule can fire: score the columns whose print hit
+            stamp = _fingerprint(current, weights)
+            rows = (prints[:running, past] == stamp[:, None]).any(axis=1).nonzero()[0]
+            prints[:running, slot] = stamp
+            if not len(rows):
+                continue
+            residuals = _residuals(ring[rows], current[:, rows], past, gaps)
         within = residuals <= p.tolerance
-        scoring = streak[:, :scored]
-        scoring += 1
-        scoring *= within
 
-        # both rules need some period within tolerance
-        done = exact = np.zeros(running, dtype=bool)
+        # residuals[r] belongs to the running column rows[r]; both rules need
+        # some period within tolerance
+        done = exact = np.zeros(len(rows), dtype=bool)
         if within.any():
             exact = (residuals == 0.0).any(axis=1)
             fired = exact
-            if iteration >= p.burn_in:
+            if iteration >= p.burn_in:  # a scored step: rows are all running columns
                 fired = exact | (scoring >= p.max_period).any(axis=1)
             if fired.any():
                 candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
-                better = (fired & ((best == 0) | (candidate < best))).nonzero()[0]
-                best[better] = candidate[better]
-                best_residual[better] = residuals[better, candidate[better] - 1]
-                done = fired & ((best == 1) | exact)
+                held = best[rows]
+                better = (fired & ((held == 0) | (candidate < held))).nonzero()[0]
+                best[rows[better]] = candidate[better]
+                best_residual[rows[better]] = residuals[better, candidate[better] - 1]
+                done = fired & ((best[rows] == 1) | exact)
         if iteration == p.max_iters:
             done = np.ones_like(done)
         elif not done.any():
             continue
 
         order = back[size - slot - 1:size - slot + scored][::-1]  # oldest..newest
-        for k in done.nonzero()[0]:
+        for r in done.nonzero()[0]:
+            k = rows[r]
             kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
             kept.setflags(write=False)
             period = int(best[k]) or None
-            if exact[k]:
+            if exact[r]:
                 reason = "exact_repeat"
             elif period == 1:
                 reason = "sustained"
@@ -227,23 +284,26 @@ def _iterate_block(
                 detected_period=period,
                 converged=period == 1,
                 limit_cycle=tuple(kept[-period:]) if period else None,
-                residual=float(best_residual[k] if period else residuals[k, 0]),
+                residual=float(best_residual[k] if period else residuals[r, 0]),
                 iterations=iteration,
                 stop_reason=reason,
                 iterates_kept=tuple(kept),
                 params=p,
                 trace=tuple(traces[column[k]]) if traces is not None else None,
             )
-        keep = (~done).nonzero()[0]
+        retired = np.zeros(running, dtype=bool)
+        retired[rows[done]] = True
+        keep = (~retired).nonzero()[0]
         if not len(keep):
             break
         # the new prefix keeps its running columns in place; each retired
         # place in it takes a running column from beyond it
         moved = np.arange(len(keep))
-        holes = done[:len(keep)].nonzero()[0]
+        holes = retired[:len(keep)].nonzero()[0]
         moved[holes] = keep[len(keep) - len(holes):]
         for hole, source in zip(holes, moved[holes]):
             ring[hole] = ring[source]
+            prints[hole] = prints[source]
         current = current[:, moved]
         streak, best, best_residual = streak[moved], best[moved], best_residual[moved]
         column = column[moved]

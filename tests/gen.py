@@ -944,6 +944,127 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
+def all_slots_iterate_orbits(
+    op: UpperOperator, starts: np.ndarray, params: OrbitParams | None = None
+) -> tuple[OrbitResult, ...]:
+    """The block engine that scored every step, kept as the block-level reference.
+
+    Every step takes the residuals against all ring slots for every running
+    column, and every streak runs from the first step a period is scored.
+    The whole ``(n, m)`` block is one block: callers keep it narrower than
+    the engine's memory bound, so both iterate the same blocks and round
+    alike.
+    """
+    p = params or OrbitParams()
+    block = np.asarray(starts, dtype=float)
+    n, m = block.shape
+    cap = min(p.max_period, p.max_iters)
+    size = cap + 1
+    ring = np.empty((m, n, size))
+    ring[:, :, 0] = block.T
+    gaps = np.empty_like(ring)
+    current = np.array(block)
+    back = np.arange(2 * size - 1, -1, -1) % size
+    streak = np.zeros((m, cap), dtype=np.int64)
+    best = np.zeros(m, dtype=np.int64)
+    best_residual = np.zeros(m)
+    column = np.arange(m)
+    traces = [[v.copy()] for v in block.T] if p.keep_trace else None
+    results: list[OrbitResult | None] = [None] * m
+
+    for iteration in range(1, p.max_iters + 1):
+        slot = iteration % size
+        current = op.apply(current)
+        running = len(column)
+        ring[:running, :, slot] = current.T
+        if traces is not None:
+            for k, c in enumerate(column):
+                traces[c].append(current[:, k].copy())
+
+        scored = min(iteration, cap)
+        filled = scored + 1
+        diff = np.subtract(ring[:running, :, :filled], current.T[:, :, None],
+                           out=gaps[:running, :, :filled])
+        by_slot = np.abs(diff, out=diff).max(axis=1)
+        residuals = by_slot[:, back[size - slot:size - slot + scored]]
+        within = residuals <= p.tolerance
+        scoring = streak[:, :scored]
+        scoring += 1
+        scoring *= within
+
+        done = exact = np.zeros(running, dtype=bool)
+        if within.any():
+            exact = (residuals == 0.0).any(axis=1)
+            fired = exact
+            if iteration >= p.burn_in:
+                fired = exact | (scoring >= p.max_period).any(axis=1)
+            if fired.any():
+                candidate = within.argmax(axis=1) + 1
+                better = (fired & ((best == 0) | (candidate < best))).nonzero()[0]
+                best[better] = candidate[better]
+                best_residual[better] = residuals[better, candidate[better] - 1]
+                done = fired & ((best == 1) | exact)
+        if iteration == p.max_iters:
+            done = np.ones_like(done)
+        elif not done.any():
+            continue
+
+        order = back[size - slot - 1:size - slot + scored][::-1]
+        for k in done.nonzero()[0]:
+            kept = ring[k][:, order].T.copy()
+            kept.setflags(write=False)
+            period = int(best[k]) or None
+            if exact[k]:
+                reason = "exact_repeat"
+            elif period == 1:
+                reason = "sustained"
+            else:
+                reason = "budget"
+            results[column[k]] = OrbitResult(
+                detected_period=period,
+                converged=period == 1,
+                limit_cycle=tuple(kept[-period:]) if period else None,
+                residual=float(best_residual[k] if period else residuals[k, 0]),
+                iterations=iteration,
+                stop_reason=reason,
+                iterates_kept=tuple(kept),
+                params=p,
+                trace=tuple(traces[column[k]]) if traces is not None else None,
+            )
+        keep = (~done).nonzero()[0]
+        if not len(keep):
+            break
+        moved = np.arange(len(keep))
+        holes = done[:len(keep)].nonzero()[0]
+        moved[holes] = keep[len(keep) - len(holes):]
+        for hole, source in zip(holes, moved[holes]):
+            ring[hole] = ring[source]
+        current = current[:, moved]
+        streak, best, best_residual = streak[moved], best[moved], best_residual[moved]
+        column = column[moved]
+    return tuple(results)
+
+
+def orbit_result_bits(result: OrbitResult) -> tuple:
+    """Every field of an ``OrbitResult``, with floats and vectors as their bytes."""
+
+    def bits(vectors):
+        return None if vectors is None else tuple(v.tobytes() for v in vectors)
+
+    return (
+        result.detected_period,
+        result.converged,
+        bits(result.limit_cycle),
+        np.float64(result.residual).tobytes(),
+        result.iterations,
+        result.stop_reason,
+        bits(result.iterates_kept),
+        result.params,
+        bits(result.trace),
+    )
+
+
 def reference_counterexample_apply(f) -> np.ndarray:
     """The counterexample operator on one function, in scalar Python floats."""
     fa, fb, fc = (float(v) for v in f)

@@ -170,17 +170,18 @@ class TestBatchedEngine:
     def test_blocks_split_by_memory_budget(self, monkeypatch):
         import imclim.orbits
 
-        for op, block in itertools.islice(self.suites(2000), 8):
-            whole = iterate_orbits(op, block, self.PARAMS)
+        for params, (op, block) in itertools.product(
+            (self.PARAMS, OrbitParams()), itertools.islice(self.suites(2000), 8)
+        ):
+            whole = iterate_orbits(op, block, params)
             # one column per block: every column is its own one-column run
             monkeypatch.setattr(imclim.orbits, "_BLOCK_BYTES", 1)
-            split = iterate_orbits(op, block, self.PARAMS)
+            split = iterate_orbits(op, block, params)
             monkeypatch.undo()
             for f, a, b in zip(block.T, whole, split):
-                one = iterate_orbit(op, f, self.PARAMS)
+                one = iterate_orbit(op, f, params)
                 assert a.detected_period == b.detected_period
-                assert (b.iterations, b.residual, _bits(b.iterates_kept)) == (
-                    one.iterations, one.residual, _bits(one.iterates_kept))
+                assert gen.orbit_result_bits(b) == gen.orbit_result_bits(one)
 
     def test_traces_follow_their_columns(self, running_op):
         params = OrbitParams(burn_in=0, max_iters=300, max_period=4, keep_trace=True)
@@ -202,6 +203,117 @@ class TestBatchedEngine:
         with pytest.raises(PreconditionError):
             iterate_orbits(running_op, np.array([[0.0, np.inf]] * 5))
         assert iterate_orbits(running_op, np.zeros((5, 0))) == ()
+
+
+class TestScoringWindow:
+    """Residuals only from ``W = burn_in - max_period + 1`` on, and before it only on a print hit.
+
+    The engine must give every ``OrbitResult`` field bit for bit as the
+    engines that score every step: the scalar reference, one column at a
+    time, and the block engine the window replaced, on whole blocks.
+    """
+
+    # the defaults (W = 137); burn_in >> max_period (W = 293); a budget that
+    # ends before W; burn_in < max_period (W = 1); a coarse tolerance
+    GRID = (
+        OrbitParams(),
+        OrbitParams(burn_in=300, max_period=8),
+        OrbitParams(max_iters=60),
+        OrbitParams(burn_in=5, max_period=16, max_iters=400),
+        OrbitParams(tolerance=0.05),
+    )
+
+    @staticmethod
+    def operators(seed: int):
+        """Random operators of up to 5 states, every fourth a sparse one of 20 to 24 states."""
+        rng = random.Random(seed)
+        for k in itertools.count():
+            if k % 4 == 3:
+                yield gen.random_wide_operator(rng, rng.randint(20, 24))
+            else:
+                yield gen.random_operator(rng)
+
+    def test_one_column_matches_the_scalar_reference(self):
+        reasons = Counter()
+        columns = 0
+        for index, params in enumerate(self.GRID):
+            done = 0
+            for k, op in enumerate(self.operators(1401 + index)):
+                if done >= 220:
+                    break
+                for _, f in default_function_suite(op, extra=2, rng=np.random.default_rng(k)):
+                    one = iterate_orbit(op, f, params)
+                    ref = gen.reference_iterate_orbit(op, f, params)
+                    assert gen.orbit_result_bits(one) == gen.orbit_result_bits(ref), (params, k)
+                    reasons[one.stop_reason] += 1
+                    done += 1
+            columns += done
+        assert columns >= 1000
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+
+    @staticmethod
+    def blocks(columns: int):
+        """Seeded (operator, start block) pairs from random, sparse wide and
+        planted cyclic models, until ``columns`` columns are drawn."""
+        rng = random.Random(1402)
+        done = 0
+        for k in itertools.count():
+            if done >= columns:
+                return
+            if k % 3 == 0:
+                op = gen.random_operator(rng)
+            elif k % 3 == 1:
+                op = gen.random_wide_operator(rng, rng.randint(12, 24))
+            else:
+                op = gen.planted_cyclic_operator(rng)[0]
+            suite = default_function_suite(op, extra=8, rng=np.random.default_rng(k))
+            block = np.stack([f for _, f in suite], axis=1)
+            done += block.shape[1]
+            yield op, block
+
+    def test_blocks_match_the_all_slots_engine(self):
+        reasons = Counter()
+        columns = 0
+        for k, (op, block) in enumerate(self.blocks(2000)):
+            params = self.GRID[k % len(self.GRID)]
+            batch = iterate_orbits(op, block, params)
+            reference = gen.all_slots_iterate_orbits(op, block, params)
+            assert len(batch) == len(reference) == block.shape[1]
+            for a, b in zip(batch, reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), (params, k)
+                reasons[a.stop_reason] += 1
+            columns += block.shape[1]
+        assert columns >= 2000
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+
+    def test_signed_zeros_repeat_exactly(self):
+        # the identity maps -0.0 to +0.0: equal as floats, so an exact repeat
+        # at the first step, though the bit patterns differ
+        op = gen.identity_operator("ab")
+        for f in ([-0.0, 0.0], [1.0, -0.0]):
+            result = iterate_orbit(op, f)
+            assert (result.stop_reason, result.iterations) == ("exact_repeat", 1)
+            assert result.detected_period == 1
+            ref = gen.reference_iterate_orbit(op, f)
+            assert gen.orbit_result_bits(result) == gen.orbit_result_bits(ref)
+
+    def test_print_collisions_change_no_result(self, monkeypatch):
+        import imclim.orbits
+
+        # every print equal: every column's every past slot hits
+        monkeypatch.setattr(imclim.orbits, "_fingerprint",
+                            lambda values, weights: np.zeros(values.shape[1], dtype=np.uint64))
+        reasons = Counter()
+        for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 30)):
+            params = self.GRID[k % len(self.GRID)]
+            reference = gen.all_slots_iterate_orbits(op, block, params)
+            for a, b in zip(iterate_orbits(op, block, params), reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
+                reasons[a.stop_reason] += 1
+            f = block[:, 0]
+            assert gen.orbit_result_bits(iterate_orbit(op, f, params)) == \
+                gen.orbit_result_bits(gen.reference_iterate_orbit(op, f, params))
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
 
 
 class TestCycleClosure:
