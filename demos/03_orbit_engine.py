@@ -43,7 +43,8 @@ for k, element in enumerate(result.limit_cycle):
     print(f"  cycle[{k}] = {element}")
 
 trace_path = Path(__file__).resolve().parent / "swap-orbit.csv"
-write_orbit_trace(trace_path, op.space.labels, result.trace)
+with open(trace_path, "w", newline="") as handle:
+    write_orbit_trace(handle, op.space.labels, result.trace)
 print(f"  full trace written to {trace_path}")
 
 print("\n== a converging orbit on the same operator ==")

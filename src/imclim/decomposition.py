@@ -4,8 +4,10 @@ The decomposition peels the state space level by level: each level takes the
 maximal communication classes and the transient states that get absorbed into
 them, then recurses on the remaining (unabsorbed) transient states.  Only the
 operator's candidate supports matter, so each deeper level cuts the support
-table by mask and no restricted operator is built.  Verdict ``basis`` strings
-name entries of the decision rule table in the project README.
+table by mask and no restricted operator is built.  Every level speaks in its
+own indices; ``LevelRecord.states`` is the one map back to the model's, and
+the level's state space gives the labels.  Verdict ``basis`` strings name
+entries of the decision rule table in the project README.
 
 The module is purely structural: it reads support tables and graphs only,
 and runs no orbit.  The numerical cross-check of a verdict lives in
@@ -14,11 +16,11 @@ and runs no orbit.  The numerical cross-check of a verdict lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
-from .operators import StateSpace, UpperOperator
+from .operators import UpperOperator
 from .reachability import StatePartition, partition_states
 
 BASIS_ERGODIC = "Proposition 1"
@@ -38,9 +40,10 @@ _FOOTNOTE_NOTE = (
 class LevelRecord:
     """One level of the decomposition.
 
-    ``graph`` and ``partition`` speak in the level's own indices, where
-    position ``i`` is original state ``states[i]``; ``classes`` and the
-    derived state sets speak in original indices.
+    ``graph``, ``partition`` and ``classes`` all speak in the level's own
+    indices, where position ``i`` is original state ``states[i]``; the
+    level's labels are ``partition.space``.  ``classes`` is
+    ``communication_classes(graph)`` as computed.
     """
 
     index: int  # 1-based depth
@@ -49,25 +52,11 @@ class LevelRecord:
     partition: StatePartition
     classes: tuple[ClassInfo, ...]
 
-    def _orig(self, local: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.states[i] for i in local)
-
-    @property
-    def maximal_classes(self) -> tuple[frozenset[int], ...]:
-        return tuple(self._orig(m) for m in self.partition.maximal_classes)
-
-    @property
-    def absorbed(self) -> frozenset[int]:
-        return self._orig(self.partition.absorbed_transients)
-
-    @property
-    def remaining(self) -> frozenset[int]:
-        return self._orig(self.partition.unabsorbed_transients)
-
 
 @dataclass(frozen=True)
 class Decomposition:
-    space: StateSpace
+    """The levels of the decomposition; the model's space is ``levels[0].partition.space``."""
+
     levels: tuple[LevelRecord, ...]
 
     @property
@@ -90,25 +79,15 @@ def decompose(op: UpperOperator) -> Decomposition:
     table = op.supports()
     while True:
         graph = build_graph(table)
-        local_classes = communication_classes(graph)
-        record = LevelRecord(
-            index=len(levels) + 1,
-            states=indices,
-            graph=graph,
-            partition=partition_states(table, local_classes),
-            classes=tuple(
-                replace(c, members=frozenset(indices[i] for i in c.members),
-                        phases=tuple(frozenset(indices[i] for i in p) for p in c.phases))
-                for c in local_classes
-            ),
-        )
-        levels.append(record)
-        if not record.remaining:
+        classes = communication_classes(graph)
+        partition = partition_states(table, classes)
+        levels.append(LevelRecord(len(levels) + 1, indices, graph, partition, classes))
+        if not partition.unabsorbed_transients:
             break
-        local = sorted(record.partition.unabsorbed_transients)
+        local = sorted(partition.unabsorbed_transients)
         indices = tuple(indices[i] for i in local)
         table = table.restrict(local)
-    return Decomposition(op.space, tuple(levels))
+    return Decomposition(tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -182,11 +161,12 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         basis["convergent"] = BASIS_SUFFICIENT
     else:
         level, info = offender
+        space = level.partition.space
         witness = Witness(
             level=level.index,
-            members=dec.space.labels_of(info.members),
+            members=space.labels_of(info.members),
             cyclicity=info.cyclicity,
-            phases=tuple(dec.space.labels_of(p) for p in info.phases),
+            phases=tuple(space.labels_of(p) for p in info.phases),
         )
         if op.is_finitely_generated:
             convergent = "no"

@@ -48,22 +48,30 @@ class AccessGraph:
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """A communication class with its structural flags.
+    """A communication class in the indices of the graph it came from.
 
     ``cyclicity`` is ``None`` for a class without internal closed paths (a
-    singleton with no self-loop); such a class is never regular.  Regularity
-    is only asserted for maximal classes.  A maximal class of cyclicity
-    ``d >= 2`` lists its ``d`` cyclic subclasses in ``phases``: every edge
-    inside the class goes from ``phases[j]`` to ``phases[(j + 1) % d]``, and
-    ``phases[0]`` holds the smallest member.  Other classes leave it empty.
+    singleton with no self-loop); such a class is never regular.  A maximal
+    class of cyclicity ``d >= 2`` lists its ``d`` cyclic subclasses in
+    ``phases``: every edge inside the class goes from ``phases[j]`` to
+    ``phases[(j + 1) % d]``, and ``phases[0]`` holds the smallest member.
+    Other classes leave it empty.
     """
 
     members: frozenset[int]
-    is_maximal: bool
     is_closed: bool
     cyclicity: int | None
-    is_regular: bool
     phases: tuple[frozenset[int], ...] = ()
+
+    @property
+    def is_maximal(self) -> bool:
+        """No other class is reachable from it; for a communication class, closed."""
+        return self.is_closed
+
+    @property
+    def is_regular(self) -> bool:
+        """Maximal with cyclicity 1; regularity is only asserted for maximal classes."""
+        return self.is_closed and self.cyclicity == 1
 
 
 def build_graph(table: SupportTable) -> AccessGraph:
@@ -136,9 +144,7 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     the class, so the depths are a spanning-tree potential, as breadth-first
     levels are in Denardo (Math. Oper. Res. 1977): with cyclicity ``d``,
     ``depth(v) = depth(u) + 1 (mod d)`` on every internal edge, so the depths
-    mod ``d`` are the cyclic subclasses.  For a communication
-    class, maximal (no other class reachable from it) and closed are the
-    same property, so ``is_maximal`` is ``is_closed``.
+    mod ``d`` are the cyclic subclasses.
     """
     xs, ys = np.nonzero(graph.adjacency)
     sccs, depth = _strongly_connected_components(graph.n, xs, ys)
@@ -160,16 +166,7 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
             order = np.array(sorted(members))
             phase = (depth[order] - depth[order[0]]) % cyc
             phases = tuple(frozenset(order[phase == j].tolist()) for j in range(cyc))
-        out.append(
-            ClassInfo(
-                members=members,
-                is_maximal=is_closed,
-                is_closed=is_closed,
-                cyclicity=cyc,
-                is_regular=bool(is_closed and cyc == 1),
-                phases=phases,
-            )
-        )
+        out.append(ClassInfo(members, is_closed, cyc, phases))
     return tuple(out)
 
 

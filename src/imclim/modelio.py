@@ -40,7 +40,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ImclimError, ModelValidationError
+from .errors import ModelValidationError
 from .operators import BUILTIN_OPERATORS, CredalOperator, UpperOperator, validate_family
 
 RATIONAL_HINT = 'write probabilities as strings like "1/4", "0.25" or "1"'
@@ -184,23 +184,11 @@ def load_model(source: str | Path) -> UpperOperator:
 
 
 def write_orbit_trace(
-    target: str | Path | IO[str],
-    labels: Sequence[str],
-    trace: Sequence[np.ndarray],
+    handle: IO[str], labels: Sequence[str], trace: Sequence[np.ndarray]
 ) -> None:
-    """CSV export of an orbit trace: one row per iteration, one column per state."""
-
-    def _write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", *labels])
-        for i, vec in enumerate(trace):
-            writer.writerow([i, *(repr(float(v)) for v in vec)])
-
-    if hasattr(target, "write"):
-        _write(target)
-        return
-    try:
-        with open(target, "w", newline="") as handle:
-            _write(handle)
-    except OSError as exc:
-        raise ImclimError(f"cannot write orbit trace {target}: {exc}") from exc
+    """CSV export of an orbit trace to the writable text ``handle`` (opened with
+    ``newline=""``): one row per iteration, one column per state."""
+    writer = csv.writer(handle)
+    writer.writerow(["iteration", *labels])
+    for i, vec in enumerate(trace):
+        writer.writerow([i, *(repr(float(v)) for v in vec)])

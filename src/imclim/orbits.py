@@ -30,7 +30,8 @@ is ever gathered.  Each column is certified on its own and retires on its
 own step; the running columns stay a contiguous prefix of the buffers.  A
 suite whose ring, residual and print buffers would exceed ``_BLOCK_BYTES``
 runs as several blocks, one after another.  :func:`iterate_orbit` is the
-one-column case.
+one-column case.  A run writes only the ring slots it reaches, so a budget
+far beyond the run's length costs address space, not memory.
 
 Orbit iteration reads no graph structure.  :func:`search_cycle_witness`
 runs no orbit: it turns the cyclic subclasses of a "no" verdict's witness
@@ -149,6 +150,9 @@ def iterate_orbits(
     are taken only when the fingerprint of its new iterate equals that of one
     of the ring's past iterates: equal iterates always have equal prints, and
     the residuals decide, so the results are those of scoring every step.
+
+    Raises :class:`PreconditionError` when the window of a budget cannot be
+    allocated at all.
     """
     p = params or OrbitParams()
     block = np.asarray(starts, dtype=float)
@@ -202,19 +206,22 @@ def _iterate_block(
     # lead, so the running ones stay a contiguous prefix: a retired column's
     # place is refilled from beyond the prefix, and the big buffers are
     # allocated once per block.
-    ring = np.empty((m, n, size))
+    try:
+        ring = np.empty((m, n, size))
+        gaps = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
+        prints = np.empty((m, size), dtype=np.uint64)
+        streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest dimension
+        raise PreconditionError(
+            f"the orbit window of max_period={p.max_period}, max_iters={p.max_iters} "
+            f"over {n} states does not fit in memory; lower the budget"
+        ) from exc
     ring[:, :, 0] = block.T
-    gaps = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
     weights = np.arange(1, 2 * n, 2, dtype=np.uint64) * _PRINT_ODD
-    prints = np.empty((m, size), dtype=np.uint64)
     prints[:, 0] = _fingerprint(block, weights)
     current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
-    # back[size - s + j] is the slot j + 1 steps before slot s (and back[size - s - 1]
-    # is s itself), so the slots of past iterates are one basic slice of it
-    back = np.arange(2 * size - 1, -1, -1) % size
     # the first step whose residuals the sustained rule can read; streaks start here
     scoring_from = max(1, p.burn_in - p.max_period + 1)
-    streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
     best_residual = np.zeros(m)
     column = np.arange(m)  # block column of each running column
@@ -231,11 +238,11 @@ def _iterate_block(
                 traces[c].append(current[:, k].copy())
 
         scored = min(iteration, cap)
-        past = back[size - slot:size - slot + scored]  # slot of each period 1..scored
+        past = np.arange(slot - 1, slot - scored - 1, -1) % size  # slot of each period 1..scored
         if iteration >= scoring_from or iteration == p.max_iters:
             rows = np.arange(running)
             residuals = _residuals(ring[:running], current, past, gaps)
-            scoring = streak[:, :scored]
+            scoring = streak[:running, :scored]
             scoring += 1
             scoring *= residuals <= p.tolerance
         else:
@@ -268,7 +275,7 @@ def _iterate_block(
         elif not done.any():
             continue
 
-        order = back[size - slot - 1:size - slot + scored][::-1]  # oldest..newest
+        order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
         for r in done.nonzero()[0]:
             k = rows[r]
             kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
@@ -297,15 +304,17 @@ def _iterate_block(
         if not len(keep):
             break
         # the new prefix keeps its running columns in place; each retired
-        # place in it takes a running column from beyond it
+        # place in it takes a running column from beyond it, copying only
+        # the slots and periods written so far
         moved = np.arange(len(keep))
         holes = retired[:len(keep)].nonzero()[0]
         moved[holes] = keep[len(keep) - len(holes):]
         for hole, source in zip(holes, moved[holes]):
-            ring[hole] = ring[source]
-            prints[hole] = prints[source]
+            ring[hole, :, :scored + 1] = ring[source, :, :scored + 1]
+            prints[hole, :scored + 1] = prints[source, :scored + 1]
+            streak[hole, :scored] = streak[source, :scored]
         current = current[:, moved]
-        streak, best, best_residual = streak[moved], best[moved], best_residual[moved]
+        best, best_residual = best[moved], best_residual[moved]
         column = column[moved]
     return results
 

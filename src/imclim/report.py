@@ -35,12 +35,13 @@ def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
 
 
 def decomposition_block(dec: Decomposition) -> dict:
-    """The report's ``decomposition`` block: depth and per-level classes."""
-    space = dec.space
-    levels = [
-        {
+    """The report's ``decomposition`` block: depth and per-level classes, in labels."""
+    levels = []
+    for level in dec.levels:
+        space = level.partition.space
+        levels.append({
             "level": level.index,
-            "states": _labels(space, level.states),
+            "states": sorted(space.labels),
             "maximal_classes": [
                 {
                     "members": _labels(space, c.members),
@@ -50,11 +51,9 @@ def decomposition_block(dec: Decomposition) -> dict:
                 for c in level.classes
                 if c.is_maximal
             ],
-            "absorbed": _labels(space, level.absorbed),
-            "remaining": _labels(space, level.remaining),
-        }
-        for level in dec.levels
-    ]
+            "absorbed": _labels(space, level.partition.absorbed_transients),
+            "remaining": _labels(space, level.partition.unabsorbed_transients),
+        })
     return {"depth": dec.depth, "levels": levels}
 
 

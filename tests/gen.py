@@ -71,12 +71,14 @@ def identity_operator(labels) -> CredalOperator:
 
 
 def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
-    """All level maximal classes and absorbed sets; together they partition the space."""
+    """All level maximal classes and absorbed sets, in the model's indices; together
+    they partition the space."""
     pieces = []
     for level in dec.levels:
-        pieces.extend(level.maximal_classes)
-        if level.absorbed:
-            pieces.append(level.absorbed)
+        part = level.partition
+        for piece in (*part.maximal_classes, part.absorbed_transients):
+            if piece:
+                pieces.append(frozenset(level.states[i] for i in piece))
     return tuple(pieces)
 
 

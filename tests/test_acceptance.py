@@ -80,9 +80,10 @@ def test_criterion_1_running_example_pipeline():
     if dec.depth != 2:
         failures.append(f"depth {dec.depth}")
     else:
-        level2 = dec.levels[1]
-        if [lab(m) for m in level2.maximal_classes] != [("d", "e")]:
-            failures.append(f"level-2 classes {[lab(m) for m in level2.maximal_classes]}")
+        part2 = dec.levels[1].partition
+        got = [part2.space.labels_of(m) for m in part2.maximal_classes]
+        if got != [("d", "e")]:
+            failures.append(f"level-2 classes {got}")
 
     verdict = decide_convergence(op, dec)
     if verdict.ergodic != "no":
@@ -119,8 +120,9 @@ def test_criterion_2a_counterexample_symbolic():
     if dec.depth != 2:
         failures.append(f"depth {dec.depth}")
     else:
-        level2_info = [c for c in dec.levels[1].classes if c.is_maximal]
-        if [lab(c.members) for c in level2_info] != [("b", "c")]:
+        level2 = dec.levels[1]
+        level2_info = [c for c in level2.classes if c.is_maximal]
+        if [level2.partition.space.labels_of(c.members) for c in level2_info] != [("b", "c")]:
             failures.append("level-2 class mismatch")
         elif level2_info[0].cyclicity != 2:
             failures.append(f"level-2 cyclicity {level2_info[0].cyclicity}")

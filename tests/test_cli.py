@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -8,8 +11,9 @@ import pytest
 
 from imclim.cli import main
 
-DEMO_MODEL = str(Path(__file__).resolve().parent.parent / "demos" / "running-example.json")
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+REPO = Path(__file__).resolve().parent.parent
+DEMO_MODEL = str(REPO / "demos" / "running-example.json")
+SCHEMA_PATH = REPO / "docs" / "report.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
 # ``decompose --json`` prints the report's decomposition block on its own
 DECOMPOSITION_SCHEMA = {"$defs": SCHEMA["$defs"], **SCHEMA["properties"]["decomposition"]}
@@ -139,8 +143,8 @@ class TestAnalyze:
 
 
 class TestBadInput:
-    """Input the model loader or the trace writer cannot use ends as exit 1 with
-    an ``error:`` line, never a traceback."""
+    """Input the model loader, the trace writer or the orbit engine cannot use
+    ends as exit 1 with an ``error:`` line, never a traceback."""
 
     @staticmethod
     def assert_error(argv, capsys, phrase):
@@ -192,6 +196,18 @@ class TestBadInput:
         )
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["orbit", DEMO_MODEL, "-f", "a"],
+        ["analyze", DEMO_MODEL, "--suite", "0"],
+    ], ids=["orbit", "analyze"])
+    def test_orbit_window_beyond_any_memory(self, command, capsys):
+        # numpy refuses a dimension of 10**30 on any machine
+        budget = str(10**30)
+        self.assert_error(
+            [*command, "--max-iters", budget, "--max-period", budget], capsys,
+            "does not fit in memory",
+        )
+
 
 class TestOrbit:
     def test_indicator_function(self, capsys):
@@ -230,6 +246,24 @@ class TestOrbit:
         assert main(["orbit", "builtin:counterexample-5.1", "-f", "b", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["period"] == "none within budget"
+
+    def test_budget_beyond_the_run_costs_no_memory(self):
+        # the run ends on step 107; a window of 10**7 slots is address space only
+        budget = str(10**7)
+        script = (
+            "import resource\n"
+            "from imclim.cli import main\n"
+            f"code = main(['orbit', {DEMO_MODEL!r}, '-f', 'a',"
+            f" '--max-iters', '{budget}', '--max-period', '{budget}'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "iterations: 107" in done.stdout
+        code, peak_kib = done.stdout.split("\n")[-2].split()
+        assert code == "0"
+        assert int(peak_kib) < 100 * 1024
 
     def test_trace_export(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -30,8 +30,9 @@ from imclim.decomposition import (
 F = Fraction
 
 
-def labelled(op, states):
-    return op.space.labels_of(states)
+def labelled(level, states):
+    """Labels of the level-local indices ``states``, through the level's own space."""
+    return level.partition.space.labels_of(states)
 
 
 class TestDecompose:
@@ -39,29 +40,31 @@ class TestDecompose:
         dec = decompose(running_op)
         assert dec.depth == 2
         level1, level2 = dec.levels
-        assert [labelled(running_op, m) for m in level1.maximal_classes] == [("a",), ("b",)]
-        assert labelled(running_op, level1.absorbed) == ("c",)
-        assert labelled(running_op, level1.remaining) == ("d", "e")
-        assert [labelled(running_op, m) for m in level2.maximal_classes] == [("d", "e")]
-        assert not level2.absorbed and not level2.remaining
-        cyc = {labelled(running_op, c.members): c.cyclicity for c in level2.classes}
+        part1, part2 = level1.partition, level2.partition
+        assert [labelled(level1, m) for m in part1.maximal_classes] == [("a",), ("b",)]
+        assert labelled(level1, part1.absorbed_transients) == ("c",)
+        assert labelled(level1, part1.unabsorbed_transients) == ("d", "e")
+        assert [labelled(level2, m) for m in part2.maximal_classes] == [("d", "e")]
+        assert not part2.absorbed_transients and not part2.unabsorbed_transients
+        cyc = {labelled(level2, c.members): c.cyclicity for c in level2.classes}
         assert cyc == {("d", "e"): 1}
 
     def test_identity_depth_one_all_regular(self, identity5_op):
         dec = decompose(identity5_op)
         assert dec.depth == 1
         level = dec.levels[0]
-        assert len(level.maximal_classes) == 5
+        assert len(level.partition.maximal_classes) == 5
         assert all(c.is_regular for c in level.classes)
 
     def test_counterexample_two_levels(self, counterexample_op):
         dec = decompose(counterexample_op)
         assert dec.depth == 2
         level1, level2 = dec.levels
-        assert [labelled(counterexample_op, m) for m in level1.maximal_classes] == [("a",)]
-        assert not level1.absorbed
-        assert labelled(counterexample_op, level1.remaining) == ("b", "c")
-        assert [labelled(counterexample_op, m) for m in level2.maximal_classes] == [("b", "c")]
+        part1, part2 = level1.partition, level2.partition
+        assert [labelled(level1, m) for m in part1.maximal_classes] == [("a",)]
+        assert not part1.absorbed_transients
+        assert labelled(level1, part1.unabsorbed_transients) == ("b", "c")
+        assert [labelled(level2, m) for m in part2.maximal_classes] == [("b", "c")]
         level2_info = next(c for c in level2.classes if c.is_maximal)
         assert level2_info.cyclicity == 2
 
@@ -83,6 +86,40 @@ class TestDecompose:
         assert np.array_equal(cut.rows, direct.rows)
         assert np.array_equal(cut.starts, direct.starts)
         assert np.array_equal(level2.graph.adjacency, direct.adjacency())
+
+    def test_levels_speak_in_their_own_indices(self):
+        # every field of a level uses the level's indices; ``states`` maps
+        # them to the model's, and the level's space gives their labels
+        rng = random.Random(78)
+        witnessed = 0
+        for k in range(1000):
+            if k % 2:
+                op = gen.planted_cyclic_operator(rng)[0]
+            else:
+                op = gen.random_wide_operator(rng, rng.randint(5, 30))
+            dec = decompose(op)
+            for level in dec.levels:
+                space = level.partition.space
+                assert level.classes == communication_classes(level.graph)
+                assert level.graph.labels == space.labels
+                assert space.labels == tuple(op.space.labels[i] for i in level.states)
+            offenders = [
+                (level, c) for level in dec.levels for c in level.classes
+                if c.is_maximal and not c.is_regular
+            ]
+            witness = decide_convergence(op, dec).witness
+            if not offenders:
+                assert witness is None
+                continue
+            witnessed += 1
+            level, info = offenders[0]
+            space = level.partition.space
+            assert witness.level == level.index
+            assert witness.members == space.labels_of(info.members)
+            assert witness.phases == tuple(space.labels_of(p) for p in info.phases)
+            # the same labels through the model's indices
+            assert witness.members == op.space.labels_of(level.states[i] for i in info.members)
+        assert witnessed >= 500
 
     def test_operator_without_supports_is_refused(self, running_op):
         class NoSupports(UpperOperator):

@@ -142,7 +142,7 @@ class TestMaximalClassPremise:
             for info in level.classes:
                 if not info.is_maximal:
                     continue
-                local = sorted(level.states.index(i) for i in info.members)
+                local = sorted(info.members)
                 sub_graph = build_graph(gen.restrict(level_op, local).supports())
                 assert np.array_equal(
                     sub_graph.adjacency, parent_adjacency[np.ix_(local, local)]

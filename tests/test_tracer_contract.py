@@ -50,3 +50,26 @@ def test_traced_analyses_time_the_witness(tmp_path, capsys):
     metrics = tracer.metrics()
     assert metrics["orbits.witness_s"] > 0
     assert metrics["orbits.suite_s"] > 0
+
+
+def test_traced_orbits_record_their_stop_reasons(capsys):
+    # the tracer reads the result's params.max_iters, residual, iterations and
+    # detected_period: the running example repeats exactly, the counterexample
+    # spends its budget
+    demo = str(Path(__file__).resolve().parent.parent / "demos" / "running-example.json")
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        codes = [
+            tracer.run("running", imclim.cli.main, ["orbit", demo, "-f", "b"]),
+            tracer.run("counterexample", imclim.cli.main,
+                       ["orbit", "builtin:counterexample-5.1", "-f", "b", "--max-iters", "300"]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    metrics = tracer.metrics()
+    assert metrics["orbits.iterations"] > 0
+    assert metrics["orbits.stop_exact"] == 0.5
+    assert metrics["orbits.stop_budget"] == 0.5
