@@ -8,31 +8,21 @@ reports periods, residuals and the cycle itself -- plus CSV trace export.
 Run from the repository root:  python demos/03_orbit_engine.py
 """
 
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from imclim import (
-    CredalOperator,
-    OrbitParams,
-    iterate_orbit,
-    validate_family,
-    write_orbit_trace,
-)
-
-F = Fraction
+from imclim import OrbitParams, iterate_orbit, parse_model, write_orbit_trace
 
 # one absorbing state, and a b<->c swap that never reaches it
-family = validate_family(
-    ["a", "b", "c"],
-    {
-        "a": [{"a": F(1)}],
-        "b": [{"a": F(1)}, {"c": F(1)}],
-        "c": [{"b": F(1)}],
+op = parse_model({
+    "states": ["a", "b", "c"],
+    "credal_sets": {
+        "a": [{"a": "1"}],
+        "b": [{"a": "1"}, {"c": "1"}],
+        "c": [{"b": "1"}],
     },
-)
-op = CredalOperator(family)
+})
 
 print("== a cycling orbit ==")
 params = OrbitParams(keep_trace=True)

@@ -11,35 +11,23 @@ Run from the repository root:  python demos/04_random_screening.py
 
 import random
 from collections import Counter
-from fractions import Fraction
 
-from imclim import (
-    CredalFamily,
-    CredalOperator,
-    Pmf,
-    StateSpace,
-    decide_convergence,
-    decompose,
-    oracle_compare,
-)
+from imclim import CredalOperator, decide_convergence, decompose, oracle_compare, parse_model
 
 
-def random_pmf(rng: random.Random, n: int) -> Pmf:
-    support = sorted(rng.sample(range(n), rng.randint(1, n)))
+def random_pmf(rng: random.Random, labels: str) -> dict[str, str]:
+    """A pmf as a model file writes it: masses ``"part/q"`` on a random support."""
+    support = sorted(rng.sample(range(len(labels)), rng.randint(1, len(labels))))
     q = rng.randint(1, 8)
     cuts = sorted(rng.randint(0, q) for _ in range(len(support) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-    return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
+    return {labels[idx]: f"{part}/{q}" for idx, part in zip(support, parts)}
 
 
 def random_operator(rng: random.Random) -> CredalOperator:
-    n = rng.randint(2, 5)
-    space = StateSpace(tuple("abcdefgh"[:n]))
-    per = tuple(
-        tuple(random_pmf(rng, n) for _ in range(rng.randint(1, 3)))
-        for _ in range(n)
-    )
-    return CredalOperator(CredalFamily(space, per))
+    labels = "abcdefgh"[:rng.randint(2, 5)]
+    sets = {x: [random_pmf(rng, labels) for _ in range(rng.randint(1, 3))] for x in labels}
+    return parse_model({"states": list(labels), "credal_sets": sets})
 
 
 rng = random.Random(2026)

@@ -21,13 +21,10 @@ from .errors import (
 from .operators import (
     BUILTIN_OPERATORS,
     CounterexampleOperator,
-    CredalFamily,
     CredalOperator,
-    Pmf,
     StateSpace,
     SupportTable,
     UpperOperator,
-    validate_family,
 )
 from .graphs import (
     AccessGraph,
@@ -82,9 +79,6 @@ __all__ = [
     "InternalInvariantError",
     # operators
     "StateSpace",
-    "Pmf",
-    "CredalFamily",
-    "validate_family",
     "SupportTable",
     "UpperOperator",
     "CredalOperator",

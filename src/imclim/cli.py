@@ -285,9 +285,16 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except ImclimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # final flush at exit cannot fail again, as the Python docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

@@ -20,10 +20,11 @@ Closed-form operators are addressed by registry name, e.g.
 
 Loading is integer arithmetic throughout: :func:`parse_rational_pair` reads
 each distinct mass string of a document once into its reduced
-``(numerator, denominator)`` pair, and
-:func:`~imclim.operators.validate_family` checks every pmf's sign and exact
-sum on those integers, so a model is validated exactly without building a
-``Fraction`` per mass.
+``(numerator, denominator)`` pair, and :func:`parse_model` checks every pmf's
+signs and exact sum on those integers, drops duplicate pmfs and orders the
+rest, so a model is validated exactly without building a ``Fraction`` per
+mass.  This module is the only one that uses ``fractions``: everything
+downstream of loading needs no exact arithmetic.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import gcd, lcm
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ModelValidationError
-from .operators import BUILTIN_OPERATORS, CredalOperator, UpperOperator, validate_family
+from .operators import BUILTIN_OPERATORS, CredalOperator, StateSpace, UpperOperator
 
 RATIONAL_HINT = 'write probabilities as strings like "1/4", "0.25" or "1"'
 
@@ -105,7 +107,16 @@ def _parse_fraction(value, where: str) -> Fraction:
 
 
 def parse_model(data) -> CredalOperator:
-    """Build an operator from a decoded model document."""
+    """Build an operator from a decoded model document.
+
+    Every mass is parsed first, in document order.  Then one pass validates
+    the model, raising the first error in this order: credal sets given for
+    unknown states, then per state (in ``"states"`` order) a missing or
+    empty set, and per pmf unknown targets, negative masses and a sum other
+    than one.  Each pmf becomes ascending ``(index, numerator, denominator)``
+    triples of its non-zero masses; duplicate pmfs of a state are dropped and
+    the rest put in the order of their dense mass vectors.
+    """
     if not isinstance(data, Mapping):
         raise ModelValidationError("the model document must be a JSON object")
     states = data.get("states")
@@ -140,7 +151,61 @@ def parse_model(data) -> CredalOperator:
                 pmf[target] = pair
             parsed.append(pmf)
         credal_sets[label] = parsed
-    return CredalOperator(validate_family(states, credal_sets))
+
+    space = StateSpace(tuple(states))
+    unknown = sorted(set(credal_sets) - set(space.labels))
+    if unknown:
+        raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
+    index = {x: i for i, x in enumerate(space.labels)}
+    per_state = []
+    for label in space.labels:
+        raw = credal_sets.get(label)
+        if raw is None:
+            raise ModelValidationError(f"no credal set for state '{label}'")
+        if not raw:
+            raise ModelValidationError(f"empty credal set for state '{label}'")
+        pmfs = set()
+        for k, entry in enumerate(raw):
+            if not entry.keys() <= index.keys():
+                bad = sorted(y for y in entry if y not in index)
+                raise ModelValidationError(
+                    f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
+                )
+            triples = sorted([(index[y], num, den) for y, (num, den) in entry.items()])
+            problem = _mass_problem(triples)
+            if problem:
+                raise ModelValidationError(f"pmf #{k} for state '{label}': {problem}")
+            pmfs.add(tuple([t for t in triples if t[1]]))
+        per_state.append(tuple(sorted(pmfs, key=cmp_to_key(_dense_cmp))))
+    return CredalOperator(space, tuple(per_state))
+
+
+def _mass_problem(triples: list[tuple[int, int, int]]) -> str | None:
+    # Signs on the numerators, then the sum as one integer sum over the least
+    # common denominator; None for a pmf.
+    negative = [i for i, num, _ in triples if num < 0]
+    if negative:
+        return f"negative mass at positions {negative}"
+    common = lcm(*[den for _, _, den in triples])
+    total = sum([num * (common // den) for _, num, den in triples])
+    if total == common:
+        return None
+    try:
+        text = str(Fraction(total, common))
+    except ValueError:  # more digits than the interpreter converts to text
+        text = "a rational too long to print"
+    return f"masses sum to {text}, expected exactly 1"
+
+
+def _dense_cmp(p, q) -> int:
+    # Sorts pmfs like their dense mass vectors: a pmf whose first differing
+    # entry is larger comes later, and mass at a lower index is the larger entry.
+    for (i, a, b), (j, c, d) in zip(p, q):
+        if i != j:
+            return 1 if i < j else -1
+        if a * d != c * b:
+            return -1 if a * d < c * b else 1
+    return len(p) - len(q)
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -5,8 +5,9 @@ over a finite state space that is subadditive, positively homogeneous and
 dominated by the pointwise maximum.  Two implementations are provided:
 
 * :class:`CredalOperator` -- driven by a finite set of candidate transition
-  pmfs per state (a :class:`CredalFamily`); the value at a state is the
-  maximum expectation over that state's candidates.
+  pmfs per state, as :func:`~imclim.modelio.parse_model` reads them from a
+  model; the value at a state is the maximum expectation over that state's
+  candidates.
 * :class:`CounterexampleOperator` -- a closed-form three-state operator whose
   middle row maximises over a one-parameter curve of pmfs.  It is registered
   under ``builtin:counterexample-5.1``.
@@ -19,14 +20,13 @@ with no arithmetic, so strict-positivity tests never depend on the scale of
 the input.  :meth:`SupportTable.restrict` is the one restriction: deeper
 decomposition levels cut the table by mask, and no restricted operator is
 ever built.  An operator therefore declares only its ``space``, ``apply``
-and ``supports``.  Models keep their masses exact, as reduced integer
-``(numerator, denominator)`` pairs: they serve only to validate each pmf
-(signs on the numerators, the sum as one integer sum over the least common
-denominator), to drop duplicate pmfs and to fix the canonical pmf order (by
-cross-multiplication), all without a ``Fraction`` per mass.  The package
-evaluates operators in IEEE doubles only, through ``apply``, with each row
-entry the correctly rounded ``numerator / denominator``: the verdicts need no
-arithmetic, and the orbit engine in :mod:`imclim.orbits` iterates in floats.
+and ``supports``.  A credal operator keeps its masses exact, as reduced
+integer ``(numerator, denominator)`` pairs, only as the record of its model:
+the loader has already used them to validate each pmf, drop duplicates and
+fix the pmf order.  The package evaluates operators in IEEE doubles only,
+through ``apply``, with each row entry the correctly rounded
+``numerator / denominator``: the verdicts need no arithmetic, and the orbit
+engine in :mod:`imclim.orbits` iterates in floats.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -37,10 +37,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
-from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,11 +47,6 @@ from .errors import (
     NotWellDefinedError,
     UnsupportedOperatorError,
 )
-
-#: A mass as :class:`Pmf` takes it: a reduced ``(numerator, denominator)`` pair
-#: with a positive denominator, or anything ``Fraction`` accepts.
-RationalLike = Fraction | int | tuple[int, int]
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -85,137 +77,6 @@ class StateSpace:
 
     def labels_of(self, indices: Iterable[int]) -> tuple[str, ...]:
         return tuple(sorted(self.labels[i] for i in indices))
-
-
-def _pair(mass: RationalLike) -> tuple[int, int]:
-    if type(mass) is tuple:
-        return mass
-    if not isinstance(mass, (int, Fraction)):
-        mass = Fraction(mass)
-    return mass.numerator, mass.denominator
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function over ``n`` states with exact rational masses.
-
-    ``mass`` maps state index to mass, each a ``Fraction``, an ``int`` or a
-    reduced ``(numerator, denominator)`` pair with a positive denominator (as
-    :func:`~imclim.modelio.parse_rational_pair` returns it).  It is stored as
-    ascending ``(index, numerator, denominator)`` triples of reduced masses
-    with zero masses dropped, so the triples are the support and two pmfs
-    are equal exactly when their masses are.  Masses are non-negative,
-    indices lie in ``0..n-1`` and the masses sum to exactly one, checked in
-    integers (one common denominator, one integer sum); all checks happen at
-    construction time so downstream code never has to revalidate.
-    """
-
-    n: int
-    mass: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        items = sorted([(i, *_pair(m)) for i, m in dict(self.mass).items()])
-        bad = [i for i, _, _ in items if not 0 <= i < self.n]
-        if bad:
-            raise ModelValidationError(f"state indices {bad} out of range 0..{self.n - 1}")
-        negative = [i for i, num, _ in items if num < 0]
-        if negative:
-            raise ModelValidationError(f"negative mass at positions {negative}")
-        common = lcm(*[den for _, _, den in items])
-        total = sum([num * (common // den) for _, num, den in items])
-        if total != common:
-            try:
-                text = str(Fraction(total, common))
-            except ValueError:  # more digits than the interpreter converts to text
-                text = "a rational too long to print"
-            raise ModelValidationError(f"masses sum to {text}, expected exactly 1")
-        object.__setattr__(self, "mass", tuple([t for t in items if t[1]]))
-
-
-def _dense_cmp(p: Pmf, q: Pmf) -> int:
-    # Sorts like the dense mass vectors: a pmf whose first differing entry
-    # is larger comes later, and mass at a lower index is the larger entry.
-    for (i, a, b), (j, c, d) in zip(p.mass, q.mass):
-        if i != j:
-            return 1 if i < j else -1
-        if a * d != c * b:
-            return -1 if a * d < c * b else 1
-    return len(p.mass) - len(q.mass)
-
-
-@dataclass(frozen=True)
-class CredalFamily:
-    """Per-state finite, non-empty sets of candidate transition pmfs.
-
-    Duplicate pmfs within a state's set are removed and the remainder is put
-    into a canonical order (that of the dense mass vectors), so two families
-    describing the same model compare equal.
-    """
-
-    space: StateSpace
-    per_state: tuple[tuple[Pmf, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.space)
-        if len(self.per_state) != n:
-            raise ModelValidationError(
-                f"family lists {len(self.per_state)} states, space has {n}"
-            )
-        cleaned = []
-        for x, pmfs in enumerate(self.per_state):
-            label = self.space.labels[x]
-            if not pmfs:
-                raise ModelValidationError(f"state '{label}' has no candidate pmfs")
-            for k, p in enumerate(pmfs):
-                if p.n != n:
-                    raise ModelValidationError(
-                        f"pmf #{k} for state '{label}' has length {p.n}, expected {n}"
-                    )
-            cleaned.append(tuple(sorted(set(pmfs), key=cmp_to_key(_dense_cmp))))
-        object.__setattr__(self, "per_state", tuple(cleaned))
-
-
-def validate_family(
-    labels: Sequence[str],
-    credal_sets: Mapping[str, Sequence[Mapping[str, RationalLike]]],
-) -> CredalFamily:
-    """Validate a parsed model and assemble the credal family.
-
-    ``credal_sets`` maps each state label to a list of pmfs, each given as a
-    ``{target_label: mass}`` mapping, a mass being anything :class:`Pmf`
-    takes; omitted targets carry mass zero.  Validation errors name the
-    offending state and pmf: first any credal set given for an unknown state,
-    then per state in ``labels`` order a missing or empty set, and per pmf
-    unknown targets, negative masses and a sum other than one.
-    """
-    space = StateSpace(tuple(labels))
-    unknown = sorted(set(credal_sets) - set(space.labels))
-    if unknown:
-        raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
-    n = len(space)
-    index = space._pos
-    per_state = []
-    for label in space.labels:
-        raw = credal_sets.get(label)
-        if raw is None:
-            raise ModelValidationError(f"no credal set for state '{label}'")
-        if not raw:
-            raise ModelValidationError(f"empty credal set for state '{label}'")
-        pmfs = []
-        for k, entry in enumerate(raw):
-            if not entry.keys() <= index.keys():
-                bad = sorted(y for y in entry if y not in index)
-                raise ModelValidationError(
-                    f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
-                )
-            try:
-                pmfs.append(Pmf(n, {index[y]: m for y, m in entry.items()}))
-            except ModelValidationError as exc:
-                raise ModelValidationError(
-                    f"pmf #{k} for state '{label}': {exc}"
-                ) from exc
-        per_state.append(tuple(pmfs))
-    return CredalFamily(space, tuple(per_state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,34 +175,40 @@ class UpperOperator(ABC):
 class CredalOperator(UpperOperator):
     """Finitely generated operator: per-state maximum expectation over a finite pmf set.
 
-    Row ``k`` of the float matrix and of the support table belongs to the
-    ``k``-th pmf in the family's canonical order.  The support table is kept
-    beside the float matrix because a positive mass may round to ``0.0``.
+    ``pmfs[x]`` holds the candidate pmfs of state ``x``, each a tuple of
+    ascending ``(index, numerator, denominator)`` triples: the non-zero masses
+    as reduced fractions, so the triples are the support.  They arrive
+    validated, distinct and in canonical order from
+    :func:`~imclim.modelio.parse_model`, the one way to build the operator
+    from a model, and are kept as the model's exact record.  Row ``k`` of
+    the float matrix and of the support table belongs to the ``k``-th pmf in
+    that order.  The support table is kept beside the float matrix because a
+    positive mass may round to ``0.0``.
     """
 
     is_finitely_generated = True
 
-    def __init__(self, family: CredalFamily):
-        self._family = family
-        lengths = [len(s) for s in family.per_state]
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
-        pmfs = [p for sets in family.per_state for p in sets]
-        rows = np.repeat(np.arange(len(pmfs)), [len(p.mass) for p in pmfs])
-        cols = [y for p in pmfs for y, _, _ in p.mass]
-        self._matrix = np.zeros((len(pmfs), self.n))
-        # int / int is correctly rounded, so this equals float(Fraction(num, den))
-        self._matrix[rows, cols] = [num / den for p in pmfs for _, num, den in p.mass]
-        supports = np.zeros((len(pmfs), self.n), dtype=bool)
+    def __init__(self, space: StateSpace, pmfs: tuple):
+        self._space = space
+        self._pmfs = pmfs
+        starts = np.concatenate(([0], np.cumsum([len(s) for s in pmfs])[:-1])).astype(np.intp)
+        flat = [p for sets in pmfs for p in sets]
+        rows = np.repeat(np.arange(len(flat)), [len(p) for p in flat])
+        cols = [y for p in flat for y, _, _ in p]
+        self._matrix = np.zeros((len(flat), self.n))
+        # int / int is correctly rounded: the nearest double to the exact mass
+        self._matrix[rows, cols] = [num / den for p in flat for _, num, den in p]
+        supports = np.zeros((len(flat), self.n), dtype=bool)
         supports[rows, cols] = True
-        self._table = SupportTable(family.space, starts, supports)
+        self._table = SupportTable(space, starts, supports)
 
     @property
-    def family(self) -> CredalFamily:
-        return self._family
+    def pmfs(self) -> tuple:
+        return self._pmfs
 
     @property
     def space(self) -> StateSpace:
-        return self._family.space
+        return self._space
 
     def apply(self, f):
         g = self._check_vector(f)

@@ -4,7 +4,7 @@ import gen
 from imclim import (
     CounterexampleOperator,
     CredalOperator,
-    validate_family,
+    parse_model,
 )
 
 RUNNING_MODEL = {
@@ -17,25 +17,12 @@ RUNNING_MODEL = {
 
 
 def make_running_operator() -> CredalOperator:
-    from fractions import Fraction
-
-    sets = {
-        label: [
-            {target: Fraction(mass) for target, mass in pmf.items()}
-            for pmf in pmfs
-        ]
-        for label, pmfs in RUNNING_MODEL.items()
-    }
-    return CredalOperator(validate_family(["a", "b", "c", "d", "e"], sets))
+    return parse_model({"states": ["a", "b", "c", "d", "e"], "credal_sets": RUNNING_MODEL})
 
 
 def make_two_cycle_operator() -> CredalOperator:
     """Two states that deterministically swap; cyclicity 2, maximal."""
-    from fractions import Fraction
-
-    one = Fraction(1)
-    sets = {"b": [{"c": one}], "c": [{"b": one}]}
-    return CredalOperator(validate_family(["b", "c"], sets))
+    return gen.build(["b", "c"], {"b": [{"c": 1}], "c": [{"b": 1}]})
 
 
 def make_delayed_cycle_operator() -> CredalOperator:
@@ -45,15 +32,8 @@ def make_delayed_cycle_operator() -> CredalOperator:
     restriction to {b, c} is a cyclicity-2 swap, so the operator is not
     convergent.
     """
-    from fractions import Fraction
-
-    one = Fraction(1)
-    sets = {
-        "a": [{"a": one}],
-        "b": [{"a": one}, {"c": one}],
-        "c": [{"b": one}],
-    }
-    return CredalOperator(validate_family(["a", "b", "c"], sets))
+    sets = {"a": [{"a": 1}], "b": [{"a": 1}, {"c": 1}], "c": [{"b": 1}]}
+    return gen.build(["a", "b", "c"], sets)
 
 
 @pytest.fixture

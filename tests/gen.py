@@ -19,7 +19,6 @@ from imclim import (
     AccessGraph,
     ClassInfo,
     CounterexampleOperator,
-    CredalFamily,
     CredalOperator,
     Decomposition,
     DimensionMismatchError,
@@ -29,7 +28,6 @@ from imclim import (
     OrbitCheck,
     OrbitParams,
     OrbitResult,
-    Pmf,
     PreconditionError,
     StatePartition,
     StateSpace,
@@ -38,36 +36,41 @@ from imclim import (
     communication_classes,
     iterate_orbit,
     lower_reach_set,
-    validate_family,
+    parse_model,
 )
 from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT
 
 LABELS = "abcdefgh"
 
 
-def random_pmf(rng: random.Random, n: int, max_den: int = 8) -> Pmf:
-    """Random pmf with denominator at most ``max_den`` and a random support."""
-    support = sorted(rng.sample(range(n), rng.randint(1, n)))
+def build(labels, sets) -> CredalOperator:
+    """``parse_model`` on the states ``labels`` and the credal sets
+    ``{label: [{target: mass}]}``, each mass written as ``str(mass)``."""
+    credal_sets = {x: [{y: str(m) for y, m in p.items()} for p in ps] for x, ps in sets.items()}
+    return parse_model({"states": list(labels), "credal_sets": credal_sets})
+
+
+def random_pmf(rng: random.Random, labels, max_den: int = 8) -> dict[str, Fraction]:
+    """Random pmf over ``labels`` with denominator at most ``max_den`` and a random support."""
+    support = sorted(rng.sample(range(len(labels)), rng.randint(1, len(labels))))
     q = rng.randint(1, max_den)
     cuts = sorted(rng.randint(0, q) for _ in range(len(support) - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-    return Pmf(n, {idx: Fraction(part, q) for idx, part in zip(support, parts)})
+    return {labels[idx]: Fraction(part, q) for idx, part in zip(support, parts)}
 
 
-def masses(p: Pmf) -> tuple[tuple[int, Fraction], ...]:
+def masses(p) -> tuple[tuple[int, Fraction], ...]:
     """The pmf's ascending ``(index, mass)`` pairs, each mass a ``Fraction``."""
-    return tuple((i, Fraction(num, den)) for i, num, den in p.mass)
+    return tuple((i, Fraction(num, den)) for i, num, den in p)
 
 
-def support(p: Pmf) -> frozenset[int]:
-    return frozenset(i for i, _, _ in p.mass)
+def support(p) -> frozenset[int]:
+    return frozenset(i for i, _, _ in p)
 
 
 def identity_operator(labels) -> CredalOperator:
     """Operator whose only candidate at each state is the point mass on itself."""
-    space = StateSpace(tuple(labels))
-    n = len(space)
-    return CredalOperator(CredalFamily(space, tuple((Pmf(n, {i: 1}),) for i in range(n))))
+    return build(labels, {x: [{x: 1}] for x in labels})
 
 
 def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
@@ -82,27 +85,18 @@ def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
     return tuple(pieces)
 
 
-def dense(p: Pmf) -> tuple[Fraction, ...]:
+def dense(p, n: int) -> tuple[Fraction, ...]:
     """The pmf's masses as a length-``n`` tuple, zero off the support."""
     mass = dict(masses(p))
-    return tuple(mass.get(i, Fraction(0)) for i in range(p.n))
-
-
-def random_family(
-    rng: random.Random, n: int | None = None, max_pmfs: int = 3, max_den: int = 8
-) -> CredalFamily:
-    if n is None:
-        n = rng.randint(2, 5)
-    space = StateSpace(tuple(LABELS[:n]))
-    per = tuple(
-        tuple(random_pmf(rng, n, max_den) for _ in range(rng.randint(1, max_pmfs)))
-        for _ in range(n)
-    )
-    return CredalFamily(space, per)
+    return tuple(mass.get(i, Fraction(0)) for i in range(n))
 
 
 def random_operator(rng, n=None, max_pmfs=3, max_den=8) -> CredalOperator:
-    return CredalOperator(random_family(rng, n, max_pmfs, max_den))
+    labels = LABELS[:rng.randint(2, 5) if n is None else n]
+    return build(labels, {
+        x: [random_pmf(rng, labels, max_den) for _ in range(rng.randint(1, max_pmfs))]
+        for x in labels
+    })
 
 
 def random_wide_operator(rng: random.Random, n: int, max_pmfs: int = 3) -> CredalOperator:
@@ -111,17 +105,15 @@ def random_wide_operator(rng: random.Random, n: int, max_pmfs: int = 3) -> Creda
     Supports have at most four states, so wide operators keep non-trivial
     structure: several classes, transients and cycles.
     """
-    space = StateSpace(tuple(f"s{i}" for i in range(n)))
-    per = []
-    for _ in range(n):
-        pmfs = []
+    labels = [f"s{i}" for i in range(n)]
+    sets = {}
+    for x in labels:
+        sets[x] = []
         for _ in range(rng.randint(1, max_pmfs)):
-            targets = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            targets = rng.sample(labels, rng.randint(1, min(n, 4)))
             weights = [rng.randint(1, 6) for _ in targets]
-            total = sum(weights)
-            pmfs.append(Pmf(n, {y: Fraction(w, total) for y, w in zip(targets, weights)}))
-        per.append(tuple(pmfs))
-    return CredalOperator(CredalFamily(space, tuple(per)))
+            sets[x].append({y: Fraction(w, sum(weights)) for y, w in zip(targets, weights)})
+    return build(labels, sets)
 
 
 def random_rational_function(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -160,12 +152,12 @@ def block_cyclic_operator(
     for size in sizes:
         partition.append(list(range(start, start + size)))
         start += size
-    space = StateSpace(tuple(LABELS[:n]))
-    per = []
+    labels = LABELS[:n]
+    sets = {}
     for b, block in enumerate(partition):
-        target = partition[(b + 1) % blocks]
-        for _ in block:
-            pmfs = []
+        target = [labels[y] for y in partition[(b + 1) % blocks]]
+        for x in block:
+            pmfs = sets[labels[x]] = []
             for _ in range(rng.randint(1, 2)):
                 # spread a random unit mass across the whole target block so
                 # the block-to-block structure is strongly connected
@@ -173,12 +165,10 @@ def block_cyclic_operator(
                 cuts = sorted(rng.randint(1, q - 1) for _ in range(len(target) - 1))
                 parts = [b2 - a2 for a2, b2 in zip([0] + cuts, cuts + [q])]
                 if all(part > 0 for part in parts):
-                    mass = {idx: Fraction(part, q) for idx, part in zip(target, parts)}
-                    pmfs.append(Pmf(n, mass))
+                    pmfs.append({y: Fraction(part, q) for y, part in zip(target, parts)})
             if not pmfs:
-                pmfs.append(Pmf(n, {idx: Fraction(1, len(target)) for idx in target}))
-            per.append(tuple(pmfs))
-    return CredalOperator(CredalFamily(space, tuple(per))), partition
+                pmfs.append({y: Fraction(1, len(target)) for y in target})
+    return build(labels, sets), partition
 
 
 def random_single_class_operator(
@@ -257,10 +247,10 @@ def planted_cyclic_operator(
     names = list(pmfs)
     rng.shuffle(names)
     label = dict(zip(names, rng.sample("abcdefghijklmnopqrstuvwxyz", len(names))))
-    op = CredalOperator(validate_family(
+    op = build(
         [label[x] for x in names],
         {label[x]: [{label[y]: m for y, m in p.items()} for p in ps] for x, ps in pmfs.items()},
-    ))
+    )
     index = {x: i for i, x in enumerate(names)}
     cyclic = [tuple(sorted(index[x] for x in phase)) for phase in phases]
     first = min(range(d), key=lambda j: cyclic[j][0])
@@ -319,12 +309,8 @@ def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGrap
 # exact evaluation: the reference for ``apply`` and the support tables
 
 
-def expectation(p: Pmf, values) -> Fraction:
+def expectation(p, values) -> Fraction:
     """Expected value of ``values`` under ``p``; exact when the values are rational."""
-    if len(values) != p.n:
-        raise DimensionMismatchError(
-            f"function has length {len(values)}, pmf has length {p.n}"
-        )
     return sum(m * values[i] for i, m in masses(p))
 
 
@@ -353,7 +339,7 @@ def apply_exact(op: UpperOperator, f) -> tuple[Fraction, ...]:
     vals = tuple(Fraction(x) for x in f)
     if isinstance(op, CounterexampleOperator):
         return _counterexample_exact(*vals)
-    return tuple(max(expectation(p, vals) for p in sets) for sets in op.family.per_state)
+    return tuple(max(expectation(p, vals) for p in sets) for sets in op.pmfs)
 
 
 def _target_set(op: UpperOperator, targets) -> frozenset[int]:
@@ -398,9 +384,7 @@ def exact_lower_positive(op: UpperOperator, targets) -> frozenset[int]:
 def lower_direct(op: CredalOperator, f) -> tuple[Fraction, ...]:
     """Lower operator by direct per-state minimum expectation (independent of conjugacy)."""
     vals = tuple(Fraction(x) for x in f)
-    return tuple(
-        min(expectation(p, vals) for p in sets) for sets in op.family.per_state
-    )
+    return tuple(min(expectation(p, vals) for p in sets) for sets in op.pmfs)
 
 
 def brute_force_power(op: CredalOperator, f, steps: int) -> tuple[Fraction, ...]:
@@ -410,15 +394,13 @@ def brute_force_power(op: CredalOperator, f, steps: int) -> tuple[Fraction, ...]
     pointwise maximum of ``M_1 (M_2 (... (M_k f)))`` over all sequences of
     selection matrices, one candidate pmf per state per step.
     """
-    family = op.family
-    n = len(family.space)
     vals = tuple(Fraction(x) for x in f)
-    selections = list(itertools.product(*family.per_state))
+    selections = list(itertools.product(*op.pmfs))
     best: list[Fraction] | None = None
     for sequence in itertools.product(selections, repeat=steps):
         vec = vals
         for selection in reversed(sequence):
-            vec = tuple(expectation(selection[x], vec) for x in range(n))
+            vec = tuple(expectation(selection[x], vec) for x in range(op.n))
         best = list(vec) if best is None else [max(a, b) for a, b in zip(best, vec)]
     return tuple(best)
 
@@ -525,27 +507,26 @@ def restrict(op: UpperOperator, keep) -> UpperOperator:
     if keep == tuple(range(op.n)):
         return op
     if isinstance(op, CounterexampleOperator):
-        a, b, c = (Pmf(3, {i: 1}) for i in range(3))
-        family = CredalFamily(op.space, ((a,), (a, c), (a, b)))
+        a, b, c = (((i, 1, 1),) for i in range(3))
+        pmfs = ((a,), (a, c), (a, b))
     else:
-        family = op.family
+        pmfs = op.pmfs
     if not keep:
         raise ModelValidationError("cannot restrict to an empty class")
     if keep[0] < 0 or keep[-1] >= op.n:
         raise ModelValidationError(f"restriction indices out of range: {keep}")
+    labels = op.space.labels
     sub_space = op.space.subset(keep)
-    local = {x: i for i, x in enumerate(keep)}
-    per = []
+    sets = {}
     for x in keep:
-        kept = tuple(
-            Pmf(len(keep), {local[y]: (num, den) for y, num, den in p.mass})
-            for p in family.per_state[x]
-            if all(y in local for y, _, _ in p.mass)
-        )
-        if not kept:
-            raise NotWellDefinedError(op.space.labels[x], sub_space.labels)
-        per.append(kept)
-    return CredalOperator(CredalFamily(sub_space, tuple(per)))
+        sets[labels[x]] = [
+            {labels[y]: Fraction(num, den) for y, num, den in p}
+            for p in pmfs[x]
+            if support(p) <= set(keep)
+        ]
+        if not sets[labels[x]]:
+            raise NotWellDefinedError(labels[x], sub_space.labels)
+    return build(sub_space.labels, sets)
 
 
 def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOperator:
@@ -564,9 +545,8 @@ def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOpe
 def _same_family(p: UpperOperator, q: UpperOperator) -> bool:
     if p is q:
         return True
-    fp = getattr(p, "family", None)
-    fq = getattr(q, "family", None)
-    return fp is not None and fp == fq
+    fp = getattr(p, "pmfs", None)
+    return fp is not None and p.space == q.space and fp == getattr(q, "pmfs", None)
 
 
 def nested_restriction_check(op: UpperOperator, outer, inner) -> bool:
@@ -865,19 +845,18 @@ def fraction_rows(n: int, per_state) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # model serialisation, the inverse of ``parse_model``
 
 
-def family_to_jsonable(family: CredalFamily) -> dict:
-    """Serialize a family back into the model-file structure (round-trippable)."""
-    sets: dict[str, list[dict[str, str]]] = {}
-    for x, label in enumerate(family.space.labels):
-        sets[label] = [
-            {family.space.labels[y]: str(mass) for y, mass in masses(p)}
-            for p in family.per_state[x]
-        ]
-    return {"states": list(family.space.labels), "credal_sets": sets}
+def to_document(op: CredalOperator) -> dict:
+    """The operator's model as a model document (round-trippable)."""
+    labels = op.space.labels
+    sets = {
+        labels[x]: [{labels[y]: str(m) for y, m in masses(p)} for p in pmfs]
+        for x, pmfs in enumerate(op.pmfs)
+    }
+    return {"states": list(labels), "credal_sets": sets}
 
 
-def dump_model(family: CredalFamily, target: str | Path | IO[str]) -> None:
-    payload = json.dumps(family_to_jsonable(family), indent=2) + "\n"
+def dump_model(op: CredalOperator, target: str | Path | IO[str]) -> None:
+    payload = json.dumps(to_document(op), indent=2) + "\n"
     if hasattr(target, "write"):
         target.write(payload)
     else:

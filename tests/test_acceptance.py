@@ -211,7 +211,7 @@ def test_criterion_3_verdict_oracle_agreement():
                             "instance": k,
                             "function": label,
                             "period": result.detected_period,
-                            "model": gen.family_to_jsonable(op.family),
+                            "model": gen.to_document(op),
                         }
                     )
         elif verdict.convergent == "no":
@@ -234,7 +234,7 @@ def test_criterion_3_verdict_oracle_agreement():
                         "instance": k,
                         "witness_class": list(verdict.witness.members),
                         "witness_level": verdict.witness.level,
-                        "model": gen.family_to_jsonable(op.family),
+                        "model": gen.to_document(op),
                     }
                 )
         else:

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
 
+import gen
 import jsonschema
 import pytest
 
@@ -67,6 +69,27 @@ def test_help_exits_zero(capsys):
         main(["analyze", "--help"])
     assert exc_info.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["orbit", "analyze"])
+def test_reader_closing_the_pipe_early_exits_one(command, tmp_path):
+    # ``imclim ... | head``: orbit's few lines fail on the flush after the
+    # command; the wide model's 70 kB report outgrows stdout's buffer, so
+    # its print already writes to the closed pipe
+    if command == "orbit":
+        argv = ["orbit", DEMO_MODEL, "-f", "b"]
+    else:
+        model = tmp_path / "wide.json"
+        gen.dump_model(gen.random_wide_operator(random.Random(3), 200), model)
+        argv = ["analyze", str(model), "--json"]
+    script = f"import sys\nfrom imclim.cli import main\nsys.exit(main({argv!r}))\n"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    with subprocess.Popen([sys.executable, "-c", script], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 class TestAnalyze:

@@ -19,7 +19,6 @@ from imclim import (
     decompose,
     partition_states,
     search_cycle_witness,
-    validate_family,
 )
 from imclim.decomposition import (
     BASIS_CONDITION_FAILED,
@@ -202,7 +201,7 @@ class TestDecideErgodicity:
             "b": [{"a": F(1, 2), "b": F(1, 2)}],
             "c": [{"b": F(1)}],
         }
-        op = CredalOperator(validate_family(["a", "b", "c"], sets))
+        op = gen.build(["a", "b", "c"], sets)
         classes = communication_classes(build_graph(op.supports()))
         part = partition_states(op.supports(), classes)
         assert decide_ergodicity(part, classes) == "yes"
@@ -293,7 +292,7 @@ class TestAbsorbedCases:
                 n = rng.randint(2, 5)
                 labels = [f"s{i}" for i in range(n)]
                 sets = {labels[i]: [{labels[(i + 1) % n]: F(1)}] for i in range(n)}
-                op = CredalOperator(validate_family(labels, sets))
+                op = gen.build(labels, sets)
             else:
                 op = gen.random_operator(rng)
             part = partition_states(op.supports())
@@ -367,7 +366,7 @@ class TestSingleClassReport:
             "x": [{"x": F(1, 2), "y": F(1, 2)}],
             "y": [{"x": F(1, 2), "y": F(1, 2)}, {"y": F(1)}],
         }
-        op = CredalOperator(validate_family(["x", "y"], sets))
+        op = gen.build(["x", "y"], sets)
         report = gen.single_class_equivalence_report(op, [0.0, 1.0])
         assert report.regular and report.convergent and report.ergodic
         assert report.limit_bound is not None

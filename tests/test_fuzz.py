@@ -103,7 +103,7 @@ def test_parse_model_matches_the_fraction_loader(doc):
     else:
         op = parse_model(doc)
         assert op.space == space
-        assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.family.per_state) == reference
+        assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.pmfs) == reference
 
 
 DIGITS = "0123456789\u0663\u0669\u0966\uff11"  # ASCII, Arabic-Indic, Devanagari, fullwidth

@@ -51,7 +51,7 @@ class TestBuildGraph:
             graph = build_graph(op.supports())
             for x in range(op.n):
                 for y in range(op.n):
-                    expected = any(gen.dense(p)[y] > 0 for p in op.family.per_state[x])
+                    expected = any(gen.dense(p, op.n)[y] > 0 for p in op.pmfs[x])
                     assert bool(graph.adjacency[x, y]) == expected
 
     def test_refuses_float_only_operator(self):

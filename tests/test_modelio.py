@@ -160,18 +160,17 @@ class TestParseModel:
 
 class TestRoundTrip:
     def test_family_round_trips(self, running_op):
-        payload = gen.family_to_jsonable(running_op.family)
-        reparsed = parse_model(payload)
-        assert reparsed.family == running_op.family
+        reparsed = parse_model(gen.to_document(running_op))
+        assert (reparsed.space, reparsed.pmfs) == (running_op.space, running_op.pmfs)
 
     def test_dump_and_load(self, running_op, tmp_path):
         target = tmp_path / "model.json"
-        gen.dump_model(running_op.family, target)
+        gen.dump_model(running_op, target)
         op = load_model(target)
-        assert op.family == running_op.family
+        assert (op.space, op.pmfs) == (running_op.space, running_op.pmfs)
 
     def test_serialised_masses_are_canonical_strings(self, running_op):
-        payload = gen.family_to_jsonable(running_op.family)
+        payload = gen.to_document(running_op)
         entry = payload["credal_sets"]["c"][0]
         assert entry == {"a": "1/4", "b": "1/4", "d": "1/4", "e": "1/4"}
 
@@ -195,14 +194,14 @@ def spell(rng: random.Random, m: Fraction) -> str:
     return rng.choice(forms)
 
 
-def spelled_document(rng: random.Random, family) -> dict:
-    """The family as a model document: every mass spelled at random, zero
+def spelled_document(rng: random.Random, op) -> dict:
+    """The operator's model as a document: every mass spelled at random, zero
     masses added, some pmfs repeated under other spellings, keys shuffled."""
-    labels = family.space.labels
+    labels = op.space.labels
     sets = {}
     for x in rng.sample(range(len(labels)), len(labels)):
         pmfs = []
-        for p in family.per_state[x]:
+        for p in op.pmfs[x]:
             for _ in range(1 + (rng.random() < 0.3)):
                 entry = {labels[i]: spell(rng, m) for i, m in gen.masses(p)}
                 for i in rng.sample(range(len(labels)), rng.randint(0, len(labels))):
@@ -268,14 +267,13 @@ class TestIntegerLoader:
         for _ in range(2000):
             n = rng.randint(1, 7)
             max_den = rng.choice([8, 8, 1000, 10**30, 10**400])
-            family = gen.random_family(rng, n, max_pmfs=rng.randint(1, 4), max_den=max_den)
-            doc = spelled_document(rng, family)
+            canonical = gen.random_operator(rng, n, max_pmfs=rng.randint(1, 4), max_den=max_den)
+            doc = spelled_document(rng, canonical)
             op = parse_model(doc)
             space, reference = gen.fraction_load(doc)
-            assert op.family == family
+            assert (op.space, op.pmfs) == (canonical.space, canonical.pmfs)
             assert op.space == space
-            assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.family.per_state) \
-                == reference
+            assert tuple(tuple(gen.masses(p) for p in sets) for sets in op.pmfs) == reference
             starts, matrix, rows = gen.fraction_rows(n, reference)
             assert np.array_equal(op._matrix.view(np.uint64), matrix.view(np.uint64))
             assert np.array_equal(op.supports().rows, rows)
@@ -286,8 +284,7 @@ class TestIntegerLoader:
         errors = 0
         for case in range(600):
             n = rng.randint(1, 6)
-            family = gen.random_family(rng, n, max_pmfs=rng.randint(1, 3))
-            doc = spelled_document(rng, family)
+            doc = spelled_document(rng, gen.random_operator(rng, n, max_pmfs=rng.randint(1, 3)))
             for _ in range(1 + case % 2):  # every other case has faults in two places
                 corrupt(rng, doc)
             expected = first_error(lambda d: gen.fraction_load(d), doc)
@@ -297,7 +294,8 @@ class TestIntegerLoader:
 
     def test_plain_fractions_build_no_fraction(self, tmp_path, monkeypatch):
         path = tmp_path / "wide.json"
-        gen.dump_model(gen.random_wide_operator(random.Random(1303), 48).family, path)
+        wide = gen.random_wide_operator(random.Random(1303), 48)
+        gen.dump_model(wide, path)
         calls = []
         original = Fraction.__new__
 
@@ -310,4 +308,4 @@ class TestIntegerLoader:
         assert calls == []
         assert parse_rational("1/2") == F(1, 2) and calls  # the wrapper counts
         monkeypatch.undo()
-        assert op.family == gen.random_wide_operator(random.Random(1303), 48).family
+        assert (op.space, op.pmfs) == (wide.space, wide.pmfs)

@@ -9,15 +9,12 @@ import pytest
 import gen
 from imclim import (
     CounterexampleOperator,
-    CredalFamily,
-    CredalOperator,
     DimensionMismatchError,
     ModelValidationError,
     NotWellDefinedError,
-    Pmf,
     StateSpace,
     decompose,
-    validate_family,
+    parse_model,
 )
 
 F = Fraction
@@ -209,41 +206,38 @@ class TestValidation:
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ModelValidationError, match="sum"):
-            validate_family(["x", "y"], {"x": [{"x": F(1, 2), "y": F(1, 3)}],
-                                         "y": [{"y": F(1)}]})
+            gen.build(["x", "y"], {"x": [{"x": F(1, 2), "y": F(1, 3)}], "y": [{"y": 1}]})
 
     def test_empty_set_rejected(self):
         with pytest.raises(ModelValidationError, match="empty credal set"):
-            validate_family(["x", "y"], {"x": [], "y": [{"y": F(1)}]})
+            gen.build(["x", "y"], {"x": [], "y": [{"y": 1}]})
 
     def test_missing_state_rejected(self):
         with pytest.raises(ModelValidationError, match="no credal set"):
-            validate_family(["x", "y"], {"x": [{"x": F(1)}]})
+            gen.build(["x", "y"], {"x": [{"x": 1}]})
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ModelValidationError, match="unknown"):
-            validate_family(["x"], {"x": [{"z": F(1)}]})
+            gen.build(["x"], {"x": [{"z": 1}]})
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ModelValidationError, match="negative"):
-            Pmf(2, {0: F(-1, 2), 1: F(3, 2)})
-
-    def test_pmf_index_out_of_range_rejected(self):
-        with pytest.raises(ModelValidationError, match="out of range"):
-            Pmf(2, {0: F(1, 2), 2: F(1, 2)})
-        with pytest.raises(ModelValidationError, match="out of range"):
-            Pmf(2, {-1: F(1, 2), 1: F(1, 2)})
+        with pytest.raises(ModelValidationError, match=r"negative mass at positions \[0\]"):
+            gen.build(["x", "y"], {"x": [{"y": F(3, 2), "x": F(-1, 2)}], "y": [{"y": 1}]})
 
     def test_pmf_sum_mismatch_rejected(self):
-        with pytest.raises(ModelValidationError, match="sum"):
-            Pmf(3, {0: F(1, 2), 2: F(1, 3)})
+        # the sum of the masses given; omitted targets carry mass zero
+        with pytest.raises(
+            ModelValidationError, match=r"^pmf #1 for state 'x': masses sum to 5/6, expected exactly 1$"
+        ):
+            gen.build(["x", "y", "z"], {x: [{x: 1}, {"x": F(1, 2), "z": F(1, 3)}] for x in "xyz"})
 
     def test_pmf_zero_masses_dropped(self):
-        assert Pmf(2, {0: 1, 1: 0}) == Pmf(2, {0: 1})
-        assert gen.masses(Pmf(2, {1: 0, 0: 1})) == ((0, F(1)),)
-        # ints, Fractions and pairs all become reduced integer triples
-        assert Pmf(2, {0: 1}).mass == ((0, 1, 1),)
-        assert Pmf(2, {1: F(2, 4), 0: (1, 2)}).mass == ((0, 1, 2), (1, 1, 2))
+        op = gen.build(["x", "y"], {"x": [{"y": 0, "x": 1}, {"x": 1}], "y": [{"y": "2/4", "x": "1/2"}]})
+        assert op.pmfs == (
+            (((0, 1, 1),),),  # one pmf: zero masses are dropped, so the two are duplicates
+            (((0, 1, 2), (1, 1, 2)),),  # reduced integer triples, in index order
+        )
+        assert gen.masses(op.pmfs[0][0]) == ((0, F(1)),)
 
     def test_duplicate_labels_among_many_rejected_quickly(self):
         labels = tuple(f"s{i}" for i in range(20_000)) + ("s7",)
@@ -253,10 +247,9 @@ class TestValidation:
         assert time.perf_counter() - start < 2.0
 
     def test_duplicates_removed(self):
-        fam = validate_family(
-            ["x", "y"], {"x": [{"x": F(1)}, {"x": F(1)}], "y": [{"y": F(1)}]}
-        )
-        assert len(fam.per_state[0]) == 1
+        op = gen.build(["x", "y"], {"x": [{"x": "1"}, {"x": "2/2"}], "y": [{"y": 1}]})
+        assert len(op.pmfs[0]) == 1
+        assert op._matrix.shape == (2, 2)
 
 
 class TestAxioms:
@@ -406,13 +399,16 @@ class TestStructuralHook:
             assert_table_matches_exact(op.supports(), op, rng)
 
     def test_masses_below_float_range_still_count(self):
-        tiny = F(1, 10**400)  # float(tiny) == 0.0
-        space = StateSpace(("a", "b"))
-        family = CredalFamily(space, ((Pmf(2, {0: 1 - tiny, 1: tiny}),), (Pmf(2, {1: F(1)}),)))
-        table = CredalOperator(family).supports()
+        q = 10**400  # float(1 / q) == 0.0
+        op = parse_model({
+            "states": ["a", "b"],
+            "credal_sets": {"a": [{"a": f"{q - 1}/{q}", "b": f"1/{q}"}], "b": [{"b": "1"}]},
+        })
+        assert op._matrix[0].tolist() == [1.0, 0.0]
+        table = op.supports()
         assert table.adjacency()[0, 1]
         assert table.lower_positive({1}) == frozenset({0, 1})
-        assert np.array_equal(table.adjacency(), gen.exact_adjacency(CredalOperator(family)))
+        assert np.array_equal(table.adjacency(), gen.exact_adjacency(op))
 
     def test_exact_path_reports_are_byte_identical(
         self, running_op, delayed_cycle_op, counterexample_op
@@ -466,16 +462,15 @@ class TestSparseAgainstDense:
         rng = random.Random(45)
         for _ in range(2000):
             n = rng.randint(1, 7)
-            family = gen.random_family(
+            op = gen.random_operator(
                 rng, n, max_pmfs=rng.randint(1, 4), max_den=rng.randint(1, 8)
             )
-            op = CredalOperator(family)
-            per_dense = [[gen.dense(p) for p in sets] for sets in family.per_state]
+            per_dense = [[gen.dense(p, n) for p in sets] for sets in op.pmfs]
             # canonical order is the order of the dense vectors
             assert all(rows == sorted(set(rows)) for rows in per_dense)
             rows = [row for sets in per_dense for row in sets]
             f = gen.random_rational_function(rng, n)
-            pmfs = [p for sets in family.per_state for p in sets]
+            pmfs = [p for sets in op.pmfs for p in sets]
             for p, row in zip(pmfs, rows):
                 assert gen.expectation(p, f) == sum(m * v for m, v in zip(row, f))
             assert np.array_equal(op._matrix, [[float(m) for m in row] for row in rows])
@@ -495,9 +490,9 @@ class TestSparseAgainstDense:
                 with pytest.raises(NotWellDefinedError):
                     op.supports().restrict(keep)
                 continue
-            restricted = gen.restrict(op, keep).family
-            assert all(p.n == len(keep) for sets in restricted.per_state for p in sets)
-            got = [[gen.dense(p) for p in sets] for sets in restricted.per_state]
+            restricted = gen.restrict(op, keep)
+            assert restricted.space == op.space.subset(keep)
+            got = [[gen.dense(p, len(keep)) for p in sets] for sets in restricted.pmfs]
             assert got == expected
             cut = op.supports().restrict(keep)
             rows = [[m > 0 for m in row] for sets in expected for row in sets]

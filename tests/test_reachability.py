@@ -9,8 +9,6 @@ from imclim import (
     PreconditionError,
     lower_reach_set,
     partition_states,
-    validate_family,
-    CredalOperator,
 )
 
 F = Fraction
@@ -112,5 +110,5 @@ class TestAbsorbing:
             "b": [{"a": F(1, 2), "b": F(1, 2)}],
             "c": [{"b": F(1)}],
         }
-        op = CredalOperator(validate_family(["a", "b", "c"], sets))
+        op = gen.build(["a", "b", "c"], sets)
         assert gen.is_absorbing(op, {0})

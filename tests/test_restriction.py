@@ -19,7 +19,7 @@ F = Fraction
 
 
 def masses(op):
-    return tuple(tuple(gen.dense(p) for p in sets) for sets in op.family.per_state)
+    return tuple(tuple(gen.dense(p, op.n) for p in sets) for sets in op.pmfs)
 
 
 class TestRestrictFamily:
@@ -33,7 +33,6 @@ class TestRestrictFamily:
         assert gen.apply_exact(restricted, (F(2), F(5))) == (F(5), F(5))
 
     def test_full_space_is_identity_transformation(self, running_op, counterexample_op):
-        assert gen.restrict(running_op, range(5)).family == running_op.family
         assert gen.restrict(running_op, range(5)) is running_op
         assert gen.restrict(counterexample_op, range(3)) is counterexample_op
 
@@ -60,16 +59,16 @@ class TestRestrictFamily:
             except NotWellDefinedError:
                 continue
             hits += 1
-            for x, sets in enumerate(restricted.family.per_state):
+            for sets in restricted.pmfs:
                 assert sets
                 for p in sets:
-                    assert sum(gen.dense(p)) == 1
+                    assert sum(gen.dense(p, len(keep))) == 1
             # every kept pmf comes from a parent pmf supported inside the class
             for local_x, parent_x in enumerate(keep):
-                kept = {gen.dense(p) for p in restricted.family.per_state[local_x]}
+                kept = {gen.dense(p, len(keep)) for p in restricted.pmfs[local_x]}
                 expected = {
-                    tuple(gen.dense(p)[i] for i in keep)
-                    for p in op.family.per_state[parent_x]
+                    tuple(gen.dense(p, op.n)[i] for i in keep)
+                    for p in op.pmfs[parent_x]
                     if gen.support(p) <= frozenset(keep)
                 }
                 assert kept == expected
@@ -233,7 +232,6 @@ class TestRoundTrip:
         from imclim import parse_model
 
         restricted = gen.restrict(running_op, [3, 4])
-        payload = gen.family_to_jsonable(restricted.family)
-        reparsed = parse_model(payload)
+        reparsed = parse_model(gen.to_document(restricted))
         assert isinstance(reparsed, CredalOperator)
-        assert reparsed.family == restricted.family
+        assert (reparsed.space, reparsed.pmfs) == (restricted.space, restricted.pmfs)

@@ -1,0 +1,25 @@
+"""Checks on the package sources themselves."""
+
+import ast
+from pathlib import Path
+
+import imclim
+
+SRC = Path(imclim.__file__).resolve().parent
+
+
+def imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_the_loader_imports_fractions():
+    # exact masses matter once, at load time: the structure and the float
+    # evaluation need no rational arithmetic
+    users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p))
+    assert users == ["modelio.py"]

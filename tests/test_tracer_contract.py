@@ -2,15 +2,18 @@
 
 The tracer looks each name of its ``FUNCTIONS`` table up in that name's home
 module, ``imclim.<layer>``, so renaming or deleting one of them breaks every
-traced benchmark run.  The file is loaded by path and used as it stands.
+traced benchmark run.  It counts ``apply`` calls only where a class defines
+``apply`` itself.  The file is loaded by path and used as it stands.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import gen
 import imclim.cli
+from imclim import UpperOperator
 from conftest import make_delayed_cycle_operator, make_running_operator
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -31,10 +34,28 @@ def test_every_traced_name_resolves_in_its_layer():
         )
 
 
+def package_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("imclim."):
+            yield sub
+            yield from package_subclasses(sub)
+
+
+def test_every_operator_defines_its_own_apply():
+    # the tracer counts ``apply`` in ``vars(cls)`` of each direct subclass of
+    # UpperOperator: an ``apply`` inherited from a base, or a deeper subclass,
+    # would leave ``operators.float_applies`` at 0
+    concrete = [cls for cls in package_subclasses(UpperOperator) if not inspect.isabstract(cls)]
+    assert {cls.__name__ for cls in concrete} >= {"CredalOperator", "CounterexampleOperator"}
+    for cls in concrete:
+        assert "apply" in vars(cls), cls
+        assert UpperOperator in cls.__bases__, cls
+
+
 def test_traced_analyses_time_the_witness(tmp_path, capsys):
     no_model, yes_model = tmp_path / "swap.json", tmp_path / "running.json"
-    gen.dump_model(make_delayed_cycle_operator().family, no_model)
-    gen.dump_model(make_running_operator().family, yes_model)
+    gen.dump_model(make_delayed_cycle_operator(), no_model)
+    gen.dump_model(make_running_operator(), yes_model)
     tracer = load_tracer().Tracer()
     try:
         tracer.install()
