@@ -34,6 +34,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -184,6 +185,16 @@ class CredalOperator(UpperOperator):
     the float matrix and of the support table belongs to the ``k``-th pmf in
     that order.  The support table is kept beside the float matrix because a
     positive mass may round to ``0.0``.
+
+    :meth:`apply` takes every candidate's expectation with one matrix product
+    and then the per-state maximum as a gather-max: a ``(K, n)`` row index,
+    ``K`` the largest candidate count of any state, lists each state's rows
+    and repeats its last row as padding.  ``max`` is exact and the padding
+    only adds ``max(x, x)``, so the result is bit for bit the sequential
+    maximum over each state's rows.  The index is built on the first
+    ``apply``, so analyses that read only the structure never pay for it; it
+    is no larger than the float matrix, and the gather does no more work than
+    the product.
     """
 
     is_finitely_generated = True
@@ -210,9 +221,16 @@ class CredalOperator(UpperOperator):
     def space(self) -> StateSpace:
         return self._space
 
+    @functools.cached_property
+    def _rows_by_rank(self) -> np.ndarray:
+        # [j, x]: the j-th row of state x, or its last row for j past its count
+        starts = self._table.starts
+        counts = np.diff(starts, append=len(self._matrix))
+        return starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
+
     def apply(self, f):
         g = self._check_vector(f)
-        return np.maximum.reduceat(self._matrix @ g, self._table.starts)
+        return (self._matrix @ g).take(self._rows_by_rank, axis=0).max(axis=0)
 
     def supports(self):
         return self._table
@@ -224,31 +242,39 @@ def _max2(x, y):
     return np.where(y > x, y, x)
 
 
-def _curve_max(fa, fb, fc):
-    # max over t in [0, 1/2] of (fa - fc) t^2 + (fb - fc) t + fc, elementwise;
-    # the concave case checks the interior vertex, everything else the endpoints.
-    # Overflow to inf and inf - inf stay silent, as in Python float arithmetic.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a2 = fa - fc
-        a1 = fb - fc
-        best = _max2(fc, a2 * 0.5 * 0.5 + a1 * 0.5 + fc)
-        concave = a2 < 0
-        vertex = -a1 / (2 * np.where(concave, a2, -1))
-        inside = concave & (0 < vertex) & (vertex < 0.5)
-        v_val = a2 * vertex * vertex + a1 * vertex + fc
-        curve = np.where(inside & (v_val > best), v_val, best)
-        if np.isfinite(2 * a2 + a1).all():  # nothing below overflowed
+def _curve_max(g):
+    # max over t in [0, 1/2] of (fa - fc) t^2 + (fb - fc) t + fc for each
+    # column (fa, fb, fc) of g; the concave case checks the interior vertex,
+    # everything else the endpoints.  Overflow to inf and inf - inf stay
+    # silent, as in Python float arithmetic.  A numpy call on a few lanes
+    # costs more than its arithmetic, so paired terms share one call and the
+    # vertex is evaluated only when some lane has it inside.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fc = g[2]
+        diffs = g[:2] - fc
+        a2, a1 = diffs
+        halves = diffs * 0.5
+        curve = _max2(fc, halves[0] * 0.5 + halves[1] + fc)
+        # -a1 / (2 a2) exactly, as IEEE rounding is symmetric in sign; it is
+        # read only where a2 < 0, so other lanes may divide by zero
+        neg_two_a2 = -2 * a2
+        vertex = a1 / neg_two_a2
+        inside = (a2 < 0) & (0 < vertex) & (vertex < 0.5)
+        if inside.any():
+            terms = diffs * vertex
+            v_val = terms[0] * vertex + terms[1] + fc
+            curve = np.where(inside & (v_val > curve), v_val, curve)
+        if np.isfinite(a1 - neg_two_a2).all():  # nothing below overflowed
             return curve
         # Finite inputs far apart near the float limit overflow a1, a2 or the
         # vertex's 2 * a2, yet the curve, a convex combination of the inputs,
         # is finite.  A quarter-scaled copy overflows nowhere, and scaling by
         # 4 is exact above the subnormals; only the lanes that overflowed
         # take its value.
-        lost = ~(np.isfinite(2 * a2) & np.isfinite(a1))
-        lost &= np.isfinite(fa) & np.isfinite(fb) & np.isfinite(fc)
+        lost = ~(np.isfinite(2 * a2) & np.isfinite(a1)) & np.isfinite(g).all(axis=0)
         if not lost.any():
             return curve
-        return np.where(lost, 4 * _curve_max(fa / 4, fb / 4, fc / 4), curve)
+        return np.where(lost, 4 * _curve_max(g / 4), curve)
 
 
 class CounterexampleOperator(UpperOperator):
@@ -281,8 +307,14 @@ class CounterexampleOperator(UpperOperator):
         return self._SPACE
 
     def apply(self, f):
-        fa, fb, fc = self._check_vector(f)
-        return np.stack([fa, _max2(fa, _curve_max(fa, fb, fc)), _max2(fa, fb)])
+        g = self._check_vector(f)
+        out = np.empty_like(g)
+        out[0] = g[0]
+        out[1] = _curve_max(g)
+        out[2] = g[1]
+        # rows b and c: _max2(f(a), row), both in one call
+        np.copyto(out[1:], g[0], where=~(out[1:] > g[0]))
+        return out
 
     def supports(self):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}

@@ -22,16 +22,23 @@ read them: on every step from ``W = burn_in - max_period + 1`` on (a
 sustained streak that can fire at or after the burn-in covers no earlier
 step), and on the budget's last step.  Before ``W`` only an exact repeat can
 end a column, and each column keeps a fingerprint of every iterate beside
-the ring; a column whose new print equals a past one has its residuals
-taken, and retires only if one is exactly zero, so a collision costs time
-and never a result.  Residuals are taken over the slots in storage order and
-only the small per-slot result is reordered into period order, so no window
-is ever gathered.  Each column is certified on its own and retires on its
-own step; the running columns stay a contiguous prefix of the buffers.  A
-suite whose ring, residual and print buffers would exceed ``_BLOCK_BYTES``
-runs as several blocks, one after another.  :func:`iterate_orbit` is the
-one-column case.  A run writes only the ring slots it reaches, so a budget
-far beyond the run's length costs address space, not memory.
+the ring, one integer product per step.  The new prints are compared with
+the contiguous written print slots, with no per-step gather; a column whose
+new print equals a past one has its residuals taken, and retires only if
+one is exactly zero, so a collision, or a match on the slot about to be
+overwritten, costs time and never a result.  Residuals are taken over the
+slots in storage order and only the small per-slot result is reordered into
+period order, so no window is ever gathered.  Each column is certified on
+its own and retires on its own step; the running columns stay a contiguous
+prefix of the buffers.  A suite whose ring, residual and print buffers would
+exceed ``_BLOCK_BYTES`` runs as several blocks, one after another.
+:func:`iterate_orbit` is the one-column case.  A run writes only the ring
+slots it reaches, so a budget far beyond the run's length costs address
+space, not memory.
+
+The same loop serves :func:`oracle_compare`, which reads only each suite
+function's period: there a retiring column leaves its period alone, and no
+window, trace or :class:`OrbitResult` is built.
 
 Orbit iteration reads no graph structure.  :func:`search_cycle_witness`
 runs no orbit: it turns the cyclic subclasses of a "no" verdict's witness
@@ -154,6 +161,18 @@ def iterate_orbits(
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
     """
+    return tuple(_iterate(op, starts, params, windows=True))
+
+
+def _iterate(
+    op: UpperOperator, starts: np.ndarray, params: OrbitParams | None, windows: bool
+) -> list:
+    """Iterate the columns of ``starts`` block by block.
+
+    With ``windows`` each column ends as its :class:`OrbitResult`; without,
+    as its detected period alone (``None`` for none), and no window, trace
+    or result is built.
+    """
     p = params or OrbitParams()
     block = np.asarray(starts, dtype=float)
     if block.ndim != 2 or block.shape[0] != op.n:
@@ -164,32 +183,35 @@ def iterate_orbits(
     cap = min(p.max_period, p.max_iters)
     # per column: the ring's cap + 1 iterates, as many differences and prints
     width = max(1, _BLOCK_BYTES // ((2 * op.n + 1) * (cap + 1) * block.itemsize))
-    results: list[OrbitResult] = []
+    results: list = []
     for lo in range(0, block.shape[1], width):
-        results.extend(_iterate_block(op, block[:, lo:lo + width], p, cap))
-    return tuple(results)
+        results.extend(_iterate_block(op, block[:, lo:lo + width], p, cap, windows))
+    return results
 
 
 def _fingerprint(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """One ``uint64`` print per column of the ``(n, m)`` array ``values``.
 
     The wrapping sum over states of each value's bit pattern times its
-    state's odd weight; ``values + 0.0`` turns -0.0 into +0.0, so columns that
-    compare equal get equal prints, whatever the order of summation.
+    state's odd weight, as one integer product; ``values + 0.0`` turns -0.0
+    into +0.0, so columns that compare equal get equal prints, whatever the
+    order of summation.
     """
-    return ((values + 0.0).view(np.uint64) * weights[:, None]).sum(axis=0)
+    return weights @ (values + 0.0).view(np.uint64)
 
 
-def _residuals(ring: np.ndarray, current: np.ndarray, past: np.ndarray,
+def _residuals(ring: np.ndarray, current: np.ndarray, slot: int, scored: int,
                out: np.ndarray) -> np.ndarray:
-    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for ring row ``k``.
+    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for ring row ``k``, ``q <= scored``.
 
-    ``ring`` is ``(k, n, slots)`` and ``current`` the matching ``(n, k)``
-    iterates; ``past[q - 1]`` is the slot of period ``q``.  The differences
+    ``ring`` is ``(k, n, slots)``, ``current`` the matching ``(n, k)``
+    iterates and ``slot`` the ring slot they are stored in.  The differences
     are taken over the slots in storage order, into ``out``, and only the
     small (row, slot) result is put in period order.
     """
-    filled = len(past) + 1  # slots 0..t hold iterates 0..t until the ring wraps
+    filled = scored + 1  # slots 0..t hold iterates 0..t until the ring wraps
+    size = ring.shape[2]
+    past = np.arange(slot - 1, slot - scored - 1, -1) % size  # the slot of each period
     diff = np.subtract(ring[:, :, :filled], current.T[:, :, None],
                        out=out[:len(ring), :, :filled])
     return np.abs(diff, out=diff).max(axis=1)[:, past]
@@ -197,8 +219,8 @@ def _residuals(ring: np.ndarray, current: np.ndarray, past: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
 def _iterate_block(
-    op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int
-) -> list[OrbitResult]:
+    op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int, windows: bool
+) -> list:
     n, m = block.shape
     size = cap + 1  # the window: the newest iterate and up to ``cap`` before it
     # The iterate t of the running column at position k sits at
@@ -225,8 +247,8 @@ def _iterate_block(
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
     best_residual = np.zeros(m)
     column = np.arange(m)  # block column of each running column
-    traces = [[v.copy()] for v in block.T] if p.keep_trace else None
-    results: list[OrbitResult | None] = [None] * m
+    traces = [[v.copy()] for v in block.T] if p.keep_trace and windows else None
+    results: list = [None] * m
 
     for iteration in range(1, p.max_iters + 1):
         slot = iteration % size
@@ -238,31 +260,39 @@ def _iterate_block(
                 traces[c].append(current[:, k].copy())
 
         scored = min(iteration, cap)
-        past = np.arange(slot - 1, slot - scored - 1, -1) % size  # slot of each period 1..scored
         if iteration >= scoring_from or iteration == p.max_iters:
             rows = np.arange(running)
-            residuals = _residuals(ring[:running], current, past, gaps)
+            residuals = _residuals(ring[:running], current, slot, scored, gaps)
+            within = residuals <= p.tolerance
             scoring = streak[:running, :scored]
             scoring += 1
-            scoring *= residuals <= p.tolerance
+            scoring *= within
         else:
-            # only the exact-repeat rule can fire: score the columns whose print hit
+            # only the exact-repeat rule can fire: score the columns whose
+            # print equals that of a written slot; a hit on the slot about to
+            # be overwritten (iterate t - size, no period) costs one residual
+            # row and changes no result
             stamp = _fingerprint(current, weights)
-            rows = (prints[:running, past] == stamp[:, None]).any(axis=1).nonzero()[0]
+            hits = prints[:running, :min(iteration, size)] == stamp[:, None]
             prints[:running, slot] = stamp
+            rows = hits.any(axis=1).nonzero()[0]
             if not len(rows):
                 continue
-            residuals = _residuals(ring[rows], current[:, rows], past, gaps)
-        within = residuals <= p.tolerance
+            residuals = _residuals(ring[rows], current[:, rows], slot, scored, gaps)
+            within = residuals <= p.tolerance
 
         # residuals[r] belongs to the running column rows[r]; both rules need
         # some period within tolerance
-        done = exact = np.zeros(len(rows), dtype=bool)
-        if within.any():
+        if not within.any():
+            if iteration < p.max_iters:
+                continue
+            done = exact = np.zeros(len(rows), dtype=bool)
+        else:
             exact = (residuals == 0.0).any(axis=1)
             fired = exact
             if iteration >= p.burn_in:  # a scored step: rows are all running columns
                 fired = exact | (scoring >= p.max_period).any(axis=1)
+            done = fired  # all False unless some column fired
             if fired.any():
                 candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
                 held = best[rows]
@@ -278,9 +308,12 @@ def _iterate_block(
         order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
         for r in done.nonzero()[0]:
             k = rows[r]
+            period = int(best[k]) or None
+            if not windows:
+                results[column[k]] = period
+                continue
             kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
             kept.setflags(write=False)
-            period = int(best[k]) or None
             if exact[r]:
                 reason = "exact_repeat"
             elif period == 1:
@@ -374,7 +407,12 @@ def oracle_compare(
     extra_random: int = 10,
     seed: int = 0,
 ) -> OrbitComparison:
-    """Run the default orbit suite, as one :func:`iterate_orbits` call, against a verdict.
+    """Run the default orbit suite, as one block, against a verdict.
+
+    The suite runs through the loop of :func:`iterate_orbits` but keeps only
+    each function's detected period, so its checks equal the periods and
+    ``converged`` flags that :func:`iterate_orbits` reports for the same
+    block, and no :class:`OrbitResult` is built.
 
     ``verdict`` may be the string ``"yes"``/``"no"``/``"inconclusive"`` or any
     object with a ``convergent`` attribute.  A "yes" verdict disagrees with
@@ -387,10 +425,10 @@ def oracle_compare(
     if verdict_str not in ("yes", "no", "inconclusive"):
         raise PreconditionError(f"unknown verdict {verdict_str!r}")
     suite = default_function_suite(op, extra=extra_random, rng=np.random.default_rng(seed))
-    results = iterate_orbits(op, np.stack([vec for _, vec in suite], axis=1), params)
+    periods = _iterate(op, np.stack([vec for _, vec in suite], axis=1), params, windows=False)
     checks = [
-        OrbitCheck(label=label, period=result.detected_period, converged=result.converged)
-        for (label, _), result in zip(suite, results)
+        OrbitCheck(label=label, period=period, converged=period == 1)
+        for (label, _), period in zip(suite, periods)
     ]
     discrepancies = []
     note = None

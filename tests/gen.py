@@ -1046,6 +1046,31 @@ def orbit_result_bits(result: OrbitResult) -> tuple:
     )
 
 
+def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:
+    """``CredalOperator.apply`` before the gather-max: each state's maximum by ``np.maximum.reduceat``."""
+    return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), op.supports().starts)
+
+
+def with_vanishing_masses(rng: random.Random, op: CredalOperator) -> CredalOperator:
+    """``op`` with, in about half its pmfs, a mass of ``10**-400`` moved to a random state.
+
+    Such a mass is positive, so it is an edge, yet its float entry is ``0.0``.
+    """
+    labels = op.space.labels
+    tiny = Fraction(1, 10**400)
+    sets: dict[str, list[dict]] = {}
+    for x, pmfs in enumerate(op.pmfs):
+        sets[labels[x]] = []
+        for p in pmfs:
+            mass = {labels[i]: m for i, m in masses(p)}
+            if rng.random() < 0.5:
+                source, target = rng.choice(list(mass)), rng.choice(labels)
+                mass[source] -= tiny
+                mass[target] = mass.get(target, 0) + tiny
+            sets[labels[x]].append(mass)
+    return build(labels, sets)
+
+
 def reference_counterexample_apply(f) -> np.ndarray:
     """The counterexample operator on one function, in scalar Python floats."""
     fa, fb, fc = (float(v) for v in f)

@@ -199,6 +199,53 @@ class TestBlockApply:
             running_op.apply(np.zeros((5, 2, 2)))
 
 
+class TestGatherMax:
+    """``CredalOperator.apply`` takes each state's maximum by a padded gather,
+    bit for bit as the ``np.maximum.reduceat`` form (``gen.reference_credal_apply``)."""
+
+    SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -1e-300, 1e300, -1e300, np.inf, -np.inf])
+
+    def functions(self, draws, n: int, k: int) -> np.ndarray:
+        m = int(draws.integers(1, 61))
+        kind = k % 4
+        if kind == 0:
+            return draws.random((n, m))
+        if kind == 1:  # signed zeros and subnormals only: ties of 0.0 and -0.0
+            return draws.choice(self.SPECIALS[[0, 1, 5, 6]], size=(n, m))
+        if kind == 2:
+            return draws.choice(self.SPECIALS, size=(n, m))
+        return draws.normal(size=(n, m)) * 10.0 ** draws.integers(-320, 300, size=(n, m))
+
+    def test_matches_the_reduceat_form_bit_for_bit(self):
+        rng = random.Random(17)
+        draws = np.random.default_rng(17)
+        seen = {"nan": 0, "negative zero": 0, "vanishing mass": 0, "widths": set()}
+        for k in range(2100):
+            if k % 3 == 0:
+                op = gen.random_operator(rng, max_pmfs=rng.randint(1, 6))
+            elif k % 3 == 1:
+                op = gen.random_wide_operator(rng, rng.randint(3, 40), max_pmfs=rng.randint(1, 8))
+            else:
+                op = gen.planted_cyclic_operator(rng)[0]
+            if k % 7 == 0:
+                op = gen.with_vanishing_masses(rng, op)
+                seen["vanishing mass"] += int((op._matrix == 0).sum() > (~op.supports().rows).sum())
+            block = self.functions(draws, op.n, k)
+            seen["widths"].add(block.shape[1])
+            for f in (block, block[:, 0]):
+                with np.errstate(invalid="ignore"):  # 0 * inf
+                    out, ref = op.apply(f), gen.reference_credal_apply(op, f)
+                assert out.shape == ref.shape
+                nan = np.isnan(ref)
+                assert np.array_equal(np.isnan(out), nan), k
+                assert out[~nan].tobytes() == ref[~nan].tobytes(), k
+                seen["nan"] += int(nan.any())
+                seen["negative zero"] += int(((ref == 0) & np.signbit(ref)).any())
+        assert seen.pop("widths") == set(range(1, 61))
+        assert min(seen.values()) > 50, seen
+
+
 class TestValidation:
     def test_running_model_accepted(self, running_op):
         assert running_op.n == 5

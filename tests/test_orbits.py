@@ -447,6 +447,30 @@ class TestOracleCompare:
         with pytest.raises(PreconditionError, match=">= 0"):
             default_function_suite(running_op, extra=-1)
 
+    def test_checks_carry_the_engine_periods_and_build_no_results(self, monkeypatch):
+        import imclim.orbits
+
+        def no_results(*args, **kwargs):
+            raise AssertionError("oracle_compare built an OrbitResult")
+
+        columns = 0
+        periods = Counter()
+        for k, (op, block) in enumerate(TestScoringWindow.blocks(2000)):
+            params = TestScoringWindow.GRID[k % len(TestScoringWindow.GRID)]
+            # the blocks are the suites oracle_compare draws with extra_random=8, seed=k
+            labels = [label for label, _ in default_function_suite(
+                op, extra=8, rng=np.random.default_rng(k))]
+            expected = [(label, r.detected_period, r.converged)
+                        for label, r in zip(labels, iterate_orbits(op, block, params))]
+            monkeypatch.setattr(imclim.orbits, "OrbitResult", no_results)
+            comparison = oracle_compare(op, "inconclusive", params, extra_random=8, seed=k)
+            monkeypatch.undo()
+            assert [(c.label, c.period, c.converged) for c in comparison.checks] == expected
+            periods.update(period for _, period, _ in expected)
+            columns += len(expected)
+        assert columns >= 2000
+        assert {None, 1, 2} <= set(periods), periods
+
 
 class TestWitnessSearch:
     def test_finds_cycle_on_swap(self, delayed_cycle_op):
