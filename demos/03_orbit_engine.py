@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from imclim import OrbitParams, iterate_orbit, parse_model, write_orbit_trace
+from imclim import OrbitParams, iterate_orbit, parse_model, replay_orbit, write_orbit_trace
 
 # one absorbing state, and a b<->c swap that never reaches it
 op = parse_model({
@@ -25,8 +25,8 @@ op = parse_model({
 })
 
 print("== a cycling orbit ==")
-params = OrbitParams(keep_trace=True)
-result = iterate_orbit(op, np.array([0.0, 1.0, 0.0]), params)
+start = np.array([0.0, 1.0, 0.0])
+result = iterate_orbit(op, start)
 print(f"  detected period: {result.detected_period}")
 print(f"  residual: {result.residual:.1e} after {result.iterations} iterations")
 for k, element in enumerate(result.limit_cycle):
@@ -34,11 +34,12 @@ for k, element in enumerate(result.limit_cycle):
 
 trace_path = Path(__file__).resolve().parent / "swap-orbit.csv"
 with open(trace_path, "w", newline="") as handle:
-    write_orbit_trace(handle, op.space.labels, result.trace)
+    # the run keeps only its window; the trace replays the orbit from the start
+    write_orbit_trace(handle, op.space.labels, replay_orbit(op, start, result.iterations))
 print(f"  full trace written to {trace_path}")
 
 print("\n== a converging orbit on the same operator ==")
-result = iterate_orbit(op, np.array([1.0, 0.2, 0.8]), params)
+result = iterate_orbit(op, np.array([1.0, 0.2, 0.8]))
 print(f"  detected period: {result.detected_period}")
 print(f"  limit: {result.limit}")
 

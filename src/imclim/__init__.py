@@ -57,6 +57,7 @@ from .orbits import (
     iterate_orbit,
     iterate_orbits,
     oracle_compare,
+    replay_orbit,
     search_cycle_witness,
 )
 from .modelio import (
@@ -110,6 +111,7 @@ __all__ = [
     "OrbitComparison",
     "iterate_orbit",
     "iterate_orbits",
+    "replay_orbit",
     "oracle_compare",
     "default_function_suite",
     "search_cycle_witness",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import logging
@@ -21,7 +22,7 @@ from .decomposition import decompose
 from .errors import ImclimError
 from .modelio import load_model, parse_rational, write_orbit_trace
 from .graphs import build_graph, communication_classes, to_dot
-from .orbits import OrbitParams, iterate_orbit
+from .orbits import OrbitParams, iterate_orbit, replay_orbit
 from .report import analyze, decomposition_block
 
 EXIT_OK = 0
@@ -32,14 +33,8 @@ EXIT_INCONCLUSIVE = 3
 log = logging.getLogger("imclim")
 
 
-def _orbit_params(args, keep_trace: bool = False) -> OrbitParams:
-    return OrbitParams(
-        tolerance=args.tolerance,
-        burn_in=args.burn_in,
-        max_iters=args.max_iters,
-        max_period=args.max_period,
-        keep_trace=keep_trace,
-    )
+def _orbit_params(args) -> OrbitParams:
+    return OrbitParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(OrbitParams)})
 
 
 def _add_orbit_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--function", "-f", required=True,
                          help='start function: "0,1,0", a state label (indicator), or "random:SEED"')
     p_orbit.add_argument("--json", action="store_true", help="emit the result as JSON")
-    p_orbit.add_argument("--trace", metavar="CSV",
+    p_orbit.add_argument("--trace", metavar="CSV", dest="trace_csv",
                          help="write the full orbit trace to this CSV file")
     _add_orbit_flags(p_orbit)
 
@@ -196,28 +191,24 @@ def _cmd_analyze(args) -> int:
 
 
 @contextlib.contextmanager
-def _trace_file(path: str | None):
+def _trace_file(path: str):
     """The ``--trace`` file, opened before any iteration so a bad path fails fast."""
-    if path is None:
-        yield None
-        return
     try:
         with open(path, "w", newline="") as handle:
             yield handle
     except OSError as exc:
         raise ImclimError(f"cannot write orbit trace {path}: {exc}") from exc
+    log.info("trace written to %s", path)
 
 
 def _cmd_orbit(args) -> int:
     op = load_model(args.model)
     f = _parse_function(args.function, op)
-    params = _orbit_params(args, keep_trace=bool(args.trace))
-    with _trace_file(args.trace) as handle:
-        result = iterate_orbit(op, f, params)
+    path = args.trace_csv
+    with _trace_file(path) if path is not None else contextlib.nullcontext() as handle:
+        result = iterate_orbit(op, f, _orbit_params(args))
         if handle is not None:
-            write_orbit_trace(handle, op.space.labels, result.trace)
-    if args.trace:
-        log.info("trace written to %s", args.trace)
+            write_orbit_trace(handle, op.space.labels, replay_orbit(op, f, result.iterations))
     period = result.detected_period
     payload = {
         "period": period if period is not None else "none within budget",

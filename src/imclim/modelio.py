@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -249,10 +249,10 @@ def load_model(source: str | Path) -> UpperOperator:
 
 
 def write_orbit_trace(
-    handle: IO[str], labels: Sequence[str], trace: Sequence[np.ndarray]
+    handle: IO[str], labels: Sequence[str], trace: Iterable[np.ndarray]
 ) -> None:
-    """CSV export of an orbit trace to the writable text ``handle`` (opened with
-    ``newline=""``): one row per iteration, one column per state."""
+    """Stream an orbit trace as CSV to the writable text ``handle`` (opened with
+    ``newline=""``): one row per iterate as ``trace`` yields it, one column per state."""
     writer = csv.writer(handle)
     writer.writerow(["iteration", *labels])
     for i, vec in enumerate(trace):

@@ -30,15 +30,17 @@ overwritten, costs time and never a result.  Residuals are taken over the
 slots in storage order and only the small per-slot result is reordered into
 period order, so no window is ever gathered.  Each column is certified on
 its own and retires on its own step; the running columns stay a contiguous
-prefix of the buffers.  A suite whose ring, residual and print buffers would
-exceed ``_BLOCK_BYTES`` runs as several blocks, one after another.
-:func:`iterate_orbit` is the one-column case.  A run writes only the ring
-slots it reaches, so a budget far beyond the run's length costs address
-space, not memory.
+prefix of the buffers.  A block takes as many columns as fit their ring,
+residual and print buffers in ``_BLOCK_BYTES`` (at least one), so a wide
+suite runs as several blocks in turn.  :func:`iterate_orbit` is the
+one-column case, and :func:`replay_orbit` recomputes its iterates.  Past
+about 256k window slots numpy advises huge pages, so the first write to a
+state's row faults in 2 MiB per buffer: a 200-state run ending at step 962
+peaked at 835 MiB with a budget of 10**6, and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
-window, trace or :class:`OrbitResult` is built.
+window or :class:`OrbitResult` is built.
 
 Orbit iteration reads no graph structure.  :func:`search_cycle_witness`
 runs no orbit: it turns the cyclic subclasses of a "no" verdict's witness
@@ -47,17 +49,16 @@ class, found by the graph layer, into the certificate the report carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import UpperOperator
 
-#: Ring, residual and print buffer memory one block of columns may take; wider
-#: suites run in several blocks, so memory stays bounded however many functions
-#: are iterated.
+#: Ring, residual and print buffer memory that sets how many columns one block
+#: takes (at least one); wider suites run in several blocks, one after another.
 _BLOCK_BYTES = 8 << 20
 
 #: Odd multiplier of the per-state print weights ``(2i + 1) * _PRINT_ODD``:
@@ -67,13 +68,13 @@ _PRINT_ODD = np.uint64(0x9E3779B97F4A7C15)
 
 @dataclass(frozen=True)
 class OrbitParams:
-    """Iteration controls; the defaults suit spaces with at most a few dozen states."""
+    """Iteration controls, one per orbit flag of ``imclim analyze`` and ``imclim
+    orbit``; the defaults suit spaces with at most a few dozen states."""
 
     tolerance: float = 1e-9
     burn_in: int = 200
     max_iters: int = 5000
     max_period: int = 64
-    keep_trace: bool = False
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -94,8 +95,10 @@ class OrbitResult:
     why the run ended: ``"exact_repeat"`` (some residual was exactly zero),
     ``"sustained"`` (period 1 certified by a residual sustained within
     tolerance) or ``"budget"`` (the iteration budget was spent, possibly after
-    a period above one was certified).  The vectors
-    of ``limit_cycle`` and ``iterates_kept`` are read-only rows of one array.
+    a period above one was certified).  ``iterates_kept`` is the run's last
+    ``min(max_period, iterations) + 1`` iterates; no trace is kept, and
+    ``replay_orbit(op, f, iterations)`` recomputes one.  The vectors of
+    ``limit_cycle`` and ``iterates_kept`` are read-only rows of one array.
     """
 
     detected_period: int | None
@@ -106,7 +109,6 @@ class OrbitResult:
     stop_reason: str
     iterates_kept: tuple[np.ndarray, ...]
     params: OrbitParams
-    trace: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def limit(self) -> np.ndarray | None:
@@ -116,18 +118,33 @@ class OrbitResult:
         return None
 
 
-def _as_function(op: UpperOperator, f: Sequence[float]) -> np.ndarray:
+def _start_block(op: UpperOperator, f: Sequence[float]) -> np.ndarray:
+    """``f`` as the contiguous ``(n, 1)`` block a one-column run starts from."""
     g = np.asarray(f, dtype=float)
     if g.shape != (op.n,):
         raise DimensionMismatchError(f"function has shape {g.shape}, expected ({op.n},)")
-    return g
+    return np.array(g[:, None])
 
 
 def iterate_orbit(
     op: UpperOperator, f: Sequence[float], params: OrbitParams | None = None
 ) -> OrbitResult:
     """Iterate ``op`` on ``f``: the one-column case of :func:`iterate_orbits`."""
-    return iterate_orbits(op, _as_function(op, f)[:, None], params)[0]
+    return iterate_orbits(op, _start_block(op, f), params)[0]
+
+
+def replay_orbit(op: UpperOperator, f: Sequence[float], steps: int) -> Iterator[np.ndarray]:
+    """Yield ``f, Tf, ..., T^steps f``, the iterates of :func:`iterate_orbit` bit for bit.
+
+    Each step applies ``op`` to the ``(n, 1)`` block a one-column run applies
+    it to.  One iterate is held at a time, for a second ``apply`` per step.
+    """
+    current = _start_block(op, f)
+    yield current[:, 0]
+    for _ in range(steps):
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the engine
+            current = op.apply(current)
+        yield current[:, 0]
 
 
 def iterate_orbits(
@@ -151,12 +168,8 @@ def iterate_orbits(
     from then on), or budget exhaustion end a column's run.
 
     Residuals are scored on every step from ``W = burn_in - max_period + 1``
-    on and on the budget's last step; streaks start there, which changes no
-    certificate, since a streak of ``max_period`` steps ending at or after the
-    burn-in lies wholly at or after ``W``.  Before ``W`` a column's residuals
-    are taken only when the fingerprint of its new iterate equals that of one
-    of the ring's past iterates: equal iterates always have equal prints, and
-    the residuals decide, so the results are those of scoring every step.
+    on and on the budget's last step, and before ``W`` only on a fingerprint
+    hit (see the module docstring); the results are those of scoring every step.
 
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
@@ -170,8 +183,7 @@ def _iterate(
     """Iterate the columns of ``starts`` block by block.
 
     With ``windows`` each column ends as its :class:`OrbitResult`; without,
-    as its detected period alone (``None`` for none), and no window, trace
-    or result is built.
+    as its detected period alone (``None`` for none), building no window.
     """
     p = params or OrbitParams()
     block = np.asarray(starts, dtype=float)
@@ -247,7 +259,6 @@ def _iterate_block(
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
     best_residual = np.zeros(m)
     column = np.arange(m)  # block column of each running column
-    traces = [[v.copy()] for v in block.T] if p.keep_trace and windows else None
     results: list = [None] * m
 
     for iteration in range(1, p.max_iters + 1):
@@ -255,9 +266,6 @@ def _iterate_block(
         current = op.apply(current)
         running = len(column)
         ring[:running, :, slot] = current.T
-        if traces is not None:
-            for k, c in enumerate(column):
-                traces[c].append(current[:, k].copy())
 
         scored = min(iteration, cap)
         if iteration >= scoring_from or iteration == p.max_iters:
@@ -329,7 +337,6 @@ def _iterate_block(
                 stop_reason=reason,
                 iterates_kept=tuple(kept),
                 params=p,
-                trace=tuple(traces[column[k]]) if traces is not None else None,
             )
         retired = np.zeros(running, dtype=bool)
         retired[rows[done]] = True

@@ -872,7 +872,6 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
     p = params or OrbitParams()
     current = np.asarray(f, dtype=float)
     window: list[np.ndarray] = [current.copy()]
-    trace: list[np.ndarray] | None = [current.copy()] if p.keep_trace else None
     streak = np.zeros(min(p.max_period, p.max_iters) + 1, dtype=np.int64)
     last_step_residual = float("inf")
     best_period: int | None = None
@@ -886,8 +885,6 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
         window.append(nxt)
         if len(window) > p.max_period + 1:
             window.pop(0)
-        if trace is not None:
-            trace.append(nxt.copy())
 
         history = np.stack(window[:-1])  # oldest..newest
         residuals = np.max(np.abs(history - nxt), axis=1)
@@ -921,7 +918,6 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
         stop_reason=reason,
         iterates_kept=tuple(v.copy() for v in window),
         params=p,
-        trace=tuple(trace) if trace is not None else None,
     )
 
 
@@ -951,7 +947,6 @@ def all_slots_iterate_orbits(
     best = np.zeros(m, dtype=np.int64)
     best_residual = np.zeros(m)
     column = np.arange(m)
-    traces = [[v.copy()] for v in block.T] if p.keep_trace else None
     results: list[OrbitResult | None] = [None] * m
 
     for iteration in range(1, p.max_iters + 1):
@@ -959,9 +954,6 @@ def all_slots_iterate_orbits(
         current = op.apply(current)
         running = len(column)
         ring[:running, :, slot] = current.T
-        if traces is not None:
-            for k, c in enumerate(column):
-                traces[c].append(current[:, k].copy())
 
         scored = min(iteration, cap)
         filled = scored + 1
@@ -1011,7 +1003,6 @@ def all_slots_iterate_orbits(
                 stop_reason=reason,
                 iterates_kept=tuple(kept),
                 params=p,
-                trace=tuple(traces[column[k]]) if traces is not None else None,
             )
         keep = (~done).nonzero()[0]
         if not len(keep):
@@ -1042,7 +1033,6 @@ def orbit_result_bits(result: OrbitResult) -> tuple:
         result.stop_reason,
         bits(result.iterates_kept),
         result.params,
-        bits(result.trace),
     )
 
 

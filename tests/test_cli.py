@@ -50,6 +50,28 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_engine_settings_are_the_orbit_flags():
+    # every field of OrbitParams is a flag both orbit-running commands parse,
+    # and the CLI passes each one on: the engine has no setting the user cannot see
+    import argparse
+    import dataclasses
+
+    from imclim import OrbitParams
+    from imclim.cli import _add_orbit_flags, _orbit_params, build_parser
+
+    probe = argparse.ArgumentParser()
+    _add_orbit_flags(probe)
+    flags = set(vars(probe.parse_args([])))
+    assert {field.name for field in dataclasses.fields(OrbitParams)} == flags
+    assert flags == {"tolerance", "burn_in", "max_iters", "max_period"}
+    values = ["--tolerance", "0.5", "--burn-in", "7", "--max-iters", "33", "--max-period", "5"]
+    for command in (["analyze", DEMO_MODEL], ["orbit", DEMO_MODEL, "-f", "b"]):
+        args = build_parser().parse_args([*command, *values])
+        params = _orbit_params(args)
+        assert {name: getattr(params, name) for name in flags} == \
+            {"tolerance": 0.5, "burn_in": 7, "max_iters": 33, "max_period": 5}
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze"],
     ["analyze", DEMO_MODEL, "--bogus"],
@@ -294,6 +316,23 @@ class TestOrbit:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,a,b,c,d,e"
         assert len(lines) > 2
+
+    def test_long_trace_streams_in_constant_memory(self, tmp_path, capsys):
+        # the trace is replayed row by row, so no iterate outlives its row
+        import tracemalloc
+
+        trace = tmp_path / "trace.csv"
+        argv = ["orbit", "builtin:counterexample-5.1", "-f", "b",
+                "--max-iters", "20000", "--trace", str(trace)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(trace.read_text().splitlines()) == 20002
+        assert peak < 1 << 20, peak
 
     def test_bad_function_spec(self, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", "zz"]) == 1

@@ -20,6 +20,7 @@ from imclim import (
     iterate_orbits,
     oracle_compare,
     partition_states,
+    replay_orbit,
     search_cycle_witness,
     write_orbit_trace,
 )
@@ -106,14 +107,15 @@ class TestIterateOrbit:
         assert result.iterations == 2
 
     def test_trace_collection_and_csv(self, two_cycle_op):
-        params = OrbitParams(burn_in=0, max_iters=10, max_period=4, keep_trace=True)
+        params = OrbitParams(burn_in=0, max_iters=10, max_period=4)
         result = iterate_orbit(two_cycle_op, [1.0, 0.0], params)
-        assert result.trace is not None
+        trace = list(replay_orbit(two_cycle_op, [1.0, 0.0], result.iterations))
+        assert len(trace) == result.iterations + 1
         buffer = io.StringIO()
-        write_orbit_trace(buffer, two_cycle_op.space.labels, result.trace)
+        write_orbit_trace(buffer, two_cycle_op.space.labels, iter(trace))  # any iterable
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "iteration,b,c"
-        assert len(lines) == len(result.trace) + 1
+        assert len(lines) == len(trace) + 1
 
 
 def _bits(vectors):
@@ -183,18 +185,6 @@ class TestBatchedEngine:
                 assert a.detected_period == b.detected_period
                 assert gen.orbit_result_bits(b) == gen.orbit_result_bits(one)
 
-    def test_traces_follow_their_columns(self, running_op):
-        params = OrbitParams(burn_in=0, max_iters=300, max_period=4, keep_trace=True)
-        block = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.3, 0.9, 0.1, 0.4, 0.2],
-                          [0.0, 0.0, 1.0, 0.0, 0.0]]).T
-        for f, result in zip(block.T, iterate_orbits(running_op, block, params)):
-            trace = result.trace
-            assert len(trace) == result.iterations + 1
-            assert trace[0].tobytes() == f.tobytes()
-            assert _bits(trace[-len(result.iterates_kept):]) == _bits(result.iterates_kept)
-            for before, after in zip(trace, trace[1:]):
-                assert np.allclose(running_op.apply(before), after, rtol=0, atol=1e-15)
-
     def test_rejects_bad_blocks(self, running_op):
         with pytest.raises(DimensionMismatchError):
             iterate_orbits(running_op, np.zeros(5))
@@ -249,6 +239,35 @@ class TestScoringWindow:
                     done += 1
             columns += done
         assert columns >= 1000
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+
+    def test_replay_is_the_one_column_orbit(self, counterexample_op):
+        # random, sparse wide and planted cyclic models, and the builtin with
+        # a start whose first step overflows
+        reasons = Counter()
+        runs = 0
+        for index, params in enumerate(self.GRID):
+            rng = random.Random(1403 + index)
+            ops = [counterexample_op]
+            while len(ops) < 40:
+                ops.append(gen.random_operator(rng))
+                ops.append(gen.random_wide_operator(rng, rng.randint(12, 24)))
+                ops.append(gen.planted_cyclic_operator(rng)[0])
+            for k, op in enumerate(ops):
+                suite = default_function_suite(op, extra=2, rng=np.random.default_rng(k))
+                starts = [f for _, f in suite]
+                if op is counterexample_op:
+                    starts.append(np.array([1e308, 0.0, -1e308]))
+                for f in starts:
+                    result = iterate_orbit(op, f, params)
+                    replay = list(replay_orbit(op, f, result.iterations))
+                    assert len(replay) == result.iterations + 1
+                    assert replay[0].tobytes() == f.tobytes()
+                    kept = replay[-len(result.iterates_kept):]
+                    assert _bits(kept) == _bits(result.iterates_kept), (params, k)
+                    reasons[result.stop_reason] += 1
+                    runs += 1
+        assert runs >= 2000
         assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
 
     @staticmethod
