@@ -8,35 +8,56 @@ detects period 1, a "not convergent" verdict predicts some sampled orbit with
 a longer cycle.
 
 Because the operator is sup-norm non-expansive, the residual
-``max|T^n f - T^(n+p) f|`` is non-increasing in ``n`` for every fixed ``p``,
-so detection is monotone: once a candidate period holds it keeps holding.
-The engine never reports divergence; exhausting the budget only means "no
-cycle found within budget".
+``max|T^n f - T^(n+p) f|`` is, in exact arithmetic, non-increasing in ``n``
+for every fixed ``p``, so detection is monotone: once a candidate period
+holds it keeps holding.  In floats a rounding step can raise a residual, and
+an ``UpperOperator`` subclass need not be non-expansive at all; the engine
+relies on monotonicity only to skip work, never for a result (see clean
+columns below).  The engine never reports divergence; exhausting the budget
+only means "no cycle found within budget".
 
 One engine, :func:`iterate_orbits`, iterates a whole suite of start
 functions as the columns of one ``(n, m)`` block: each step is a single
 ``apply`` on the columns still running.  The last ``P + 1`` iterates, with
 ``P = min(max_period, max_iters)``, live in a ring buffer allocated once per
-block.  The residuals against all ring slots are taken only where a rule can
-read them: on every step from ``W = burn_in - max_period + 1`` on (a
-sustained streak that can fire at or after the burn-in covers no earlier
-step), and on the budget's last step.  Before ``W`` only an exact repeat can
-end a column, and each column keeps a fingerprint of every iterate beside
-the ring, one integer product per step.  The new prints are compared with
-the contiguous written print slots, with no per-step gather; a column whose
-new print equals a past one has its residuals taken, and retires only if
-one is exactly zero, so a collision, or a match on the slot about to be
-overwritten, costs time and never a result.  Residuals are taken over the
-slots in storage order and only the small per-slot result is reordered into
-period order, so no window is ever gathered.  Each column is certified on
-its own and retires on its own step; the running columns stay a contiguous
-prefix of the buffers.  A block takes as many columns as fit their ring,
-residual and print buffers in ``_BLOCK_BYTES`` (at least one), so a wide
-suite runs as several blocks in turn.  :func:`iterate_orbit` is the
-one-column case, and :func:`replay_orbit` recomputes its iterates.  Past
-about 256k window slots numpy advises huge pages, so the first write to a
-state's row faults in 2 MiB per buffer: a 200-state run ending at step 962
-peaked at 835 MiB with a budget of 10**6, and at 38 MiB with 10**3.
+block.  The sustained rule can fire only at or after the burn-in, on a
+streak of ``max_period`` steps, so it reads no residual before
+``W = burn_in - max_period + 1``.  Before ``W`` only an exact repeat can end
+a column, and each column keeps a fingerprint of every iterate beside the
+ring, one integer product per step.  The new prints are compared with the
+contiguous written print slots, with no per-step gather; a column whose new
+print equals a past one has its residuals taken, and retires only if one is
+exactly zero, so a collision, or a match on the slot about to be
+overwritten, costs time and never a result.
+
+On step ``W`` every column has its residuals against all ring slots taken,
+and a column whose period-1 residual is within tolerance there is *clean*.
+A clean column's period-1 streak is ``t - W + 1`` as long as its period-1
+residual stays within tolerance, no other streak is longer, and the smallest
+period within tolerance is 1; so until step ``W + max_period - 1``, where it
+certifies period 1, only an exact repeat can end it, and each step takes
+only its period-1 residual and its print.  A step with every running column
+clean, no print hit and no column leaving tolerance takes nothing more.  A
+clean column whose period-1 residual leaves tolerance (or is nan) *turns*:
+its streaks are rebuilt from its iterates since ``W - P`` and it is scored
+in full from then on.  The ring has overwritten the oldest of them, so at
+``W`` the ring's written slots are copied into the residual buffer, which no
+step uses while a clean column runs.  Columns not clean at ``W`` are scored
+in full on every step, and every column on the budget's last step.  Rows
+scored apart are gathered over the written slots alone and differenced in
+place.  Residuals are taken over the slots in storage order and only the
+small per-slot result is reordered into period order, so no window is ever
+gathered.  Each column is certified on its own and retires on its own step;
+the running columns stay a contiguous prefix of the buffers.  A block takes
+as many columns as fit their ring, residual and print buffers in
+``_BLOCK_BYTES`` (at least one), so a wide suite runs as several blocks in
+turn.  Each block logs one ``debug`` line on the ``imclim.orbits`` logger:
+its columns, steps, steps scored in full, columns turned, and stop reasons.
+:func:`iterate_orbit` is the one-column case, and :func:`replay_orbit`
+recomputes its iterates.  Past about 256k window slots numpy advises huge
+pages, so the first write to a state's row faults in 2 MiB per buffer: a
+200-state run ending at step 962 peaked at 835 MiB with a budget of 10**6,
+and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
@@ -49,6 +70,7 @@ class, found by the graph layer, into the certificate the report carries.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +78,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import UpperOperator
+
+log = logging.getLogger(__name__)
 
 #: Ring, residual and print buffer memory that sets how many columns one block
 #: takes (at least one); wider suites run in several blocks, one after another.
@@ -158,8 +182,10 @@ def iterate_orbits(
     an exact repeat is a genuine cycle) or, after the burn-in, once some
     period's residual has stayed within tolerance for ``max_period``
     consecutive steps; in either case the smallest period *currently* within
-    tolerance is the certified one, which is stable because residuals never
-    grow under a sup-norm non-expansive map.
+    tolerance is the certified one.  In exact arithmetic that choice is
+    stable, because residuals never grow under a sup-norm non-expansive map;
+    in floats a rounding step can raise one, and the results are still those
+    of scoring every period on every step.
 
     A certificate for a period above one is recorded but not final: for a
     slowly damped alternation the even-step residual can cross the threshold
@@ -167,9 +193,13 @@ def iterate_orbits(
     certificate wins.  Only period one, an exact repeat (residuals are frozen
     from then on), or budget exhaustion end a column's run.
 
-    Residuals are scored on every step from ``W = burn_in - max_period + 1``
-    on and on the budget's last step, and before ``W`` only on a fingerprint
-    hit (see the module docstring); the results are those of scoring every step.
+    All residuals are taken on step ``W = burn_in - max_period + 1`` and on
+    the budget's last step; before ``W`` only on a fingerprint hit; after it,
+    for a column clean at ``W`` (period 1 within tolerance), only its period-1
+    residual and its print until it certifies period 1, repeats exactly, or
+    its period-1 residual leaves tolerance and it turns dirty, with its
+    streaks rebuilt (see the module docstring).  The results are those of
+    scoring every step.
 
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
@@ -216,9 +246,10 @@ def _residuals(ring: np.ndarray, current: np.ndarray, slot: int, scored: int,
                out: np.ndarray) -> np.ndarray:
     """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for ring row ``k``, ``q <= scored``.
 
-    ``ring`` is ``(k, n, slots)``, ``current`` the matching ``(n, k)``
-    iterates and ``slot`` the ring slot they are stored in.  The differences
-    are taken over the slots in storage order, into ``out``, and only the
+    ``ring`` is ``(k, n, slots)``: ring rows, or a copy of their written
+    slots; ``current`` the matching ``(n, k)`` iterates and ``slot`` the
+    ring slot they are stored in.  The differences are taken over the slots
+    in storage order, into ``out`` (which may be that copy), and only the
     small (row, slot) result is put in period order.
     """
     filled = scored + 1  # slots 0..t hold iterates 0..t until the ring wraps
@@ -227,6 +258,28 @@ def _residuals(ring: np.ndarray, current: np.ndarray, slot: int, scored: int,
     diff = np.subtract(ring[:, :, :filled], current.T[:, :, None],
                        out=out[:len(ring), :, :filled])
     return np.abs(diff, out=diff).max(axis=1)[:, past]
+
+
+def _rebuilt_streaks(history: np.ndarray, first: int, start: int, periods: int,
+                     tolerance: float) -> np.ndarray:
+    """The streak of every period ``1..periods`` on the step of ``history``'s last iterate.
+
+    ``history[:, j]`` is iterate ``first + j``.  A period's streak counts the
+    steps back from the last, down to ``start``, on which its residual, taken
+    as the engine takes it, was scored and within ``tolerance``.
+    """
+    streak = np.zeros(periods, dtype=np.int64)
+    alive = np.ones(periods, dtype=bool)
+    for step in range(first + history.shape[1] - 1, start - 1, -1):
+        j = step - first
+        span = min(step, periods)  # the periods scored on this step
+        residuals = np.abs(history[:, j - span:j] - history[:, j, None]).max(axis=0)
+        alive[:span] &= residuals[::-1] <= tolerance
+        alive[span:] = False
+        if not alive.any():
+            break
+        streak += alive
+    return streak
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
@@ -242,7 +295,9 @@ def _iterate_block(
     # allocated once per block.
     try:
         ring = np.empty((m, n, size))
-        gaps = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
+        # reused every step: fresh temporaries cost page faults.  While a
+        # clean column runs it holds the ring as it stood at W instead.
+        gaps = np.empty_like(ring)
         prints = np.empty((m, size), dtype=np.uint64)
         streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest dimension
@@ -256,106 +311,155 @@ def _iterate_block(
     current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
     # the first step whose residuals the sustained rule can read; streaks start here
     scoring_from = max(1, p.burn_in - p.max_period + 1)
+    # a clean column's period-1 streak reaches max_period here, at or after the burn-in
+    clean_fires = scoring_from + p.max_period - 1
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
-    best_residual = np.zeros(m)
+    best_residual = np.zeros(m)  # with no period: the last step's period-1 residual
+    clean = np.zeros(m, dtype=bool)  # period 1 within tolerance on every step from W
+    watched = False  # some running column is clean
+    held = np.zeros(m, dtype=np.intp)  # block column -> its row of ``gaps`` from W
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
+    scored_steps = turns = 0
+    stops = dict.fromkeys(("exact_repeat", "sustained", "budget"), 0)
 
     for iteration in range(1, p.max_iters + 1):
         slot = iteration % size
-        current = op.apply(current)
+        previous, current = current, op.apply(current)
         running = len(column)
         ring[:running, :, slot] = current.T
-
         scored = min(iteration, cap)
-        if iteration >= scoring_from or iteration == p.max_iters:
-            rows = np.arange(running)
-            residuals = _residuals(ring[:running], current, slot, scored, gaps)
-            within = residuals <= p.tolerance
-            scoring = streak[:running, :scored]
-            scoring += 1
-            scoring *= within
-        else:
-            # only the exact-repeat rule can fire: score the columns whose
-            # print equals that of a written slot; a hit on the slot about to
-            # be overwritten (iterate t - size, no period) costs one residual
-            # row and changes no result
-            stamp = _fingerprint(current, weights)
-            hits = prints[:running, :min(iteration, size)] == stamp[:, None]
-            prints[:running, slot] = stamp
-            rows = hits.any(axis=1).nonzero()[0]
-            if not len(rows):
-                continue
-            residuals = _residuals(ring[rows], current[:, rows], slot, scored, gaps)
-            within = residuals <= p.tolerance
+        last = iteration == p.max_iters
 
-        # residuals[r] belongs to the running column rows[r]; both rules need
-        # some period within tolerance
-        if not within.any():
-            if iteration < p.max_iters:
-                continue
-            done = exact = np.zeros(len(rows), dtype=bool)
+        if watched:
+            step = np.abs(current - previous).max(axis=0)  # the period-1 residuals
+            turned = (clean & ~(step <= p.tolerance)).nonzero()[0]  # nan leaves tolerance too
+            for k in turned:
+                # its streaks on the step before, from the iterates since
+                # W - cap: the ring's, and before them those held at W
+                first = max(0, scoring_from - cap)
+                steps = np.arange(first, iteration)
+                history = ring[k][:, steps % size]
+                old = steps < iteration - cap
+                history[:, old] = gaps[held[column[k]]][:, steps[old] % size]
+                streak[k, :scored] = _rebuilt_streaks(
+                    history, first, scoring_from, scored, p.tolerance)
+            if len(turned):
+                clean[turned] = False
+                turns += len(turned)
+                watched = bool(clean.any())
+
+        if iteration <= scoring_from or watched:
+            # before W only an exact repeat can end a column, and after W it
+            # is the only rule that ends a clean column early
+            stamp = _fingerprint(current, weights)
+            hit = (prints[:running, :min(iteration, size)] == stamp[:, None]).any(axis=1)
+            prints[:running, slot] = stamp
+        if last or (iteration >= scoring_from and not watched):
+            rows = np.arange(running)
+        elif iteration < scoring_from:
+            rows = hit.nonzero()[0]
         else:
-            exact = (residuals == 0.0).any(axis=1)
-            fired = exact
-            if iteration >= p.burn_in:  # a scored step: rows are all running columns
-                fired = exact | (scoring >= p.max_period).any(axis=1)
-            done = fired  # all False unless some column fired
-            if fired.any():
-                candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
-                held = best[rows]
-                better = (fired & ((held == 0) | (candidate < held))).nonzero()[0]
-                best[rows[better]] = candidate[better]
-                best_residual[rows[better]] = residuals[better, candidate[better] - 1]
-                done = fired & ((best[rows] == 1) | exact)
-        if iteration == p.max_iters:
-            done = np.ones_like(done)
+            rows = (hit | ~clean).nonzero()[0]
+        if not len(rows) and not (watched and iteration == clean_fires):
+            continue
+
+        done = np.zeros(running, dtype=bool)
+        exact = np.zeros(running, dtype=bool)
+        if len(rows):
+            scored_steps += 1
+            if len(rows) == running and (last or not watched):
+                residuals = _residuals(ring[:running], current, slot, scored, gaps)
+            else:  # only the written slots, each difference in place
+                window = ring[rows, :, :scored + 1]
+                residuals = _residuals(window, current[:, rows], slot, scored, window)
+            within = residuals <= p.tolerance
+            if iteration >= scoring_from:
+                counts = streak[rows, :scored] + 1
+                counts *= within
+                streak[rows, :scored] = counts
+            # residuals[r] belongs to the running column rows[r]; both rules
+            # need some period within tolerance
+            if within.any():
+                exact[rows] = (residuals == 0.0).any(axis=1)
+                fired = exact[rows]
+                if iteration >= p.burn_in:  # so iteration >= W, and ``counts`` is set
+                    # a clean column's period-1 streak is iteration - W + 1,
+                    # and no other is longer
+                    fired = fired | np.where(clean[rows], iteration >= clean_fires,
+                                             (counts >= p.max_period).any(axis=1))
+                if fired.any():
+                    candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
+                    held_best = best[rows]
+                    better = (fired & ((held_best == 0) | (candidate < held_best))).nonzero()[0]
+                    best[rows[better]] = candidate[better]
+                    best_residual[rows[better]] = residuals[better, candidate[better] - 1]
+                    done[rows] = fired & ((best[rows] == 1) | exact[rows])
+            if last:  # rows are all running columns
+                none = best == 0
+                best_residual[none] = residuals[none, 0]
+            elif iteration == scoring_from:  # rows are all running columns
+                clean = within[:, 0] & ~done
+                watched = bool(clean.any())
+                if watched:
+                    gaps[:running, :, :scored + 1] = ring[:running, :, :scored + 1]
+                    held[column] = np.arange(running)
+        if watched and iteration == clean_fires:
+            # the clean columns left certify period 1; those scored above did
+            quiet = clean & ~done
+            best[quiet] = 1
+            best_residual[quiet] = step[quiet]
+            done |= quiet
+        if last:
+            done[:] = True
         elif not done.any():
             continue
 
         order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
-        for r in done.nonzero()[0]:
-            k = rows[r]
+        for k in done.nonzero()[0]:
             period = int(best[k]) or None
-            if not windows:
-                results[column[k]] = period
-                continue
-            kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
-            kept.setflags(write=False)
-            if exact[r]:
+            if exact[k]:
                 reason = "exact_repeat"
             elif period == 1:
                 reason = "sustained"
             else:
                 reason = "budget"
+            stops[reason] += 1
+            if not windows:
+                results[column[k]] = period
+                continue
+            kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
+            kept.setflags(write=False)
             results[column[k]] = OrbitResult(
                 detected_period=period,
                 converged=period == 1,
                 limit_cycle=tuple(kept[-period:]) if period else None,
-                residual=float(best_residual[k] if period else residuals[r, 0]),
+                residual=float(best_residual[k]),
                 iterations=iteration,
                 stop_reason=reason,
                 iterates_kept=tuple(kept),
                 params=p,
             )
-        retired = np.zeros(running, dtype=bool)
-        retired[rows[done]] = True
-        keep = (~retired).nonzero()[0]
+        keep = (~done).nonzero()[0]
         if not len(keep):
             break
         # the new prefix keeps its running columns in place; each retired
         # place in it takes a running column from beyond it, copying only
         # the slots and periods written so far
         moved = np.arange(len(keep))
-        holes = retired[:len(keep)].nonzero()[0]
+        holes = done[:len(keep)].nonzero()[0]
         moved[holes] = keep[len(keep) - len(holes):]
         for hole, source in zip(holes, moved[holes]):
             ring[hole, :, :scored + 1] = ring[source, :, :scored + 1]
             prints[hole, :scored + 1] = prints[source, :scored + 1]
             streak[hole, :scored] = streak[source, :scored]
         current = current[:, moved]
-        best, best_residual = best[moved], best_residual[moved]
+        best, best_residual, clean = best[moved], best_residual[moved], clean[moved]
+        watched = watched and bool(clean.any())
         column = column[moved]
+    log.debug("orbit block: %d columns, %d steps, %d scored in full, %d turned dirty; "
+              "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,
+              turns, stops["exact_repeat"], stops["sustained"], stops["budget"])
     return results
 
 

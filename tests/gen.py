@@ -1036,6 +1036,48 @@ def orbit_result_bits(result: OrbitResult) -> tuple:
     )
 
 
+ROTATION_SPACE = StateSpace(("x", "y"))
+
+
+class ScaledRotation(UpperOperator):
+    """The plane turned by ``2*pi/k`` and scaled by ``rho``: an operator whose residuals can grow.
+
+    It is no upper transition operator.  For ``rho > 1`` it expands, and its
+    sup-norm step ``max|T^t f - T^(t-1) f|`` rises and falls as the orbit
+    turns, so a residual within tolerance on one step can leave it on a later
+    one: the case the orbit engine's clean columns turn dirty on.
+    """
+
+    def __init__(self, rho: float, k: int):
+        angle = 2 * math.pi / k
+        self.rho = rho
+        self._matrix = rho * np.array([[math.cos(angle), -math.sin(angle)],
+                                       [math.sin(angle), math.cos(angle)]])
+
+    @property
+    def space(self) -> StateSpace:
+        return ROTATION_SPACE
+
+    def apply(self, f):
+        return self._matrix @ self._check_vector(f)
+
+
+def rotation_starts(op: ScaledRotation, params: OrbitParams, count: int) -> np.ndarray:
+    """``count`` starts at spread angles, scaled so each one's step reaches the
+    tolerance near its own step between ``W = burn_in - max_period + 1`` and the burn-in.
+
+    A step moves a vector of length 1 by about ``|rho * R - I|`` and the
+    orbit grows by ``rho`` a step, so a start of length ``s`` has a step of
+    about ``s * |rho * R - I| * rho**(t - 1)`` on step ``t``.
+    """
+    first = max(1, params.burn_in - params.max_period + 1)
+    steps = np.linspace(first, max(first, params.burn_in), count)
+    angles = np.arange(count) * 2.399963229728653  # the golden angle
+    move = np.linalg.norm(op._matrix - np.eye(2), 2)
+    return np.stack([np.cos(angles), np.sin(angles)]) * (
+        params.tolerance / (move * op.rho ** (steps - 1)))
+
+
 def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:
     """``CredalOperator.apply`` before the gather-max: each state's maximum by ``np.maximum.reduceat``."""
     return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), op.supports().starts)

@@ -310,6 +310,41 @@ class TestOrbit:
         assert code == "0"
         assert int(peak_kib) < 100 * 1024
 
+    def test_print_hits_before_the_window_cost_no_memory(self):
+        # with the burn-in past the budget every step is a print step, and the
+        # exact repeat on step 107 is scored over the 108 written slots alone,
+        # not over a copy of the 3 * 10**6-slot window (120 MB at 5 states)
+        budget = str(3 * 10**6)
+        script = (
+            "import resource\n"
+            "from imclim.cli import main\n"
+            f"code = main(['orbit', {DEMO_MODEL!r}, '-f', 'a', '--max-iters', '{budget}',"
+            f" '--max-period', '{budget}', '--burn-in', '{10**7}'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "iterations: 107" in done.stdout
+        code, peak_kib = done.stdout.split("\n")[-2].split()
+        assert code == "0"
+        assert int(peak_kib) < 100 * 1024
+
+    def test_orbit_blocks_log_at_debug_only(self):
+        run = [sys.executable, "-m", "imclim.cli", "orbit", DEMO_MODEL, "-f", "b"]
+        env = {k: v for k, v in os.environ.items() if k != "IMC_LOG"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        quiet = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+        loud = subprocess.run(run, env={**env, "IMC_LOG": "debug"},
+                              capture_output=True, text=True, timeout=60)
+        assert quiet.returncode == loud.returncode == 0
+        assert quiet.stderr == ""
+        assert loud.stdout == quiet.stdout
+        # the burn-in lies past the exact repeat: only its step is scored
+        assert loud.stderr == ("DEBUG:imclim.orbits:orbit block: 1 columns, 107 steps, "
+                               "1 scored in full, 0 turned dirty; "
+                               "stops: exact_repeat 1, sustained 0, budget 0\n")
+
     def test_trace_export(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["orbit", DEMO_MODEL, "-f", "b", "--trace", str(trace)]) == 0

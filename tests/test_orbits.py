@@ -334,6 +334,90 @@ class TestScoringWindow:
                 gen.orbit_result_bits(gen.reference_iterate_orbit(op, f, params))
         assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
 
+    @staticmethod
+    def rotations(params: OrbitParams):
+        """Scaled rotations with starts whose step leaves tolerance between W and the burn-in."""
+        for rho, k in itertools.product((1.0, 1 + 1e-9, 1 + 1e-6, 1.001, 1.01, 1.05),
+                                        (2, 3, 4, 5, 7)):
+            op = gen.ScaledRotation(rho, k)
+            yield op, gen.rotation_starts(op, params, 10)
+
+    def test_clean_columns_that_turn_match_the_all_slots_engine(self, monkeypatch):
+        # a clean column whose step leaves tolerance has its streaks rebuilt
+        # from the iterates since W - cap and is scored in full from then on
+        import imclim.orbits
+
+        rebuilt = imclim.orbits._rebuilt_streaks
+        turns = []
+        monkeypatch.setattr(imclim.orbits, "_rebuilt_streaks",
+                            lambda *args: turns.append(1) or rebuilt(*args))
+        reasons = Counter()
+        for params in self.GRID:
+            for op, starts in self.rotations(params):
+                reference = gen.all_slots_iterate_orbits(op, starts, params)
+                batch = iterate_orbits(op, starts, params)
+                for a, b in zip(batch, reference):
+                    assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), (params, op.rho)
+                    reasons[a.stop_reason] += 1
+                # the suite path reads the same periods
+                monkeypatch.setattr(imclim.orbits, "default_function_suite", lambda *args, **kw: [
+                    (f"start:{j}", f) for j, f in enumerate(starts.T)])
+                comparison = oracle_compare(op, "inconclusive", params)
+                monkeypatch.setattr(imclim.orbits, "default_function_suite", default_function_suite)
+                assert [c.period for c in comparison.checks] == \
+                    [r.detected_period for r in reference]
+        assert len(turns) >= 100
+        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+
+    def test_full_rows_only_where_a_rule_can_read_them(self, monkeypatch):
+        # After W, a column is scored in full only on W itself, on the
+        # budget's last step, on a print hit, or once its step has left
+        # tolerance (dirty at W, or turned since): a clean column gets its step
+        # and its print alone.  Before W only print hits are scored.
+        import imclim.orbits
+
+        residuals = imclim.orbits._residuals
+        calls = []
+
+        def recording(ring, current, slot, scored, out):
+            calls.append((len(steps), np.array(ring[:, :, :scored + 1]), np.array(current), slot))
+            return residuals(ring, current, slot, scored, out)
+
+        monkeypatch.setattr(imclim.orbits, "_residuals", recording)
+        checked = 0
+        blocks = [(op, block, self.GRID[k % len(self.GRID)])
+                  for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 40))]
+        # a print that only equals the overwritten slot's is a hit the windows
+        # below no longer show; a rotation with rho = 1 can repeat after 65 steps
+        blocks += [(op, starts, params) for params in self.GRID[:2]
+                   for op, starts in itertools.islice(self.rotations(params), 5, None, 3)]
+        for op, block, params in blocks:
+            first = max(1, params.burn_in - params.max_period + 1)  # W
+            fires = first + params.max_period - 1  # no column is clean after this step
+            weights = np.arange(1, 2 * op.n, 2, dtype=np.uint64) * imclim.orbits._PRINT_ODD
+            steps = []
+            apply = op.apply
+            monkeypatch.setattr(op, "apply", lambda f: steps.append(1) or apply(f))
+            calls.clear()
+            iterate_orbits(op, block, params)
+            for step, window, current, slot in calls:
+                if step in (first, params.max_iters) or step > fires:
+                    continue
+                prints = imclim.orbits._fingerprint(window.transpose(1, 0, 2).reshape(op.n, -1),
+                                                    weights).reshape(len(window), -1)
+                stamps = imclim.orbits._fingerprint(current, weights)
+                for r in range(len(window)):
+                    past = np.delete(prints[r], slot)  # the slot the new iterate took
+                    if (past == stamps[r]).any():
+                        continue  # a print hit
+                    assert step > first, (params, step)
+                    size = window.shape[2]
+                    moves = [np.abs(window[r, :, s % size] - window[r, :, (s - 1) % size]).max()
+                             for s in range(first, step + 1)]
+                    assert not all(move <= params.tolerance for move in moves), (params, step)
+                    checked += 1
+        assert checked >= 1000
+
 
 class TestCycleClosure:
     def test_detected_cycles_close_under_application(self):
