@@ -35,6 +35,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import functools
+import numbers
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -103,19 +104,33 @@ class SupportTable:
         """Boolean ``(n, n)`` matrix: ``x -> y`` iff some candidate at ``x`` puts mass on ``y``."""
         return np.logical_or.reduceat(self.rows, self.starts, axis=0)
 
+    def _indices(self, states: Iterable[int]) -> list[int]:
+        """``states`` as ascending distinct indices.
+
+        Raises :class:`ModelValidationError` naming the smallest one that is
+        no integer in ``0..n-1``.
+        """
+        indices = sorted(set(states))
+        n = len(self.space)
+        for i in indices:
+            if not (isinstance(i, numbers.Integral) and 0 <= i < n):
+                raise ModelValidationError(f"state index {i} out of range 0..{n - 1}")
+        return [int(i) for i in indices]
+
     def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
         """States at which the one-step lower probability of ``targets`` is
         positive, i.e. every candidate puts mass on ``targets``."""
-        meets = self.rows[:, sorted(targets)].any(axis=1)
+        meets = self.rows[:, self._indices(targets)].any(axis=1)
         return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self.starts)).tolist())
 
     def restrict(self, keep: Sequence[int]) -> "SupportTable":
         """Table over ``keep``: the rows with no support outside ``keep``, columns renumbered.
 
-        Raises :class:`NotWellDefinedError` naming the first kept state that
-        keeps no row.
+        Raises :class:`ModelValidationError` for a ``keep`` entry that is no
+        state index, and :class:`NotWellDefinedError` naming the first kept
+        state that keeps no row.
         """
-        keep = sorted(set(keep))
+        keep = self._indices(keep)
         n = len(self.space)
         inside = np.zeros(n, dtype=bool)
         inside[keep] = True

@@ -37,27 +37,30 @@ residual stays within tolerance, no other streak is longer, and the smallest
 period within tolerance is 1; so until step ``W + max_period - 1``, where it
 certifies period 1, only an exact repeat can end it, and each step takes
 only its period-1 residual and its print.  A step with every running column
-clean, no print hit and no column leaving tolerance takes nothing more.  A
-clean column whose period-1 residual leaves tolerance (or is nan) *turns*:
-its streaks are rebuilt from its iterates since ``W - P`` and it is scored
-in full from then on.  The ring has overwritten the oldest of them, so at
-``W`` the ring's written slots are copied into the residual buffer, which no
-step uses while a clean column runs.  Columns not clean at ``W`` are scored
-in full on every step, and every column on the budget's last step.  Rows
-scored apart are gathered over the written slots alone and differenced in
-place.  Residuals are taken over the slots in storage order and only the
-small per-slot result is reordered into period order, so no window is ever
-gathered.  Each column is certified on its own and retires on its own step;
-the running columns stay a contiguous prefix of the buffers.  A block takes
-as many columns as fit their ring, residual and print buffers in
-``_BLOCK_BYTES`` (at least one), so a wide suite runs as several blocks in
-turn.  Each block logs one ``debug`` line on the ``imclim.orbits`` logger:
-its columns, steps, steps scored in full, columns turned, and stop reasons.
-:func:`iterate_orbit` is the one-column case, and :func:`replay_orbit`
-recomputes its iterates.  Past about 256k window slots numpy advises huge
-pages, so the first write to a state's row faults in 2 MiB per buffer: a
-200-state run ending at step 962 peaked at 835 MiB with a budget of 10**6,
-and at 38 MiB with 10**3.
+clean and no print hit takes nothing more.  If a clean column's period-1
+residual leaves tolerance (or is nan), the run stops and the block reruns
+from its starts with no column clean.  Both runs retire the same columns on
+the same steps, so ``apply`` sees the same blocks and the results are those
+of scoring every step.  Reruns cost nothing in practice: a non-expansive
+operator's period-1 residual never grows in exact arithmetic, and the seeded
+suites of the ``orbit`` benchmark (260 blocks) and of 300 random, wide and
+planted cyclic models under five budgets (1,505 blocks) rerun none.  Columns
+not clean at ``W`` are scored in full on every step, and every column on the
+budget's last step.  Rows scored apart are gathered over the written slots
+alone and differenced in place.  Residuals are taken over the slots in
+storage order and only the small per-slot result is reordered into period
+order, so no window is ever gathered.  Each column is certified on its own
+and retires on its own step; the running columns stay a contiguous prefix of
+the buffers.  A block takes as many columns as fit their ring, residual and
+print buffers in ``_BLOCK_BYTES`` (at least one), so a wide suite runs as
+several blocks in turn.  Each block logs one ``debug`` line on the
+``imclim.orbits`` logger, for the run that ends: its columns, steps, steps
+scored in full, whether it ran with clean columns or was rerun, and stop
+reasons.  :func:`iterate_orbit` is the one-column case, and
+:func:`replay_orbit` recomputes its iterates.  Past about 256k window slots
+numpy advises huge pages, so the first write to a state's row faults in 2
+MiB per buffer: a 200-state run ending at step 962 peaked at 835 MiB with a
+budget of 10**6, and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
@@ -196,10 +199,10 @@ def iterate_orbits(
     All residuals are taken on step ``W = burn_in - max_period + 1`` and on
     the budget's last step; before ``W`` only on a fingerprint hit; after it,
     for a column clean at ``W`` (period 1 within tolerance), only its period-1
-    residual and its print until it certifies period 1, repeats exactly, or
-    its period-1 residual leaves tolerance and it turns dirty, with its
-    streaks rebuilt (see the module docstring).  The results are those of
-    scoring every step.
+    residual and its print until it certifies period 1 or repeats exactly; a
+    block whose clean column leaves tolerance reruns with every column scored
+    in full (see the module docstring).  The results are those of scoring
+    every step.
 
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
@@ -227,7 +230,10 @@ def _iterate(
     width = max(1, _BLOCK_BYTES // ((2 * op.n + 1) * (cap + 1) * block.itemsize))
     results: list = []
     for lo in range(0, block.shape[1], width):
-        results.extend(_iterate_block(op, block[:, lo:lo + width], p, cap, windows))
+        part = block[:, lo:lo + width]
+        # a clean column leaving tolerance stops the first run: rerun with none clean
+        results.extend(_iterate_block(op, part, p, cap, windows, watch=True)
+                       or _iterate_block(op, part, p, cap, windows, watch=False))
     return results
 
 
@@ -260,32 +266,12 @@ def _residuals(ring: np.ndarray, current: np.ndarray, slot: int, scored: int,
     return np.abs(diff, out=diff).max(axis=1)[:, past]
 
 
-def _rebuilt_streaks(history: np.ndarray, first: int, start: int, periods: int,
-                     tolerance: float) -> np.ndarray:
-    """The streak of every period ``1..periods`` on the step of ``history``'s last iterate.
-
-    ``history[:, j]`` is iterate ``first + j``.  A period's streak counts the
-    steps back from the last, down to ``start``, on which its residual, taken
-    as the engine takes it, was scored and within ``tolerance``.
-    """
-    streak = np.zeros(periods, dtype=np.int64)
-    alive = np.ones(periods, dtype=bool)
-    for step in range(first + history.shape[1] - 1, start - 1, -1):
-        j = step - first
-        span = min(step, periods)  # the periods scored on this step
-        residuals = np.abs(history[:, j - span:j] - history[:, j, None]).max(axis=0)
-        alive[:span] &= residuals[::-1] <= tolerance
-        alive[span:] = False
-        if not alive.any():
-            break
-        streak += alive
-    return streak
-
-
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
 def _iterate_block(
-    op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int, windows: bool
-) -> list:
+    op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int, windows: bool, watch: bool
+) -> list | None:
+    """One block's results; with ``watch`` the columns within tolerance at
+    ``W`` are clean, and the run ends as ``None`` once one leaves it."""
     n, m = block.shape
     size = cap + 1  # the window: the newest iterate and up to ``cap`` before it
     # The iterate t of the running column at position k sits at
@@ -295,9 +281,7 @@ def _iterate_block(
     # allocated once per block.
     try:
         ring = np.empty((m, n, size))
-        # reused every step: fresh temporaries cost page faults.  While a
-        # clean column runs it holds the ring as it stood at W instead.
-        gaps = np.empty_like(ring)
+        diffs = np.empty_like(ring)  # reused every step: fresh temporaries cost page faults
         prints = np.empty((m, size), dtype=np.uint64)
         streak = np.zeros((m, cap), dtype=np.int64)  # [k, q - 1]: period q
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest dimension
@@ -317,10 +301,9 @@ def _iterate_block(
     best_residual = np.zeros(m)  # with no period: the last step's period-1 residual
     clean = np.zeros(m, dtype=bool)  # period 1 within tolerance on every step from W
     watched = False  # some running column is clean
-    held = np.zeros(m, dtype=np.intp)  # block column -> its row of ``gaps`` from W
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
-    scored_steps = turns = 0
+    scored_steps = 0
     stops = dict.fromkeys(("exact_repeat", "sustained", "budget"), 0)
 
     for iteration in range(1, p.max_iters + 1):
@@ -333,21 +316,8 @@ def _iterate_block(
 
         if watched:
             step = np.abs(current - previous).max(axis=0)  # the period-1 residuals
-            turned = (clean & ~(step <= p.tolerance)).nonzero()[0]  # nan leaves tolerance too
-            for k in turned:
-                # its streaks on the step before, from the iterates since
-                # W - cap: the ring's, and before them those held at W
-                first = max(0, scoring_from - cap)
-                steps = np.arange(first, iteration)
-                history = ring[k][:, steps % size]
-                old = steps < iteration - cap
-                history[:, old] = gaps[held[column[k]]][:, steps[old] % size]
-                streak[k, :scored] = _rebuilt_streaks(
-                    history, first, scoring_from, scored, p.tolerance)
-            if len(turned):
-                clean[turned] = False
-                turns += len(turned)
-                watched = bool(clean.any())
+            if (clean & ~(step <= p.tolerance)).any():  # nan leaves tolerance too
+                return None
 
         if iteration <= scoring_from or watched:
             # before W only an exact repeat can end a column, and after W it
@@ -368,8 +338,8 @@ def _iterate_block(
         exact = np.zeros(running, dtype=bool)
         if len(rows):
             scored_steps += 1
-            if len(rows) == running and (last or not watched):
-                residuals = _residuals(ring[:running], current, slot, scored, gaps)
+            if len(rows) == running:
+                residuals = _residuals(ring[:running], current, slot, scored, diffs)
             else:  # only the written slots, each difference in place
                 window = ring[rows, :, :scored + 1]
                 residuals = _residuals(window, current[:, rows], slot, scored, window)
@@ -398,12 +368,9 @@ def _iterate_block(
             if last:  # rows are all running columns
                 none = best == 0
                 best_residual[none] = residuals[none, 0]
-            elif iteration == scoring_from:  # rows are all running columns
+            elif iteration == scoring_from and watch:  # rows are all running columns
                 clean = within[:, 0] & ~done
                 watched = bool(clean.any())
-                if watched:
-                    gaps[:running, :, :scored + 1] = ring[:running, :, :scored + 1]
-                    held[column] = np.arange(running)
         if watched and iteration == clean_fires:
             # the clean columns left certify period 1; those scored above did
             quiet = clean & ~done
@@ -457,9 +424,10 @@ def _iterate_block(
         best, best_residual, clean = best[moved], best_residual[moved], clean[moved]
         watched = watched and bool(clean.any())
         column = column[moved]
-    log.debug("orbit block: %d columns, %d steps, %d scored in full, %d turned dirty; "
+    log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
               "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,
-              turns, stops["exact_repeat"], stops["sustained"], stops["budget"])
+              "with clean columns" if watch else "rerun without clean columns",
+              stops["exact_repeat"], stops["sustained"], stops["budget"])
     return results
 
 
@@ -518,12 +486,14 @@ def oracle_compare(
     extra_random: int = 10,
     seed: int = 0,
 ) -> OrbitComparison:
-    """Run the default orbit suite, as one block, against a verdict.
+    """Run the default orbit suite against a verdict.
 
-    The suite runs through the loop of :func:`iterate_orbits` but keeps only
-    each function's detected period, so its checks equal the periods and
-    ``converged`` flags that :func:`iterate_orbits` reports for the same
-    block, and no :class:`OrbitResult` is built.
+    The suite runs through the loop of :func:`iterate_orbits`, in blocks of
+    as many columns as ``_BLOCK_BYTES`` holds (``imclim analyze --suite
+    100000`` on a 5-state model runs 69), but keeps only each function's
+    detected period: its checks equal the periods and ``converged`` flags
+    that :func:`iterate_orbits` reports for the same starts, and no
+    :class:`OrbitResult` is built.
 
     ``verdict`` may be the string ``"yes"``/``"no"``/``"inconclusive"`` or any
     object with a ``convergent`` attribute.  A "yes" verdict disagrees with

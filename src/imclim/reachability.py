@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, ModelValidationError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, SupportTable
 
@@ -55,15 +55,13 @@ def lower_reach_set(
     Grows the class one step at a time: a state joins as soon as its one-step
     lower probability of the current set is positive.  The fixpoint is
     reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
-    together with the whole growing sequence.
+    together with the whole growing sequence.  Raises
+    :class:`ModelValidationError` for a target that is no state index.
     """
     n = len(table.space)
-    current = frozenset(targets)
+    current = frozenset(table._indices(targets))
     if not current:
         raise PreconditionError("the target class must be non-empty")
-    bad = sorted(i for i in current if not 0 <= i < n)
-    if bad:
-        raise ModelValidationError(f"state index {bad[0]} out of range 0..{n - 1}")
     # the upper probability of leaving is positive iff some candidate at a
     # member has support outside the class
     outside = sorted(frozenset(range(n)) - current)

@@ -1045,7 +1045,7 @@ class ScaledRotation(UpperOperator):
     It is no upper transition operator.  For ``rho > 1`` it expands, and its
     sup-norm step ``max|T^t f - T^(t-1) f|`` rises and falls as the orbit
     turns, so a residual within tolerance on one step can leave it on a later
-    one: the case the orbit engine's clean columns turn dirty on.
+    one: the case on which the orbit engine reruns a block.
     """
 
     def __init__(self, rho: float, k: int):

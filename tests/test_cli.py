@@ -342,7 +342,7 @@ class TestOrbit:
         assert loud.stdout == quiet.stdout
         # the burn-in lies past the exact repeat: only its step is scored
         assert loud.stderr == ("DEBUG:imclim.orbits:orbit block: 1 columns, 107 steps, "
-                               "1 scored in full, 0 turned dirty; "
+                               "1 scored in full, with clean columns; "
                                "stops: exact_repeat 1, sustained 0, budget 0\n")
 
     def test_trace_export(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -456,6 +457,17 @@ class TestStructuralHook:
         assert table.adjacency()[0, 1]
         assert table.lower_positive({1}) == frozenset({0, 1})
         assert np.array_equal(table.adjacency(), gen.exact_adjacency(op))
+
+    def test_state_indices_out_of_range_rejected(self, running_op):
+        # a negative index would otherwise count from the end, and the others
+        # end in numpy's IndexError
+        table = running_op.supports()
+        for bad in (-1, 5, 1.5):
+            message = "^" + re.escape(f"state index {bad} out of range 0..4") + "$"
+            with pytest.raises(ModelValidationError, match=message):
+                table.restrict([0, bad])
+            with pytest.raises(ModelValidationError, match=message):
+                table.lower_positive([bad])
 
     def test_exact_path_reports_are_byte_identical(
         self, running_op, delayed_cycle_op, counterexample_op

@@ -30,6 +30,35 @@ F = Fraction
 FAST = OrbitParams(burn_in=20, max_iters=2000, max_period=16)
 
 
+def _count_reruns(monkeypatch) -> Counter:
+    """Count the blocks run (``"blocks"``) and rerun (``"reruns"``) from now on.
+
+    Wraps the block runner and checks that only a first run stops, and that
+    a stopped block is rerun once, next, and that rerun ends.
+    """
+    import imclim.orbits
+
+    run_block = imclim.orbits._iterate_block
+    counts = Counter()
+    stopped = []
+
+    def counting(op, block, p, cap, windows, watch):
+        if watch:
+            assert not stopped
+            counts["blocks"] += 1
+        else:
+            assert stopped and stopped.pop() is block
+            counts["reruns"] += 1
+        result = run_block(op, block, p, cap, windows, watch)
+        if result is None:
+            assert watch
+            stopped.append(block)
+        return result
+
+    monkeypatch.setattr(imclim.orbits, "_iterate_block", counting)
+    return counts
+
+
 class TestIterateOrbit:
     def test_constant_function_is_immediate(self, running_op):
         result = iterate_orbit(running_op, np.full(5, 0.7))
@@ -343,47 +372,78 @@ class TestScoringWindow:
             yield op, gen.rotation_starts(op, params, 10)
 
     def test_clean_columns_that_turn_match_the_all_slots_engine(self, monkeypatch):
-        # a clean column whose step leaves tolerance has its streaks rebuilt
-        # from the iterates since W - cap and is scored in full from then on
+        # a clean column whose step leaves tolerance stops its block's run,
+        # and the block reruns with every column scored in full from W
         import imclim.orbits
 
-        rebuilt = imclim.orbits._rebuilt_streaks
-        turns = []
-        monkeypatch.setattr(imclim.orbits, "_rebuilt_streaks",
-                            lambda *args: turns.append(1) or rebuilt(*args))
+        reruns = _count_reruns(monkeypatch)
+        rotation_reruns = 0
         reasons = Counter()
         for params in self.GRID:
             for op, starts in self.rotations(params):
                 reference = gen.all_slots_iterate_orbits(op, starts, params)
+                before = reruns["reruns"]
                 batch = iterate_orbits(op, starts, params)
+                rerun = reruns["reruns"] - before
                 for a, b in zip(batch, reference):
                     assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), (params, op.rho)
                     reasons[a.stop_reason] += 1
-                # the suite path reads the same periods
+                # the suite path reads the same periods, rerunning alike
                 monkeypatch.setattr(imclim.orbits, "default_function_suite", lambda *args, **kw: [
                     (f"start:{j}", f) for j, f in enumerate(starts.T)])
                 comparison = oracle_compare(op, "inconclusive", params)
                 monkeypatch.setattr(imclim.orbits, "default_function_suite", default_function_suite)
                 assert [c.period for c in comparison.checks] == \
                     [r.detected_period for r in reference]
-        assert len(turns) >= 100
+                assert reruns["reruns"] - before == 2 * rerun
+                rotation_reruns += rerun
+        assert reruns["blocks"] == 2 * 150  # each block by both paths
+        assert rotation_reruns >= 80, rotation_reruns
         assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+
+    def test_only_blocks_whose_clean_columns_turn_rerun(self, monkeypatch, counterexample_op):
+        # non-expansive: in exact arithmetic a clean column's period-1
+        # residual never grows, so seeded models rerun no block; a spurious
+        # rerun costs time and changes no result.  The rotations, scaled to
+        # leave tolerance after W, rerun (see the test above).
+        reruns = _count_reruns(monkeypatch)
+        rng = random.Random(1404)
+        ops = [counterexample_op]
+        for _ in range(100):
+            ops.append(gen.random_operator(rng))
+            ops.append(gen.random_wide_operator(rng, rng.randint(12, 24)))
+            ops.append(gen.planted_cyclic_operator(rng)[0])
+        for k, op in enumerate(ops):
+            for params in self.GRID:
+                oracle_compare(op, "inconclusive", params, seed=k)
+        assert reruns == {"blocks": 5 * len(ops)}, reruns
 
     def test_full_rows_only_where_a_rule_can_read_them(self, monkeypatch):
         # After W, a column is scored in full only on W itself, on the
         # budget's last step, on a print hit, or once its step has left
-        # tolerance (dirty at W, or turned since): a clean column gets its step
-        # and its print alone.  Before W only print hits are scored.
+        # tolerance (dirty at W): a clean column gets its step and its print
+        # alone.  Before W only print hits are scored.  A rerun block scores
+        # every column in full from W on.
         import imclim.orbits
 
         residuals = imclim.orbits._residuals
+        run_block = imclim.orbits._iterate_block
         calls = []
+        watching = True
 
         def recording(ring, current, slot, scored, out):
-            calls.append((len(steps), np.array(ring[:, :, :scored + 1]), np.array(current), slot))
+            calls.append((watching, len(steps), np.array(ring[:, :, :scored + 1]),
+                          np.array(current), slot))
             return residuals(ring, current, slot, scored, out)
 
+        def run(op, block, p, cap, windows, watch):
+            nonlocal watching
+            watching = watch
+            steps.clear()  # steps count from the run's start
+            return run_block(op, block, p, cap, windows, watch)
+
         monkeypatch.setattr(imclim.orbits, "_residuals", recording)
+        monkeypatch.setattr(imclim.orbits, "_iterate_block", run)
         checked = 0
         blocks = [(op, block, self.GRID[k % len(self.GRID)])
                   for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 40))]
@@ -400,8 +460,8 @@ class TestScoringWindow:
             monkeypatch.setattr(op, "apply", lambda f: steps.append(1) or apply(f))
             calls.clear()
             iterate_orbits(op, block, params)
-            for step, window, current, slot in calls:
-                if step in (first, params.max_iters) or step > fires:
+            for watched, step, window, current, slot in calls:
+                if not watched or step in (first, params.max_iters) or step > fires:
                     continue
                 prints = imclim.orbits._fingerprint(window.transpose(1, 0, 2).reshape(op.n, -1),
                                                     weights).reshape(len(window), -1)

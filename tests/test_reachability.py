@@ -39,7 +39,7 @@ class TestLowerReachSet:
             lower_reach_set(running_op.supports(), {2, 3, 4})
 
     def test_index_out_of_range_rejected(self, running_op):
-        for bad in ({5}, {-1, 0}):
+        for bad in ({5}, {-1, 0}, {1.5}):
             with pytest.raises(ModelValidationError, match="out of range"):
                 lower_reach_set(running_op.supports(), bad)
 
