@@ -3,8 +3,9 @@
 The decomposition peels the state space level by level: each level takes the
 maximal communication classes and the transient states that get absorbed into
 them, then recurses on the remaining (unabsorbed) transient states.  Only the
-operator's candidate supports matter, so each deeper level cuts the support
-table by mask and no restricted operator is built.  Every level speaks in its
+operator's candidate supports matter, so every level is plain-Python work on
+support tuples: each deeper level cuts the support table's tuples, and no
+restricted operator is built.  Every level speaks in its
 own indices; ``LevelRecord.states`` is the one map back to the model's, and
 the level's state space gives the labels.  Verdict ``basis`` strings name
 entries of the decision rule table in the project README.
@@ -69,7 +70,7 @@ def decompose(op: UpperOperator) -> Decomposition:
 
     Reads ``op.supports()`` once.  The next level keeps the candidates with
     no support outside the remaining states; cutting in steps keeps the same
-    rows as cutting the original table once.  The cut cannot fail: a
+    candidates as cutting the original table once.  The cut cannot fail: a
     remaining state whose every candidate met the lower-reach set would have
     been absorbed.  Raises :class:`UnsupportedOperatorError` when the
     operator declares no supports.

@@ -2,12 +2,14 @@
 
 The graph has an edge ``x -> y`` exactly when the one-step upper probability
 of reaching ``y`` from ``x`` is positive, that is, when some candidate pmf at
-``x`` has ``y`` in its support.  Adjacency is read off a
-:class:`~imclim.operators.SupportTable`, never from thresholded floats.
+``x`` has ``y`` in its support.  The successor lists are read off a
+:class:`~imclim.operators.SupportTable`, never from thresholded floats, and
+the classes come from plain-Python passes over them, linear in the edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,28 +24,40 @@ _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside a quoted DOT 
 
 @dataclass(frozen=True, eq=False)
 class AccessGraph:
-    """Directed accessibility graph over labelled states."""
+    """Directed accessibility graph over labelled states.
+
+    ``successors[x]`` lists the heads of the edges out of ``x`` in ascending
+    order.
+    """
 
     labels: tuple[str, ...]
-    adjacency: np.ndarray  # boolean (n, n); read-only after construction
+    successors: Sequence[Sequence[int]]
 
     def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=bool)
-        n = len(self.labels)
-        if adj.shape != (n, n):
+        if len(self.successors) != len(self.labels):
             raise PreconditionError(
-                f"adjacency has shape {adj.shape}, expected ({n}, {n})"
+                f"{len(self.successors)} successor lists for {len(self.labels)} states"
             )
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        xs, ys = np.nonzero(self.adjacency)
-        return tuple(zip(xs.tolist(), ys.tolist()))
+        return tuple((x, y) for x, heads in enumerate(self.successors) for y in heads)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The edges as a read-only boolean ``(n, n)`` matrix, built on each read.
+
+        A dense view for readers outside the package; the package itself
+        works on the successor lists.
+        """
+        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        for x, heads in enumerate(self.successors):
+            adjacency[x, list(heads)] = True
+        adjacency.setflags(write=False)
+        return adjacency
 
 
 @dataclass(frozen=True)
@@ -76,67 +90,64 @@ class ClassInfo:
 
 def build_graph(table: SupportTable) -> AccessGraph:
     """Accessibility graph of the candidate supports in ``table`` (``op.supports()``)."""
-    return AccessGraph(table.space.labels, table.adjacency())
+    return AccessGraph(table.space.labels, table.successors())
 
 
-def _strongly_connected_components(n, xs, ys) -> tuple[list[frozenset[int]], np.ndarray]:
-    """Iterative Tarjan over the edges ``xs[k] -> ys[k]``, sorted by ``xs``: components
-    in reverse topological order, and depth-first forest depths."""
-    bounds = np.searchsorted(xs, np.arange(n + 1)).tolist()
-    heads = ys.tolist()
-    successors = [heads[bounds[v]:bounds[v + 1]] for v in range(n)]
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+def _strongly_connected_components(successors) -> tuple[list[list[int]], list[int]]:
+    """Iterative Tarjan over ascending successor lists: components in reverse
+    topological order, and depth-first forest depths."""
+    n = len(successors)
+    index = [-1] * n
+    low = [0] * n
     depth = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     counter = 0
-    components: list[frozenset[int]] = []
+    components: list[list[int]] = []
     for root in range(n):
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
         while work:
-            v, start = work[-1]
-            if start == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                depth[v] = len(work) - 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(start, len(successors[v])):
-                w = successors[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+            v, heads = work[-1]
+            for w in heads:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    depth[w] = len(work)
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components, np.array(depth, dtype=np.intp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return components, depth
 
 
 def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     """Communication classes of the graph, ordered by smallest member index.
 
-    One edge list feeds one Tarjan pass, which gives the classes and each
-    state's depth-first depth, and one scan, which gives each class its
+    One Tarjan pass over the successor lists gives the classes and each
+    state's depth-first depth, and one scan of the edges gives each class its
     closedness (no edge leaves it) and its cyclicity: the gcd, over internal
     edges ``u -> v``, of ``depth(u) + 1 - depth(v)``, or ``None`` without
     internal edges.  The
@@ -146,27 +157,34 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     ``depth(v) = depth(u) + 1 (mod d)`` on every internal edge, so the depths
     mod ``d`` are the cyclic subclasses.
     """
-    xs, ys = np.nonzero(graph.adjacency)
-    sccs, depth = _strongly_connected_components(graph.n, xs, ys)
-    sccs.sort(key=min)
-    comp_of = np.empty(graph.n, dtype=np.intp)
+    successors = graph.successors
+    sccs, depth = _strongly_connected_components(successors)
+    for members in sccs:
+        members.sort()
+    sccs.sort()
+    comp_of = [0] * graph.n
     for k, members in enumerate(sccs):
-        comp_of[list(members)] = k
-    cx, cy = comp_of[xs], comp_of[ys]
-    open_classes = set(cx[cx != cy].tolist())
-    inside = cx == cy
-    period = np.zeros(len(sccs), dtype=np.intp)
-    np.gcd.at(period, cx[inside], depth[xs[inside]] + 1 - depth[ys[inside]])
+        for v in members:
+            comp_of[v] = k
+    is_closed = [True] * len(sccs)
+    period = [0] * len(sccs)
+    for u, heads in enumerate(successors):
+        k = comp_of[u]
+        for v in heads:
+            if comp_of[v] != k:
+                is_closed[k] = False
+            else:
+                period[k] = math.gcd(period[k], depth[u] + 1 - depth[v])
     out = []
     for k, members in enumerate(sccs):
-        is_closed = k not in open_classes
-        cyc = int(period[k]) or None
+        cyc = period[k] or None
         phases = ()
-        if is_closed and (cyc or 0) > 1:
-            order = np.array(sorted(members))
-            phase = (depth[order] - depth[order[0]]) % cyc
-            phases = tuple(frozenset(order[phase == j].tolist()) for j in range(cyc))
-        out.append(ClassInfo(members, is_closed, cyc, phases))
+        if is_closed[k] and (cyc or 0) > 1:
+            groups: list[list[int]] = [[] for _ in range(cyc)]
+            for v in members:
+                groups[(depth[v] - depth[members[0]]) % cyc].append(v)
+            phases = tuple(map(frozenset, groups))
+        out.append(ClassInfo(frozenset(members), is_closed[k], cyc, phases))
     return tuple(out)
 
 

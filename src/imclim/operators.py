@@ -14,19 +14,20 @@ dominated by the pointwise maximum.  Two implementations are provided:
 
 Structure (edges, closedness, one-step lower reachability) depends only on
 which states each candidate pmf can reach, so every operator declares it as a
-:class:`SupportTable` through :meth:`UpperOperator.supports`: one boolean row
-per candidate support.  Edges and lower reachability are read off the rows
-with no arithmetic, so strict-positivity tests never depend on the scale of
-the input.  :meth:`SupportTable.restrict` is the one restriction: deeper
-decomposition levels cut the table by mask, and no restricted operator is
-ever built.  An operator therefore declares only its ``space``, ``apply``
-and ``supports``.  A credal operator keeps its masses exact, as reduced
-integer ``(numerator, denominator)`` pairs, only as the record of its model:
-the loader has already used them to validate each pmf, drop duplicates and
-fix the pmf order.  The package evaluates operators in IEEE doubles only,
-through ``apply``, with each row entry the correctly rounded
-``numerator / denominator``: the verdicts need no arithmetic, and the orbit
-engine in :mod:`imclim.orbits` iterates in floats.
+:class:`SupportTable` through :meth:`UpperOperator.supports`: per state, one
+ascending tuple of state indices per candidate pmf.  Edges and lower
+reachability are read off these tuples in plain Python, with no arithmetic
+and in time linear in the number of support entries, so strict-positivity
+tests never depend on the scale of the input.  :meth:`SupportTable.restrict`
+is the one restriction: deeper decomposition levels cut the tuples, and no
+restricted operator is ever built.  An operator therefore declares only its
+``space``, ``apply`` and ``supports``.  A credal operator keeps its masses
+exact, as reduced integer ``(numerator, denominator)`` pairs, only as the
+record of its model: the loader has already used them to validate each pmf,
+drop duplicates and fix the pmf order.  The package evaluates operators in
+IEEE doubles only, through ``apply``, with each row entry the correctly
+rounded ``numerator / denominator``: the verdicts need no arithmetic, and the
+orbit engine in :mod:`imclim.orbits` iterates in floats.
 
 All types are immutable after construction; operations are pure functions and
 safe to share across threads.
@@ -85,24 +86,30 @@ class StateSpace:
 class SupportTable:
     """Which states each candidate pmf of an operator can reach.
 
-    ``rows[k]`` is the support of candidate ``k``, a boolean vector over
-    ``space``.  The candidates of state ``x`` are the rows from ``starts[x]``
-    up to the next state's start, and every state has at least one.  Edges,
-    closedness and one-step lower reachability depend on the supports alone
-    (Hermans & de Cooman, IJAR 53(4), 2012), so they need no arithmetic.
+    ``supports[x]`` holds one ascending tuple of state indices per candidate
+    pmf of state ``x``, in pmf order, and every state has at least one.
+    Edges, closedness and one-step lower reachability depend on the supports
+    alone (Hermans & de Cooman, IJAR 53(4), 2012), so they need no
+    arithmetic.
     """
 
     space: StateSpace
-    starts: np.ndarray  # (n,) ascending row offsets, starts[0] == 0
-    rows: np.ndarray  # (candidates, n) bool
+    supports: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __post_init__(self):
-        self.starts.setflags(write=False)  # shared by every caller of ``supports()``
-        self.rows.setflags(write=False)
+    @functools.cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            sets[0] if len(sets) == 1 else tuple(sorted(set().union(*sets)))
+            for sets in self.supports
+        )
 
-    def adjacency(self) -> np.ndarray:
-        """Boolean ``(n, n)`` matrix: ``x -> y`` iff some candidate at ``x`` puts mass on ``y``."""
-        return np.logical_or.reduceat(self.rows, self.starts, axis=0)
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the ascending states that some candidate puts mass on.
+
+        Computed on the first call and kept, so a level's graph and its
+        closedness check share one computation.
+        """
+        return self._successors
 
     def _indices(self, states: Iterable[int]) -> list[int]:
         """``states`` as ascending distinct indices.
@@ -113,35 +120,28 @@ class SupportTable:
         indices = sorted(set(states))
         n = len(self.space)
         for i in indices:
-            if not (isinstance(i, numbers.Integral) and 0 <= i < n):
+            if type(i) is not int and not isinstance(i, numbers.Integral) or not 0 <= i < n:
                 raise ModelValidationError(f"state index {i} out of range 0..{n - 1}")
         return [int(i) for i in indices]
 
-    def lower_positive(self, targets: Iterable[int]) -> frozenset[int]:
-        """States at which the one-step lower probability of ``targets`` is
-        positive, i.e. every candidate puts mass on ``targets``."""
-        meets = self.rows[:, self._indices(targets)].any(axis=1)
-        return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self.starts)).tolist())
-
     def restrict(self, keep: Sequence[int]) -> "SupportTable":
-        """Table over ``keep``: the rows with no support outside ``keep``, columns renumbered.
+        """Table over ``keep``: the candidates with no support outside ``keep``, renumbered.
 
         Raises :class:`ModelValidationError` for a ``keep`` entry that is no
         state index, and :class:`NotWellDefinedError` naming the first kept
-        state that keeps no row.
+        state that keeps no candidate.
         """
         keep = self._indices(keep)
-        n = len(self.space)
-        inside = np.zeros(n, dtype=bool)
-        inside[keep] = True
-        owner = np.repeat(np.arange(n), np.diff(self.starts, append=len(self.rows)))
-        kept = inside[owner] & ~self.rows[:, ~inside].any(axis=1)
-        counts = np.bincount(owner[kept], minlength=n)[keep]
         space = self.space.subset(keep)
-        if not counts.all():
-            raise NotWellDefinedError(self.space.labels[keep[counts.argmin()]], space.labels)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
-        return SupportTable(space, starts, self.rows[kept][:, keep])
+        inside = frozenset(keep)
+        renumber = dict(zip(keep, range(len(keep)))).__getitem__
+        supports = []
+        for x in keep:
+            kept = [tuple(map(renumber, p)) for p in self.supports[x] if inside.issuperset(p)]
+            if not kept:
+                raise NotWellDefinedError(self.space.labels[x], space.labels)
+            supports.append(tuple(kept))
+        return SupportTable(space, tuple(supports))
 
 
 class UpperOperator(ABC):
@@ -197,19 +197,19 @@ class CredalOperator(UpperOperator):
     validated, distinct and in canonical order from
     :func:`~imclim.modelio.parse_model`, the one way to build the operator
     from a model, and are kept as the model's exact record.  Row ``k`` of
-    the float matrix and of the support table belongs to the ``k``-th pmf in
-    that order.  The support table is kept beside the float matrix because a
-    positive mass may round to ``0.0``.
+    the float matrix belongs to the ``k``-th pmf in that order.  The support
+    table, read off the triples' indices, is kept beside the float matrix
+    because a positive mass may round to ``0.0``.
 
     :meth:`apply` takes every candidate's expectation with one matrix product
     and then the per-state maximum as a gather-max: a ``(K, n)`` row index,
     ``K`` the largest candidate count of any state, lists each state's rows
     and repeats its last row as padding.  ``max`` is exact and the padding
     only adds ``max(x, x)``, so the result is bit for bit the sequential
-    maximum over each state's rows.  The index is built on the first
-    ``apply``, so analyses that read only the structure never pay for it; it
-    is no larger than the float matrix, and the gather does no more work than
-    the product.
+    maximum over each state's rows.  The matrix and the index are built on
+    the first ``apply``, so analyses that read only the structure never pay
+    for them; the index is no larger than the matrix, and the gather does no
+    more work than the product.
     """
 
     is_finitely_generated = True
@@ -217,16 +217,9 @@ class CredalOperator(UpperOperator):
     def __init__(self, space: StateSpace, pmfs: tuple):
         self._space = space
         self._pmfs = pmfs
-        starts = np.concatenate(([0], np.cumsum([len(s) for s in pmfs])[:-1])).astype(np.intp)
-        flat = [p for sets in pmfs for p in sets]
-        rows = np.repeat(np.arange(len(flat)), [len(p) for p in flat])
-        cols = [y for p in flat for y, _, _ in p]
-        self._matrix = np.zeros((len(flat), self.n))
-        # int / int is correctly rounded: the nearest double to the exact mass
-        self._matrix[rows, cols] = [num / den for p in flat for _, num, den in p]
-        supports = np.zeros((len(flat), self.n), dtype=bool)
-        supports[rows, cols] = True
-        self._table = SupportTable(space, starts, supports)
+        self._table = SupportTable(
+            space, tuple(tuple(tuple(y for y, _, _ in p) for p in sets) for sets in pmfs)
+        )
 
     @property
     def pmfs(self) -> tuple:
@@ -237,10 +230,20 @@ class CredalOperator(UpperOperator):
         return self._space
 
     @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        flat = [p for sets in self._pmfs for p in sets]
+        rows = np.repeat(np.arange(len(flat)), [len(p) for p in flat])
+        cols = [y for p in flat for y, _, _ in p]
+        matrix = np.zeros((len(flat), self.n))
+        # int / int is correctly rounded: the nearest double to the exact mass
+        matrix[rows, cols] = [num / den for p in flat for _, num, den in p]
+        return matrix
+
+    @functools.cached_property
     def _rows_by_rank(self) -> np.ndarray:
         # [j, x]: the j-th row of state x, or its last row for j past its count
-        starts = self._table.starts
-        counts = np.diff(starts, append=len(self._matrix))
+        counts = np.array([len(sets) for sets in self._pmfs])
+        starts = np.cumsum(counts) - counts
         return starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
 
     def apply(self, f):
@@ -333,8 +336,7 @@ class CounterexampleOperator(UpperOperator):
 
     def supports(self):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}
-        rows = [[1, 0, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [1, 0, 0], [0, 1, 0]]
-        return SupportTable(self._SPACE, np.array([0, 1, 4]), np.array(rows, dtype=bool))
+        return SupportTable(self._SPACE, (((0,),), ((0,), (2,), (0, 1, 2)), ((0,), (1,))))
 
 
 #: Closed-form operators addressable from model sources by name.

@@ -2,15 +2,16 @@
 
 Both read a :class:`~imclim.operators.SupportTable`: a state's one-step lower
 probability of a set is positive exactly when every candidate pmf at the
-state puts mass on the set.
+state puts mass on the set.  Lower reachability is therefore an AND-OR
+attractor over the support tuples, computed in plain Python with the counter
+technique of Dowling & Gallier (J. Logic Programming 1(3), 1984), in time
+linear in the number of support entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
 from .graphs import ClassInfo, build_graph, communication_classes
@@ -24,8 +25,10 @@ class StatePartition:
     ``maximal_states`` is the union of the maximal communication classes;
     ``absorbed_transients`` are the transient states from which that union is
     lower reachable; ``unabsorbed_transients`` are the transient states from
-    which it is not.  ``reach_sequence`` records the growing sets produced by
-    the fixpoint iteration, starting from the maximal states themselves.
+    which it is not.  ``rounds[x]`` is the round in which state ``x`` joins
+    the growing lower-reach set: 0 for the maximal states, ``k`` for the
+    states that join in round ``k``, and ``None`` for the unabsorbed
+    transients.
     """
 
     space: StateSpace
@@ -33,7 +36,7 @@ class StatePartition:
     maximal_states: frozenset[int]
     absorbed_transients: frozenset[int]
     unabsorbed_transients: frozenset[int]
-    reach_sequence: tuple[frozenset[int], ...]
+    rounds: tuple[int | None, ...]
 
     def __post_init__(self):
         pieces = (
@@ -46,35 +49,92 @@ class StatePartition:
         if total != len(self.space) or union != frozenset(range(len(self.space))):
             raise InternalInvariantError("partition pieces must be disjoint and cover the space")
 
+    @property
+    def reach_sequence(self) -> tuple[frozenset[int], ...]:
+        """The growing lower-reach sets, starting from the maximal states,
+        built from ``rounds`` on each read."""
+        return _reach_sets(self.rounds)
+
+
+def _reach_sets(rounds: Sequence[int | None]) -> tuple[frozenset[int], ...]:
+    """Set ``k`` holds the states whose round is at most ``k``."""
+    joined: list[list[int]] = [[] for _ in range(max(k for k in rounds if k is not None) + 1)]
+    for x, k in enumerate(rounds):
+        if k is not None:
+            joined[k].append(x)
+    sets, current = [], frozenset()
+    for joiners in joined:
+        current = current.union(joiners)
+        sets.append(current)
+    return tuple(sets)
+
+
+def _join_rounds(table: SupportTable, targets: Sequence[int]) -> list[int | None]:
+    """Each state's round in the lower-reach attractor of the closed set ``targets``.
+
+    A candidate is marked the first time it meets the set, and a state joins
+    in the round its last unmarked candidate is marked.  A round's joiners
+    are collected before any of them is added, so round ``k`` holds the
+    states whose every candidate meets the set of round ``k - 1`` and no
+    earlier set.  Raises :class:`PreconditionError` when some edge leaves
+    ``targets``.
+    """
+    n = len(table.space)
+    rounds: list[int | None] = [None] * n
+    for x in targets:
+        rounds[x] = 0
+    successors = table.successors()
+    if any(rounds[y] is None for x in targets for y in successors[x]):
+        raise PreconditionError(
+            f"class {{{', '.join(table.space.labels_of(targets))}}} is not closed"
+        )
+    unmarked = [0] * n  # per state outside the set: its candidates not yet meeting it
+    owner: list[int] = []  # per candidate of such a state: the state
+    meeting: list[list[int]] = [[] for _ in range(n)]  # per state: the candidates on it
+    for x, sets in enumerate(table.supports):
+        if rounds[x] is None:
+            unmarked[x] = len(sets)
+            for support in sets:
+                for y in support:
+                    meeting[y].append(len(owner))
+                owner.append(x)
+    marked = bytearray(len(owner))
+    frontier: Sequence[int] = targets
+    k = 0
+    while frontier:
+        k += 1
+        joiners = []
+        for y in frontier:
+            for c in meeting[y]:
+                if not marked[c]:
+                    marked[c] = 1
+                    x = owner[c]
+                    unmarked[x] -= 1
+                    if not unmarked[x]:
+                        joiners.append(x)
+        for x in joiners:
+            rounds[x] = k
+        frontier = joiners
+    return rounds
+
 
 def lower_reach_set(
     table: SupportTable, targets: Iterable[int]
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """States from which the closed class ``targets`` is lower reachable.
 
-    Grows the class one step at a time: a state joins as soon as its one-step
-    lower probability of the current set is positive.  The fixpoint is
-    reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
+    Grows the class one round at a time: a state joins as soon as its
+    one-step lower probability of the current set is positive.  The fixpoint
+    is reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
     together with the whole growing sequence.  Raises
     :class:`ModelValidationError` for a target that is no state index.
     """
-    n = len(table.space)
-    current = frozenset(table._indices(targets))
-    if not current:
+    targets = table._indices(targets)
+    if not targets:
         raise PreconditionError("the target class must be non-empty")
-    # the upper probability of leaving is positive iff some candidate at a
-    # member has support outside the class
-    outside = sorted(frozenset(range(n)) - current)
-    leaves = np.logical_or.reduceat(table.rows[:, outside].any(axis=1), table.starts)
-    if leaves[sorted(current)].any():
-        raise PreconditionError(
-            f"class {{{', '.join(table.space.labels_of(current))}}} is not closed"
-        )
-    sequence = [current]
-    while additions := table.lower_positive(current) - current:
-        current = current | additions
-        sequence.append(current)
-    return current, tuple(sequence)
+    rounds = _join_rounds(table, targets)
+    sequence = _reach_sets(rounds)
+    return sequence[-1], sequence
 
 
 def partition_states(
@@ -89,12 +149,12 @@ def partition_states(
         classes = communication_classes(build_graph(table))
     maximal = tuple(c.members for c in classes if c.is_maximal)
     maximal_states = frozenset().union(*maximal)
-    reach, sequence = lower_reach_set(table, maximal_states)
+    rounds = _join_rounds(table, sorted(maximal_states))
     return StatePartition(
         space=table.space,
         maximal_classes=maximal,
         maximal_states=maximal_states,
-        absorbed_transients=reach - maximal_states,
-        unabsorbed_transients=frozenset(range(len(table.space))) - reach,
-        reach_sequence=sequence,
+        absorbed_transients=frozenset(x for x, k in enumerate(rounds) if k),  # rounds 1 and up
+        unabsorbed_transients=frozenset(x for x, k in enumerate(rounds) if k is None),
+        rounds=tuple(rounds),
     )

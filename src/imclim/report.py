@@ -34,6 +34,14 @@ def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
     return list(space.labels_of(members))
 
 
+def _reach_labels(space: StateSpace, rounds) -> list[list[str]]:
+    """The reach sets of a partition's ``rounds`` as sorted labels, from one
+    label-sorted list of the states that join."""
+    joined = sorted((space.labels[x], k) for x, k in enumerate(rounds) if k is not None)
+    last = max(k for _, k in joined)
+    return [[label for label, k in joined if k <= limit] for limit in range(last + 1)]
+
+
 def decomposition_block(dec: Decomposition) -> dict:
     """The report's ``decomposition`` block: depth and per-level classes, in labels."""
     levels = []
@@ -91,7 +99,7 @@ class AnalysisReport:
             "maximal_states": _labels(space, partition.maximal_states),
             "absorbed_transients": _labels(space, partition.absorbed_transients),
             "unabsorbed_transients": _labels(space, partition.unabsorbed_transients),
-            "reach_sequence": [_labels(space, s) for s in partition.reach_sequence],
+            "reach_sequence": _reach_labels(space, partition.rounds),
         }
         verdict = self.verdict
         verdict_block = {

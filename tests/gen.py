@@ -31,6 +31,7 @@ from imclim import (
     PreconditionError,
     StatePartition,
     StateSpace,
+    SupportTable,
     UpperOperator,
     build_graph,
     communication_classes,
@@ -257,6 +258,39 @@ def planted_cyclic_operator(
     return op, level, tuple(cyclic[first:] + cyclic[:first])
 
 
+def graph_from_adjacency(labels, adjacency) -> AccessGraph:
+    """The graph whose edges are the true entries of the boolean ``(n, n)`` matrix."""
+    return AccessGraph(tuple(labels), tuple(tuple(np.flatnonzero(row).tolist()) for row in adjacency))
+
+
+def chain_operator(n: int, rng: random.Random | None = None) -> CredalOperator:
+    """``c0 -> {c0: 1}`` and ``c_i -> {c_(i-1): 1/2, c_i: 1/2}``: one new reach round per state.
+
+    With ``rng``, the states are listed in a random order.
+    """
+    names = [f"c{i}" for i in range(n)]
+    sets = {names[0]: [{names[0]: 1}]}
+    for i in range(1, n):
+        sets[names[i]] = [{names[i - 1]: Fraction(1, 2), names[i]: Fraction(1, 2)}]
+    if rng is not None:
+        rng.shuffle(names)
+    return build(names, sets)
+
+
+def staircase_operator(n: int, rng: random.Random | None = None) -> CredalOperator:
+    """``t_i`` has the pmfs ``{t_i: 1}`` and ``{t_(i+1): 1}``, the last state only
+    ``{t_(n-1): 1}``: each decomposition level peels off one state.
+
+    With ``rng``, the states are listed in a random order.
+    """
+    names = [f"t{i}" for i in range(n)]
+    sets = {x: [{x: 1}, {y: 1}] for x, y in zip(names, names[1:])}
+    sets[names[-1]] = [{names[-1]: 1}]
+    if rng is not None:
+        rng.shuffle(names)
+    return build(names, sets)
+
+
 def random_scc_graph(rng: random.Random, max_nodes: int = 8) -> AccessGraph:
     """Random strongly connected accessibility graph.
 
@@ -272,15 +306,15 @@ def random_scc_graph(rng: random.Random, max_nodes: int = 8) -> AccessGraph:
         for _ in range(rng.randint(0, n)):
             if rng.random() < 0.5:
                 adjacency[rng.randrange(n), rng.randrange(n)] = True
-        return AccessGraph(tuple(f"s{i}" for i in range(n)), adjacency)
+        return graph_from_adjacency(tuple(f"s{i}" for i in range(n)), adjacency)
     n = rng.randint(1, max_nodes)
     p = rng.choice([0.15, 0.3, 0.5])
     adjacency = np.array([[rng.random() < p for _ in range(n)] for _ in range(n)])
-    graph = AccessGraph(tuple(f"s{i}" for i in range(n)), adjacency)
+    graph = graph_from_adjacency(tuple(f"s{i}" for i in range(n)), adjacency)
     classes = communication_classes(graph)
     members = sorted(rng.choice(classes).members)
     block = adjacency[np.ix_(members, members)]
-    return AccessGraph(tuple(f"s{i}" for i in members), block)
+    return graph_from_adjacency(tuple(f"s{i}" for i in members), block)
 
 
 def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGraph:
@@ -302,7 +336,7 @@ def random_phased_digraph(rng: random.Random, max_nodes: int = 10) -> AccessGrap
          for x in range(n)],
         dtype=bool,
     )
-    return AccessGraph(tuple(f"s{i}" for i in range(n)), adjacency)
+    return graph_from_adjacency(tuple(f"s{i}" for i in range(n)), adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +409,107 @@ def exact_adjacency(op: UpperOperator) -> np.ndarray:
 def exact_lower_positive(op: UpperOperator, targets) -> frozenset[int]:
     """States at which the one-step lower probability of ``targets`` is positive."""
     return frozenset(x for x, v in enumerate(lower_indicator(op, targets)) if v > 0)
+
+
+# ---------------------------------------------------------------------------
+# the boolean support table: the reference for the support-tuple structure
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTable:
+    """The numpy boolean support table that the support tuples replaced, kept as the reference.
+
+    ``rows[k]`` is the support of candidate ``k``, a boolean vector over
+    ``space``; the candidates of state ``x`` are the rows from ``starts[x]``
+    up to the next state's start.
+    """
+
+    space: StateSpace
+    starts: np.ndarray  # (n,) ascending row offsets, starts[0] == 0
+    rows: np.ndarray  # (candidates, n) bool
+
+    def adjacency(self) -> np.ndarray:
+        """Boolean ``(n, n)`` matrix: ``x -> y`` iff some candidate at ``x`` puts mass on ``y``."""
+        return np.logical_or.reduceat(self.rows, self.starts, axis=0)
+
+    def lower_positive(self, targets) -> frozenset[int]:
+        """States at which every candidate puts mass on ``targets``."""
+        meets = self.rows[:, sorted(targets)].any(axis=1)
+        return frozenset(np.flatnonzero(np.logical_and.reduceat(meets, self.starts)).tolist())
+
+    def lower_reach(self, targets) -> tuple[frozenset[int], ...]:
+        """The fixpoint of ``lower_positive`` from ``targets``, as the growing sets."""
+        current = frozenset(targets)
+        sequence = [current]
+        while additions := self.lower_positive(current) - current:
+            current = current | additions
+            sequence.append(current)
+        return tuple(sequence)
+
+    def restrict(self, keep) -> "DenseTable":
+        """Table over ``keep``: the rows with no support outside ``keep``, columns
+        renumbered; raises :class:`NotWellDefinedError` naming the first kept
+        state that keeps no row."""
+        keep = sorted(set(keep))
+        n = len(self.space)
+        inside = np.zeros(n, dtype=bool)
+        inside[keep] = True
+        owner = np.repeat(np.arange(n), np.diff(self.starts, append=len(self.rows)))
+        kept = inside[owner] & ~self.rows[:, ~inside].any(axis=1)
+        counts = np.bincount(owner[kept], minlength=n)[keep]
+        space = self.space.subset(keep)
+        if not counts.all():
+            raise NotWellDefinedError(self.space.labels[keep[counts.argmin()]], space.labels)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+        return DenseTable(space, starts, self.rows[kept][:, keep])
+
+
+def dense_table(table: SupportTable) -> DenseTable:
+    """The support tuples of ``table`` as boolean rows."""
+    pmfs = [p for sets in table.supports for p in sets]
+    rows = np.zeros((len(pmfs), len(table.space)), dtype=bool)
+    for k, p in enumerate(pmfs):
+        rows[k, list(p)] = True
+    starts = np.cumsum([0] + [len(sets) for sets in table.supports[:-1]]).astype(np.intp)
+    return DenseTable(table.space, starts, rows)
+
+
+def reference_classes(adjacency: np.ndarray) -> list[tuple]:
+    """``(members, is_closed, cyclicity, phases)`` of each communication class, ordered
+    by smallest member, without a depth-first search.
+
+    Members from the reflexive-transitive closure (Warshall), closedness from
+    the block of edges leaving the class, cyclicity by the closed walks of
+    :func:`closed_walk_period` and the phases from breadth-first distances
+    inside the class, modulo the cyclicity.
+    """
+    n = len(adjacency)
+    reach = adjacency | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    mutual = reach & reach.T
+    out, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        members = np.flatnonzero(mutual[x]).tolist()
+        seen.update(members)
+        others = sorted(set(range(n)) - set(members))
+        is_closed = not adjacency[np.ix_(members, others)].any()
+        cyc = _block_period(adjacency[np.ix_(members, members)])
+        phases = ()
+        if is_closed and (cyc or 0) > 1:
+            distance = {members[0]: 0}
+            queue = [members[0]]
+            for u in queue:
+                for y in members:
+                    if adjacency[u, y] and y not in distance:
+                        distance[y] = distance[u] + 1
+                        queue.append(y)
+            phases = tuple(frozenset(v for v in members if distance[v] % cyc == j)
+                           for j in range(cyc))
+        out.append((frozenset(members), is_closed, cyc, phases))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +615,14 @@ def closed_walk_period(graph: AccessGraph, members) -> int | None:
     the gcd of all closed path lengths.  ``None`` when there is no such ``k``.
     """
     m = sorted(set(members))
-    block = graph.adjacency[np.ix_(m, m)].astype(np.int64)
-    power = np.eye(len(m), dtype=np.int64)
+    return _block_period(graph.adjacency[np.ix_(m, m)])
+
+
+def _block_period(block: np.ndarray) -> int | None:
+    block = block.astype(np.int64)
+    power = np.eye(len(block), dtype=np.int64)
     g = 0
-    for k in range(1, len(m) + 1):
+    for k in range(1, len(block) + 1):
         power = ((power @ block) > 0).astype(np.int64)
         if power.diagonal().any():
             g = math.gcd(g, k)
@@ -581,7 +720,7 @@ def cyclicity(graph: AccessGraph, members) -> int | None:
         raise PreconditionError("cyclicity of an empty class is undefined")
     if m[0] < 0 or m[-1] >= graph.n:
         raise PreconditionError(f"class members out of range: {m}")
-    block = AccessGraph(tuple(graph.labels[i] for i in m), graph.adjacency[np.ix_(m, m)])
+    block = graph_from_adjacency(tuple(graph.labels[i] for i in m), graph.adjacency[np.ix_(m, m)])
     classes = communication_classes(block)
     if len(classes) != 1:
         raise PreconditionError("cyclicity requires a strongly connected class")
@@ -1080,7 +1219,7 @@ def rotation_starts(op: ScaledRotation, params: OrbitParams, count: int) -> np.n
 
 def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:
     """``CredalOperator.apply`` before the gather-max: each state's maximum by ``np.maximum.reduceat``."""
-    return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), op.supports().starts)
+    return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), dense_table(op.supports()).starts)
 
 
 def with_vanishing_masses(rng: random.Random, op: CredalOperator) -> CredalOperator:

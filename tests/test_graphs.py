@@ -6,7 +6,6 @@ import pytest
 
 import gen
 from imclim import (
-    AccessGraph,
     PreconditionError,
     UnsupportedOperatorError,
     UpperOperator,
@@ -142,18 +141,18 @@ class TestCyclicity:
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 0] = True
         adjacency[0, 0] = True
-        graph = AccessGraph(("x", "y", "z"), adjacency)
+        graph = gen.graph_from_adjacency(("x", "y", "z"), adjacency)
         assert gen.cyclicity(graph, {0, 1, 2}) == 1
 
     def test_pure_three_cycle(self):
         adjacency = np.zeros((3, 3), dtype=bool)
         adjacency[0, 1] = adjacency[1, 2] = adjacency[2, 0] = True
-        graph = AccessGraph(("x", "y", "z"), adjacency)
+        graph = gen.graph_from_adjacency(("x", "y", "z"), adjacency)
         assert gen.cyclicity(graph, {0, 1, 2}) == 3
 
     def test_singleton_without_loop_is_undefined(self, counterexample_op):
         adjacency = np.zeros((1, 1), dtype=bool)
-        graph = AccessGraph(("x",), adjacency)
+        graph = gen.graph_from_adjacency(("x",), adjacency)
         assert gen.cyclicity(graph, {0}) is None
 
     def test_not_strongly_connected_rejected(self, running_op):
@@ -185,9 +184,9 @@ class TestCyclicity:
         calls = []
         tarjan = imclim.graphs._strongly_connected_components
 
-        def counted(n, xs, ys):
-            calls.append(n)
-            return tarjan(n, xs, ys)
+        def counted(successors):
+            calls.append(len(successors))
+            return tarjan(successors)
 
         monkeypatch.setattr(imclim.graphs, "_strongly_connected_components", counted)
         classes = communication_classes(build_graph(running_op.supports()))
@@ -230,7 +229,7 @@ class TestDot:
 
     def test_quotes_and_backslashes_escaped(self):
         adjacency = np.array([[False, True], [True, False]])
-        graph = AccessGraph(('a"b', "c\\"), adjacency)
+        graph = gen.graph_from_adjacency(('a"b', "c\\"), adjacency)
         text = to_dot(graph, communication_classes(graph))
         assert '  "a\\"b" -> "c\\\\";' in text
         assert '    label="{a\\"b, c\\\\} (maximal)";' in text

@@ -1,0 +1,113 @@
+"""The support-tuple structure against the numpy boolean table it replaced, and its cost.
+
+``gen.DenseTable`` keeps the boolean-row code: the ``reduceat`` adjacency,
+the ``lower_positive`` fixpoint with its growing sets and the mask
+``restrict``.  Every level of a decomposition is checked against it, cut by
+cut; the classes are checked against ``gen.reference_classes``, which needs
+no depth-first search.
+"""
+
+import random
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+import gen
+from imclim import analyze, decompose
+
+
+def families(count: int):
+    rng = random.Random(2021)
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            yield gen.random_operator(rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 4))
+        elif kind == 1:
+            yield gen.random_wide_operator(rng, rng.randint(2, 40), max_pmfs=rng.randint(1, 4))
+        elif kind == 2:
+            yield gen.planted_cyclic_operator(rng)[0]
+        elif kind == 3:
+            yield gen.chain_operator(rng.randint(1, 40), rng)
+        else:
+            yield gen.staircase_operator(rng.randint(1, 20), rng)
+
+
+def expected_rounds(n: int, sequence) -> tuple:
+    rounds = [None] * n
+    for k, reach in reversed(list(enumerate(sequence))):
+        for x in reach:
+            rounds[x] = k
+    return tuple(rounds)
+
+
+class TestAgainstTheBooleanTable:
+    def test_every_level_of_seeded_families(self):
+        levels = deep = 0
+        for op in families(2000):
+            dec = decompose(op)
+            table, dense = op.supports(), gen.dense_table(op.supports())
+            for above, level in zip((None,) + dec.levels, dec.levels):
+                if above is not None:
+                    local = sorted(above.partition.unabsorbed_transients)
+                    table, dense = table.restrict(local), dense.restrict(local)
+                cut = gen.dense_table(table)
+                assert np.array_equal(cut.starts, dense.starts)
+                assert np.array_equal(cut.rows, dense.rows)
+                adjacency = dense.adjacency()
+                xs, ys = np.nonzero(adjacency)
+                assert level.graph.edges() == tuple(zip(xs.tolist(), ys.tolist()))
+                assert [
+                    (c.members, c.is_closed, c.cyclicity, c.phases) for c in level.classes
+                ] == gen.reference_classes(adjacency)
+                partition = level.partition
+                sequence = dense.lower_reach(partition.maximal_states)
+                assert partition.reach_sequence == sequence
+                assert partition.rounds == expected_rounds(len(table.space), sequence)
+                levels += 1
+                deep += len(sequence) > 3
+        assert levels > 4000 and deep > 400, (levels, deep)
+
+
+class TestCost:
+    def test_a_chain_analysis_holds_little_memory(self):
+        # the reach sets of a 2,000-state chain hold about 2,000,000 entries;
+        # the partition keeps one round per state
+        op = gen.chain_operator(2000)
+        tracemalloc.start()
+        try:
+            report = analyze(op)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.decomposition.levels[0].partition.rounds[-1] == 1999
+        assert held < 10 * 2**20, held
+
+    def test_a_long_chain_is_linear(self):
+        op = gen.chain_operator(10_000)
+        start = time.perf_counter()
+        report = analyze(op)
+        elapsed = time.perf_counter() - start
+        assert report.verdict.convergent == "yes"
+        assert max(report.decomposition.levels[0].partition.rounds) == 9999
+        assert elapsed < 5.0, elapsed
+
+    def test_the_structure_makes_no_numpy_call(self, running_op):
+        ops = [running_op, gen.chain_operator(30), gen.staircase_operator(12)]
+        ops += [op for op, _, _ in (gen.planted_cyclic_operator(random.Random(k)) for k in range(5))]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and "numpy" in frame.f_code.co_filename:
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call" and (getattr(arg, "__module__", None) or "").startswith("numpy"):
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            for op in ops:
+                decompose(op)
+        finally:
+            sys.setprofile(None)
+        assert calls == []

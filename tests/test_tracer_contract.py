@@ -94,3 +94,23 @@ def test_traced_orbits_record_their_stop_reasons(capsys):
     assert metrics["orbits.iterations"] > 0
     assert metrics["orbits.stop_exact"] == 0.5
     assert metrics["orbits.stop_budget"] == 0.5
+
+
+def test_traced_structure_counts_match_the_analysis(tmp_path, capsys):
+    # the tracer reads ``AccessGraph.adjacency`` of the model's graph and
+    # ``StatePartition.reach_sequence`` of every level
+    for op in (make_running_operator(), gen.chain_operator(7), gen.staircase_operator(4)):
+        path = tmp_path / "model.json"
+        gen.dump_model(op, path)
+        tracer = load_tracer().Tracer()
+        try:
+            tracer.install()
+            tracer.run("model", imclim.cli.main, ["analyze", str(path), "--json"])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        levels = imclim.decompose(op).levels
+        rounds = [max(k for k in level.partition.rounds if k is not None) + 1 for level in levels]
+        metrics = tracer.metrics()
+        assert metrics["graphs.edges"] == len(levels[0].graph.edges())
+        assert metrics["reachability.reach_rounds"] == sum(rounds)
