@@ -15,16 +15,28 @@ other field, fails here.
 commit 9968885, while the engine still copied every iterate into the
 result, before traces were replayed from the start function.
 
-After a deliberate change of output, rewrite both files with
+``golden/corpus.json`` holds, for each (command, model) pair, the exit code
+and the SHA-256 of standard output and of standard error.  The commands are
+``analyze`` (text, ``--json`` and ``--json --suite 20``), ``decompose`` (text
+and ``--json``), ``graph --dot`` and ``orbit -f <first state> --json``; the
+models are the running example, the builtin counterexample, the first
+planted files of ``perfbench`` seed 1 (36 of ``structure``, 48 of ``orbit``
+and 200 of ``screen``), 30 seeded ``gen`` families, and chains and
+staircases of 1 to 20 states.  It was recorded at commit a9ba88e, before a
+decomposition level became one state partition.
+
+After a deliberate change of output, rewrite all three files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import random
 import shutil
+import sys
 from pathlib import Path
 
 import gen
@@ -33,6 +45,8 @@ from imclim.cli import main
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "analyze-suite20.json"
 GOLDEN_TRACE = HERE / "golden" / "orbit-trace.json"
+CORPUS = HERE / "golden" / "corpus.json"
+PLANTED = HERE.parent / "perfbench" / "planted.py"
 DEMO = HERE.parent / "demos" / "running-example.json"
 BUILTIN = "builtin:counterexample-5.1"
 
@@ -76,6 +90,72 @@ def orbit_trace(source: str) -> dict:
     return record
 
 
+def load_planted():
+    """``perfbench/planted.py``, loaded by path and used as it stands."""
+    module = sys.modules.get("perfbench_planted")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_planted", PLANTED)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+def write_corpus_models(directory: Path) -> dict[str, str]:
+    """Write the corpus models into ``directory``; map each source to its first state."""
+    shutil.copy(DEMO, directory / DEMO.name)
+    sources = {DEMO.name: "a", BUILTIN: "a"}
+    planted = load_planted()
+    for workload, count in (("structure", 36), ("orbit", 48), ("screen", 200)):
+        models, _, files = planted.generate(workload, 1)
+        for model in [m for m in models if m.source != BUILTIN][:count]:
+            text = files[model.source]
+            (directory / model.source).write_text(text)
+            sources[model.source] = json.loads(text)["states"][0]
+    rng = random.Random(20261020)
+    ops = {}
+    for k in range(30):
+        if k % 3 == 0:
+            ops[f"random-{k}.json"] = gen.random_operator(rng, n=rng.randint(1, 7), max_pmfs=4)
+        elif k % 3 == 1:
+            ops[f"wide-{k}.json"] = gen.random_wide_operator(rng, rng.randint(2, 30), max_pmfs=4)
+        else:
+            ops[f"cyclic-{k}.json"] = gen.planted_cyclic_operator(rng)[0]
+    for n in (1, 2, 5, 20):
+        ops[f"chain-{n}.json"] = gen.chain_operator(n, random.Random(n))
+        ops[f"staircase-{n}.json"] = gen.staircase_operator(n, random.Random(n))
+    for name, op in ops.items():
+        gen.dump_model(op, directory / name)
+        sources[name] = op.space.labels[0]
+    return sources
+
+
+def corpus_commands(source: str, first: str) -> list[list[str]]:
+    return [
+        ["analyze", source],
+        ["analyze", source, "--json"],
+        ["analyze", source, "--json", "--suite", "20"],
+        ["decompose", source],
+        ["decompose", source, "--json"],
+        ["graph", source, "--dot"],
+        ["orbit", source, "-f", first, "--json"],
+    ]
+
+
+def digest(argv: list[str]) -> list:
+    record = run(argv)
+    return [record["exit"]] + [
+        hashlib.sha256(record[key].encode()).hexdigest() for key in ("stdout", "stderr")
+    ]
+
+
+def corpus(directory: Path):
+    """Each corpus entry's key and argument list, in order."""
+    for source, first in write_corpus_models(directory).items():
+        for argv in corpus_commands(source, first):
+            yield " ".join(argv), argv
+
+
 def test_analyze_suite_matches_the_golden(tmp_path, monkeypatch):
     # run where the files are, so each report names its model as recorded
     monkeypatch.chdir(tmp_path)
@@ -95,6 +175,16 @@ def test_orbit_traces_match_the_golden(tmp_path, monkeypatch):
         assert orbit_trace(source) == golden[source], source
 
 
+def test_the_corpus_matches_its_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(CORPUS.read_text())
+    keys = []
+    for key, argv in corpus(tmp_path):
+        keys.append(key)
+        assert digest(argv) == golden.get(key), key
+    assert keys == list(golden)
+
+
 if __name__ == "__main__":
     import os
     import tempfile
@@ -104,6 +194,8 @@ if __name__ == "__main__":
         sources = write_models(Path(scratch))
         records = {source: analyze(source) for source in sources}
         traces = {source: orbit_trace(source) for source in sources}
+        entries = [f"{json.dumps(key)}: {json.dumps(digest(argv))}" for key, argv in corpus(Path(scratch))]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     GOLDEN_TRACE.write_text(json.dumps(traces, indent=1) + "\n")
+    CORPUS.write_text("{\n" + ",\n".join(entries) + "\n}\n")
