@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import (
     DimensionMismatchError,
     ImclimError,
-    InternalInvariantError,
     ModelValidationError,
     NotWellDefinedError,
     PreconditionError,
@@ -40,7 +39,6 @@ from .reachability import (
 )
 from .decomposition import (
     Decomposition,
-    LevelRecord,
     Verdict,
     Witness,
     decide_convergence,
@@ -63,7 +61,6 @@ from .orbits import (
 from .modelio import (
     load_model,
     parse_model,
-    parse_rational,
     write_orbit_trace,
 )
 from .report import AnalysisReport, analyze
@@ -77,7 +74,6 @@ __all__ = [
     "PreconditionError",
     "NotWellDefinedError",
     "UnsupportedOperatorError",
-    "InternalInvariantError",
     # operators
     "StateSpace",
     "SupportTable",
@@ -97,7 +93,6 @@ __all__ = [
     "partition_states",
     # decomposition
     "Decomposition",
-    "LevelRecord",
     "Verdict",
     "Witness",
     "decompose",
@@ -118,7 +113,6 @@ __all__ = [
     # model io
     "load_model",
     "parse_model",
-    "parse_rational",
     "write_orbit_trace",
     # report
     "AnalysisReport",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import decompose
 from .errors import ImclimError
-from .modelio import load_model, parse_rational, write_orbit_trace
+from .modelio import load_model, parse_rational_pair, write_orbit_trace
 from .graphs import build_graph, communication_classes, to_dot
 from .orbits import OrbitParams, iterate_orbit, replay_orbit
 from .report import analyze, decomposition_block
@@ -37,15 +37,22 @@ def _orbit_params(args) -> OrbitParams:
     return OrbitParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(OrbitParams)})
 
 
+# the orbit flags in their ``--help`` order; defaults come from OrbitParams
+_ORBIT_FLAG_HELP = {
+    "tolerance": "max-norm tolerance for cycle detection",
+    "max_iters": "iteration budget",
+    "max_period": "largest cycle length scanned for",
+    "burn_in": "iterations before detection may fire",
+}
+
+
 def _add_orbit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="max-norm tolerance for cycle detection (default 1e-9)")
-    parser.add_argument("--max-iters", type=int, default=5000,
-                        help="iteration budget (default 5000)")
-    parser.add_argument("--max-period", type=int, default=64,
-                        help="largest cycle length scanned for (default 64)")
-    parser.add_argument("--burn-in", type=int, default=200,
-                        help="iterations before detection may fire (default 200)")
+    """One flag per :class:`OrbitParams` field, with the field's default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(OrbitParams)}
+    for name, text in _ORBIT_FLAG_HELP.items():
+        default = defaults[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                            help=f"{text} (default {default})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,9 +121,9 @@ def _parse_function(spec: str, op) -> np.ndarray:
             try:
                 values.append(float(part))
             except ValueError:
-                value = parse_rational(part, where="function entry")
+                num, den = parse_rational_pair(part, where="function entry")
                 try:
-                    values.append(float(value))
+                    values.append(num / den)
                 except OverflowError:
                     raise ImclimError(f"function entry {part!r} is out of float range") from None
         if len(values) != op.n:
@@ -281,6 +288,9 @@ def main(argv=None) -> int:
         return code
     except ImclimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except UnicodeEncodeError as exc:  # a label the output encoding cannot write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:
         # The reader went away (``| head``).  Point stdout at devnull so the

@@ -5,10 +5,12 @@ maximal communication classes and the transient states that get absorbed into
 them, then recurses on the remaining (unabsorbed) transient states.  Only the
 operator's candidate supports matter, so every level is plain-Python work on
 support tuples: each deeper level cuts the support table's tuples, and no
-restricted operator is built.  Every level speaks in its
-own indices; ``LevelRecord.states`` is the one map back to the model's, and
-the level's state space gives the labels.  Verdict ``basis`` strings name
-entries of the decision rule table in the project README.
+restricted operator is built.  A level is its
+:class:`~imclim.reachability.StatePartition`: its ``space``, its
+communication ``classes`` and each state's join ``rounds``, all in the
+level's own indices, with the level's space giving the labels.  Level ``k``
+is ``levels[k - 1]``.  Verdict ``basis`` strings name entries of the
+decision rule table in the project README.
 
 The module is purely structural: it reads support tables and graphs only,
 and runs no orbit.  The numerical cross-check of a verdict lives in
@@ -18,7 +20,7 @@ and runs no orbit.  The numerical cross-check of a verdict lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
 from .operators import UpperOperator
@@ -38,27 +40,12 @@ _FOOTNOTE_NOTE = (
 
 
 @dataclass(frozen=True)
-class LevelRecord:
-    """One level of the decomposition.
-
-    ``graph``, ``partition`` and ``classes`` all speak in the level's own
-    indices, where position ``i`` is original state ``states[i]``; the
-    level's labels are ``partition.space``.  ``classes`` is
-    ``communication_classes(graph)`` as computed.
-    """
-
-    index: int  # 1-based depth
-    states: tuple[int, ...]  # original indices analysed at this level
-    graph: AccessGraph
-    partition: StatePartition
-    classes: tuple[ClassInfo, ...]
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """The levels of the decomposition; the model's space is ``levels[0].partition.space``."""
+    """The model's accessibility graph and the levels of the decomposition;
+    the model's space is ``levels[0].space``."""
 
-    levels: tuple[LevelRecord, ...]
+    graph: AccessGraph
+    levels: tuple[StatePartition, ...]
 
     @property
     def depth(self) -> int:
@@ -72,23 +59,16 @@ def decompose(op: UpperOperator) -> Decomposition:
     no support outside the remaining states; cutting in steps keeps the same
     candidates as cutting the original table once.  The cut cannot fail: a
     remaining state whose every candidate met the lower-reach set would have
-    been absorbed.  Raises :class:`UnsupportedOperatorError` when the
-    operator declares no supports.
+    been absorbed.  Only the first level's graph is kept.  Raises
+    :class:`UnsupportedOperatorError` when the operator declares no supports.
     """
-    levels: list[LevelRecord] = []
-    indices = tuple(range(op.n))
     table = op.supports()
-    while True:
-        graph = build_graph(table)
-        classes = communication_classes(graph)
-        partition = partition_states(table, classes)
-        levels.append(LevelRecord(len(levels) + 1, indices, graph, partition, classes))
-        if not partition.unabsorbed_transients:
-            break
-        local = sorted(partition.unabsorbed_transients)
-        indices = tuple(indices[i] for i in local)
-        table = table.restrict(local)
-    return Decomposition(tuple(levels))
+    graph = build_graph(table)
+    levels = [partition_states(table, communication_classes(graph))]
+    while remaining := levels[-1].unabsorbed_transients:
+        table = table.restrict(sorted(remaining))
+        levels.append(partition_states(table, communication_classes(build_graph(table))))
+    return Decomposition(graph, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -112,25 +92,23 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-def _first_nonregular(dec: Decomposition) -> tuple[LevelRecord, ClassInfo] | None:
-    for level in dec.levels:
+def _first_nonregular(dec: Decomposition) -> tuple[int, StatePartition, ClassInfo] | None:
+    for k, level in enumerate(dec.levels, start=1):
         for info in level.classes:
             if info.is_maximal and info.cyclicity != 1:
-                return level, info
+                return k, level, info
     return None
 
 
-def decide_convergence_on_xm(classes: Sequence[ClassInfo]) -> bool:
+def decide_convergence_on_xm(partition: StatePartition) -> bool:
     """Orbits converge on the maximal states iff every maximal class has cyclicity 1."""
-    return all(c.cyclicity == 1 for c in classes if c.is_maximal)
+    return all(c.cyclicity == 1 for c in partition.classes if c.is_maximal)
 
 
-def decide_ergodicity(
-    partition: StatePartition, classes: Sequence[ClassInfo]
-) -> str:
+def decide_ergodicity(partition: StatePartition) -> str:
     """Every orbit converges to a constant iff there is a single maximal
     communication class, it absorbs everything, and it is regular."""
-    maximal = [c for c in classes if c.is_maximal]
+    maximal = [c for c in partition.classes if c.is_maximal]
     ok = (
         len(maximal) == 1
         and not partition.unabsorbed_transients
@@ -147,9 +125,8 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
     operators; otherwise the verdict is "inconclusive", because the condition
     is not necessary in general.
     """
-    level1 = dec.levels[0]
-    ergodic = decide_ergodicity(level1.partition, level1.classes)
-    convergent_on_xm = decide_convergence_on_xm(level1.classes)
+    ergodic = decide_ergodicity(dec.levels[0])
+    convergent_on_xm = decide_convergence_on_xm(dec.levels[0])
     basis = {
         "ergodic": BASIS_ERGODIC,
         "convergent_on_xm": BASIS_XM,
@@ -161,10 +138,10 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         witness = None
         basis["convergent"] = BASIS_SUFFICIENT
     else:
-        level, info = offender
-        space = level.partition.space
+        k, level, info = offender
+        space = level.space
         witness = Witness(
-            level=level.index,
+            level=k,
             members=space.labels_of(info.members),
             cyclicity=info.cyclicity,
             phases=tuple(space.labels_of(p) for p in info.phases),

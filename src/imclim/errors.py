@@ -33,7 +33,3 @@ class NotWellDefinedError(PreconditionError):
 
 class UnsupportedOperatorError(ImclimError, TypeError):
     """The operator declares no candidate supports, so it has no structure to analyse."""
-
-
-class InternalInvariantError(ImclimError, RuntimeError):
-    """A guaranteed internal invariant failed; this signals a bug, not bad input."""

@@ -79,11 +79,6 @@ def parse_rational_pair(value, where: str = "value") -> tuple[int, int]:
     return exact.numerator, exact.denominator
 
 
-def parse_rational(value, where: str = "value") -> Fraction:
-    """Parse a rational string into a ``Fraction``; see :func:`parse_rational_pair`."""
-    return Fraction(*parse_rational_pair(value, where))
-
-
 def _parse_fraction(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, str):
         raise ModelValidationError(
@@ -227,7 +222,7 @@ def load_model(source: str | Path) -> UpperOperator:
         return factory()
     path = Path(source)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")  # RFC 8259: JSON is UTF-8
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelValidationError(f"cannot read model file {path}: {exc}") from exc
     try:

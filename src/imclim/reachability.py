@@ -1,6 +1,9 @@
-"""Lower reachability of closed classes and the induced three-way state split.
+"""Lower reachability of closed classes, and the state partition of one decomposition level.
 
-Both read a :class:`~imclim.operators.SupportTable`: a state's one-step lower
+A level's :class:`StatePartition` is its state space, its communication
+classes and each state's join round; the three-way split into maximal,
+absorbed and unabsorbed states is read off the rounds.  Both read a
+:class:`~imclim.operators.SupportTable`: a state's one-step lower
 probability of a set is positive exactly when every candidate pmf at the
 state puts mass on the set.  Lower reachability is therefore an AND-OR
 attractor over the support tuples, computed in plain Python with the counter
@@ -11,43 +14,50 @@ linear in the number of support entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import PreconditionError
 from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, SupportTable
 
 
 @dataclass(frozen=True)
 class StatePartition:
-    """Split of the state space by limit role.
+    """One decomposition level: the communication classes of the level's
+    accessibility graph and the round in which each state joins the lower
+    reach of their maximal states.
 
-    ``maximal_states`` is the union of the maximal communication classes;
-    ``absorbed_transients`` are the transient states from which that union is
-    lower reachable; ``unabsorbed_transients`` are the transient states from
-    which it is not.  ``rounds[x]`` is the round in which state ``x`` joins
-    the growing lower-reach set: 0 for the maximal states, ``k`` for the
-    states that join in round ``k``, and ``None`` for the unabsorbed
-    transients.
+    ``classes`` is ``communication_classes`` of the level's graph, in the
+    level's own indices, and ``space`` gives their labels.  ``rounds[x]`` is
+    the round in which state ``x`` joins the growing lower-reach set: 0 for
+    the maximal states, ``k`` for the states that join in round ``k``, and
+    ``None`` for the unabsorbed transients.  The other attributes are views
+    of these two; all but ``reach_sequence`` are cached on first read.
     """
 
     space: StateSpace
-    maximal_classes: tuple[frozenset[int], ...]
-    maximal_states: frozenset[int]
-    absorbed_transients: frozenset[int]
-    unabsorbed_transients: frozenset[int]
+    classes: tuple[ClassInfo, ...]
     rounds: tuple[int | None, ...]
 
-    def __post_init__(self):
-        pieces = (
-            self.maximal_states,
-            self.absorbed_transients,
-            self.unabsorbed_transients,
-        )
-        total = sum(len(p) for p in pieces)
-        union = frozenset().union(*pieces)
-        if total != len(self.space) or union != frozenset(range(len(self.space))):
-            raise InternalInvariantError("partition pieces must be disjoint and cover the space")
+    @cached_property
+    def maximal_classes(self) -> tuple[frozenset[int], ...]:
+        return tuple(c.members for c in self.classes if c.is_maximal)
+
+    @cached_property
+    def maximal_states(self) -> frozenset[int]:
+        """The union of the maximal classes, the states of round 0."""
+        return frozenset(x for x, k in enumerate(self.rounds) if k == 0)
+
+    @cached_property
+    def absorbed_transients(self) -> frozenset[int]:
+        """The transient states from which the maximal states are lower reachable."""
+        return frozenset(x for x, k in enumerate(self.rounds) if k)
+
+    @cached_property
+    def unabsorbed_transients(self) -> frozenset[int]:
+        """The transient states from which the maximal states are not lower reachable."""
+        return frozenset(x for x, k in enumerate(self.rounds) if k is None)
 
     @property
     def reach_sequence(self) -> tuple[frozenset[int], ...]:
@@ -147,14 +157,6 @@ def partition_states(
     """
     if classes is None:
         classes = communication_classes(build_graph(table))
-    maximal = tuple(c.members for c in classes if c.is_maximal)
-    maximal_states = frozenset().union(*maximal)
-    rounds = _join_rounds(table, sorted(maximal_states))
-    return StatePartition(
-        space=table.space,
-        maximal_classes=maximal,
-        maximal_states=maximal_states,
-        absorbed_transients=frozenset(x for x, k in enumerate(rounds) if k),  # rounds 1 and up
-        unabsorbed_transients=frozenset(x for x, k in enumerate(rounds) if k is None),
-        rounds=tuple(rounds),
-    )
+    maximal_states = sorted(x for c in classes if c.is_maximal for x in c.members)
+    rounds = _join_rounds(table, maximal_states)
+    return StatePartition(table.space, tuple(classes), tuple(rounds))

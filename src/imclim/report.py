@@ -1,9 +1,10 @@
 """End-to-end analysis pipeline and its JSON-facing report structure.
 
-``analyze`` runs the recursive decomposition, whose first level holds the
-graph, classes and state partition of the whole space, and all verdicts, and
-packs the outcome into an :class:`AnalysisReport` whose ``to_dict`` output
-validates against ``docs/report.schema.json``.
+``analyze`` runs the recursive decomposition, which keeps the model's
+accessibility graph and, per level, the level's space, communication classes
+and join rounds, and all verdicts, and packs the outcome into an
+:class:`AnalysisReport` whose ``to_dict`` output validates against
+``docs/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def _reach_labels(space: StateSpace, rounds) -> list[list[str]]:
 def decomposition_block(dec: Decomposition) -> dict:
     """The report's ``decomposition`` block: depth and per-level classes, in labels."""
     levels = []
-    for level in dec.levels:
-        space = level.partition.space
+    for k, level in enumerate(dec.levels, start=1):
+        space = level.space
         levels.append({
-            "level": level.index,
+            "level": k,
             "states": sorted(space.labels),
             "maximal_classes": [
                 {
@@ -59,8 +60,8 @@ def decomposition_block(dec: Decomposition) -> dict:
                 for c in level.classes
                 if c.is_maximal
             ],
-            "absorbed": _labels(space, level.partition.absorbed_transients),
-            "remaining": _labels(space, level.partition.unabsorbed_transients),
+            "absorbed": _labels(space, level.absorbed_transients),
+            "remaining": _labels(space, level.unabsorbed_transients),
         })
     return {"depth": dec.depth, "levels": levels}
 
@@ -76,11 +77,12 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         space = self.operator.space
-        level1 = self.decomposition.levels[0]
+        dec = self.decomposition
+        level1 = dec.levels[0]
         graph_block = {
             "states": list(space.labels),
             "edges": sorted(
-                [space.labels[x], space.labels[y]] for x, y in level1.graph.edges()
+                [space.labels[x], space.labels[y]] for x, y in dec.graph.edges()
             ),
         }
         classes_block = [
@@ -93,13 +95,14 @@ class AnalysisReport:
             }
             for c in level1.classes
         ]
-        partition = level1.partition
+        decomposition = decomposition_block(dec)
+        top = decomposition["levels"][0]  # level 1 spans the model's space
         partition_block = {
-            "maximal_classes": [_labels(space, m) for m in partition.maximal_classes],
-            "maximal_states": _labels(space, partition.maximal_states),
-            "absorbed_transients": _labels(space, partition.absorbed_transients),
-            "unabsorbed_transients": _labels(space, partition.unabsorbed_transients),
-            "reach_sequence": _reach_labels(space, partition.rounds),
+            "maximal_classes": [c["members"] for c in top["maximal_classes"]],
+            "maximal_states": _labels(space, level1.maximal_states),
+            "absorbed_transients": top["absorbed"],
+            "unabsorbed_transients": top["remaining"],
+            "reach_sequence": _reach_labels(space, level1.rounds),
         }
         verdict = self.verdict
         verdict_block = {
@@ -150,7 +153,7 @@ class AnalysisReport:
             "graph": graph_block,
             "classes": classes_block,
             "partition": partition_block,
-            "decomposition": decomposition_block(self.decomposition),
+            "decomposition": decomposition,
             "verdicts": verdict_block,
             "orbit_evidence": evidence_block,
         }

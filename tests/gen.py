@@ -22,7 +22,6 @@ from imclim import (
     CredalOperator,
     Decomposition,
     DimensionMismatchError,
-    InternalInvariantError,
     ModelValidationError,
     NotWellDefinedError,
     OrbitCheck,
@@ -39,7 +38,7 @@ from imclim import (
     lower_reach_set,
     parse_model,
 )
-from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT
+from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT, parse_rational_pair
 
 LABELS = "abcdefgh"
 
@@ -74,15 +73,33 @@ def identity_operator(labels) -> CredalOperator:
     return build(labels, {x: [{x: 1}] for x in labels})
 
 
+def level_states(dec: Decomposition) -> tuple[tuple[int, ...], ...]:
+    """Per level, the model's indices of the level's states: position ``i`` of
+    ``dec.levels[k]`` is model state ``level_states(dec)[k][i]``."""
+    states = [tuple(range(len(dec.levels[0].space)))]
+    for level in dec.levels[:-1]:
+        states.append(tuple(states[-1][i] for i in sorted(level.unabsorbed_transients)))
+    return tuple(states)
+
+
+def level_tables(op: UpperOperator, dec: Decomposition):
+    """Each level of ``dec = decompose(op)`` with the model's indices of its states
+    and the support-table cut that ``decompose`` analyses for it."""
+    table = op.supports()
+    for above, level, states in zip((None,) + dec.levels, dec.levels, level_states(dec)):
+        if above is not None:
+            table = table.restrict(sorted(above.unabsorbed_transients))
+        yield level, states, table
+
+
 def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
     """All level maximal classes and absorbed sets, in the model's indices; together
     they partition the space."""
     pieces = []
-    for level in dec.levels:
-        part = level.partition
+    for part, states in zip(dec.levels, level_states(dec)):
         for piece in (*part.maximal_classes, part.absorbed_transients):
             if piece:
-                pieces.append(frozenset(level.states[i] for i in piece))
+                pieces.append(frozenset(states[i] for i in piece))
     return tuple(pieces)
 
 
@@ -676,7 +693,7 @@ def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOpe
     try:
         return restrict(op, members)
     except NotWellDefinedError as exc:
-        raise InternalInvariantError(
+        raise AssertionError(
             f"restriction to the unabsorbed transient states failed: {exc}"
         ) from exc
 
@@ -739,7 +756,7 @@ def orbit_limit_on_regular_class(
     The restricted orbit of a regular class converges to a constant that
     dominates the minimum of the start function, strictly so when the start is
     not constant on the class; violations raise
-    :class:`InternalInvariantError`, as does non-convergence within budget.
+    :class:`AssertionError`, as does non-convergence within budget.
     Maximality and regularity are read from ``classes`` (computed once when not
     given), and the class is restricted through :func:`restrict`.
     """
@@ -757,7 +774,7 @@ def orbit_limit_on_regular_class(
     try:
         sub = restrict(op, keep)
     except NotWellDefinedError as exc:  # closedness guarantees non-empty sets
-        raise InternalInvariantError(
+        raise AssertionError(
             f"restriction to a maximal class failed unexpectedly: {exc}"
         ) from exc
     g = np.asarray(f, dtype=float)
@@ -766,23 +783,23 @@ def orbit_limit_on_regular_class(
     start = g[keep]
     result = iterate_orbit(sub, start, p)
     if not result.converged:
-        raise InternalInvariantError(
+        raise AssertionError(
             "orbit on a regular class failed to converge within budget"
         )
     limit = result.limit
     spread = float(limit.max() - limit.min())
     if spread > 10 * p.tolerance:
-        raise InternalInvariantError(
+        raise AssertionError(
             f"limit on a regular class must be constant; spread {spread:g}"
         )
     phi = float(limit.mean())
     lowest = float(start.min())
     if phi < lowest - p.tolerance:
-        raise InternalInvariantError(
+        raise AssertionError(
             f"limit {phi:g} fails to dominate the minimum {lowest:g}"
         )
     if float(start.max()) > lowest and not phi > lowest:
-        raise InternalInvariantError(
+        raise AssertionError(
             "limit must strictly dominate the minimum of a non-constant start"
         )
     return phi
@@ -864,6 +881,11 @@ def single_class_equivalence_report(
 # the Fraction-per-mass loader: the reference for ``parse_model``
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+
+
+def parse_rational(value, where: str = "value") -> Fraction:
+    """Parse a rational string into a ``Fraction``; see ``imclim.modelio.parse_rational_pair``."""
+    return Fraction(*parse_rational_pair(value, where))
 
 
 def fraction_parse_rational(value, where: str = "value") -> Fraction:

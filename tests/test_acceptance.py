@@ -80,7 +80,7 @@ def test_criterion_1_running_example_pipeline():
     if dec.depth != 2:
         failures.append(f"depth {dec.depth}")
     else:
-        part2 = dec.levels[1].partition
+        part2 = dec.levels[1]
         got = [part2.space.labels_of(m) for m in part2.maximal_classes]
         if got != [("d", "e")]:
             failures.append(f"level-2 classes {got}")
@@ -122,7 +122,7 @@ def test_criterion_2a_counterexample_symbolic():
     else:
         level2 = dec.levels[1]
         level2_info = [c for c in level2.classes if c.is_maximal]
-        if [level2.partition.space.labels_of(c.members) for c in level2_info] != [("b", "c")]:
+        if [level2.space.labels_of(c.members) for c in level2_info] != [("b", "c")]:
             failures.append("level-2 class mismatch")
         elif level2_info[0].cyclicity != 2:
             failures.append(f"level-2 cyclicity {level2_info[0].cyclicity}")
@@ -485,7 +485,7 @@ def test_criterion_5_single_class_equivalences():
     for _ in range(200):
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         classes = communication_classes(build_graph(op.supports()))
-        flag = decide_convergence_on_xm(classes)
+        flag = decide_convergence_on_xm(partition_states(op.supports(), classes))
         per_class = all(c.cyclicity == 1 for c in classes if c.is_maximal)
         if flag != per_class:
             failures.append("convergence-on-maximal-states mismatch")

@@ -205,6 +205,38 @@ class TestBadInput:
         for command in ("analyze", "graph", "decompose"):
             self.assert_error([command, str(path)], capsys, "cannot read model file")
 
+    @staticmethod
+    def accented_model(tmp_path) -> str:
+        path = tmp_path / "accent.json"
+        model = {
+            "states": ["é", "b"],
+            "credal_sets": {"é": [{"é": "1"}], "b": [{"é": "1/2", "b": "1/2"}]},
+        }
+        path.write_text(json.dumps(model, ensure_ascii=False), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def run_cli(argv, **env):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), **env}
+        return subprocess.run([sys.executable, "-m", "imclim.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+
+    def test_utf8_model_file_under_an_ascii_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+        done = self.run_cli(["analyze", self.accented_model(tmp_path), "--json"],
+                            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["model"]["states"] == ["é", "b"]
+
+    @pytest.mark.parametrize("command", [["analyze"], ["graph", "--dot"]], ids=["analyze", "graph"])
+    def test_label_the_output_encoding_cannot_write(self, command, tmp_path):
+        done = self.run_cli([command[0], self.accented_model(tmp_path), *command[1:]],
+                            PYTHONIOENCODING="ascii")
+        assert done.returncode == 1
+        err = done.stderr.decode()
+        assert err.startswith("error: cannot write output:") and "'ascii' codec" in err
+        assert "Traceback" not in err
+
     def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "digits.json"
         path.write_text('{"states": ["a"], "credal_sets": {"a": [{"a": %s}]}}' % ("1" * 5000))

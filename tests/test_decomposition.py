@@ -31,40 +31,38 @@ F = Fraction
 
 def labelled(level, states):
     """Labels of the level-local indices ``states``, through the level's own space."""
-    return level.partition.space.labels_of(states)
+    return level.space.labels_of(states)
 
 
 class TestDecompose:
     def test_running_example_two_levels(self, running_op):
         dec = decompose(running_op)
         assert dec.depth == 2
-        level1, level2 = dec.levels
-        part1, part2 = level1.partition, level2.partition
-        assert [labelled(level1, m) for m in part1.maximal_classes] == [("a",), ("b",)]
-        assert labelled(level1, part1.absorbed_transients) == ("c",)
-        assert labelled(level1, part1.unabsorbed_transients) == ("d", "e")
-        assert [labelled(level2, m) for m in part2.maximal_classes] == [("d", "e")]
+        part1, part2 = dec.levels
+        assert [labelled(part1, m) for m in part1.maximal_classes] == [("a",), ("b",)]
+        assert labelled(part1, part1.absorbed_transients) == ("c",)
+        assert labelled(part1, part1.unabsorbed_transients) == ("d", "e")
+        assert [labelled(part2, m) for m in part2.maximal_classes] == [("d", "e")]
         assert not part2.absorbed_transients and not part2.unabsorbed_transients
-        cyc = {labelled(level2, c.members): c.cyclicity for c in level2.classes}
+        cyc = {labelled(part2, c.members): c.cyclicity for c in part2.classes}
         assert cyc == {("d", "e"): 1}
 
     def test_identity_depth_one_all_regular(self, identity5_op):
         dec = decompose(identity5_op)
         assert dec.depth == 1
         level = dec.levels[0]
-        assert len(level.partition.maximal_classes) == 5
+        assert len(level.maximal_classes) == 5
         assert all(c.is_regular for c in level.classes)
 
     def test_counterexample_two_levels(self, counterexample_op):
         dec = decompose(counterexample_op)
         assert dec.depth == 2
-        level1, level2 = dec.levels
-        part1, part2 = level1.partition, level2.partition
-        assert [labelled(level1, m) for m in part1.maximal_classes] == [("a",)]
+        part1, part2 = dec.levels
+        assert [labelled(part1, m) for m in part1.maximal_classes] == [("a",)]
         assert not part1.absorbed_transients
-        assert labelled(level1, part1.unabsorbed_transients) == ("b", "c")
-        assert [labelled(level2, m) for m in part2.maximal_classes] == [("b", "c")]
-        level2_info = next(c for c in level2.classes if c.is_maximal)
+        assert labelled(part1, part1.unabsorbed_transients) == ("b", "c")
+        assert [labelled(part2, m) for m in part2.maximal_classes] == [("b", "c")]
+        level2_info = next(c for c in part2.classes if c.is_maximal)
         assert level2_info.cyclicity == 2
 
     def test_levels_partition_the_space(self):
@@ -79,15 +77,15 @@ class TestDecompose:
 
     def test_levels_restrict_the_original_family(self, running_op):
         dec = decompose(running_op)
-        level2 = dec.levels[1]
-        direct = gen.restrict(running_op, level2.states).supports()
-        cut = running_op.supports().restrict(level2.states)
+        level2_states = gen.level_states(dec)[1]
+        direct = gen.restrict(running_op, level2_states).supports()
+        cut = running_op.supports().restrict(level2_states)
         assert cut.supports == direct.supports
-        assert level2.graph.successors == direct.successors()
+        assert build_graph(cut).successors == direct.successors()
 
     def test_levels_speak_in_their_own_indices(self):
-        # every field of a level uses the level's indices; ``states`` maps
-        # them to the model's, and the level's space gives their labels
+        # every field of a level uses the level's indices; ``gen.level_states``
+        # maps them to the model's, and the level's space gives their labels
         rng = random.Random(78)
         witnessed = 0
         for k in range(1000):
@@ -96,13 +94,15 @@ class TestDecompose:
             else:
                 op = gen.random_wide_operator(rng, rng.randint(5, 30))
             dec = decompose(op)
-            for level in dec.levels:
-                space = level.partition.space
-                assert level.classes == communication_classes(level.graph)
-                assert level.graph.labels == space.labels
-                assert space.labels == tuple(op.space.labels[i] for i in level.states)
+            for level, states, table in gen.level_tables(op, dec):
+                graph = build_graph(table)
+                assert level.classes == communication_classes(graph)
+                assert graph.labels == level.space.labels
+                assert level.space.labels == tuple(op.space.labels[i] for i in states)
             offenders = [
-                (level, c) for level in dec.levels for c in level.classes
+                (k, level, states, c)
+                for k, (level, states) in enumerate(zip(dec.levels, gen.level_states(dec)), start=1)
+                for c in level.classes
                 if c.is_maximal and not c.is_regular
             ]
             witness = decide_convergence(op, dec).witness
@@ -110,13 +110,13 @@ class TestDecompose:
                 assert witness is None
                 continue
             witnessed += 1
-            level, info = offenders[0]
-            space = level.partition.space
-            assert witness.level == level.index
+            k, level, states, info = offenders[0]
+            space = level.space
+            assert witness.level == k
             assert witness.members == space.labels_of(info.members)
             assert witness.phases == tuple(space.labels_of(p) for p in info.phases)
             # the same labels through the model's indices
-            assert witness.members == op.space.labels_of(level.states[i] for i in info.members)
+            assert witness.members == op.space.labels_of(states[i] for i in info.members)
         assert witnessed >= 500
 
     def test_operator_without_supports_is_refused(self, running_op):
@@ -184,15 +184,13 @@ class TestDecideConvergence:
 
 class TestDecideErgodicity:
     def test_running_example_not_ergodic(self, running_op):
-        classes = communication_classes(build_graph(running_op.supports()))
-        part = partition_states(running_op.supports(), classes)
-        assert decide_ergodicity(part, classes) == "no"
+        part = partition_states(running_op.supports())
+        assert decide_ergodicity(part) == "no"
 
     def test_single_state_ergodic(self):
         op = gen.identity_operator(["only"])
-        classes = communication_classes(build_graph(op.supports()))
-        part = partition_states(op.supports(), classes)
-        assert decide_ergodicity(part, classes) == "yes"
+        part = partition_states(op.supports())
+        assert decide_ergodicity(part) == "yes"
 
     def test_single_regular_class_with_absorbed_tail(self):
         sets = {
@@ -201,9 +199,8 @@ class TestDecideErgodicity:
             "c": [{"b": F(1)}],
         }
         op = gen.build(["a", "b", "c"], sets)
-        classes = communication_classes(build_graph(op.supports()))
-        part = partition_states(op.supports(), classes)
-        assert decide_ergodicity(part, classes) == "yes"
+        part = partition_states(op.supports())
+        assert decide_ergodicity(part) == "yes"
         # numeric confirmation: orbits flatten to a constant
         from imclim import iterate_orbit
 
@@ -212,9 +209,8 @@ class TestDecideErgodicity:
         assert result.limit.max() - result.limit.min() <= 1e-8
 
     def test_two_cycle_not_ergodic(self, two_cycle_op):
-        classes = communication_classes(build_graph(two_cycle_op.supports()))
-        part = partition_states(two_cycle_op.supports(), classes)
-        assert decide_ergodicity(part, classes) == "no"
+        part = partition_states(two_cycle_op.supports())
+        assert decide_ergodicity(part) == "no"
 
     def test_matches_numeric_constant_limits(self):
         rng = random.Random(73)
@@ -224,9 +220,8 @@ class TestDecideErgodicity:
         agree = 0
         for _ in range(60):
             op = gen.random_operator(rng, n=rng.randint(1, 4))
-            classes = communication_classes(build_graph(op.supports()))
-            part = partition_states(op.supports(), classes)
-            symbolic = decide_ergodicity(part, classes) == "yes"
+            part = partition_states(op.supports())
+            symbolic = decide_ergodicity(part) == "yes"
             numeric = True
             for _, f in default_function_suite(op, extra=3, rng=np.random.default_rng(1)):
                 result = iterate_orbit(op, f, fast)
@@ -240,12 +235,12 @@ class TestDecideErgodicity:
 
 class TestConvergenceOnMaximalStates:
     def test_running_true(self, running_op):
-        classes = communication_classes(build_graph(running_op.supports()))
-        assert decide_convergence_on_xm(classes) is True
+        part = partition_states(running_op.supports())
+        assert decide_convergence_on_xm(part) is True
 
     def test_maximal_two_cycle_false(self, two_cycle_op):
-        classes = communication_classes(build_graph(two_cycle_op.supports()))
-        assert decide_convergence_on_xm(classes) is False
+        part = partition_states(two_cycle_op.supports())
+        assert decide_convergence_on_xm(part) is False
         # the orbit of an indicator alternates on that class
         from imclim import iterate_orbit
 
@@ -254,8 +249,8 @@ class TestConvergenceOnMaximalStates:
 
     def test_single_state_true(self):
         op = gen.identity_operator(["s"])
-        classes = communication_classes(build_graph(op.supports()))
-        assert decide_convergence_on_xm(classes) is True
+        part = partition_states(op.supports())
+        assert decide_convergence_on_xm(part) is True
 
     def test_matches_per_class_orbit_behaviour(self):
         rng = random.Random(74)
@@ -275,7 +270,8 @@ class TestConvergenceOnMaximalStates:
                 result = iterate_orbit(sub, f, fast)
                 if not result.converged:
                     per_class_converged = False
-            assert decide_convergence_on_xm(classes) == per_class_converged
+            part = partition_states(op.supports(), classes)
+            assert decide_convergence_on_xm(part) == per_class_converged
 
 
 class TestAbsorbedCases:
@@ -336,10 +332,9 @@ class TestTheoremRouteEquivalence:
     @staticmethod
     def _recursive_route(op: CredalOperator) -> bool:
         # maximal classes regular, then recurse on the unabsorbed remainder
-        classes = communication_classes(build_graph(op.supports()))
-        if not decide_convergence_on_xm(classes):
+        part = partition_states(op.supports())
+        if not decide_convergence_on_xm(part):
             return False
-        part = partition_states(op.supports(), classes)
         if not part.unabsorbed_transients:
             return True
         sub = gen.restrict(op, sorted(part.unabsorbed_transients))

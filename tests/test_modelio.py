@@ -14,9 +14,9 @@ from imclim import (
     ModelValidationError,
     load_model,
     parse_model,
-    parse_rational,
 )
 from imclim.modelio import MAX_DECIMAL_EXPONENT, parse_rational_pair
+from gen import parse_rational
 
 F = Fraction
 

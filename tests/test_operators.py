@@ -14,6 +14,7 @@ from imclim import (
     ModelValidationError,
     NotWellDefinedError,
     StateSpace,
+    build_graph,
     decompose,
     lower_reach_set,
     parse_model,
@@ -428,16 +429,6 @@ def assert_table_matches_exact(table, op, rng):
         assert dense.lower_positive(targets) == gen.exact_lower_positive(op, targets)
 
 
-def level_tables(op):
-    """Each level of ``decompose(op)`` with the table cut that ``decompose`` analyses."""
-    levels = decompose(op).levels
-    table = op.supports()
-    yield levels[0], table
-    for above, level in zip(levels, levels[1:]):
-        table = table.restrict([above.states.index(x) for x in level.states])
-        yield level, table
-
-
 class TestStructuralHook:
     """Support tables, and their cuts at every level, against exact indicator evaluation."""
 
@@ -483,16 +474,16 @@ class TestStructuralHook:
                 for _ in range(2000)]
         levels = 0
         for op in ops:
-            for level, table in level_tables(op):
-                reference = gen.restrict(op, level.states)
+            for level, states, table in gen.level_tables(op, decompose(op)):
+                reference = gen.restrict(op, states)
                 assert_table_matches_exact(table, reference, rng)
-                assert np.array_equal(level.graph.adjacency, gen.exact_adjacency(reference))
-                current = level.partition.maximal_states
+                assert np.array_equal(build_graph(table).adjacency, gen.exact_adjacency(reference))
+                current = level.maximal_states
                 sequence = [current]
                 while added := gen.exact_lower_positive(reference, current) - current:
                     current |= added
                     sequence.append(current)
-                assert level.partition.reach_sequence == tuple(sequence)
+                assert level.reach_sequence == tuple(sequence)
                 levels += 1
         assert levels > len(ops)
 

@@ -10,7 +10,6 @@ import pytest
 import gen
 from imclim import (
     DimensionMismatchError,
-    InternalInvariantError,
     OrbitCheck,
     OrbitParams,
     PreconditionError,
@@ -559,7 +558,7 @@ class TestRegularClassLimit:
     def test_non_regular_class_rejected(self, two_cycle_op):
         with pytest.raises(Exception) as exc_info:
             gen.orbit_limit_on_regular_class(two_cycle_op, {0, 1}, [1.0, 0.0], FAST)
-        assert exc_info.type.__name__ in ("PreconditionError", "InternalInvariantError")
+        assert exc_info.type.__name__ in ("PreconditionError", "AssertionError")
 
     def test_constant_limit_across_states_on_regular_single_class(self):
         rng = random.Random(64)

@@ -135,9 +135,9 @@ class TestMaximalClassPremise:
     @staticmethod
     def _check(op):
         checked = 0
-        for level in decompose(op).levels:
-            level_op = gen.restrict(op, level.states)
-            parent_adjacency = level.graph.adjacency
+        for level, states, table in gen.level_tables(op, decompose(op)):
+            level_op = gen.restrict(op, states)
+            parent_adjacency = build_graph(table).adjacency
             for info in level.classes:
                 if not info.is_maximal:
                     continue

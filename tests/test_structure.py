@@ -3,8 +3,9 @@
 ``gen.DenseTable`` keeps the boolean-row code: the ``reduceat`` adjacency,
 the ``lower_positive`` fixpoint with its growing sets and the mask
 ``restrict``.  Every level of a decomposition is checked against it, cut by
-cut; the classes are checked against ``gen.reference_classes``, which needs
-no depth-first search.
+cut: the graph of the level's cut, its classes against
+``gen.reference_classes``, which needs no depth-first search, and the
+partition's views against the closed classes and the dense fixpoint.
 """
 
 import random
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 
 import gen
-from imclim import analyze, decompose
+from imclim import analyze, build_graph, decompose
 
 
 def families(count: int):
@@ -50,21 +51,30 @@ class TestAgainstTheBooleanTable:
             table, dense = op.supports(), gen.dense_table(op.supports())
             for above, level in zip((None,) + dec.levels, dec.levels):
                 if above is not None:
-                    local = sorted(above.partition.unabsorbed_transients)
+                    local = sorted(above.unabsorbed_transients)
                     table, dense = table.restrict(local), dense.restrict(local)
                 cut = gen.dense_table(table)
                 assert np.array_equal(cut.starts, dense.starts)
                 assert np.array_equal(cut.rows, dense.rows)
                 adjacency = dense.adjacency()
                 xs, ys = np.nonzero(adjacency)
-                assert level.graph.edges() == tuple(zip(xs.tolist(), ys.tolist()))
+                edges = tuple(zip(xs.tolist(), ys.tolist()))
+                assert build_graph(table).edges() == edges
+                if above is None:
+                    assert dec.graph.edges() == edges
+                reference = gen.reference_classes(adjacency)
                 assert [
                     (c.members, c.is_closed, c.cyclicity, c.phases) for c in level.classes
-                ] == gen.reference_classes(adjacency)
-                partition = level.partition
-                sequence = dense.lower_reach(partition.maximal_states)
-                assert partition.reach_sequence == sequence
-                assert partition.rounds == expected_rounds(len(table.space), sequence)
+                ] == reference
+                closed = [members for members, is_closed, _, _ in reference if is_closed]
+                assert level.maximal_classes == tuple(closed)
+                assert level.maximal_states == frozenset().union(*closed)
+                sequence = dense.lower_reach(level.maximal_states)
+                assert level.reach_sequence == sequence
+                assert level.rounds == expected_rounds(len(table.space), sequence)
+                assert level.absorbed_transients == sequence[-1] - level.maximal_states
+                everything = frozenset(range(len(table.space)))
+                assert level.unabsorbed_transients == everything - sequence[-1]
                 levels += 1
                 deep += len(sequence) > 3
         assert levels > 4000 and deep > 400, (levels, deep)
@@ -81,7 +91,7 @@ class TestCost:
             held, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.decomposition.levels[0].partition.rounds[-1] == 1999
+        assert report.decomposition.levels[0].rounds[-1] == 1999
         assert held < 10 * 2**20, held
 
     def test_a_long_chain_is_linear(self):
@@ -90,7 +100,7 @@ class TestCost:
         report = analyze(op)
         elapsed = time.perf_counter() - start
         assert report.verdict.convergent == "yes"
-        assert max(report.decomposition.levels[0].partition.rounds) == 9999
+        assert max(report.decomposition.levels[0].rounds) == 9999
         assert elapsed < 5.0, elapsed
 
     def test_the_structure_makes_no_numpy_call(self, running_op):

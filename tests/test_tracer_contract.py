@@ -109,8 +109,8 @@ def test_traced_structure_counts_match_the_analysis(tmp_path, capsys):
         finally:
             tracer.uninstall()
         capsys.readouterr()
-        levels = imclim.decompose(op).levels
-        rounds = [max(k for k in level.partition.rounds if k is not None) + 1 for level in levels]
+        dec = imclim.decompose(op)
+        rounds = [max(k for k in level.rounds if k is not None) + 1 for level in dec.levels]
         metrics = tracer.metrics()
-        assert metrics["graphs.edges"] == len(levels[0].graph.edges())
+        assert metrics["graphs.edges"] == len(dec.graph.edges())
         assert metrics["reachability.reach_rounds"] == sum(rounds)
