@@ -22,8 +22,12 @@ and ``--json``), ``graph --dot`` and ``orbit -f <first state> --json``; the
 models are the running example, the builtin counterexample, the first
 planted files of ``perfbench`` seed 1 (36 of ``structure``, 48 of ``orbit``
 and 200 of ``screen``), 30 seeded ``gen`` families, and chains and
-staircases of 1 to 20 states.  It was recorded at commit a9ba88e, before a
-decomposition level became one state partition.
+staircases of 1 to 20 states.  Every model but the planted files also has
+``analyze --suite 20`` (text) and ``graph`` (plain edges).  It was recorded
+at commit a9ba88e, before a decomposition level became one state partition;
+the entries of those two commands were added at commit 947257f, before a
+level's classes moved into ``partition_states`` and a suite became one start
+block.
 
 After a deliberate change of output, rewrite all three files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why.
@@ -101,17 +105,18 @@ def load_planted():
     return module
 
 
-def write_corpus_models(directory: Path) -> dict[str, str]:
-    """Write the corpus models into ``directory``; map each source to its first state."""
+def write_corpus_models(directory: Path) -> dict[str, tuple[str, bool]]:
+    """Write the corpus models into ``directory``; map each source to its
+    first state and whether it is a planted benchmark file."""
     shutil.copy(DEMO, directory / DEMO.name)
-    sources = {DEMO.name: "a", BUILTIN: "a"}
+    sources = {DEMO.name: ("a", False), BUILTIN: ("a", False)}
     planted = load_planted()
     for workload, count in (("structure", 36), ("orbit", 48), ("screen", 200)):
         models, _, files = planted.generate(workload, 1)
         for model in [m for m in models if m.source != BUILTIN][:count]:
             text = files[model.source]
             (directory / model.source).write_text(text)
-            sources[model.source] = json.loads(text)["states"][0]
+            sources[model.source] = (json.loads(text)["states"][0], True)
     rng = random.Random(20261020)
     ops = {}
     for k in range(30):
@@ -126,12 +131,12 @@ def write_corpus_models(directory: Path) -> dict[str, str]:
         ops[f"staircase-{n}.json"] = gen.staircase_operator(n, random.Random(n))
     for name, op in ops.items():
         gen.dump_model(op, directory / name)
-        sources[name] = op.space.labels[0]
+        sources[name] = (op.space.labels[0], False)
     return sources
 
 
-def corpus_commands(source: str, first: str) -> list[list[str]]:
-    return [
+def corpus_commands(source: str, first: str, planted: bool) -> list[list[str]]:
+    commands = [
         ["analyze", source],
         ["analyze", source, "--json"],
         ["analyze", source, "--json", "--suite", "20"],
@@ -140,6 +145,9 @@ def corpus_commands(source: str, first: str) -> list[list[str]]:
         ["graph", source, "--dot"],
         ["orbit", source, "-f", first, "--json"],
     ]
+    if not planted:  # the text suite lines and the plain edge list
+        commands += [["analyze", source, "--suite", "20"], ["graph", source]]
+    return commands
 
 
 def digest(argv: list[str]) -> list:
@@ -151,8 +159,8 @@ def digest(argv: list[str]) -> list:
 
 def corpus(directory: Path):
     """Each corpus entry's key and argument list, in order."""
-    for source, first in write_corpus_models(directory).items():
-        for argv in corpus_commands(source, first):
+    for source, (first, planted) in write_corpus_models(directory).items():
+        for argv in corpus_commands(source, first, planted):
             yield " ".join(argv), argv
 
 
