@@ -40,7 +40,7 @@ for k in range(INSTANCES):
     op = random_operator(rng)
     verdict = decide_convergence(op, decompose(op))
     verdicts[verdict.convergent] += 1
-    comparison = oracle_compare(op, verdict, extra_random=5, seed=k)
+    comparison = oracle_compare(op, verdict.convergent, extra_random=5, seed=k)
     if comparison.agrees:
         agreements += 1
     else:

@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .reachability import (
     StatePartition,
-    lower_reach_set,
     partition_states,
 )
 from .decomposition import (
@@ -89,7 +88,6 @@ __all__ = [
     "to_dot",
     # reachability
     "StatePartition",
-    "lower_reach_set",
     "partition_states",
     # decomposition
     "Decomposition",

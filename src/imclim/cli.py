@@ -199,9 +199,10 @@ def _cmd_analyze(args) -> int:
 
 @contextlib.contextmanager
 def _trace_file(path: str):
-    """The ``--trace`` file, opened before any iteration so a bad path fails fast."""
+    """The ``--trace`` file, opened before any iteration so a bad path fails
+    fast, and written as UTF-8 like the model files, whatever the locale."""
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             yield handle
     except OSError as exc:
         raise ImclimError(f"cannot write orbit trace {path}: {exc}") from exc
@@ -243,9 +244,8 @@ def _cmd_orbit(args) -> int:
 def _cmd_graph(args) -> int:
     op = load_model(args.model)
     graph = build_graph(op.supports())
-    classes = communication_classes(graph)
     if args.dot:
-        sys.stdout.write(to_dot(graph, classes))
+        sys.stdout.write(to_dot(graph, communication_classes(graph)))
     else:
         for x, y in sorted(
             (graph.labels[a], graph.labels[b]) for a, b in graph.edges()

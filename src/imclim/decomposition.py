@@ -5,12 +5,13 @@ maximal communication classes and the transient states that get absorbed into
 them, then recurses on the remaining (unabsorbed) transient states.  Only the
 operator's candidate supports matter, so every level is plain-Python work on
 support tuples: each deeper level cuts the support table's tuples, and no
-restricted operator is built.  A level is its
-:class:`~imclim.reachability.StatePartition`: its ``space``, its
-communication ``classes`` and each state's join ``rounds``, all in the
-level's own indices, with the level's space giving the labels.  Level ``k``
-is ``levels[k - 1]``.  Verdict ``basis`` strings name entries of the
-decision rule table in the project README.
+restricted operator is built.  A level is the
+:class:`~imclim.reachability.StatePartition` that ``partition_states`` builds
+from the level's table: its ``space``, its communication ``classes`` and
+each state's join ``rounds``, all in the level's own indices, with the
+level's space giving the labels.  Level ``k`` is ``levels[k - 1]``.  Verdict
+``basis`` strings name entries of the decision rule table in the project
+README.
 
 The module is purely structural: it reads support tables and graphs only,
 and runs no orbit.  The numerical cross-check of a verdict lives in
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import AccessGraph, ClassInfo, build_graph, communication_classes
+from .graphs import AccessGraph, ClassInfo, build_graph
 from .operators import UpperOperator
 from .reachability import StatePartition, partition_states
 
@@ -55,19 +56,21 @@ class Decomposition:
 def decompose(op: UpperOperator) -> Decomposition:
     """Peel the state space until no unabsorbed transient states remain.
 
-    Reads ``op.supports()`` once.  The next level keeps the candidates with
-    no support outside the remaining states; cutting in steps keeps the same
-    candidates as cutting the original table once.  The cut cannot fail: a
-    remaining state whose every candidate met the lower-reach set would have
-    been absorbed.  Only the first level's graph is kept.  Raises
-    :class:`UnsupportedOperatorError` when the operator declares no supports.
+    Reads ``op.supports()`` once and builds each level with
+    :func:`~imclim.reachability.partition_states`.  The next level keeps the
+    candidates with no support outside the remaining states; cutting in
+    steps keeps the same candidates as cutting the original table once.  The
+    cut cannot fail: a remaining state whose every candidate met the
+    lower-reach set would have been absorbed.  Only the model's graph is
+    kept.  Raises :class:`UnsupportedOperatorError` when the operator
+    declares no supports.
     """
     table = op.supports()
     graph = build_graph(table)
-    levels = [partition_states(table, communication_classes(graph))]
+    levels = [partition_states(table)]
     while remaining := levels[-1].unabsorbed_transients:
         table = table.restrict(sorted(remaining))
-        levels.append(partition_states(table, communication_classes(build_graph(table))))
+        levels.append(partition_states(table))
     return Decomposition(graph, tuple(levels))
 
 

@@ -90,7 +90,7 @@ class ClassInfo:
 
 def build_graph(table: SupportTable) -> AccessGraph:
     """Accessibility graph of the candidate supports in ``table`` (``op.supports()``)."""
-    return AccessGraph(table.space.labels, table.successors())
+    return AccessGraph(table.space.labels, table.successors)
 
 
 def _strongly_connected_components(successors) -> tuple[list[list[int]], list[int]]:
@@ -188,31 +188,28 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     return tuple(out)
 
 
-def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo] | None = None) -> str:
+def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo]) -> str:
     """Deterministic DOT text, one coloured cluster per communication class.
 
-    Nodes are ordered by state label and maximal classes are marked, so the
-    output is byte-stable for a fixed input.
+    ``classes`` are ``communication_classes(graph)``.  Nodes are ordered by
+    state label and maximal classes are marked, so the output is byte-stable
+    for a fixed input.
     """
     lines = ["digraph access {", "  rankdir=LR;", '  node [shape=circle];']
-    if classes:
-        ordered = sorted(classes, key=lambda c: min(graph.labels[i] for i in c.members))
-        for k, info in enumerate(ordered):
-            member_labels = sorted(graph.labels[i] for i in info.members)
-            title = "{" + ", ".join(member_labels) + "}"
-            if info.is_maximal:
-                title += " (maximal)"
-            lines.append(f"  subgraph cluster_{k} {{")
-            lines.append(f'    label="{title.translate(_DOT_ESCAPES)}";')
-            lines.append(f"    color={_PALETTE[k % len(_PALETTE)]};")
-            if info.is_maximal:
-                lines.append("    penwidth=2;")
-            for lab in member_labels:
-                lines.append(f'    "{lab.translate(_DOT_ESCAPES)}";')
-            lines.append("  }")
-    else:
-        for lab in sorted(graph.labels):
-            lines.append(f'  "{lab.translate(_DOT_ESCAPES)}";')
+    ordered = sorted(classes, key=lambda c: min(graph.labels[i] for i in c.members))
+    for k, info in enumerate(ordered):
+        member_labels = sorted(graph.labels[i] for i in info.members)
+        title = "{" + ", ".join(member_labels) + "}"
+        if info.is_maximal:
+            title += " (maximal)"
+        lines.append(f"  subgraph cluster_{k} {{")
+        lines.append(f'    label="{title.translate(_DOT_ESCAPES)}";')
+        lines.append(f"    color={_PALETTE[k % len(_PALETTE)]};")
+        if info.is_maximal:
+            lines.append("    penwidth=2;")
+        for lab in member_labels:
+            lines.append(f'    "{lab.translate(_DOT_ESCAPES)}";')
+        lines.append("  }")
     for src, dst in sorted((graph.labels[x], graph.labels[y]) for x, y in graph.edges()):
         lines.append(f'  "{src.translate(_DOT_ESCAPES)}" -> "{dst.translate(_DOT_ESCAPES)}";')
     lines.append("}")

@@ -151,7 +151,7 @@ def parse_model(data) -> CredalOperator:
     unknown = sorted(set(credal_sets) - set(space.labels))
     if unknown:
         raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
-    index = {x: i for i, x in enumerate(space.labels)}
+    index = space._pos
     per_state = []
     for label in space.labels:
         raw = credal_sets.get(label)

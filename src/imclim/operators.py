@@ -63,7 +63,11 @@ class StateSpace:
         if len(set(self.labels)) != len(self.labels):
             dupes = sorted(x for x, k in Counter(self.labels).items() if k > 1)
             raise ModelValidationError(f"duplicate state labels: {dupes}")
-        object.__setattr__(self, "_pos", {x: i for i, x in enumerate(self.labels)})
+
+    @functools.cached_property
+    def _pos(self) -> dict[str, int]:
+        """Each label's index, built on first use."""
+        return {x: i for i, x in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -97,19 +101,13 @@ class SupportTable:
     supports: tuple[tuple[tuple[int, ...], ...], ...]
 
     @functools.cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the ascending states that some candidate puts mass on,
+        computed on first read."""
         return tuple(
             sets[0] if len(sets) == 1 else tuple(sorted(set().union(*sets)))
             for sets in self.supports
         )
-
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, the ascending states that some candidate puts mass on.
-
-        Computed on the first call and kept, so a level's graph and its
-        closedness check share one computation.
-        """
-        return self._successors
 
     def _indices(self, states: Iterable[int]) -> list[int]:
         """``states`` as ascending distinct indices.

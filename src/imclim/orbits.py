@@ -64,7 +64,9 @@ budget of 10**6, and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
-window or :class:`OrbitResult` is built.
+window or :class:`OrbitResult` is built.  Its suite is one ``(n, n + extra)``
+start block from :func:`default_function_suite`, allocated before any random
+column is drawn, so a suite too large for memory fails at once.
 
 Orbit iteration reads no graph structure.  :func:`search_cycle_witness`
 runs no orbit: it turns the cyclic subclasses of a "no" verdict's witness
@@ -452,36 +454,37 @@ class OrbitComparison:
 
 
 def default_function_suite(
-    op: UpperOperator, extra: int = 0, rng: np.random.Generator | None = None
-) -> list[tuple[str, np.ndarray]]:
-    """All single-state indicators plus ``extra`` random functions.
+    op: UpperOperator, extra: int, rng: np.random.Generator
+) -> tuple[list[str], np.ndarray]:
+    """All single-state indicators plus ``extra`` random functions, as the
+    columns of one ``(n, n + extra)`` start block, and their labels.
 
-    Random entries alternate between uniform draws and random 0/1 vectors;
-    the latter are much better at exposing alternating limit cycles.  Raises
-    :class:`PreconditionError` for a negative ``extra``.
+    Random columns alternate between uniform draws and random 0/1 vectors,
+    drawn from ``rng`` in column order; the latter are much better at
+    exposing alternating limit cycles.  The block is allocated before any
+    draw.  Raises :class:`PreconditionError` for a negative ``extra`` and for
+    a block that cannot be allocated.
     """
     if extra < 0:
         raise PreconditionError(f"the number of random suite functions must be >= 0, got {extra}")
     n = op.n
-    suite: list[tuple[str, np.ndarray]] = []
-    for i, label in enumerate(op.space.labels):
-        vec = np.zeros(n)
-        vec[i] = 1.0
-        suite.append((f"indicator:{label}", vec))
-    if extra:
-        rng = rng or np.random.default_rng(0)
-        for k in range(extra):
-            if k % 2 == 0:
-                vec = rng.random(n)
-            else:
-                vec = rng.integers(0, 2, n).astype(float)
-            suite.append((f"random:{k}", vec))
-    return suite
+    try:
+        starts = np.zeros((n, n + extra))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise PreconditionError(
+            f"the start block of {extra} random functions over {n} states does not "
+            "fit in memory; lower the number of random functions"
+        ) from exc
+    starts[range(n), range(n)] = 1.0
+    for k in range(extra):
+        starts[:, n + k] = rng.random(n) if k % 2 == 0 else rng.integers(0, 2, n)
+    labels = [f"indicator:{label}" for label in op.space.labels]
+    return labels + [f"random:{k}" for k in range(extra)], starts
 
 
 def oracle_compare(
     op: UpperOperator,
-    verdict,
+    verdict: str,
     params: OrbitParams | None = None,
     extra_random: int = 10,
     seed: int = 0,
@@ -495,32 +498,31 @@ def oracle_compare(
     that :func:`iterate_orbits` reports for the same starts, and no
     :class:`OrbitResult` is built.
 
-    ``verdict`` may be the string ``"yes"``/``"no"``/``"inconclusive"`` or any
-    object with a ``convergent`` attribute.  A "yes" verdict disagrees with
+    ``verdict`` is a :class:`~imclim.decomposition.Verdict`'s ``convergent``:
+    ``"yes"``, ``"no"`` or ``"inconclusive"``.  A "yes" verdict disagrees with
     any suite orbit that does not certify period 1; a "no" verdict expects at
     least one suite orbit with a longer cycle, flagged softly because a finite
     suite cannot witness every function.  "inconclusive" verdicts are never
     contradicted by converging orbits.
     """
-    verdict_str = getattr(verdict, "convergent", verdict)
-    if verdict_str not in ("yes", "no", "inconclusive"):
-        raise PreconditionError(f"unknown verdict {verdict_str!r}")
-    suite = default_function_suite(op, extra=extra_random, rng=np.random.default_rng(seed))
-    periods = _iterate(op, np.stack([vec for _, vec in suite], axis=1), params, windows=False)
+    if verdict not in ("yes", "no", "inconclusive"):
+        raise PreconditionError(f"unknown verdict {verdict!r}")
+    labels, starts = default_function_suite(op, extra_random, np.random.default_rng(seed))
+    periods = _iterate(op, starts, params, windows=False)
     checks = [
         OrbitCheck(label=label, period=period, converged=period == 1)
-        for (label, _), period in zip(suite, periods)
+        for label, period in zip(labels, periods)
     ]
     discrepancies = []
     note = None
-    if verdict_str == "yes":
+    if verdict == "yes":
         for check in checks:
             if not check.converged:
                 seen = "no cycle within budget" if check.period is None else f"period {check.period}"
                 discrepancies.append(
                     f"verdict is yes but the orbit of {check.label} saw {seen}"
                 )
-    elif verdict_str == "no":
+    elif verdict == "no":
         if not any(c.period is not None and c.period >= 2 for c in checks):
             discrepancies.append(
                 "verdict is no but no suite orbit exhibited a cycle of period >= 2 "
@@ -532,7 +534,7 @@ def oracle_compare(
             "sampled orbits may well all converge"
         )
     return OrbitComparison(
-        verdict=verdict_str,
+        verdict=verdict,
         checks=tuple(checks),
         discrepancies=tuple(discrepancies),
         agrees=not discrepancies,

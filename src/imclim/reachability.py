@@ -1,23 +1,24 @@
-"""Lower reachability of closed classes, and the state partition of one decomposition level.
+"""The state partition of one decomposition level, and the lower reach it is built on.
 
 A level's :class:`StatePartition` is its state space, its communication
-classes and each state's join round; the three-way split into maximal,
-absorbed and unabsorbed states is read off the rounds.  Both read a
-:class:`~imclim.operators.SupportTable`: a state's one-step lower
-probability of a set is positive exactly when every candidate pmf at the
-state puts mass on the set.  Lower reachability is therefore an AND-OR
-attractor over the support tuples, computed in plain Python with the counter
-technique of Dowling & Gallier (J. Logic Programming 1(3), 1984), in time
-linear in the number of support entries.
+classes and each state's join round in the lower reach of the union of its
+maximal classes; the three-way split into maximal, absorbed and unabsorbed
+states is read off the rounds.  :func:`partition_states` is the one way to
+build a level: it reads a :class:`~imclim.operators.SupportTable` and
+computes both itself.  A state's one-step lower probability of a set is
+positive exactly when every candidate pmf at the state puts mass on the set.
+Lower reachability is therefore an AND-OR attractor over the support tuples,
+computed in plain Python with the counter technique of Dowling & Gallier
+(J. Logic Programming 1(3), 1984), in time linear in the number of support
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import PreconditionError
 from .graphs import ClassInfo, build_graph, communication_classes
 from .operators import StateSpace, SupportTable
 
@@ -33,16 +34,12 @@ class StatePartition:
     the round in which state ``x`` joins the growing lower-reach set: 0 for
     the maximal states, ``k`` for the states that join in round ``k``, and
     ``None`` for the unabsorbed transients.  The other attributes are views
-    of these two; all but ``reach_sequence`` are cached on first read.
+    of the rounds; all but ``reach_sequence`` are cached on first read.
     """
 
     space: StateSpace
     classes: tuple[ClassInfo, ...]
     rounds: tuple[int | None, ...]
-
-    @cached_property
-    def maximal_classes(self) -> tuple[frozenset[int], ...]:
-        return tuple(c.members for c in self.classes if c.is_maximal)
 
     @cached_property
     def maximal_states(self) -> frozenset[int]:
@@ -86,18 +83,13 @@ def _join_rounds(table: SupportTable, targets: Sequence[int]) -> list[int | None
     in the round its last unmarked candidate is marked.  A round's joiners
     are collected before any of them is added, so round ``k`` holds the
     states whose every candidate meets the set of round ``k - 1`` and no
-    earlier set.  Raises :class:`PreconditionError` when some edge leaves
-    ``targets``.
+    earlier set.  ``targets`` must be closed, as the union of a level's
+    maximal classes is; no edge leaving it is looked for.
     """
     n = len(table.space)
     rounds: list[int | None] = [None] * n
     for x in targets:
         rounds[x] = 0
-    successors = table.successors()
-    if any(rounds[y] is None for x in targets for y in successors[x]):
-        raise PreconditionError(
-            f"class {{{', '.join(table.space.labels_of(targets))}}} is not closed"
-        )
     unmarked = [0] * n  # per state outside the set: its candidates not yet meeting it
     owner: list[int] = []  # per candidate of such a state: the state
     meeting: list[list[int]] = [[] for _ in range(n)]  # per state: the candidates on it
@@ -128,35 +120,10 @@ def _join_rounds(table: SupportTable, targets: Sequence[int]) -> list[int | None
     return rounds
 
 
-def lower_reach_set(
-    table: SupportTable, targets: Iterable[int]
-) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """States from which the closed class ``targets`` is lower reachable.
-
-    Grows the class one round at a time: a state joins as soon as its
-    one-step lower probability of the current set is positive.  The fixpoint
-    is reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
-    together with the whole growing sequence.  Raises
-    :class:`ModelValidationError` for a target that is no state index.
-    """
-    targets = table._indices(targets)
-    if not targets:
-        raise PreconditionError("the target class must be non-empty")
-    rounds = _join_rounds(table, targets)
-    sequence = _reach_sets(rounds)
-    return sequence[-1], sequence
-
-
-def partition_states(
-    table: SupportTable, classes: Sequence[ClassInfo] | None = None
-) -> StatePartition:
-    """Partition the states of ``table`` by their limit role.
-
-    ``classes`` are the communication classes of ``build_graph(table)``,
-    passed by callers that have already computed them.
-    """
-    if classes is None:
-        classes = communication_classes(build_graph(table))
+def partition_states(table: SupportTable) -> StatePartition:
+    """The level of ``table``: the communication classes of
+    ``build_graph(table)`` and each state's round in the lower reach of
+    their maximal states."""
+    classes = communication_classes(build_graph(table))
     maximal_states = sorted(x for c in classes if c.is_maximal for x in c.members)
-    rounds = _join_rounds(table, maximal_states)
-    return StatePartition(table.space, tuple(classes), tuple(rounds))
+    return StatePartition(table.space, classes, tuple(_join_rounds(table, maximal_states)))

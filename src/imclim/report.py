@@ -192,7 +192,7 @@ def analyze(
     evidence = None
     if suite_random is not None:
         evidence = oracle_compare(
-            op, verdict, params=orbit_params, extra_random=suite_random, seed=seed
+            op, verdict.convergent, params=orbit_params, extra_random=suite_random, seed=seed
         )
     return AnalysisReport(
         operator=op,

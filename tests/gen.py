@@ -35,10 +35,10 @@ from imclim import (
     build_graph,
     communication_classes,
     iterate_orbit,
-    lower_reach_set,
     parse_model,
 )
 from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT, parse_rational_pair
+from imclim.reachability import _join_rounds, _reach_sets
 
 LABELS = "abcdefgh"
 
@@ -92,12 +92,17 @@ def level_tables(op: UpperOperator, dec: Decomposition):
         yield level, states, table
 
 
+def maximal_classes(part: StatePartition) -> tuple[frozenset[int], ...]:
+    """The members of the level's maximal classes, in class order."""
+    return tuple(c.members for c in part.classes if c.is_maximal)
+
+
 def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
     """All level maximal classes and absorbed sets, in the model's indices; together
     they partition the space."""
     pieces = []
     for part, states in zip(dec.levels, level_states(dec)):
-        for piece in (*part.maximal_classes, part.absorbed_transients):
+        for piece in (*maximal_classes(part), part.absorbed_transients):
             if piece:
                 pieces.append(frozenset(states[i] for i in piece))
     return tuple(pieces)
@@ -595,6 +600,31 @@ def closed_subsets(op) -> list[frozenset[int]]:
         if not adjacency[np.ix_(inside, outside)].any():
             found.append(frozenset(inside))
     return found
+
+
+def lower_reach_set(
+    table: SupportTable, targets
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """States from which the closed class ``targets`` is lower reachable.
+
+    Grows the class one round at a time with the join rounds that
+    ``partition_states`` computes: a state joins as soon as its one-step
+    lower probability of the current set is positive.  The fixpoint is
+    reached after at most ``n - |targets|`` rounds.  Returns the fixpoint
+    together with the whole growing sequence.  Raises
+    :class:`ModelValidationError` for a target that is no state index, and
+    :class:`PreconditionError` for an empty or non-closed ``targets``.
+    """
+    targets = table._indices(targets)
+    if not targets:
+        raise PreconditionError("the target class must be non-empty")
+    inside = frozenset(targets)
+    if any(not inside.issuperset(table.successors[x]) for x in targets):
+        raise PreconditionError(
+            f"class {{{', '.join(table.space.labels_of(targets))}}} is not closed"
+        )
+    sequence = _reach_sets(_join_rounds(table, targets))
+    return sequence[-1], sequence
 
 
 def is_absorbing(op: UpperOperator, targets) -> bool:

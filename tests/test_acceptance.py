@@ -30,9 +30,9 @@ from imclim import (
     default_function_suite,
     iterate_orbit,
     iterate_orbits,
-    lower_reach_set,
     partition_states,
 )
+from gen import lower_reach_set
 
 F = Fraction
 
@@ -70,7 +70,7 @@ def test_criterion_1_running_example_pipeline():
     if lab(sequence[1]) != ("a", "b", "c") or lab(reach) != ("a", "b", "c"):
         failures.append(f"reach sequence {[lab(s) for s in sequence]}")
 
-    part = partition_states(op.supports(), classes)
+    part = partition_states(op.supports())
     if lab(part.absorbed_transients) != ("c",):
         failures.append(f"absorbed {lab(part.absorbed_transients)}")
     if lab(part.unabsorbed_transients) != ("d", "e"):
@@ -81,7 +81,7 @@ def test_criterion_1_running_example_pipeline():
         failures.append(f"depth {dec.depth}")
     else:
         part2 = dec.levels[1]
-        got = [part2.space.labels_of(m) for m in part2.maximal_classes]
+        got = [part2.space.labels_of(m) for m in gen.maximal_classes(part2)]
         if got != [("d", "e")]:
             failures.append(f"level-2 classes {got}")
 
@@ -109,8 +109,7 @@ def test_criterion_2a_counterexample_symbolic():
     lab = op.space.labels_of
 
     failures = []
-    classes = communication_classes(build_graph(op.supports()))
-    part = partition_states(op.supports(), classes)
+    part = partition_states(op.supports())
     if lab(part.maximal_states) != ("a",):
         failures.append(f"maximal states {lab(part.maximal_states)}")
     if lab(part.unabsorbed_transients) != ("b", "c"):
@@ -150,10 +149,10 @@ def test_criterion_2b_counterexample_orbit_suite():
     start = time.perf_counter()
     op = CounterexampleOperator()
     params = OrbitParams(tolerance=1e-9, max_iters=5000)
-    suite = default_function_suite(op, extra=20, rng=np.random.default_rng(0))
+    labels, starts = default_function_suite(op, 20, np.random.default_rng(0))
 
     failures = []
-    for label, f in suite:
+    for label, f in zip(labels, starts.T):
         expected = np.array([f[0], max(f), max(f)])
         result = iterate_orbit(op, f, params)
         if result.detected_period != 1:
@@ -168,10 +167,10 @@ def test_criterion_2b_counterexample_orbit_suite():
     elapsed = time.perf_counter() - start
     runtime_ok = elapsed < 5.0
     ok = not failures and runtime_ok
-    detail = f"runtime {elapsed:.2f}s, {len(failures)}/{len(suite)} functions failed"
+    detail = f"runtime {elapsed:.2f}s, {len(failures)}/{len(labels)} functions failed"
     _criterion("2b", "counterexample orbit suite at pinned budget", ok, detail)
     assert ok, (
-        f"{len(failures)} of {len(suite)} suite functions cannot be certified "
+        f"{len(failures)} of {len(labels)} suite functions cannot be certified "
         f"within 5000 iterations at tolerance 1e-9 (O(1/n) approach rate): "
         + "; ".join(failures[:5])
     )
@@ -198,10 +197,10 @@ def test_criterion_3_verdict_oracle_agreement():
     for k in range(instances):
         op = gen.random_operator(rng, n=rng.randint(2, 5), max_pmfs=3, max_den=8)
         verdict = decide_convergence(op, decompose(op))
-        suite = default_function_suite(op, extra=10, rng=np.random.default_rng(k))
-        results = iterate_orbits(op, np.stack([f for _, f in suite], axis=1), params)
+        labels, starts = default_function_suite(op, 10, np.random.default_rng(k))
+        results = iterate_orbits(op, starts, params)
         if verdict.convergent == "yes":
-            for (label, f), result in zip(suite, results):
+            for label, f, result in zip(labels, starts.T, results):
                 if result.detected_period != 1:
                     # one honest retry with a larger budget before flagging
                     result = iterate_orbit(op, f, retry_params)
@@ -354,7 +353,7 @@ def test_criterion_4_property_suites():
     while equality_cases < 1000:
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         part = partition_states(op.supports())
-        for members in part.maximal_classes:
+        for members in gen.maximal_classes(part):
             keep = sorted(members)
             restricted = gen.restrict(op, keep)
             f = gen.random_rational_function(rng, op.n)
@@ -417,8 +416,9 @@ def test_criterion_4_property_suites():
 
 
 def _constant_limit_suite(op, extra_fns=()):
-    suite = default_function_suite(op, extra=4, rng=np.random.default_rng(5))
-    return list(suite) + [(f"extra:{i}", np.asarray(f, float)) for i, f in enumerate(extra_fns)]
+    labels, starts = default_function_suite(op, 4, np.random.default_rng(5))
+    extra = [(f"extra:{i}", np.asarray(f, float)) for i, f in enumerate(extra_fns)]
+    return list(zip(labels, starts.T)) + extra
 
 
 def test_criterion_5_single_class_equivalences():
@@ -485,7 +485,7 @@ def test_criterion_5_single_class_equivalences():
     for _ in range(200):
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         classes = communication_classes(build_graph(op.supports()))
-        flag = decide_convergence_on_xm(partition_states(op.supports(), classes))
+        flag = decide_convergence_on_xm(partition_states(op.supports()))
         per_class = all(c.cyclicity == 1 for c in classes if c.is_maximal)
         if flag != per_class:
             failures.append("convergence-on-maximal-states mismatch")

@@ -228,6 +228,35 @@ class TestBadInput:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["model"]["states"] == ["é", "b"]
 
+    def test_trace_of_a_utf8_model_under_an_ascii_locale(self, tmp_path):
+        # the trace CSV is UTF-8 like the model file, whatever the locale's encoding
+        trace = tmp_path / "t.csv"
+        done = self.run_cli(["orbit", self.accented_model(tmp_path), "-f", "b",
+                             "--trace", str(trace)],
+                            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert done.returncode == 0, done.stderr
+        assert trace.read_bytes().decode("utf-8").startswith("iteration,é,b\r\n0,")
+
+    @pytest.mark.parametrize("suite", ["100000000", "10101010101010101010"])
+    def test_suite_too_large_to_allocate(self, suite):
+        # the child limits its own address space to 1 GiB before it imports
+        # the package, so a start block drawn column by column instead of
+        # allocated first fails fast too, and never takes the machine's memory
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from imclim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", child, "analyze", DEMO_MODEL, "--json", "--suite", suite],
+            env=env, capture_output=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error:") and "does not fit in memory" in err, err[-500:]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["analyze"], ["graph", "--dot"]], ids=["analyze", "graph"])
     def test_label_the_output_encoding_cannot_write(self, command, tmp_path):
         done = self.run_cli([command[0], self.accented_model(tmp_path), *command[1:]],

@@ -233,9 +233,10 @@ class TestDot:
         text = to_dot(graph, communication_classes(graph))
         assert '  "a\\"b" -> "c\\\\";' in text
         assert '    label="{a\\"b, c\\\\} (maximal)";' in text
-        assert '    "a\\"b";' in text and '  "a\\"b";' in to_dot(graph)
+        assert '    "a\\"b";' in text and '    "c\\\\";' in text
 
-    def test_without_classes(self, identity5_op):
-        text = to_dot(build_graph(identity5_op.supports()))
+    def test_one_cluster_per_singleton_class(self, identity5_op):
+        graph = build_graph(identity5_op.supports())
+        text = to_dot(graph, communication_classes(graph))
         assert '"a" -> "a";' in text
-        assert "cluster" not in text
+        assert text.count("subgraph cluster_") == text.count("(maximal)") == 5

@@ -168,8 +168,7 @@ class TestBatchedEngine:
                 op = gen.random_operator(rng)
             else:
                 op = gen.random_wide_operator(rng, rng.randint(20, 24))
-            suite = default_function_suite(op, extra=4, rng=np.random.default_rng(k))
-            block = np.stack([f for _, f in suite], axis=1)
+            _, block = default_function_suite(op, 4, np.random.default_rng(k))
             done += block.shape[1]
             yield op, block
 
@@ -259,7 +258,7 @@ class TestScoringWindow:
             for k, op in enumerate(self.operators(1401 + index)):
                 if done >= 220:
                     break
-                for _, f in default_function_suite(op, extra=2, rng=np.random.default_rng(k)):
+                for f in default_function_suite(op, 2, np.random.default_rng(k))[1].T:
                     one = iterate_orbit(op, f, params)
                     ref = gen.reference_iterate_orbit(op, f, params)
                     assert gen.orbit_result_bits(one) == gen.orbit_result_bits(ref), (params, k)
@@ -282,8 +281,7 @@ class TestScoringWindow:
                 ops.append(gen.random_wide_operator(rng, rng.randint(12, 24)))
                 ops.append(gen.planted_cyclic_operator(rng)[0])
             for k, op in enumerate(ops):
-                suite = default_function_suite(op, extra=2, rng=np.random.default_rng(k))
-                starts = [f for _, f in suite]
+                starts = list(default_function_suite(op, 2, np.random.default_rng(k))[1].T)
                 if op is counterexample_op:
                     starts.append(np.array([1e308, 0.0, -1e308]))
                 for f in starts:
@@ -313,8 +311,7 @@ class TestScoringWindow:
                 op = gen.random_wide_operator(rng, rng.randint(12, 24))
             else:
                 op = gen.planted_cyclic_operator(rng)[0]
-            suite = default_function_suite(op, extra=8, rng=np.random.default_rng(k))
-            block = np.stack([f for _, f in suite], axis=1)
+            _, block = default_function_suite(op, 8, np.random.default_rng(k))
             done += block.shape[1]
             yield op, block
 
@@ -388,8 +385,8 @@ class TestScoringWindow:
                     assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), (params, op.rho)
                     reasons[a.stop_reason] += 1
                 # the suite path reads the same periods, rerunning alike
-                monkeypatch.setattr(imclim.orbits, "default_function_suite", lambda *args, **kw: [
-                    (f"start:{j}", f) for j, f in enumerate(starts.T)])
+                monkeypatch.setattr(imclim.orbits, "default_function_suite", lambda *args: (
+                    [f"start:{j}" for j in range(starts.shape[1])], starts))
                 comparison = oracle_compare(op, "inconclusive", params)
                 monkeypatch.setattr(imclim.orbits, "default_function_suite", default_function_suite)
                 assert [c.period for c in comparison.checks] == \
@@ -600,14 +597,18 @@ class TestOracleCompare:
         assert report.discrepancies
 
     def test_suite_contents(self, running_op):
-        suite = default_function_suite(running_op, extra=4, rng=np.random.default_rng(1))
-        labels = [label for label, _ in suite]
+        labels, starts = default_function_suite(running_op, 4, np.random.default_rng(1))
         assert labels[:5] == [f"indicator:{l}" for l in running_op.space.labels]
-        assert len(suite) == 9
+        assert len(labels) == 9
+        # one (n, n + extra) block: the indicators, then the random columns in draw order
+        assert starts.shape == (5, 9) and np.array_equal(starts[:, :5], np.eye(5))
+        rng = np.random.default_rng(1)
+        assert np.array_equal(starts[:, 5], rng.random(5))
+        assert np.array_equal(starts[:, 6], rng.integers(0, 2, 5))
 
     def test_negative_extra_refused(self, running_op):
         with pytest.raises(PreconditionError, match=">= 0"):
-            default_function_suite(running_op, extra=-1)
+            default_function_suite(running_op, -1, np.random.default_rng(0))
 
     def test_checks_carry_the_engine_periods_and_build_no_results(self, monkeypatch):
         import imclim.orbits
@@ -620,8 +621,7 @@ class TestOracleCompare:
         for k, (op, block) in enumerate(TestScoringWindow.blocks(2000)):
             params = TestScoringWindow.GRID[k % len(TestScoringWindow.GRID)]
             # the blocks are the suites oracle_compare draws with extra_random=8, seed=k
-            labels = [label for label, _ in default_function_suite(
-                op, extra=8, rng=np.random.default_rng(k))]
+            labels, _ = default_function_suite(op, 8, np.random.default_rng(k))
             expected = [(label, r.detected_period, r.converged)
                         for label, r in zip(labels, iterate_orbits(op, block, params))]
             monkeypatch.setattr(imclim.orbits, "OrbitResult", no_results)

@@ -7,9 +7,9 @@ import gen
 from imclim import (
     ModelValidationError,
     PreconditionError,
-    lower_reach_set,
     partition_states,
 )
+from gen import lower_reach_set
 
 F = Fraction
 

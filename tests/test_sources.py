@@ -23,3 +23,22 @@ def test_only_the_loader_imports_fractions():
     # evaluation need no rational arithmetic
     users = sorted(p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p))
     assert users == ["modelio.py"]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """The names a module reads or imports; its own definitions are not references."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a helper that only tests use belongs in tests/, not in imclim.__all__
+    used = set().union(*(referenced_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
+    assert sorted(set(imclim.__all__) - {"__version__"} - used) == []

@@ -67,7 +67,7 @@ class TestAgainstTheBooleanTable:
                     (c.members, c.is_closed, c.cyclicity, c.phases) for c in level.classes
                 ] == reference
                 closed = [members for members, is_closed, _, _ in reference if is_closed]
-                assert level.maximal_classes == tuple(closed)
+                assert gen.maximal_classes(level) == tuple(closed)
                 assert level.maximal_states == frozenset().union(*closed)
                 sequence = dense.lower_reach(level.maximal_states)
                 assert level.reach_sequence == sequence
@@ -121,3 +121,12 @@ class TestCost:
         finally:
             sys.setprofile(None)
         assert calls == []
+
+    def test_only_the_model_space_maps_labels_to_indices(self):
+        # parse_model builds the model space's label index; the levels' spaces,
+        # never asked for an index, build none
+        op = gen.staircase_operator(20)  # read by parse_model
+        dec = decompose(op)
+        assert dec.depth == 20
+        assert "_pos" in vars(op.space) and dec.levels[0].space is op.space
+        assert not any("_pos" in vars(level.space) for level in dec.levels[1:])
