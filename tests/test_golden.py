@@ -27,7 +27,11 @@ staircases of 1 to 20 states.  Every model but the planted files also has
 at commit a9ba88e, before a decomposition level became one state partition;
 the entries of those two commands were added at commit 947257f, before a
 level's classes moved into ``partition_states`` and a suite became one start
-block.
+block.  The corpus ends with ``escapes.json``, whose labels need every kind of
+JSON escape, under ``analyze --json`` (with and without ``--suite 20``),
+``decompose --json`` and two ``orbit --json`` starts that print ``1e+308`` and
+``5e-324``; those entries were recorded at commit 7ca3aa0, while every
+``--json`` output was still written by ``json.dumps``.
 
 After a deliberate change of output, rewrite all three files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why.
@@ -135,6 +139,36 @@ def write_corpus_models(directory: Path) -> dict[str, tuple[str, bool]]:
     return sources
 
 
+# a quote, a backslash, a slash, a tab, a newline, Latin-1, CJK and a non-BMP character
+ESCAPES = ['say "hi"', "back\\slash", "a/b", "tab\there", "new\nline", "\u00e9", "\u4e2d\u6587",
+           "\U0001d11e"]
+
+
+def escapes_operator():
+    """Eight states labelled ``ESCAPES``: a period-2 class, two aperiodic maximal
+    classes, an absorbed transient and a second level."""
+    q, b, s, t, n, e, c, g = ESCAPES
+    return gen.build(ESCAPES, {
+        q: [{b: 1}], b: [{q: 1}],
+        s: [{s: 1}],
+        t: [{t: "1/2", q: "1/2"}, {s: 1}],
+        n: [{n: 1}, {e: "1/3", n: "2/3"}],
+        e: [{n: 1}, {e: 1}],
+        c: [{c: 1}, {g: 1}],
+        g: [{g: "1/2", c: "1/2"}, {n: 1}],
+    })
+
+
+def escapes_commands(source: str) -> list[list[str]]:
+    return [
+        ["analyze", source, "--json"],
+        ["analyze", source, "--json", "--suite", "20"],
+        ["decompose", source, "--json"],
+        ["orbit", source, "-f", "1e308,5e-324,1e308,5e-324,0,0,0,0", "--json"],
+        ["orbit", source, "-f", "5e-324,1e308,-1e308,0,5e-324,0,1e308,0", "--json"],
+    ]
+
+
 def corpus_commands(source: str, first: str, planted: bool) -> list[list[str]]:
     commands = [
         ["analyze", source],
@@ -162,6 +196,9 @@ def corpus(directory: Path):
     for source, (first, planted) in write_corpus_models(directory).items():
         for argv in corpus_commands(source, first, planted):
             yield " ".join(argv), argv
+    gen.dump_model(escapes_operator(), directory / "escapes.json")
+    for argv in escapes_commands("escapes.json"):
+        yield " ".join(argv), argv
 
 
 def test_analyze_suite_matches_the_golden(tmp_path, monkeypatch):
