@@ -1,8 +1,9 @@
 """Command-line front end: analyze, orbit, graph and decompose subcommands.
 
 Exit codes of ``analyze``: 0 when the operator is convergent, 2 when it is
-not, 3 when the check is inconclusive, 1 on any error.  Set ``IMC_LOG`` to a
-logging level name (e.g. ``debug``) for diagnostics on stderr.
+not, 3 when the check is inconclusive, 1 on any error.  Set ``IMC_LOG`` to
+``debug``, ``info``, ``warning``, ``error`` or ``critical`` for diagnostics
+on stderr; any other value means ``warning``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import logging
 import os
 import sys
@@ -23,7 +23,7 @@ from .errors import ImclimError
 from .modelio import load_model, parse_rational_pair, write_orbit_trace
 from .graphs import build_graph, communication_classes, to_dot
 from .orbits import OrbitParams, iterate_orbit, replay_orbit
-from .report import analyze, decomposition_block
+from .report import analyze, decomposition_block, json_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -31,6 +31,9 @@ EXIT_NOT_CONVERGENT = 2
 EXIT_INCONCLUSIVE = 3
 
 log = logging.getLogger("imclim")
+
+# the ``IMC_LOG`` values that select a level; any other value means WARNING
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _orbit_params(args) -> OrbitParams:
@@ -209,16 +212,10 @@ def _trace_file(path: str):
     log.info("trace written to %s", path)
 
 
-def _cmd_orbit(args) -> int:
-    op = load_model(args.model)
-    f = _parse_function(args.function, op)
-    path = args.trace_csv
-    with _trace_file(path) if path is not None else contextlib.nullcontext() as handle:
-        result = iterate_orbit(op, f, _orbit_params(args))
-        if handle is not None:
-            write_orbit_trace(handle, op.space.labels, replay_orbit(op, f, result.iterations))
+def orbit_payload(result) -> dict:
+    """The ``orbit --json`` object of an :class:`~imclim.orbits.OrbitResult`."""
     period = result.detected_period
-    payload = {
+    return {
         "period": period if period is not None else "none within budget",
         "converged": result.converged,
         "iterations": result.iterations,
@@ -229,8 +226,19 @@ def _cmd_orbit(args) -> int:
             else None
         ),
     }
+
+
+def _cmd_orbit(args) -> int:
+    op = load_model(args.model)
+    f = _parse_function(args.function, op)
+    path = args.trace_csv
+    with _trace_file(path) if path is not None else contextlib.nullcontext() as handle:
+        result = iterate_orbit(op, f, _orbit_params(args))
+        if handle is not None:
+            write_orbit_trace(handle, op.space.labels, replay_orbit(op, f, result.iterations))
+    payload = orbit_payload(result)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"period: {payload['period']}")
         print(f"iterations: {result.iterations}, residual: {result.residual:.3e}")
@@ -258,7 +266,7 @@ def _cmd_decompose(args) -> int:
     op = load_model(args.model)
     data = decomposition_block(decompose(op))
     if args.json:
-        print(json.dumps(data, indent=2))
+        print(json_text(data))
     else:
         print(f"depth: {data['depth']}")
         for level in data["levels"]:
@@ -280,7 +288,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     level_name = os.environ.get("IMC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    logging.basicConfig(level=level_name if level_name in _LOG_LEVELS else logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)

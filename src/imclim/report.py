@@ -4,13 +4,15 @@
 accessibility graph and, per level, the level's space, communication classes
 and join rounds, and all verdicts, and packs the outcome into an
 :class:`AnalysisReport` whose ``to_dict`` output validates against
-``docs/report.schema.json``.
+``docs/report.schema.json``.  :func:`json_text` writes every ``--json``
+output of the package.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from . import __version__
@@ -29,6 +31,72 @@ from .orbits import (
     oracle_compare,
     search_cycle_witness,
 )
+
+
+def _emit(value, newline: str, out) -> None:
+    """Pass the JSON text of ``value`` to ``out`` in pieces; ``newline`` is the
+    line break and indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _emit(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        try:  # a list of strings: escaped and joined without a Python-level loop
+            out("[" + inner + sep.join(map(encode_basestring_ascii, value)) + newline + "]")
+        except TypeError:
+            start = "[" + inner
+            for item in value:
+                out(start)
+                _emit(item, inner, out)
+                start = sep
+            out(newline + "]")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out("NaN")
+        elif math.isinf(value):
+            out("Infinity" if value > 0 else "-Infinity")
+        else:
+            out(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, in about half the time.
+
+    ``json.dumps`` with an indent falls back to the standard library's
+    pure-Python encoder.  Here a list of strings is escaped and joined in C
+    in one call, and only dicts and lists of other values are walked in
+    Python.  Scalars are spelled as ``json`` spells them.  Unlike
+    ``json.dumps``, a dict key that is not a string raises ``TypeError``,
+    as does any value that is not a str, int, float, bool, None, list,
+    tuple or dict.
+    """
+    pieces: list[str] = []
+    _emit(value, "\n", pieces.append)
+    return "".join(pieces)
 
 
 def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
@@ -159,7 +227,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
 
 def analyze(

@@ -313,6 +313,25 @@ def staircase_operator(n: int, rng: random.Random | None = None) -> CredalOperat
     return build(names, sets)
 
 
+def seeded_families(count: int):
+    """``count`` operators from one seed, cycling through five families: small
+    random, wide, planted cyclic, chains of up to 40 and staircases of up to 20
+    states."""
+    rng = random.Random(2021)
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            yield random_operator(rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 4))
+        elif kind == 1:
+            yield random_wide_operator(rng, rng.randint(2, 40), max_pmfs=rng.randint(1, 4))
+        elif kind == 2:
+            yield planted_cyclic_operator(rng)[0]
+        elif kind == 3:
+            yield chain_operator(rng.randint(1, 40), rng)
+        else:
+            yield staircase_operator(rng.randint(1, 20), rng)
+
+
 def random_scc_graph(rng: random.Random, max_nodes: int = 8) -> AccessGraph:
     """Random strongly connected accessibility graph.
 

@@ -406,6 +406,15 @@ class TestOrbit:
                                "1 scored in full, with clean columns; "
                                "stops: exact_repeat 1, sustained 0, budget 0\n")
 
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "fatal", "WARN", " debug"])
+    def test_only_level_names_select_a_log_level(self, value):
+        # attributes of the logging module that are no level names mean warning
+        run = [sys.executable, "-m", "imclim.cli", "orbit", DEMO_MODEL, "-f", "b"]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "IMC_LOG": value}
+        done = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("period: 1\n")
+
     def test_trace_export(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["orbit", DEMO_MODEL, "-f", "b", "--trace", str(trace)]) == 0

@@ -42,3 +42,18 @@ def test_every_public_name_is_used_by_the_package():
     # a helper that only tests use belongs in tests/, not in imclim.__all__
     used = set().union(*(referenced_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
     assert sorted(set(imclim.__all__) - {"__version__"} - used) == []
+
+
+def test_every_json_output_goes_through_json_text():
+    # json.dumps(..., indent=2) runs the standard library's pure-Python
+    # encoder; imclim.report.json_text writes the same bytes in about half the time
+    calls = sorted(
+        f"{p.name}:{node.lineno}"
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    )
+    importers = sorted(p.name for p in SRC.glob("*.py") if "json" in imported_modules(p))
+    assert calls == []
+    assert importers == ["modelio.py"]  # json.loads reads the model files

@@ -19,22 +19,6 @@ import gen
 from imclim import analyze, build_graph, decompose
 
 
-def families(count: int):
-    rng = random.Random(2021)
-    for k in range(count):
-        kind = k % 5
-        if kind == 0:
-            yield gen.random_operator(rng, n=rng.randint(1, 7), max_pmfs=rng.randint(1, 4))
-        elif kind == 1:
-            yield gen.random_wide_operator(rng, rng.randint(2, 40), max_pmfs=rng.randint(1, 4))
-        elif kind == 2:
-            yield gen.planted_cyclic_operator(rng)[0]
-        elif kind == 3:
-            yield gen.chain_operator(rng.randint(1, 40), rng)
-        else:
-            yield gen.staircase_operator(rng.randint(1, 20), rng)
-
-
 def expected_rounds(n: int, sequence) -> tuple:
     rounds = [None] * n
     for k, reach in reversed(list(enumerate(sequence))):
@@ -46,7 +30,7 @@ def expected_rounds(n: int, sequence) -> tuple:
 class TestAgainstTheBooleanTable:
     def test_every_level_of_seeded_families(self):
         levels = deep = 0
-        for op in families(2000):
+        for op in gen.seeded_families(2000):
             dec = decompose(op)
             table, dense = op.supports(), gen.dense_table(op.supports())
             for above, level in zip((None,) + dec.levels, dec.levels):
