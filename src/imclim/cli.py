@@ -105,35 +105,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_function(spec: str, op) -> np.ndarray:
-    spec = spec.strip()
-    if spec.startswith("random:"):
-        seed = spec.split(":", 1)[1].strip()
-        try:
-            value = int(seed) if seed.isdecimal() else None
-        except ValueError:  # more digits than the interpreter converts to an int
-            value = None
-        if value is None:
-            raise ImclimError(
-                f"random function seed must be a non-negative integer, got {seed!r}"
-            )
-        return np.random.default_rng(value).random(op.n)
-    if "," in spec:
-        parts = [s.strip() for s in spec.split(",")]
-        values = []
-        for part in parts:
+    if spec not in op.space._pos:  # an exact label names its state, spaces and commas kept
+        spec = spec.strip()
+        if spec.startswith("random:"):
+            seed = spec.split(":", 1)[1].strip()
             try:
-                values.append(float(part))
-            except ValueError:
-                num, den = parse_rational_pair(part, where="function entry")
+                value = int(seed) if seed.isdecimal() else None
+            except ValueError:  # more digits than the interpreter converts to an int
+                value = None
+            if value is None:
+                raise ImclimError(
+                    f"random function seed must be a non-negative integer, got {seed!r}"
+                )
+            return np.random.default_rng(value).random(op.n)
+        if "," in spec:
+            parts = [s.strip() for s in spec.split(",")]
+            values = []
+            for part in parts:
                 try:
-                    values.append(num / den)
-                except OverflowError:
-                    raise ImclimError(f"function entry {part!r} is out of float range") from None
-        if len(values) != op.n:
-            raise ImclimError(
-                f"function has {len(values)} entries, the model has {op.n} states"
-            )
-        return np.array(values)
+                    values.append(float(part))
+                except ValueError:
+                    num, den = parse_rational_pair(part, where="function entry")
+                    try:
+                        values.append(num / den)
+                    except OverflowError:
+                        raise ImclimError(f"function entry {part!r} is out of float range") from None
+            if len(values) != op.n:
+                raise ImclimError(
+                    f"function has {len(values)} entries, the model has {op.n} states"
+                )
+            return np.array(values)
     index = op.space.index(spec)
     vec = np.zeros(op.n)
     vec[index] = 1.0
@@ -255,9 +256,7 @@ def _cmd_graph(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(graph, communication_classes(graph)))
     else:
-        for x, y in sorted(
-            (graph.labels[a], graph.labels[b]) for a, b in graph.edges()
-        ):
+        for x, y in graph.labelled_edges():
             print(f"{x} -> {y}")
     return EXIT_OK
 

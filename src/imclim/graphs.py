@@ -46,6 +46,11 @@ class AccessGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((x, y) for x, heads in enumerate(self.successors) for y in heads)
 
+    def labelled_edges(self) -> list[list[str]]:
+        """Every edge as its ``[tail, head]`` labels, sorted by those labels."""
+        labels = self.labels
+        return sorted([labels[x], labels[y]] for x, y in self.edges())
+
     @property
     def adjacency(self) -> np.ndarray:
         """The edges as a read-only boolean ``(n, n)`` matrix, built on each read.
@@ -210,7 +215,7 @@ def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo]) -> str:
         for lab in member_labels:
             lines.append(f'    "{lab.translate(_DOT_ESCAPES)}";')
         lines.append("  }")
-    for src, dst in sorted((graph.labels[x], graph.labels[y]) for x, y in graph.edges()):
+    for src, dst in graph.labelled_edges():
         lines.append(f'  "{src.translate(_DOT_ESCAPES)}" -> "{dst.translate(_DOT_ESCAPES)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -120,41 +120,35 @@ def parse_model(data) -> CredalOperator:
     raw_sets = data.get("credal_sets")
     if not isinstance(raw_sets, Mapping):
         raise ModelValidationError('"credal_sets" must be an object keyed by state label')
-    credal_sets: dict[str, list[dict[str, tuple[int, int]]]] = {}
-    pairs: dict[str, tuple[int, int]] = {}  # each distinct mass string is parsed once
+    pairs: dict[str, tuple[int, int]] = {}  # each distinct mass string, parsed once
     for label, pmf_list in raw_sets.items():
         if not isinstance(pmf_list, list):
             raise ModelValidationError(
                 f'credal set for state "{label}" must be a list of pmf objects'
             )
-        parsed = []
         for k, entry in enumerate(pmf_list):
             if not isinstance(entry, Mapping):
                 raise ModelValidationError(
                     f'pmf #{k} for state "{label}" must be an object mapping states to rationals'
                 )
-            pmf = {}
             for target, mass in entry.items():
-                pair = pairs.get(mass) if isinstance(mass, str) else None
-                if pair is None:
-                    try:
-                        pair = pairs[mass] = parse_rational_pair(mass)
-                    except ModelValidationError:
-                        # fails again, now naming the mass's place; formatted only here
-                        parse_rational_pair(mass, where=f'credal_sets["{label}"][{k}]["{target}"]')
-                        raise
-                pmf[target] = pair
-            parsed.append(pmf)
-        credal_sets[label] = parsed
+                if isinstance(mass, str) and mass in pairs:
+                    continue
+                try:
+                    pairs[mass] = parse_rational_pair(mass)
+                except ModelValidationError:
+                    # fails again, now naming the mass's place; formatted only here
+                    parse_rational_pair(mass, where=f'credal_sets["{label}"][{k}]["{target}"]')
+                    raise
 
     space = StateSpace(tuple(states))
-    unknown = sorted(set(credal_sets) - set(space.labels))
+    unknown = sorted(set(raw_sets) - set(space.labels))
     if unknown:
         raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
     index = space._pos
     per_state = []
     for label in space.labels:
-        raw = credal_sets.get(label)
+        raw = raw_sets.get(label)
         if raw is None:
             raise ModelValidationError(f"no credal set for state '{label}'")
         if not raw:
@@ -166,7 +160,7 @@ def parse_model(data) -> CredalOperator:
                 raise ModelValidationError(
                     f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
                 )
-            triples = sorted([(index[y], num, den) for y, (num, den) in entry.items()])
+            triples = sorted([(index[y], *pairs[mass]) for y, mass in entry.items()])
             problem = _mass_problem(triples)
             if problem:
                 raise ModelValidationError(f"pmf #{k} for state '{label}': {problem}")

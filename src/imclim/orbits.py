@@ -12,7 +12,7 @@ Because the operator is sup-norm non-expansive, the residual
 for every fixed ``p``, so detection is monotone: once a candidate period
 holds it keeps holding.  In floats a rounding step can raise a residual, and
 an ``UpperOperator`` subclass need not be non-expansive at all; the engine
-relies on monotonicity only to skip work, never for a result (see clean
+relies on monotonicity only to skip work, never for a result (see quiet
 columns below).  The engine never reports divergence; exhausting the budget
 only means "no cycle found within budget".
 
@@ -22,45 +22,48 @@ functions as the columns of one ``(n, m)`` block: each step is a single
 ``P = min(max_period, max_iters)``, live in a ring buffer allocated once per
 block.  The sustained rule can fire only at or after the burn-in, on a
 streak of ``max_period`` steps, so it reads no residual before
-``W = burn_in - max_period + 1``.  Before ``W`` only an exact repeat can end
-a column, and each column keeps a fingerprint of every iterate beside the
-ring, one integer product per step.  The new prints are compared with the
-contiguous written print slots, with no per-step gather; a column whose new
-print equals a past one has its residuals taken, and retires only if one is
-exactly zero, so a collision, or a match on the slot about to be
+``W = burn_in - max_period + 1``.  Each column keeps a fingerprint of every
+iterate beside the ring, one integer product per step.  A *quiet* column is
+one that only an exact repeat can end: its new print is compared with the
+contiguous written print slots, with no per-step gather, and it has its
+residuals taken only when the print equals a past one, and retires only if
+one is exactly zero, so a collision, or a match on the slot about to be
 overwritten, costs time and never a result.
 
-On step ``W`` every column has its residuals against all ring slots taken,
-and a column whose period-1 residual is within tolerance there is *clean*.
-A clean column's period-1 streak is ``t - W + 1`` as long as its period-1
-residual stays within tolerance, no other streak is longer, and the smallest
-period within tolerance is 1; so until step ``W + max_period - 1``, where it
-certifies period 1, only an exact repeat can end it, and each step takes
-only its period-1 residual and its print.  A step with every running column
-clean and no print hit takes nothing more.  If a clean column's period-1
-residual leaves tolerance (or is nan), the run stops and the block reruns
-from its starts with no column clean.  Both runs retire the same columns on
-the same steps, so ``apply`` sees the same blocks and the results are those
-of scoring every step.  Reruns cost nothing in practice: a non-expansive
-operator's period-1 residual never grows in exact arithmetic, and the seeded
-suites of the ``orbit`` benchmark (260 blocks) and of 300 random, wide and
-planted cyclic models under five budgets (1,505 blocks) rerun none.  Columns
-not clean at ``W`` are scored in full on every step, and every column on the
-budget's last step.  Rows scored apart are gathered over the written slots
-alone and differenced in place.  Residuals are taken over the slots in
-storage order and only the small per-slot result is reordered into period
-order, so no window is ever gathered.  Each column is certified on its own
-and retires on its own step; the running columns stay a contiguous prefix of
-the buffers.  A block takes as many columns as fit their ring, residual and
-print buffers in ``_BLOCK_BYTES`` (at least one), so a wide suite runs as
-several blocks in turn.  Each block logs one ``debug`` line on the
-``imclim.orbits`` logger, for the run that ends: its columns, steps, steps
-scored in full, whether it ran with clean columns or was rerun, and stop
-reasons.  :func:`iterate_orbit` is the one-column case, and
-:func:`replay_orbit` recomputes its iterates.  Past about 256k window slots
-numpy advises huge pages, so the first write to a state's row faults in 2
-MiB per buffer: a 200-state run ending at step 962 peaked at 835 MiB with a
-budget of 10**6, and at 38 MiB with 10**3.
+Every column is quiet before ``W``.  On step ``W`` every column has its
+residuals against all ring slots taken, and a column stays quiet only if
+its period-1 residual is within tolerance there.  From then on a quiet
+column takes its period-1 residual and its print on every step, and is
+scored in full only on a print hit, on ``W + max_period - 1`` and on the
+budget's last step: no streak from ``W`` reaches ``max_period`` sooner.  On
+``W + max_period - 1`` its period-1 streak is set to ``max_period - 1``,
+its true streak, since that residual was checked on every step since
+``W``, and the one sustained rule certifies period 1.  A step with every
+running column quiet and no print hit takes nothing more.  If a quiet
+column's period-1 residual leaves tolerance after ``W`` (or is nan), the
+run stops and the block reruns from its starts with no column quiet after
+``W``.  Both runs retire the same columns on the same steps, so ``apply``
+sees the same blocks and the results are those of scoring every step.
+Reruns cost nothing in practice: a non-expansive operator's period-1
+residual never grows in exact arithmetic, and the seeded suites of the
+``orbit`` benchmark (260 blocks) and of 300 random, wide and planted cyclic
+models under five budgets (1,505 blocks) rerun none.  Columns not quiet
+after ``W`` are scored in full on every step.  Rows scored apart are
+gathered over the written slots alone and differenced in place.  Residuals
+are taken over the slots in storage order and only the small per-slot
+result is reordered into period order, so no window is ever gathered.  Each
+column is certified on its own and retires on its own step; the running
+columns stay a contiguous prefix of the buffers.  A block takes as many
+columns as fit their ring, residual and print buffers in ``_BLOCK_BYTES``
+(at least one), so a wide suite runs as several blocks in turn.  Each block
+logs one ``debug`` line on the ``imclim.orbits`` logger, for the run that
+ends: its columns, steps, steps scored in full, whether it ran with quiet
+columns after ``W`` ("with clean columns") or was rerun, and stop reasons.
+:func:`iterate_orbit` is the one-column case, and :func:`replay_orbit`
+recomputes its iterates.  Past about 256k window slots numpy advises huge
+pages, so the first write to a state's row faults in 2 MiB per buffer: a
+200-state run ending at step 962 peaked at 835 MiB with a budget of 10**6,
+and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
@@ -198,13 +201,14 @@ def iterate_orbits(
     certificate wins.  Only period one, an exact repeat (residuals are frozen
     from then on), or budget exhaustion end a column's run.
 
-    All residuals are taken on step ``W = burn_in - max_period + 1`` and on
-    the budget's last step; before ``W`` only on a fingerprint hit; after it,
-    for a column clean at ``W`` (period 1 within tolerance), only its period-1
-    residual and its print until it certifies period 1 or repeats exactly; a
-    block whose clean column leaves tolerance reruns with every column scored
-    in full (see the module docstring).  The results are those of scoring
-    every step.
+    A column is quiet before ``W = burn_in - max_period + 1``, and after it
+    while its period-1 residual stays within tolerance; a quiet column has
+    all its residuals taken only on a fingerprint hit, on ``W``, on ``W +
+    max_period - 1`` (where its period-1 streak is the steps since ``W``)
+    and on the budget's last step, and every other column on every step
+    from ``W``.  A block whose quiet column leaves tolerance after ``W``
+    reruns with no column quiet after ``W`` (see the module docstring).  The
+    results are those of scoring every step.
 
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
@@ -233,7 +237,7 @@ def _iterate(
     results: list = []
     for lo in range(0, block.shape[1], width):
         part = block[:, lo:lo + width]
-        # a clean column leaving tolerance stops the first run: rerun with none clean
+        # a quiet column leaving tolerance stops the first run: rerun with none after W
         results.extend(_iterate_block(op, part, p, cap, windows, watch=True)
                        or _iterate_block(op, part, p, cap, windows, watch=False))
     return results
@@ -273,7 +277,7 @@ def _iterate_block(
     op: UpperOperator, block: np.ndarray, p: OrbitParams, cap: int, windows: bool, watch: bool
 ) -> list | None:
     """One block's results; with ``watch`` the columns within tolerance at
-    ``W`` are clean, and the run ends as ``None`` once one leaves it."""
+    ``W`` stay quiet, and the run ends as ``None`` once one leaves it."""
     n, m = block.shape
     size = cap + 1  # the window: the newest iterate and up to ``cap`` before it
     # The iterate t of the running column at position k sits at
@@ -297,12 +301,14 @@ def _iterate_block(
     current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
     # the first step whose residuals the sustained rule can read; streaks start here
     scoring_from = max(1, p.burn_in - p.max_period + 1)
-    # a clean column's period-1 streak reaches max_period here, at or after the burn-in
-    clean_fires = scoring_from + p.max_period - 1
+    # a quiet column's period-1 streak reaches max_period here, at or after the burn-in
+    fires = scoring_from + p.max_period - 1
     best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
     best_residual = np.zeros(m)  # with no period: the last step's period-1 residual
-    clean = np.zeros(m, dtype=bool)  # period 1 within tolerance on every step from W
-    watched = False  # some running column is clean
+    # scored in full only on a print hit, W, ``fires`` and the last step; from
+    # W on, only while its period-1 residual stays within tolerance
+    quiet = np.ones(m, dtype=bool)
+    some_quiet = True  # some running column is quiet
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
     scored_steps = 0
@@ -316,72 +322,60 @@ def _iterate_block(
         scored = min(iteration, cap)
         last = iteration == p.max_iters
 
-        if watched:
-            step = np.abs(current - previous).max(axis=0)  # the period-1 residuals
-            if (clean & ~(step <= p.tolerance)).any():  # nan leaves tolerance too
-                return None
-
-        if iteration <= scoring_from or watched:
-            # before W only an exact repeat can end a column, and after W it
-            # is the only rule that ends a clean column early
+        if some_quiet:
+            if iteration > scoring_from:
+                step = np.abs(current - previous).max(axis=0)  # the period-1 residuals
+                if (quiet & ~(step <= p.tolerance)).any():  # nan leaves tolerance too
+                    return None
             stamp = _fingerprint(current, weights)
             hit = (prints[:running, :min(iteration, size)] == stamp[:, None]).any(axis=1)
             prints[:running, slot] = stamp
-        if last or (iteration >= scoring_from and not watched):
+            if iteration == fires:
+                # a quiet column's period-1 residual was checked on every step
+                # since W, so this is its true streak: the sustained rule fires
+                streak[:running][quiet, 0] = p.max_period - 1
+        if not some_quiet or last or iteration == scoring_from or iteration == fires:
             rows = np.arange(running)
-        elif iteration < scoring_from:
-            rows = hit.nonzero()[0]
-        else:
-            rows = (hit | ~clean).nonzero()[0]
-        if not len(rows) and not (watched and iteration == clean_fires):
-            continue
+        else:  # ``quiet <= hit``: all but the quiet columns without a print hit
+            rows = (quiet <= hit).nonzero()[0]
+            if not len(rows):
+                continue
 
+        scored_steps += 1
+        if len(rows) == running:
+            residuals = _residuals(ring[:running], current, slot, scored, diffs)
+        else:  # only the written slots, each difference in place
+            window = ring[rows, :, :scored + 1]
+            residuals = _residuals(window, current[:, rows], slot, scored, window)
+        within = residuals <= p.tolerance
+        if iteration >= scoring_from:
+            counts = streak[rows, :scored] + 1
+            counts *= within
+            streak[rows, :scored] = counts
         done = np.zeros(running, dtype=bool)
         exact = np.zeros(running, dtype=bool)
-        if len(rows):
-            scored_steps += 1
-            if len(rows) == running:
-                residuals = _residuals(ring[:running], current, slot, scored, diffs)
-            else:  # only the written slots, each difference in place
-                window = ring[rows, :, :scored + 1]
-                residuals = _residuals(window, current[:, rows], slot, scored, window)
-            within = residuals <= p.tolerance
-            if iteration >= scoring_from:
-                counts = streak[rows, :scored] + 1
-                counts *= within
-                streak[rows, :scored] = counts
-            # residuals[r] belongs to the running column rows[r]; both rules
-            # need some period within tolerance
-            if within.any():
-                exact[rows] = (residuals == 0.0).any(axis=1)
-                fired = exact[rows]
-                if iteration >= p.burn_in:  # so iteration >= W, and ``counts`` is set
-                    # a clean column's period-1 streak is iteration - W + 1,
-                    # and no other is longer
-                    fired = fired | np.where(clean[rows], iteration >= clean_fires,
-                                             (counts >= p.max_period).any(axis=1))
-                if fired.any():
-                    candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
-                    held_best = best[rows]
-                    better = (fired & ((held_best == 0) | (candidate < held_best))).nonzero()[0]
-                    best[rows[better]] = candidate[better]
-                    best_residual[rows[better]] = residuals[better, candidate[better] - 1]
-                    done[rows] = fired & ((best[rows] == 1) | exact[rows])
-            if last:  # rows are all running columns
-                none = best == 0
-                best_residual[none] = residuals[none, 0]
-            elif iteration == scoring_from and watch:  # rows are all running columns
-                clean = within[:, 0] & ~done
-                watched = bool(clean.any())
-        if watched and iteration == clean_fires:
-            # the clean columns left certify period 1; those scored above did
-            quiet = clean & ~done
-            best[quiet] = 1
-            best_residual[quiet] = step[quiet]
-            done |= quiet
-        if last:
+        # residuals[r] belongs to the running column rows[r]; both rules
+        # need some period within tolerance
+        if within.any():
+            exact[rows] = (residuals == 0.0).any(axis=1)
+            fired = exact[rows]
+            if iteration >= p.burn_in:  # so iteration >= W, and ``counts`` is set
+                fired = fired | (counts >= p.max_period).any(axis=1)
+            if fired.any():
+                candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
+                held_best = best[rows]
+                better = (fired & ((held_best == 0) | (candidate < held_best))).nonzero()[0]
+                best[rows[better]] = candidate[better]
+                best_residual[rows[better]] = residuals[better, candidate[better] - 1]
+                done[rows] = fired & ((best[rows] == 1) | exact[rows])
+        if last:  # rows are all running columns
+            none = best == 0
+            best_residual[none] = residuals[none, 0]
             done[:] = True
-        elif not done.any():
+        elif iteration == scoring_from:  # rows are all running columns
+            quiet = within[:, 0] & ~done & watch
+            some_quiet = bool(quiet.any())
+        if not done.any():
             continue
 
         order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
@@ -423,8 +417,8 @@ def _iterate_block(
             prints[hole, :scored + 1] = prints[source, :scored + 1]
             streak[hole, :scored] = streak[source, :scored]
         current = current[:, moved]
-        best, best_residual, clean = best[moved], best_residual[moved], clean[moved]
-        watched = watched and bool(clean.any())
+        best, best_residual, quiet = best[moved], best_residual[moved], quiet[moved]
+        some_quiet = some_quiet and bool(quiet.any())
         column = column[moved]
     log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
               "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,

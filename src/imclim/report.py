@@ -149,9 +149,7 @@ class AnalysisReport:
         level1 = dec.levels[0]
         graph_block = {
             "states": list(space.labels),
-            "edges": sorted(
-                [space.labels[x], space.labels[y]] for x, y in dec.graph.edges()
-            ),
+            "edges": dec.graph.labelled_edges(),
         }
         classes_block = [
             {

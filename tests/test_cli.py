@@ -439,6 +439,20 @@ class TestOrbit:
         assert len(trace.read_text().splitlines()) == 20002
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("spec, state", [
+        (" b", " b"), ("b ", "b "), ("x,y", "x,y"), ("random:1", "random:1"), ("  b  ", "b"),
+    ])
+    def test_exact_label_names_its_state(self, spec, state, tmp_path, capsys):
+        # a spec that is a label, as written, is that state's indicator; any
+        # other spec is stripped and read as before
+        states = ["b", " b", "b ", "x,y", "random:1"]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"states": states,
+                                    "credal_sets": {s: [{s: "1"}] for s in states}}))
+        assert main(["orbit", str(path), "-f", spec, "--json"]) == 0
+        limit = json.loads(capsys.readouterr().out)["limit_cycle"][0]
+        assert limit == [float(s == state) for s in states]
+
     def test_bad_function_spec(self, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", "zz"]) == 1
         assert "error:" in capsys.readouterr().err

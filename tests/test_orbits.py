@@ -457,7 +457,7 @@ class TestScoringWindow:
             calls.clear()
             iterate_orbits(op, block, params)
             for watched, step, window, current, slot in calls:
-                if not watched or step in (first, params.max_iters) or step > fires:
+                if not watched or step in (first, fires, params.max_iters) or step > fires:
                     continue
                 prints = imclim.orbits._fingerprint(window.transpose(1, 0, 2).reshape(op.n, -1),
                                                     weights).reshape(len(window), -1)
