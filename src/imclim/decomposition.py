@@ -5,13 +5,13 @@ maximal communication classes and the transient states that get absorbed into
 them, then recurses on the remaining (unabsorbed) transient states.  Only the
 operator's candidate supports matter, so every level is plain-Python work on
 support tuples: each deeper level cuts the support table's tuples, and no
-restricted operator is built.  A level is the
-:class:`~imclim.reachability.StatePartition` that ``partition_states`` builds
-from the level's table: its ``space``, its communication ``classes`` and
-each state's join ``rounds``, all in the level's own indices, with the
-level's space giving the labels.  Level ``k`` is ``levels[k - 1]``.  Verdict
-``basis`` strings name entries of the decision rule table in the project
-README.
+restricted operator is built.  ``partition_states`` builds each level from
+its cut table, and :func:`decompose` folds that level into one
+:class:`Decomposition` in the model's indices and drops it: per state, the
+level it leaves at and its join round there, and per level, its maximal
+classes.  Every level's states are an ascending subset of the model's, so
+the model's indices keep each level's class order.  Verdict ``basis``
+strings name entries of the decision rule table in the project README.
 
 The module is purely structural: it reads support tables and graphs only,
 and runs no orbit.  The numerical cross-check of a verdict lives in
@@ -21,11 +21,11 @@ and runs no orbit.  The numerical cross-check of a verdict lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graphs import AccessGraph, ClassInfo, build_graph
 from .operators import UpperOperator
-from .reachability import StatePartition, partition_states
+from .reachability import partition_states
 
 BASIS_ERGODIC = "Proposition 1"
 BASIS_XM = "Proposition 3"
@@ -42,36 +42,76 @@ _FOOTNOTE_NOTE = (
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The model's accessibility graph and the levels of the decomposition;
-    the model's space is ``levels[0].space``."""
+    """The decomposition in the model's indices.
+
+    ``graph`` is the model's accessibility graph and ``classes`` its
+    communication classes, which are level 1's.  ``maximal[k - 1]`` holds
+    level ``k``'s maximal classes, members and phases in the model's
+    indices.  ``exits[x]`` is the level at which state ``x`` is maximal or
+    absorbed, and ``rounds[x]`` its join round there, 0 for a maximal state.
+    Level ``k``'s states are those with ``exits[x] >= k``; it absorbs those
+    with ``exits[x] == k`` and a positive round, and leaves those with
+    ``exits[x] > k`` remaining.
+    """
 
     graph: AccessGraph
-    levels: tuple[StatePartition, ...]
+    classes: tuple[ClassInfo, ...]
+    maximal: tuple[tuple[ClassInfo, ...], ...]
+    exits: tuple[int, ...]
+    rounds: tuple[int, ...]
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.maximal)
+
+
+def _renumbered(info: ClassInfo, states: Sequence[int]) -> ClassInfo:
+    """A level's maximal class with members and phases in the model's indices."""
+    return ClassInfo(
+        frozenset(states[i] for i in info.members),
+        info.is_closed,
+        info.cyclicity,
+        tuple(frozenset(states[i] for i in phase) for phase in info.phases),
+    )
 
 
 def decompose(op: UpperOperator) -> Decomposition:
     """Peel the state space until no unabsorbed transient states remain.
 
     Reads ``op.supports()`` once and builds each level with
-    :func:`~imclim.reachability.partition_states`.  The next level keeps the
-    candidates with no support outside the remaining states; cutting in
-    steps keeps the same candidates as cutting the original table once.  The
-    cut cannot fail: a remaining state whose every candidate met the
-    lower-reach set would have been absorbed.  Only the model's graph is
-    kept.  Raises :class:`UnsupportedOperatorError` when the operator
-    declares no supports.
+    :func:`~imclim.reachability.partition_states`, once per level.  The next
+    level keeps the candidates with no support outside the remaining states;
+    cutting in steps keeps the same candidates as cutting the original table
+    once.  The cut cannot fail: a remaining state whose every candidate met
+    the lower-reach set would have been absorbed.  Each level is folded into
+    the record and dropped.  Raises :class:`UnsupportedOperatorError` when
+    the operator declares no supports.
     """
     table = op.supports()
     graph = build_graph(table)
-    levels = [partition_states(table)]
-    while remaining := levels[-1].unabsorbed_transients:
-        table = table.restrict(sorted(remaining))
-        levels.append(partition_states(table))
-    return Decomposition(graph, tuple(levels))
+    n = len(table.space)
+    exits, rounds = [0] * n, [0] * n
+    maximal = []
+    states: Sequence[int] = range(n)  # the model's index of each level index
+    while True:
+        level = partition_states(table)
+        k = len(maximal) + 1
+        local = []  # the level indices of the remaining states
+        for i, (x, r) in enumerate(zip(states, level.rounds)):
+            if r is None:
+                local.append(i)
+            else:
+                exits[x], rounds[x] = k, r
+        top = [c for c in level.classes if c.is_maximal]
+        if k == 1:  # level 1's indices are the model's
+            classes = level.classes
+        else:
+            top = [_renumbered(c, states) for c in top]
+        maximal.append(tuple(top))
+        if not local:
+            return Decomposition(graph, classes, tuple(maximal), tuple(exits), tuple(rounds))
+        table = table.restrict(local)
+        states = [states[i] for i in local]
 
 
 @dataclass(frozen=True)
@@ -95,28 +135,24 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-def _first_nonregular(dec: Decomposition) -> tuple[int, StatePartition, ClassInfo] | None:
-    for k, level in enumerate(dec.levels, start=1):
-        for info in level.classes:
-            if info.is_maximal and info.cyclicity != 1:
-                return k, level, info
+def _first_nonregular(dec: Decomposition) -> tuple[int, ClassInfo] | None:
+    for k, level in enumerate(dec.maximal, start=1):
+        for info in level:
+            if info.cyclicity != 1:
+                return k, info
     return None
 
 
-def decide_convergence_on_xm(partition: StatePartition) -> bool:
+def decide_convergence_on_xm(dec: Decomposition) -> bool:
     """Orbits converge on the maximal states iff every maximal class has cyclicity 1."""
-    return all(c.cyclicity == 1 for c in partition.classes if c.is_maximal)
+    return all(c.cyclicity == 1 for c in dec.maximal[0])
 
 
-def decide_ergodicity(partition: StatePartition) -> str:
+def decide_ergodicity(dec: Decomposition) -> str:
     """Every orbit converges to a constant iff there is a single maximal
     communication class, it absorbs everything, and it is regular."""
-    maximal = [c for c in partition.classes if c.is_maximal]
-    ok = (
-        len(maximal) == 1
-        and not partition.unabsorbed_transients
-        and maximal[0].cyclicity == 1
-    )
+    maximal = dec.maximal[0]
+    ok = len(maximal) == 1 and dec.depth == 1 and maximal[0].cyclicity == 1
     return "yes" if ok else "no"
 
 
@@ -128,8 +164,8 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
     operators; otherwise the verdict is "inconclusive", because the condition
     is not necessary in general.
     """
-    ergodic = decide_ergodicity(dec.levels[0])
-    convergent_on_xm = decide_convergence_on_xm(dec.levels[0])
+    ergodic = decide_ergodicity(dec)
+    convergent_on_xm = decide_convergence_on_xm(dec)
     basis = {
         "ergodic": BASIS_ERGODIC,
         "convergent_on_xm": BASIS_XM,
@@ -141,8 +177,8 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         witness = None
         basis["convergent"] = BASIS_SUFFICIENT
     else:
-        k, level, info = offender
-        space = level.space
+        k, info = offender
+        space = op.space
         witness = Witness(
             level=k,
             members=space.labels_of(info.members),

@@ -2,21 +2,22 @@
 
 A level's :class:`StatePartition` is its state space, its communication
 classes and each state's join round in the lower reach of the union of its
-maximal classes; the three-way split into maximal, absorbed and unabsorbed
-states is read off the rounds.  :func:`partition_states` is the one way to
-build a level: it reads a :class:`~imclim.operators.SupportTable` and
-computes both itself.  A state's one-step lower probability of a set is
-positive exactly when every candidate pmf at the state puts mass on the set.
-Lower reachability is therefore an AND-OR attractor over the support tuples,
-computed in plain Python with the counter technique of Dowling & Gallier
-(J. Logic Programming 1(3), 1984), in time linear in the number of support
-entries.
+maximal classes: round 0 for the maximal states, a positive round for the
+absorbed states and ``None`` for the unabsorbed ones.  :func:`partition_states`
+is the one way to build a level: it reads a
+:class:`~imclim.operators.SupportTable` and computes both itself, in the
+level's own indices; :func:`~imclim.decomposition.decompose` folds each level
+into the model's indices and keeps no partition.  A state's one-step lower
+probability of a set is positive exactly when every candidate pmf at the
+state puts mass on the set.  Lower reachability is therefore an AND-OR
+attractor over the support tuples, computed in plain Python with the counter
+technique of Dowling & Gallier (J. Logic Programming 1(3), 1984), in time
+linear in the number of support entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .graphs import ClassInfo, build_graph, communication_classes
@@ -33,28 +34,12 @@ class StatePartition:
     level's own indices, and ``space`` gives their labels.  ``rounds[x]`` is
     the round in which state ``x`` joins the growing lower-reach set: 0 for
     the maximal states, ``k`` for the states that join in round ``k``, and
-    ``None`` for the unabsorbed transients.  The other attributes are views
-    of the rounds; all but ``reach_sequence`` are cached on first read.
+    ``None`` for the unabsorbed transients.
     """
 
     space: StateSpace
     classes: tuple[ClassInfo, ...]
     rounds: tuple[int | None, ...]
-
-    @cached_property
-    def maximal_states(self) -> frozenset[int]:
-        """The union of the maximal classes, the states of round 0."""
-        return frozenset(x for x, k in enumerate(self.rounds) if k == 0)
-
-    @cached_property
-    def absorbed_transients(self) -> frozenset[int]:
-        """The transient states from which the maximal states are lower reachable."""
-        return frozenset(x for x, k in enumerate(self.rounds) if k)
-
-    @cached_property
-    def unabsorbed_transients(self) -> frozenset[int]:
-        """The transient states from which the maximal states are not lower reachable."""
-        return frozenset(x for x, k in enumerate(self.rounds) if k is None)
 
     @property
     def reach_sequence(self) -> tuple[frozenset[int], ...]:

@@ -1,11 +1,13 @@
 """End-to-end analysis pipeline and its JSON-facing report structure.
 
-``analyze`` runs the recursive decomposition, which keeps the model's
-accessibility graph and, per level, the level's space, communication classes
-and join rounds, and all verdicts, and packs the outcome into an
-:class:`AnalysisReport` whose ``to_dict`` output validates against
-``docs/report.schema.json``.  :func:`json_text` writes every ``--json``
-output of the package.
+``analyze`` runs the recursive decomposition, which keeps, in the model's
+indices, the model's accessibility graph and classes, each level's maximal
+classes and each state's exit level and join round, and all verdicts, and
+packs the outcome into an :class:`AnalysisReport` whose ``to_dict`` output
+validates against ``docs/report.schema.json``.  Labels come from the model's
+space; :func:`decomposition_block` sorts them once and narrows that list
+level by level.  :func:`json_text` writes every ``--json`` output of the
+package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .decomposition import (
     decompose,
 )
 from .errors import PreconditionError
-from .operators import StateSpace, UpperOperator
+from .operators import UpperOperator
 from .orbits import (
     OrbitCheck,
     OrbitComparison,
@@ -99,38 +101,47 @@ def json_text(value) -> str:
     return "".join(pieces)
 
 
-def _labels(space: StateSpace, members: Iterable[int]) -> list[str]:
-    return list(space.labels_of(members))
+def _labels(labels: tuple[str, ...], members: Iterable[int]) -> list[str]:
+    return sorted(labels[x] for x in members)
 
 
-def _reach_labels(space: StateSpace, rounds) -> list[list[str]]:
-    """The reach sets of a partition's ``rounds`` as sorted labels, from one
-    label-sorted list of the states that join."""
-    joined = sorted((space.labels[x], k) for x, k in enumerate(rounds) if k is not None)
+def _reach_labels(dec: Decomposition) -> list[list[str]]:
+    """Level 1's reach sets as sorted labels, from one label-sorted list of
+    the states that join them."""
+    labels = dec.graph.labels
+    joined = sorted(
+        (labels[x], k) for x, (level, k) in enumerate(zip(dec.exits, dec.rounds)) if level == 1
+    )
     last = max(k for _, k in joined)
     return [[label for label, k in joined if k <= limit] for limit in range(last + 1)]
 
 
 def decomposition_block(dec: Decomposition) -> dict:
-    """The report's ``decomposition`` block: depth and per-level classes, in labels."""
+    """The report's ``decomposition`` block: depth and per-level classes, in labels.
+
+    The model's states are sorted by label once; each level keeps the part
+    of that list it leaves remaining for the next.
+    """
+    labels, exits, rounds = dec.graph.labels, dec.exits, dec.rounds
+    states = sorted(range(len(labels)), key=labels.__getitem__)
     levels = []
-    for k, level in enumerate(dec.levels, start=1):
-        space = level.space
+    for k, maximal in enumerate(dec.maximal, start=1):
+        remaining = [x for x in states if exits[x] > k]
         levels.append({
             "level": k,
-            "states": sorted(space.labels),
+            "states": [labels[x] for x in states],
             "maximal_classes": [
                 {
-                    "members": _labels(space, c.members),
+                    "members": _labels(labels, c.members),
                     "cyclicity": c.cyclicity,
                     "regular": c.is_regular,
                 }
-                for c in level.classes
-                if c.is_maximal
+                for c in maximal
             ],
-            "absorbed": _labels(space, level.absorbed_transients),
-            "remaining": _labels(space, level.unabsorbed_transients),
+            "absorbed": [labels[x] for x in states if exits[x] == k and rounds[x]],
+            "remaining": [labels[x] for x in remaining],
         })
+        states = remaining
     return {"depth": dec.depth, "levels": levels}
 
 
@@ -146,29 +157,28 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         space = self.operator.space
         dec = self.decomposition
-        level1 = dec.levels[0]
         graph_block = {
             "states": list(space.labels),
             "edges": dec.graph.labelled_edges(),
         }
         classes_block = [
             {
-                "members": _labels(space, c.members),
+                "members": _labels(space.labels, c.members),
                 "maximal": c.is_maximal,
                 "closed": c.is_closed,
                 "cyclicity": c.cyclicity,
                 "regular": c.is_regular,
             }
-            for c in level1.classes
+            for c in dec.classes
         ]
         decomposition = decomposition_block(dec)
         top = decomposition["levels"][0]  # level 1 spans the model's space
         partition_block = {
             "maximal_classes": [c["members"] for c in top["maximal_classes"]],
-            "maximal_states": _labels(space, level1.maximal_states),
+            "maximal_states": sorted(x for c in top["maximal_classes"] for x in c["members"]),
             "absorbed_transients": top["absorbed"],
             "unabsorbed_transients": top["remaining"],
-            "reach_sequence": _reach_labels(space, level1.rounds),
+            "reach_sequence": _reach_labels(dec),
         }
         verdict = self.verdict
         verdict_block = {

@@ -36,6 +36,7 @@ from imclim import (
     communication_classes,
     iterate_orbit,
     parse_model,
+    partition_states,
 )
 from imclim.modelio import MAX_DECIMAL_EXPONENT, RATIONAL_HINT, parse_rational_pair
 from imclim.reachability import _join_rounds, _reach_sets
@@ -73,23 +74,40 @@ def identity_operator(labels) -> CredalOperator:
     return build(labels, {x: [{x: 1}] for x in labels})
 
 
-def level_states(dec: Decomposition) -> tuple[tuple[int, ...], ...]:
-    """Per level, the model's indices of the level's states: position ``i`` of
-    ``dec.levels[k]`` is model state ``level_states(dec)[k][i]``."""
-    states = [tuple(range(len(dec.levels[0].space)))]
-    for level in dec.levels[:-1]:
-        states.append(tuple(states[-1][i] for i in sorted(level.unabsorbed_transients)))
-    return tuple(states)
+def maximal_states(part: StatePartition) -> frozenset[int]:
+    """The union of the level's maximal classes, the states of round 0."""
+    return frozenset(x for x, k in enumerate(part.rounds) if k == 0)
 
 
-def level_tables(op: UpperOperator, dec: Decomposition):
-    """Each level of ``dec = decompose(op)`` with the model's indices of its states
-    and the support-table cut that ``decompose`` analyses for it."""
+def absorbed_transients(part: StatePartition) -> frozenset[int]:
+    """The transient states from which the level's maximal states are lower reachable."""
+    return frozenset(x for x, k in enumerate(part.rounds) if k)
+
+
+def unabsorbed_transients(part: StatePartition) -> frozenset[int]:
+    """The transient states from which the level's maximal states are not lower reachable."""
+    return frozenset(x for x, k in enumerate(part.rounds) if k is None)
+
+
+def level_partitions(op: UpperOperator):
+    """The cut loop of ``decompose(op)``, replayed: per level, the model's
+    indices of its states, its cut support table and ``partition_states`` of
+    that table.  Position ``i`` of the level is model state ``states[i]``."""
     table = op.supports()
-    for above, level, states in zip((None,) + dec.levels, dec.levels, level_states(dec)):
-        if above is not None:
-            table = table.restrict(sorted(above.unabsorbed_transients))
-        yield level, states, table
+    states = tuple(range(len(table.space)))
+    while True:
+        part = partition_states(table)
+        yield states, table, part
+        local = sorted(unabsorbed_transients(part))
+        if not local:
+            return
+        table = table.restrict(local)
+        states = tuple(states[i] for i in local)
+
+
+def level_states(op: UpperOperator) -> tuple[tuple[int, ...], ...]:
+    """Per level of ``decompose(op)``, the model's indices of the level's states."""
+    return tuple(states for states, _, _ in level_partitions(op))
 
 
 def maximal_classes(part: StatePartition) -> tuple[frozenset[int], ...]:
@@ -97,12 +115,22 @@ def maximal_classes(part: StatePartition) -> tuple[frozenset[int], ...]:
     return tuple(c.members for c in part.classes if c.is_maximal)
 
 
-def partition_pieces(dec: Decomposition) -> tuple[frozenset[int], ...]:
-    """All level maximal classes and absorbed sets, in the model's indices; together
-    they partition the space."""
+def absorbed_at(dec: Decomposition, k: int) -> frozenset[int]:
+    """The model states that level ``k`` of ``dec`` absorbs."""
+    return frozenset(x for x, (e, r) in enumerate(zip(dec.exits, dec.rounds)) if e == k and r)
+
+
+def remaining_after(dec: Decomposition, k: int) -> frozenset[int]:
+    """The model states that level ``k`` of ``dec`` leaves to the next level."""
+    return frozenset(x for x, e in enumerate(dec.exits) if e > k)
+
+
+def partition_pieces(op: UpperOperator) -> tuple[frozenset[int], ...]:
+    """All level maximal classes and absorbed sets of ``decompose(op)``, in the
+    model's indices; together they partition the space."""
     pieces = []
-    for part, states in zip(dec.levels, level_states(dec)):
-        for piece in (*maximal_classes(part), part.absorbed_transients):
+    for states, _, part in level_partitions(op):
+        for piece in (*maximal_classes(part), absorbed_transients(part)):
             if piece:
                 pieces.append(frozenset(states[i] for i in piece))
     return tuple(pieces)
@@ -736,7 +764,7 @@ def restrict(op: UpperOperator, keep) -> UpperOperator:
 
 def restrict_to_nonabs(op: UpperOperator, partition: StatePartition) -> UpperOperator:
     """Restrict to the unabsorbed transient states, which is always well defined."""
-    members = partition.unabsorbed_transients
+    members = unabsorbed_transients(partition)
     if not members:
         raise PreconditionError("there are no unabsorbed transient states to restrict to")
     try:

@@ -37,55 +37,68 @@ def labelled(level, states):
 class TestDecompose:
     def test_running_example_two_levels(self, running_op):
         dec = decompose(running_op)
+        lab = running_op.space.labels_of
         assert dec.depth == 2
-        part1, part2 = dec.levels
-        assert [labelled(part1, m) for m in gen.maximal_classes(part1)] == [("a",), ("b",)]
-        assert labelled(part1, part1.absorbed_transients) == ("c",)
-        assert labelled(part1, part1.unabsorbed_transients) == ("d", "e")
-        assert [labelled(part2, m) for m in gen.maximal_classes(part2)] == [("d", "e")]
-        assert not part2.absorbed_transients and not part2.unabsorbed_transients
+        level1, level2 = dec.maximal
+        assert [lab(c.members) for c in level1] == [("a",), ("b",)]
+        assert lab(gen.absorbed_at(dec, 1)) == ("c",)
+        assert lab(gen.remaining_after(dec, 1)) == ("d", "e")
+        assert [lab(c.members) for c in level2] == [("d", "e")]
+        assert not gen.absorbed_at(dec, 2) and not gen.remaining_after(dec, 2)
+        assert {lab(c.members): c.cyclicity for c in level2} == {("d", "e"): 1}
+        _, _, part2 = list(gen.level_partitions(running_op))[1]
         cyc = {labelled(part2, c.members): c.cyclicity for c in part2.classes}
         assert cyc == {("d", "e"): 1}
+        assert dec.exits == (1, 1, 1, 2, 2)
+        assert dec.rounds == (0, 0, 1, 0, 0)
 
     def test_identity_depth_one_all_regular(self, identity5_op):
         dec = decompose(identity5_op)
         assert dec.depth == 1
-        level = dec.levels[0]
-        assert len(gen.maximal_classes(level)) == 5
-        assert all(c.is_regular for c in level.classes)
+        assert len(dec.maximal[0]) == 5
+        assert all(c.is_regular for c in dec.classes)
+        assert dec.maximal[0] == dec.classes
 
     def test_counterexample_two_levels(self, counterexample_op):
         dec = decompose(counterexample_op)
+        lab = counterexample_op.space.labels_of
         assert dec.depth == 2
-        part1, part2 = dec.levels
-        assert [labelled(part1, m) for m in gen.maximal_classes(part1)] == [("a",)]
-        assert not part1.absorbed_transients
-        assert labelled(part1, part1.unabsorbed_transients) == ("b", "c")
-        assert [labelled(part2, m) for m in gen.maximal_classes(part2)] == [("b", "c")]
-        level2_info = next(c for c in part2.classes if c.is_maximal)
-        assert level2_info.cyclicity == 2
+        level1, level2 = dec.maximal
+        assert [lab(c.members) for c in level1] == [("a",)]
+        assert not gen.absorbed_at(dec, 1)
+        assert lab(gen.remaining_after(dec, 1)) == ("b", "c")
+        assert [lab(c.members) for c in level2] == [("b", "c")]
+        assert level2[0].cyclicity == 2
+        assert [lab(p) for p in level2[0].phases] == [("b",), ("c",)]
 
     def test_levels_partition_the_space(self):
         rng = random.Random(71)
         for _ in range(150):
             op = gen.random_operator(rng)
             dec = decompose(op)
-            pieces = gen.partition_pieces(dec)
+            pieces = gen.partition_pieces(op)
             assert sum(len(p) for p in pieces) == op.n
             assert frozenset().union(*pieces) == frozenset(range(op.n))
             assert dec.depth <= op.n
+            # the record holds the same pieces
+            recorded = [c.members for level in dec.maximal for c in level]
+            recorded += [gen.absorbed_at(dec, k) for k in range(1, dec.depth + 1)]
+            assert sorted(map(sorted, filter(None, recorded))) == sorted(map(sorted, pieces))
 
     def test_levels_restrict_the_original_family(self, running_op):
-        dec = decompose(running_op)
-        level2_states = gen.level_states(dec)[1]
+        level2_states = gen.level_states(running_op)[1]
+        assert level2_states == tuple(
+            x for x, k in enumerate(decompose(running_op).exits) if k >= 2
+        )
         direct = gen.restrict(running_op, level2_states).supports()
         cut = running_op.supports().restrict(level2_states)
         assert cut.supports == direct.supports
         assert build_graph(cut).successors == direct.successors
 
-    def test_levels_speak_in_their_own_indices(self):
-        # every field of a level uses the level's indices; ``gen.level_states``
-        # maps them to the model's, and the level's space gives their labels
+    def test_levels_speak_in_the_model_indices(self):
+        # each level's partition uses the level's own indices, and
+        # ``gen.level_partitions`` maps them to the model's; the record holds
+        # every level in the model's indices, with labels from the model's space
         rng = random.Random(78)
         witnessed = 0
         for k in range(1000):
@@ -94,29 +107,44 @@ class TestDecompose:
             else:
                 op = gen.random_wide_operator(rng, rng.randint(5, 30))
             dec = decompose(op)
-            for level, states, table in gen.level_tables(op, dec):
+            levels = list(gen.level_partitions(op))
+            assert dec.depth == len(levels)
+            for j, (states, table, level) in enumerate(levels, start=1):
                 graph = build_graph(table)
                 assert level.classes == communication_classes(graph)
                 assert graph.labels == level.space.labels
                 assert level.space.labels == tuple(op.space.labels[i] for i in states)
+                assert states == tuple(x for x, e in enumerate(dec.exits) if e >= j)
+                assert [
+                    (frozenset(states[i] for i in c.members), c.cyclicity,
+                     tuple(frozenset(states[i] for i in p) for p in c.phases))
+                    for c in level.classes
+                    if c.is_maximal
+                ] == [(c.members, c.cyclicity, c.phases) for c in dec.maximal[j - 1]]
             offenders = [
                 (k, level, states, c)
-                for k, (level, states) in enumerate(zip(dec.levels, gen.level_states(dec)), start=1)
+                for k, (states, _, level) in enumerate(levels, start=1)
                 for c in level.classes
                 if c.is_maximal and not c.is_regular
             ]
+            recorded = [
+                (k, c) for k, level in enumerate(dec.maximal, start=1) for c in level
+                if not c.is_regular
+            ]
             witness = decide_convergence(op, dec).witness
             if not offenders:
-                assert witness is None
+                assert witness is None and not recorded
                 continue
             witnessed += 1
             k, level, states, info = offenders[0]
             space = level.space
-            assert witness.level == k
+            assert witness.level == k == recorded[0][0]
             assert witness.members == space.labels_of(info.members)
             assert witness.phases == tuple(space.labels_of(p) for p in info.phases)
-            # the same labels through the model's indices
+            # the same labels through the model's indices, and through the record
             assert witness.members == op.space.labels_of(states[i] for i in info.members)
+            assert witness.members == op.space.labels_of(recorded[0][1].members)
+            assert witness.phases == tuple(op.space.labels_of(p) for p in recorded[0][1].phases)
         assert witnessed >= 500
 
     def test_operator_without_supports_is_refused(self, running_op):
@@ -184,13 +212,11 @@ class TestDecideConvergence:
 
 class TestDecideErgodicity:
     def test_running_example_not_ergodic(self, running_op):
-        part = partition_states(running_op.supports())
-        assert decide_ergodicity(part) == "no"
+        assert decide_ergodicity(decompose(running_op)) == "no"
 
     def test_single_state_ergodic(self):
         op = gen.identity_operator(["only"])
-        part = partition_states(op.supports())
-        assert decide_ergodicity(part) == "yes"
+        assert decide_ergodicity(decompose(op)) == "yes"
 
     def test_single_regular_class_with_absorbed_tail(self):
         sets = {
@@ -199,8 +225,7 @@ class TestDecideErgodicity:
             "c": [{"b": F(1)}],
         }
         op = gen.build(["a", "b", "c"], sets)
-        part = partition_states(op.supports())
-        assert decide_ergodicity(part) == "yes"
+        assert decide_ergodicity(decompose(op)) == "yes"
         # numeric confirmation: orbits flatten to a constant
         from imclim import iterate_orbit
 
@@ -209,8 +234,7 @@ class TestDecideErgodicity:
         assert result.limit.max() - result.limit.min() <= 1e-8
 
     def test_two_cycle_not_ergodic(self, two_cycle_op):
-        part = partition_states(two_cycle_op.supports())
-        assert decide_ergodicity(part) == "no"
+        assert decide_ergodicity(decompose(two_cycle_op)) == "no"
 
     def test_matches_numeric_constant_limits(self):
         rng = random.Random(73)
@@ -220,8 +244,7 @@ class TestDecideErgodicity:
         agree = 0
         for _ in range(60):
             op = gen.random_operator(rng, n=rng.randint(1, 4))
-            part = partition_states(op.supports())
-            symbolic = decide_ergodicity(part) == "yes"
+            symbolic = decide_ergodicity(decompose(op)) == "yes"
             numeric = True
             for f in default_function_suite(op, 3, np.random.default_rng(1))[1].T:
                 result = iterate_orbit(op, f, fast)
@@ -235,12 +258,10 @@ class TestDecideErgodicity:
 
 class TestConvergenceOnMaximalStates:
     def test_running_true(self, running_op):
-        part = partition_states(running_op.supports())
-        assert decide_convergence_on_xm(part) is True
+        assert decide_convergence_on_xm(decompose(running_op)) is True
 
     def test_maximal_two_cycle_false(self, two_cycle_op):
-        part = partition_states(two_cycle_op.supports())
-        assert decide_convergence_on_xm(part) is False
+        assert decide_convergence_on_xm(decompose(two_cycle_op)) is False
         # the orbit of an indicator alternates on that class
         from imclim import iterate_orbit
 
@@ -249,8 +270,7 @@ class TestConvergenceOnMaximalStates:
 
     def test_single_state_true(self):
         op = gen.identity_operator(["s"])
-        part = partition_states(op.supports())
-        assert decide_convergence_on_xm(part) is True
+        assert decide_convergence_on_xm(decompose(op)) is True
 
     def test_matches_per_class_orbit_behaviour(self):
         rng = random.Random(74)
@@ -270,8 +290,7 @@ class TestConvergenceOnMaximalStates:
                 result = iterate_orbit(sub, f, fast)
                 if not result.converged:
                     per_class_converged = False
-            part = partition_states(op.supports())
-            assert decide_convergence_on_xm(part) == per_class_converged
+            assert decide_convergence_on_xm(decompose(op)) == per_class_converged
 
 
 class TestAbsorbedCases:
@@ -291,7 +310,7 @@ class TestAbsorbedCases:
             else:
                 op = gen.random_operator(rng)
             part = partition_states(op.supports())
-            if part.unabsorbed_transients:
+            if gen.unabsorbed_transients(part):
                 continue
             classes = communication_classes(build_graph(op.supports()))
             verdict = decide_convergence(op, decompose(op))
@@ -332,12 +351,13 @@ class TestTheoremRouteEquivalence:
     @staticmethod
     def _recursive_route(op: CredalOperator) -> bool:
         # maximal classes regular, then recurse on the unabsorbed remainder
-        part = partition_states(op.supports())
-        if not decide_convergence_on_xm(part):
+        dec = decompose(op)
+        if not decide_convergence_on_xm(dec):
             return False
-        if not part.unabsorbed_transients:
+        remaining = gen.remaining_after(dec, 1)
+        if not remaining:
             return True
-        sub = gen.restrict(op, sorted(part.unabsorbed_transients))
+        sub = gen.restrict(op, sorted(remaining))
         return TestTheoremRouteEquivalence._recursive_route(sub)
 
     def test_flat_and_recursive_routes_agree(self):

@@ -15,7 +15,6 @@ from imclim import (
     NotWellDefinedError,
     StateSpace,
     build_graph,
-    decompose,
     parse_model,
 )
 from gen import lower_reach_set
@@ -474,11 +473,11 @@ class TestStructuralHook:
                 for _ in range(2000)]
         levels = 0
         for op in ops:
-            for level, states, table in gen.level_tables(op, decompose(op)):
+            for states, table, level in gen.level_partitions(op):
                 reference = gen.restrict(op, states)
                 assert_table_matches_exact(table, reference, rng)
                 assert np.array_equal(build_graph(table).adjacency, gen.exact_adjacency(reference))
-                current = level.maximal_states
+                current = gen.maximal_states(level)
                 sequence = [current]
                 while added := gen.exact_lower_positive(reference, current) - current:
                     current |= added

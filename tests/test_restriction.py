@@ -11,7 +11,6 @@ from imclim import (
     PreconditionError,
     build_graph,
     communication_classes,
-    decompose,
     partition_states,
 )
 
@@ -135,7 +134,7 @@ class TestMaximalClassPremise:
     @staticmethod
     def _check(op):
         checked = 0
-        for level, states, table in gen.level_tables(op, decompose(op)):
+        for states, table, level in gen.level_partitions(op):
             level_op = gen.restrict(op, states)
             parent_adjacency = build_graph(table).adjacency
             for info in level.classes:
@@ -180,7 +179,7 @@ class TestRestrictToNonabs:
         rng = random.Random(54)
         op = gen.random_operator(rng, max_pmfs=1)
         part = partition_states(op.supports())
-        if not part.unabsorbed_transients:
+        if not gen.unabsorbed_transients(part):
             with pytest.raises(PreconditionError):
                 gen.restrict_to_nonabs(op, part)
 
@@ -190,11 +189,11 @@ class TestRestrictToNonabs:
         for _ in range(400):
             op = gen.random_operator(rng)
             part = partition_states(op.supports())
-            if not part.unabsorbed_transients:
+            if not gen.unabsorbed_transients(part):
                 continue
             tried += 1
             restricted = gen.restrict_to_nonabs(op, part)  # must never raise
-            assert restricted.n == len(part.unabsorbed_transients)
+            assert restricted.n == len(gen.unabsorbed_transients(part))
         assert tried > 20
 
 

@@ -98,7 +98,8 @@ def test_traced_orbits_record_their_stop_reasons(capsys):
 
 def test_traced_structure_counts_match_the_analysis(tmp_path, capsys):
     # the tracer reads ``AccessGraph.adjacency`` of the model's graph and
-    # ``StatePartition.reach_sequence`` of every level
+    # ``StatePartition.reach_sequence`` of every level's ``partition_states``,
+    # whose rounds the decomposition keeps for the states that leave there
     for op in (make_running_operator(), gen.chain_operator(7), gen.staircase_operator(4)):
         path = tmp_path / "model.json"
         gen.dump_model(op, path)
@@ -110,7 +111,11 @@ def test_traced_structure_counts_match_the_analysis(tmp_path, capsys):
             tracer.uninstall()
         capsys.readouterr()
         dec = imclim.decompose(op)
-        rounds = [max(k for k in level.rounds if k is not None) + 1 for level in dec.levels]
+        rounds = [
+            max(r for e, r in zip(dec.exits, dec.rounds) if e == k) + 1
+            for k in range(1, dec.depth + 1)
+        ]
         metrics = tracer.metrics()
+        assert metrics["decomposition.levels"] == dec.depth
         assert metrics["graphs.edges"] == len(dec.graph.edges())
         assert metrics["reachability.reach_rounds"] == sum(rounds)
