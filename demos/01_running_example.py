@@ -21,7 +21,11 @@ from imclim import (
 HERE = Path(__file__).resolve().parent
 
 op = load_model(HERE / "running-example.json")
-labels = op.space.labels_of
+
+
+def labels(states):
+    return sorted(op.space.labels[x] for x in states)
+
 
 print("== accessibility graph ==")
 graph = build_graph(op.supports())
@@ -64,5 +68,5 @@ print(f"  ergodic:    {v['ergodic']}   ({v['basis']['ergodic']})")
 print(f"  convergent on the maximal states: {v['convergent_on_maximal_states']}")
 
 dot_path = HERE / "running-example.dot"
-dot_path.write_text(to_dot(graph, classes))
+dot_path.write_text(to_dot(graph))
 print(f"\nDOT graph written to {dot_path}")

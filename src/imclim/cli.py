@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .decomposition import decompose
-from .errors import ImclimError
+from .errors import ImclimError, ModelValidationError
 from .modelio import load_model, parse_rational_pair, write_orbit_trace
-from .graphs import build_graph, communication_classes, to_dot
+from .graphs import build_graph, to_dot
 from .orbits import OrbitParams, iterate_orbit, replay_orbit
 from .report import analyze, decomposition_block, json_text
 
@@ -104,41 +104,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _entry(part: str) -> float:
+    """One function entry: a float, or else a rational ``p/q``."""
+    try:
+        return float(part)
+    except ValueError:
+        num, den = parse_rational_pair(part, where="function entry")
+    try:
+        return num / den
+    except OverflowError:
+        raise ImclimError(f"function entry {part!r} is out of float range") from None
+
+
 def _parse_function(spec: str, op) -> np.ndarray:
-    if spec not in op.space._pos:  # an exact label names its state, spaces and commas kept
+    """The start function ``spec`` names: a label as written, else, stripped,
+    a label, ``random:SEED``, comma-separated entries or one lone entry."""
+    labels = op.space._pos
+    if spec not in labels:  # an exact label names its state, spaces and commas kept
         spec = spec.strip()
-        if spec.startswith("random:"):
-            seed = spec.split(":", 1)[1].strip()
-            try:
-                value = int(seed) if seed.isdecimal() else None
-            except ValueError:  # more digits than the interpreter converts to an int
-                value = None
-            if value is None:
-                raise ImclimError(
-                    f"random function seed must be a non-negative integer, got {seed!r}"
-                )
-            return np.random.default_rng(value).random(op.n)
-        if "," in spec:
-            parts = [s.strip() for s in spec.split(",")]
-            values = []
-            for part in parts:
-                try:
-                    values.append(float(part))
-                except ValueError:
-                    num, den = parse_rational_pair(part, where="function entry")
-                    try:
-                        values.append(num / den)
-                    except OverflowError:
-                        raise ImclimError(f"function entry {part!r} is out of float range") from None
-            if len(values) != op.n:
-                raise ImclimError(
-                    f"function has {len(values)} entries, the model has {op.n} states"
-                )
-            return np.array(values)
-    index = op.space.index(spec)
-    vec = np.zeros(op.n)
-    vec[index] = 1.0
-    return vec
+    if spec in labels:
+        vec = np.zeros(op.n)
+        vec[labels[spec]] = 1.0
+        return vec
+    if spec.startswith("random:"):
+        seed = spec.split(":", 1)[1].strip()
+        try:
+            value = int(seed) if seed.isdecimal() else None
+        except ValueError:  # more digits than the interpreter converts to an int
+            value = None
+        if value is None:
+            raise ImclimError(
+                f"random function seed must be a non-negative integer, got {seed!r}"
+            )
+        return np.random.default_rng(value).random(op.n)
+    if "," in spec:
+        values = [_entry(part.strip()) for part in spec.split(",")]
+    else:
+        try:
+            values = [_entry(spec)]
+        except ModelValidationError:  # no number either
+            raise ModelValidationError(f"unknown state label '{spec}'") from None
+    if len(values) != op.n:
+        raise ImclimError(f"function has {len(values)} entries, the model has {op.n} states")
+    return np.array(values)
 
 
 def _set_to_str(labels) -> str:
@@ -254,7 +262,7 @@ def _cmd_graph(args) -> int:
     op = load_model(args.model)
     graph = build_graph(op.supports())
     if args.dot:
-        sys.stdout.write(to_dot(graph, communication_classes(graph)))
+        sys.stdout.write(to_dot(graph))
     else:
         for x, y in graph.labelled_edges():
             print(f"{x} -> {y}")

@@ -116,12 +116,11 @@ def decompose(op: UpperOperator) -> Decomposition:
 
 @dataclass(frozen=True)
 class Witness:
-    """The first non-regular level class backing a negative or inconclusive verdict."""
+    """The first non-regular level class backing a negative or inconclusive verdict:
+    level ``level``'s maximal class ``info``, in the model's indices."""
 
     level: int
-    members: tuple[str, ...]
-    cyclicity: int | None
-    phases: tuple[tuple[str, ...], ...] = ()  # labels of ``ClassInfo.phases``
+    info: ClassInfo
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,16 @@ class Verdict:
     convergent: str  # "yes" | "no" | "inconclusive"
     ergodic: str  # "yes" | "no"
     convergent_on_xm: bool
-    finitely_generated: bool
     basis: Mapping[str, str]
     witness: Witness | None
     notes: tuple[str, ...] = ()
 
 
-def _first_nonregular(dec: Decomposition) -> tuple[int, ClassInfo] | None:
+def _first_nonregular(dec: Decomposition) -> Witness | None:
     for k, level in enumerate(dec.maximal, start=1):
         for info in level:
             if info.cyclicity != 1:
-                return k, info
+                return Witness(k, info)
     return None
 
 
@@ -170,37 +168,26 @@ def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
         "ergodic": BASIS_ERGODIC,
         "convergent_on_xm": BASIS_XM,
     }
-    offender = _first_nonregular(dec)
+    witness = _first_nonregular(dec)
     notes: list[str] = []
-    if offender is None:
+    if witness is None:
         convergent = "yes"
-        witness = None
         basis["convergent"] = BASIS_SUFFICIENT
+    elif op.is_finitely_generated:
+        convergent = "no"
+        basis["convergent"] = BASIS_FINITELY_GENERATED
+        notes.append(_FOOTNOTE_NOTE)
     else:
-        k, info = offender
-        space = op.space
-        witness = Witness(
-            level=k,
-            members=space.labels_of(info.members),
-            cyclicity=info.cyclicity,
-            phases=tuple(space.labels_of(p) for p in info.phases),
+        convergent = "inconclusive"
+        basis["convergent"] = BASIS_CONDITION_FAILED
+        notes.append(
+            "the operator is not finitely generated, so a failed condition "
+            "does not refute convergence; orbits may still converge"
         )
-        if op.is_finitely_generated:
-            convergent = "no"
-            basis["convergent"] = BASIS_FINITELY_GENERATED
-            notes.append(_FOOTNOTE_NOTE)
-        else:
-            convergent = "inconclusive"
-            basis["convergent"] = BASIS_CONDITION_FAILED
-            notes.append(
-                "the operator is not finitely generated, so a failed condition "
-                "does not refute convergence; orbits may still converge"
-            )
     return Verdict(
         convergent=convergent,
         ergodic=ergodic,
         convergent_on_xm=convergent_on_xm,
-        finitely_generated=op.is_finitely_generated,
         basis=basis,
         witness=witness,
         notes=tuple(notes),

@@ -193,15 +193,15 @@ def communication_classes(graph: AccessGraph) -> tuple[ClassInfo, ...]:
     return tuple(out)
 
 
-def to_dot(graph: AccessGraph, classes: Sequence[ClassInfo]) -> str:
+def to_dot(graph: AccessGraph) -> str:
     """Deterministic DOT text, one coloured cluster per communication class.
 
-    ``classes`` are ``communication_classes(graph)``.  Nodes are ordered by
-    state label and maximal classes are marked, so the output is byte-stable
-    for a fixed input.
+    Nodes are ordered by state label and maximal classes are marked, so the
+    output is byte-stable for a fixed input.
     """
     lines = ["digraph access {", "  rankdir=LR;", '  node [shape=circle];']
-    ordered = sorted(classes, key=lambda c: min(graph.labels[i] for i in c.members))
+    ordered = sorted(communication_classes(graph),
+                     key=lambda c: min(graph.labels[i] for i in c.members))
     for k, info in enumerate(ordered):
         member_labels = sorted(graph.labels[i] for i in info.members)
         title = "{" + ", ".join(member_labels) + "}"

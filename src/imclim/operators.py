@@ -82,9 +82,6 @@ class StateSpace:
         """Sub-space keeping the original labels, ordered by ascending index."""
         return StateSpace(tuple(self.labels[i] for i in sorted(indices)))
 
-    def labels_of(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(sorted(self.labels[i] for i in indices))
-
 
 @dataclass(frozen=True, eq=False)
 class SupportTable:

@@ -58,7 +58,7 @@ columns as fit their ring, residual and print buffers in ``_BLOCK_BYTES``
 (at least one), so a wide suite runs as several blocks in turn.  Each block
 logs one ``debug`` line on the ``imclim.orbits`` logger, for the run that
 ends: its columns, steps, steps scored in full, whether it ran with quiet
-columns after ``W`` ("with clean columns") or was rerun, and stop reasons.
+columns after ``W`` ("with quiet columns") or was rerun, and stop reasons.
 :func:`iterate_orbit` is the one-column case, and :func:`replay_orbit`
 recomputes its iterates.  Past about 256k window slots numpy advises huge
 pages, so the first write to a state's row faults in 2 MiB per buffer: a
@@ -120,8 +120,9 @@ class OrbitResult:
     """Outcome of one orbit run.
 
     ``detected_period`` is ``None`` when no cycle was certified within the
-    budget -- never a claim of divergence.  When a cycle is found,
-    ``limit_cycle`` holds its elements in iteration order, so consecutive
+    budget -- never a claim of divergence; ``converged`` is period 1.  When
+    a cycle is found, ``limit_cycle``, the last ``detected_period`` entries
+    of ``iterates_kept``, holds its elements in iteration order, so consecutive
     entries map to each other under one application of the operator (and the
     last maps back to the first, within tolerance).  ``stop_reason`` says
     why the run ended: ``"exact_repeat"`` (some residual was exactly zero),
@@ -134,8 +135,6 @@ class OrbitResult:
     """
 
     detected_period: int | None
-    converged: bool
-    limit_cycle: tuple[np.ndarray, ...] | None
     residual: float
     iterations: int
     stop_reason: str
@@ -143,11 +142,18 @@ class OrbitResult:
     params: OrbitParams
 
     @property
+    def converged(self) -> bool:
+        return self.detected_period == 1
+
+    @property
+    def limit_cycle(self) -> tuple[np.ndarray, ...] | None:
+        period = self.detected_period
+        return self.iterates_kept[-period:] if period else None
+
+    @property
     def limit(self) -> np.ndarray | None:
         """The fixed point, when the orbit converged (period 1)."""
-        if self.converged and self.limit_cycle:
-            return self.limit_cycle[0]
-        return None
+        return self.iterates_kept[-1] if self.converged else None
 
 
 def _start_block(op: UpperOperator, f: Sequence[float]) -> np.ndarray:
@@ -395,8 +401,6 @@ def _iterate_block(
             kept.setflags(write=False)
             results[column[k]] = OrbitResult(
                 detected_period=period,
-                converged=period == 1,
-                limit_cycle=tuple(kept[-period:]) if period else None,
                 residual=float(best_residual[k]),
                 iterations=iteration,
                 stop_reason=reason,
@@ -422,7 +426,7 @@ def _iterate_block(
         column = column[moved]
     log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
               "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,
-              "with clean columns" if watch else "rerun without clean columns",
+              "with quiet columns" if watch else "rerun without quiet columns",
               stops["exact_repeat"], stops["sustained"], stops["budget"])
     return results
 
@@ -433,7 +437,10 @@ class OrbitCheck:
 
     label: str
     period: int | None
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.period == 1
 
 
 @dataclass(frozen=True)
@@ -443,8 +450,20 @@ class OrbitComparison:
     verdict: str
     checks: tuple[OrbitCheck, ...]
     discrepancies: tuple[str, ...]
-    agrees: bool
-    note: str | None = None
+
+    @property
+    def agrees(self) -> bool:
+        return not self.discrepancies
+
+    @property
+    def note(self) -> str | None:
+        """Why an "inconclusive" verdict cannot disagree, for that verdict alone."""
+        if self.verdict != "inconclusive":
+            return None
+        return (
+            "the regular-levels condition failed without a necessity guarantee; "
+            "sampled orbits may well all converge"
+        )
 
 
 def default_function_suite(
@@ -503,12 +522,8 @@ def oracle_compare(
         raise PreconditionError(f"unknown verdict {verdict!r}")
     labels, starts = default_function_suite(op, extra_random, np.random.default_rng(seed))
     periods = _iterate(op, starts, params, windows=False)
-    checks = [
-        OrbitCheck(label=label, period=period, converged=period == 1)
-        for label, period in zip(labels, periods)
-    ]
+    checks = tuple(map(OrbitCheck, labels, periods))
     discrepancies = []
-    note = None
     if verdict == "yes":
         for check in checks:
             if not check.converged:
@@ -522,28 +537,19 @@ def oracle_compare(
                 "verdict is no but no suite orbit exhibited a cycle of period >= 2 "
                 "(a finite suite cannot witness every function)"
             )
-    else:
-        note = (
-            "the regular-levels condition failed without a necessity guarantee; "
-            "sampled orbits may well all converge"
-        )
-    return OrbitComparison(
-        verdict=verdict,
-        checks=tuple(checks),
-        discrepancies=tuple(discrepancies),
-        agrees=not discrepancies,
-        note=note,
-    )
+    return OrbitComparison(verdict, checks, tuple(discrepancies))
 
 
-def search_cycle_witness(phases: Sequence[Iterable[str]]) -> OrbitCheck:
+def search_cycle_witness(labels: Sequence[str], phases: Sequence[Iterable[int]]) -> OrbitCheck:
     """The certificate of a "no" verdict, from its witness class's ``d >= 2`` cyclic subclasses.
 
-    ``phases`` holds their labels in edge order from ``C_0``, the one with
-    the class's smallest state index.  ``T^n 1_{C_0}`` is exactly 1 on ``C_0``
-    when ``d`` divides ``n`` and a fixed margin below 1 otherwise, so the
-    orbit does not converge and ``d`` divides its limit period (exactly
-    ``d`` on the class, for a level-1 class).  No orbit is run.
+    ``labels`` are the model's state labels and ``phases`` the class's
+    cyclic subclasses in the model's indices, in edge order from ``C_0``,
+    the one with the class's smallest state index.  ``T^n 1_{C_0}`` is
+    exactly 1 on ``C_0`` when ``d`` divides ``n`` and a fixed margin below 1
+    otherwise, so the orbit does not converge and ``d`` divides its limit
+    period (exactly ``d`` on the class, for a level-1 class).  No orbit is
+    run.
     """
-    label = "cyclic-indicator:{" + ", ".join(sorted(phases[0])) + "}"
-    return OrbitCheck(label=label, period=len(phases), converged=False)
+    label = "cyclic-indicator:{" + ", ".join(sorted(labels[x] for x in phases[0])) + "}"
+    return OrbitCheck(label, len(phases))

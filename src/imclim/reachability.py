@@ -1,18 +1,18 @@
 """The state partition of one decomposition level, and the lower reach it is built on.
 
-A level's :class:`StatePartition` is its state space, its communication
-classes and each state's join round in the lower reach of the union of its
-maximal classes: round 0 for the maximal states, a positive round for the
-absorbed states and ``None`` for the unabsorbed ones.  :func:`partition_states`
-is the one way to build a level: it reads a
-:class:`~imclim.operators.SupportTable` and computes both itself, in the
-level's own indices; :func:`~imclim.decomposition.decompose` folds each level
-into the model's indices and keeps no partition.  A state's one-step lower
-probability of a set is positive exactly when every candidate pmf at the
-state puts mass on the set.  Lower reachability is therefore an AND-OR
-attractor over the support tuples, computed in plain Python with the counter
-technique of Dowling & Gallier (J. Logic Programming 1(3), 1984), in time
-linear in the number of support entries.
+A level's :class:`StatePartition` is its communication classes and each
+state's join round in the lower reach of the union of its maximal classes:
+round 0 for the maximal states, a positive round for the absorbed states
+and ``None`` for the unabsorbed ones.  :func:`partition_states` is the one
+way to build a level: it reads a :class:`~imclim.operators.SupportTable`
+and computes both itself, in the level's own indices;
+:func:`~imclim.decomposition.decompose` folds each level into the model's
+indices and keeps no partition.  A state's one-step lower probability of a
+set is positive exactly when every candidate pmf at the state puts mass on
+the set.  Lower reachability is therefore an AND-OR attractor over the
+support tuples, computed in plain Python with the counter technique of
+Dowling & Gallier (J. Logic Programming 1(3), 1984), in time linear in the
+number of support entries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import ClassInfo, build_graph, communication_classes
-from .operators import StateSpace, SupportTable
+from .operators import SupportTable
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,12 @@ class StatePartition:
     reach of their maximal states.
 
     ``classes`` is ``communication_classes`` of the level's graph, in the
-    level's own indices, and ``space`` gives their labels.  ``rounds[x]`` is
-    the round in which state ``x`` joins the growing lower-reach set: 0 for
-    the maximal states, ``k`` for the states that join in round ``k``, and
-    ``None`` for the unabsorbed transients.
+    indices of the level's support table, whose ``space`` labels them.
+    ``rounds[x]`` is the round in which state ``x`` joins the growing
+    lower-reach set: 0 for the maximal states, ``k`` for the states that
+    join in round ``k``, and ``None`` for the unabsorbed transients.
     """
 
-    space: StateSpace
     classes: tuple[ClassInfo, ...]
     rounds: tuple[int | None, ...]
 
@@ -111,4 +110,4 @@ def partition_states(table: SupportTable) -> StatePartition:
     their maximal states."""
     classes = communication_classes(build_graph(table))
     maximal_states = sorted(x for c in classes if c.is_maximal for x in c.members)
-    return StatePartition(table.space, classes, tuple(_join_rounds(table, maximal_states)))
+    return StatePartition(classes, tuple(_join_rounds(table, maximal_states)))

@@ -180,20 +180,20 @@ class AnalysisReport:
             "unabsorbed_transients": top["remaining"],
             "reach_sequence": _reach_labels(dec),
         }
-        verdict = self.verdict
+        verdict, witness = self.verdict, self.verdict.witness
         verdict_block = {
             "convergent": verdict.convergent,
             "ergodic": verdict.ergodic,
             "convergent_on_maximal_states": verdict.convergent_on_xm,
-            "finitely_generated": verdict.finitely_generated,
+            "finitely_generated": self.operator.is_finitely_generated,
             "basis": dict(verdict.basis),
             "witness": (
                 {
-                    "level": verdict.witness.level,
-                    "members": list(verdict.witness.members),
-                    "cyclicity": verdict.witness.cyclicity,
+                    "level": witness.level,
+                    "members": _labels(space.labels, witness.info.members),
+                    "cyclicity": witness.info.cyclicity,
                 }
-                if verdict.witness
+                if witness
                 else None
             ),
             "notes": list(verdict.notes),
@@ -264,7 +264,7 @@ def analyze(
     verdict = decide_convergence(op, dec)
     witness_orbit = None
     if verdict.convergent == "no":
-        witness_orbit = search_cycle_witness(verdict.witness.phases)
+        witness_orbit = search_cycle_witness(op.space.labels, verdict.witness.info.phases)
     evidence = None
     if suite_random is not None:
         evidence = oracle_compare(

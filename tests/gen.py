@@ -60,6 +60,11 @@ def random_pmf(rng: random.Random, labels, max_den: int = 8) -> dict[str, Fracti
     return {labels[idx]: Fraction(part, q) for idx, part in zip(support, parts)}
 
 
+def labels_of(space: StateSpace, indices) -> tuple[str, ...]:
+    """The sorted labels of the states ``indices`` of ``space``."""
+    return tuple(sorted(space.labels[i] for i in indices))
+
+
 def masses(p) -> tuple[tuple[int, Fraction], ...]:
     """The pmf's ascending ``(index, mass)`` pairs, each mass a ``Fraction``."""
     return tuple((i, Fraction(num, den)) for i, num, den in p)
@@ -668,7 +673,7 @@ def lower_reach_set(
     inside = frozenset(targets)
     if any(not inside.issuperset(table.successors[x]) for x in targets):
         raise PreconditionError(
-            f"class {{{', '.join(table.space.labels_of(targets))}}} is not closed"
+            f"class {{{', '.join(labels_of(table.space, targets))}}} is not closed"
         )
     sequence = _reach_sets(_join_rounds(table, targets))
     return sequence[-1], sequence
@@ -842,7 +847,7 @@ def orbit_limit_on_regular_class(
     if classes is None:
         classes = communication_classes(build_graph(op.supports()))
     info = next((c for c in classes if c.members == target), None)
-    name = "{" + ", ".join(op.space.labels_of(target)) + "}"
+    name = "{" + ", ".join(labels_of(op.space, target)) + "}"
     if info is None or not info.is_maximal:
         raise PreconditionError(f"{name} is not a maximal communication class")
     if info.cyclicity != 1:
@@ -944,7 +949,7 @@ def single_class_equivalence_report(
             strict=None if constant else bool(phi > lowest),
         )
     return SingleClassReport(
-        members=op.space.labels_of(info.members),
+        members=labels_of(op.space, info.members),
         cyclicity=info.cyclicity,
         regular=regular,
         convergent=regular,
@@ -1149,8 +1154,6 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
     found = best_period is not None
     return OrbitResult(
         detected_period=best_period,
-        converged=best_period == 1,
-        limit_cycle=tuple(v.copy() for v in window[-best_period:]) if found else None,
         residual=best_residual if found else last_step_residual,
         iterations=iterations_run,
         stop_reason=reason,
@@ -1234,8 +1237,6 @@ def all_slots_iterate_orbits(
                 reason = "budget"
             results[column[k]] = OrbitResult(
                 detected_period=period,
-                converged=period == 1,
-                limit_cycle=tuple(kept[-period:]) if period else None,
                 residual=float(best_residual[k] if period else residuals[k, 0]),
                 iterations=iteration,
                 stop_reason=reason,
@@ -1385,5 +1386,5 @@ def float_cycle_witness(
     for label, vec in candidates:
         result = iterate_orbit(op, vec, params)
         if result.detected_period is not None and result.detected_period >= 2:
-            return OrbitCheck(label=label, period=result.detected_period, converged=False)
+            return OrbitCheck(label=label, period=result.detected_period)
     return None

@@ -410,7 +410,7 @@ class TestOrbit:
         assert loud.stdout == quiet.stdout
         # the burn-in lies past the exact repeat: only its step is scored
         assert loud.stderr == ("DEBUG:imclim.orbits:orbit block: 1 columns, 107 steps, "
-                               "1 scored in full, with clean columns; "
+                               "1 scored in full, with quiet columns; "
                                "stops: exact_repeat 1, sustained 0, budget 0\n")
 
     @pytest.mark.parametrize("value", ["basic_format", "_styles", "fatal", "WARN", " debug"])
@@ -459,6 +459,18 @@ class TestOrbit:
         assert main(["orbit", str(path), "-f", spec, "--json"]) == 0
         limit = json.loads(capsys.readouterr().out)["limit_cycle"][0]
         assert limit == [float(s == state) for s in states]
+
+    def test_lone_number_is_a_one_entry_function(self, tmp_path, capsys):
+        # a one-state model's function is one number; elsewhere the length check refuses it
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"states": ["a"], "credal_sets": {"a": [{"a": "1"}]}}))
+        for spec in ("0.5", " 1/2 "):
+            assert main(["orbit", str(path), "-f", spec, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["limit_cycle"] == [[0.5]]
+        assert main(["orbit", DEMO_MODEL, "-f", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: function has 1 entries, the model has 5 states\n"
+        assert main(["orbit", str(path), "-f", "zz"]) == 1
+        assert capsys.readouterr().err == "error: unknown state label 'zz'\n"
 
     def test_bad_function_spec(self, capsys):
         assert main(["orbit", DEMO_MODEL, "-f", "zz"]) == 1

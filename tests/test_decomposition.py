@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from imclim import (
     PreconditionError,
     UnsupportedOperatorError,
     UpperOperator,
+    analyze,
     build_graph,
     communication_classes,
     decide_convergence,
@@ -29,15 +31,15 @@ from imclim.decomposition import (
 F = Fraction
 
 
-def labelled(level, states):
-    """Labels of the level-local indices ``states``, through the level's own space."""
-    return level.space.labels_of(states)
+def labelled(table, states):
+    """Labels of the level-local indices ``states``, through the level table's own space."""
+    return gen.labels_of(table.space, states)
 
 
 class TestDecompose:
     def test_running_example_two_levels(self, running_op):
         dec = decompose(running_op)
-        lab = running_op.space.labels_of
+        lab = functools.partial(gen.labels_of, running_op.space)
         assert dec.depth == 2
         level1, level2 = dec.maximal
         assert [lab(c.members) for c in level1] == [("a",), ("b",)]
@@ -46,8 +48,8 @@ class TestDecompose:
         assert [lab(c.members) for c in level2] == [("d", "e")]
         assert not gen.absorbed_at(dec, 2) and not gen.remaining_after(dec, 2)
         assert {lab(c.members): c.cyclicity for c in level2} == {("d", "e"): 1}
-        _, _, part2 = list(gen.level_partitions(running_op))[1]
-        cyc = {labelled(part2, c.members): c.cyclicity for c in part2.classes}
+        _, table2, part2 = list(gen.level_partitions(running_op))[1]
+        cyc = {labelled(table2, c.members): c.cyclicity for c in part2.classes}
         assert cyc == {("d", "e"): 1}
         assert dec.exits == (1, 1, 1, 2, 2)
         assert dec.rounds == (0, 0, 1, 0, 0)
@@ -61,7 +63,7 @@ class TestDecompose:
 
     def test_counterexample_two_levels(self, counterexample_op):
         dec = decompose(counterexample_op)
-        lab = counterexample_op.space.labels_of
+        lab = functools.partial(gen.labels_of, counterexample_op.space)
         assert dec.depth == 2
         level1, level2 = dec.maximal
         assert [lab(c.members) for c in level1] == [("a",)]
@@ -112,8 +114,8 @@ class TestDecompose:
             for j, (states, table, level) in enumerate(levels, start=1):
                 graph = build_graph(table)
                 assert level.classes == communication_classes(graph)
-                assert graph.labels == level.space.labels
-                assert level.space.labels == tuple(op.space.labels[i] for i in states)
+                assert graph.labels == table.space.labels
+                assert table.space.labels == tuple(op.space.labels[i] for i in states)
                 assert states == tuple(x for x, e in enumerate(dec.exits) if e >= j)
                 assert [
                     (frozenset(states[i] for i in c.members), c.cyclicity,
@@ -122,8 +124,8 @@ class TestDecompose:
                     if c.is_maximal
                 ] == [(c.members, c.cyclicity, c.phases) for c in dec.maximal[j - 1]]
             offenders = [
-                (k, level, states, c)
-                for k, (states, _, level) in enumerate(levels, start=1)
+                (k, table, states, c)
+                for k, (states, table, level) in enumerate(levels, start=1)
                 for c in level.classes
                 if c.is_maximal and not c.is_regular
             ]
@@ -136,15 +138,17 @@ class TestDecompose:
                 assert witness is None and not recorded
                 continue
             witnessed += 1
-            k, level, states, info = offenders[0]
-            space = level.space
+            k, table, states, info = offenders[0]
+            # the witness holds the record's first non-regular class itself
             assert witness.level == k == recorded[0][0]
-            assert witness.members == space.labels_of(info.members)
-            assert witness.phases == tuple(space.labels_of(p) for p in info.phases)
-            # the same labels through the model's indices, and through the record
-            assert witness.members == op.space.labels_of(states[i] for i in info.members)
-            assert witness.members == op.space.labels_of(recorded[0][1].members)
-            assert witness.phases == tuple(op.space.labels_of(p) for p in recorded[0][1].phases)
+            assert witness.info is recorded[0][1]
+            # its labels through the level's own space and through the model's
+            members = gen.labels_of(op.space, witness.info.members)
+            phases = tuple(gen.labels_of(op.space, p) for p in witness.info.phases)
+            assert members == labelled(table, info.members)
+            assert phases == tuple(labelled(table, p) for p in info.phases)
+            assert members == gen.labels_of(op.space, (states[i] for i in info.members))
+            assert witness.info.cyclicity == info.cyclicity
         assert witnessed >= 500
 
     def test_operator_without_supports_is_refused(self, running_op):
@@ -172,7 +176,7 @@ class TestDecideConvergence:
         assert verdict.witness is None
         assert verdict.ergodic == "no"
         assert verdict.convergent_on_xm is True
-        assert verdict.finitely_generated
+        assert analyze(running_op).to_dict()["verdicts"]["finitely_generated"] is True
 
     def test_counterexample_inconclusive_with_witness(self, counterexample_op):
         verdict = decide_convergence(counterexample_op, decompose(counterexample_op))
@@ -180,8 +184,8 @@ class TestDecideConvergence:
         assert verdict.basis["convergent"] == BASIS_CONDITION_FAILED
         assert verdict.witness is not None
         assert verdict.witness.level == 2
-        assert verdict.witness.members == ("b", "c")
-        assert verdict.witness.cyclicity == 2
+        assert gen.labels_of(counterexample_op.space, verdict.witness.info.members) == ("b", "c")
+        assert verdict.witness.info.cyclicity == 2
         assert verdict.notes
 
     def test_delayed_cycle_no(self, delayed_cycle_op):
@@ -189,14 +193,17 @@ class TestDecideConvergence:
         assert verdict.convergent == "no"
         assert verdict.basis["convergent"] == BASIS_FINITELY_GENERATED
         assert verdict.witness.level == 2
-        assert verdict.witness.members == ("b", "c")
+        assert gen.labels_of(delayed_cycle_op.space, verdict.witness.info.members) == ("b", "c")
         # the verdict comes with a concrete alternating orbit
         check = gen.float_cycle_witness(delayed_cycle_op, {1, 2})
         assert check is not None and check.period == 2
         # and with the certificate read off the class's cyclic subclasses
-        assert verdict.witness.phases == (("b",), ("c",))
-        certificate = search_cycle_witness(verdict.witness.phases)
-        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2, False)
+        space = delayed_cycle_op.space
+        phases = verdict.witness.info.phases
+        assert tuple(gen.labels_of(space, p) for p in phases) == (("b",), ("c",))
+        certificate = search_cycle_witness(space.labels, phases)
+        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2)
+        assert not certificate.converged
 
     def test_ergodic_implies_convergent(self):
         rng = random.Random(72)
@@ -206,7 +213,7 @@ class TestDecideConvergence:
             if verdict.ergodic == "yes":
                 assert verdict.convergent == "yes"
             if verdict.convergent == "no":
-                assert verdict.finitely_generated
+                assert op.is_finitely_generated
                 assert verdict.witness is not None
 
 

@@ -71,7 +71,7 @@ class TestCommunicationClasses:
     def test_running_example(self, running_op):
         classes = communication_classes(build_graph(running_op.supports()))
         by_members = {
-            running_op.space.labels_of(c.members): c for c in classes
+            gen.labels_of(running_op.space, c.members): c for c in classes
         }
         assert set(by_members) == {("a",), ("b",), ("c", "d", "e")}
         assert by_members[("a",)].is_maximal and by_members[("b",)].is_maximal
@@ -86,10 +86,11 @@ class TestCommunicationClasses:
     def test_counterexample_classes(self, counterexample_op):
         # b and c communicate (b -> c and c -> b), so the classes are {a} and {b, c}
         classes = communication_classes(build_graph(counterexample_op.supports()))
-        members = {counterexample_op.space.labels_of(c.members) for c in classes}
+        members = {gen.labels_of(counterexample_op.space, c.members) for c in classes}
         assert members == {("a",), ("b", "c")}
         maximal = [c for c in classes if c.is_maximal]
-        assert len(maximal) == 1 and counterexample_op.space.labels_of(maximal[0].members) == ("a",)
+        assert len(maximal) == 1
+        assert gen.labels_of(counterexample_op.space, maximal[0].members) == ("a",)
 
     def test_classes_partition_and_maximal_iff_closed(self):
         rng = random.Random(32)
@@ -120,7 +121,7 @@ class TestCommunicationClasses:
 
 class TestClosed:
     def test_running_closed_subsets_exact(self, running_op):
-        subsets = {running_op.space.labels_of(s) for s in gen.closed_subsets(running_op)}
+        subsets = {gen.labels_of(running_op.space, s) for s in gen.closed_subsets(running_op)}
         assert subsets == {("a",), ("b",), ("a", "b"), ("a", "b", "c", "d", "e")}
 
     def test_full_space_closed(self, running_op):
@@ -219,9 +220,8 @@ class TestRegularityOracle:
 class TestDot:
     def test_deterministic_and_clustered(self, running_op):
         graph = build_graph(running_op.supports())
-        classes = communication_classes(graph)
-        text = to_dot(graph, classes)
-        assert text == to_dot(graph, classes)
+        text = to_dot(graph)
+        assert text == to_dot(graph)
         assert text.startswith("digraph access {")
         assert '"c" -> "a";' in text
         assert text.count("subgraph cluster_") == 3
@@ -230,13 +230,13 @@ class TestDot:
     def test_quotes_and_backslashes_escaped(self):
         adjacency = np.array([[False, True], [True, False]])
         graph = gen.graph_from_adjacency(('a"b', "c\\"), adjacency)
-        text = to_dot(graph, communication_classes(graph))
+        text = to_dot(graph)
         assert '  "a\\"b" -> "c\\\\";' in text
         assert '    label="{a\\"b, c\\\\} (maximal)";' in text
         assert '    "a\\"b";' in text and '    "c\\\\";' in text
 
     def test_one_cluster_per_singleton_class(self, identity5_op):
         graph = build_graph(identity5_op.supports())
-        text = to_dot(graph, communication_classes(graph))
+        text = to_dot(graph)
         assert '"a" -> "a";' in text
         assert text.count("subgraph cluster_") == text.count("(maximal)") == 5

@@ -1,6 +1,8 @@
 import io
 import itertools
+import logging
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -368,7 +370,7 @@ class TestScoringWindow:
             yield op, gen.rotation_starts(op, params, 10)
 
     def test_clean_columns_that_turn_match_the_all_slots_engine(self, monkeypatch):
-        # a clean column whose step leaves tolerance stops its block's run,
+        # a quiet column whose step leaves tolerance stops its block's run,
         # and the block reruns with every column scored in full from W
         import imclim.orbits
 
@@ -398,7 +400,7 @@ class TestScoringWindow:
         assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
 
     def test_only_blocks_whose_clean_columns_turn_rerun(self, monkeypatch, counterexample_op):
-        # non-expansive: in exact arithmetic a clean column's period-1
+        # non-expansive: in exact arithmetic a quiet column's period-1
         # residual never grows, so seeded models rerun no block; a spurious
         # rerun costs time and changes no result.  The rotations, scaled to
         # leave tolerance after W, rerun (see the test above).
@@ -414,10 +416,34 @@ class TestScoringWindow:
                 oracle_compare(op, "inconclusive", params, seed=k)
         assert reruns == {"blocks": 5 * len(ops)}, reruns
 
+    def test_a_rerun_block_logs_its_rerun_alone(self, caplog):
+        # the first run stops when a quiet column leaves tolerance after W and
+        # logs nothing; the rerun logs the block's one line
+        op = gen.ScaledRotation(1.01, 4)
+        params = OrbitParams()
+        starts = gen.rotation_starts(op, params, 10)
+        stops = Counter(r.stop_reason for r in gen.all_slots_iterate_orbits(op, starts, params))
+        with caplog.at_level(logging.DEBUG, logger="imclim.orbits"):
+            results = iterate_orbits(op, starts, params)
+        records = [r for r in caplog.records if r.name == "imclim.orbits"]
+        assert len(records) == 1
+        steps = max(r.iterations for r in results)
+        match = re.fullmatch(
+            rf"orbit block: 10 columns, {steps} steps, (\d+) scored in full, "
+            r"rerun without quiet columns; stops: exact_repeat (\d+), "
+            r"sustained (\d+), budget (\d+)",
+            records[0].getMessage(),
+        )
+        assert match, records[0].getMessage()
+        assert int(match[1]) <= steps
+        assert tuple(map(int, match.groups()[1:])) == (
+            stops["exact_repeat"], stops["sustained"], stops["budget"])
+        assert stops["sustained"] and stops["budget"], stops
+
     def test_full_rows_only_where_a_rule_can_read_them(self, monkeypatch):
         # After W, a column is scored in full only on W itself, on the
         # budget's last step, on a print hit, or once its step has left
-        # tolerance (dirty at W): a clean column gets its step and its print
+        # tolerance (not quiet from W): a quiet column gets its step and its print
         # alone.  Before W only print hits are scored.  A rerun block scores
         # every column in full from W on.
         import imclim.orbits
@@ -449,7 +475,7 @@ class TestScoringWindow:
                    for op, starts in itertools.islice(self.rotations(params), 5, None, 3)]
         for op, block, params in blocks:
             first = max(1, params.burn_in - params.max_period + 1)  # W
-            fires = first + params.max_period - 1  # no column is clean after this step
+            fires = first + params.max_period - 1  # no column is quiet after this step
             weights = np.arange(1, 2 * op.n, 2, dtype=np.uint64) * imclim.orbits._PRINT_ODD
             steps = []
             apply = op.apply
@@ -641,7 +667,8 @@ class TestWitnessSearch:
         assert check.period == 2
         # the certificate: the indicator of b, the phase of the class's first state
         certificate = analyze(delayed_cycle_op).witness_orbit
-        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2, False)
+        assert certificate == OrbitCheck("cyclic-indicator:{b}", 2)
+        assert not certificate.converged
 
     def test_no_witness_on_convergent_operator(self, running_op):
         assert gen.float_cycle_witness(running_op, {3, 4}, FAST) is None
@@ -650,8 +677,9 @@ class TestWitnessSearch:
 
 class TestCertificate:
     def test_label_sorts_the_first_phase(self):
-        check = search_cycle_witness((("d", "a"), ("c",), ("b",)))
-        assert check == OrbitCheck("cyclic-indicator:{a, d}", 3, False)
+        check = search_cycle_witness(("a", "b", "c", "d"), ({3, 0}, {2}, {1}))
+        assert check == OrbitCheck("cyclic-indicator:{a, d}", 3)
+        assert not check.converged
 
     def test_planted_cyclic_classes_exact(self):
         """On C_0, T^n 1_{C_0} is 1 exactly when d | n, in exact arithmetic.
@@ -668,10 +696,11 @@ class TestCertificate:
             report = analyze(op)
             witness = report.verdict.witness
             assert report.verdict.convergent == "no"
-            assert (witness.level, witness.cyclicity) == (level, d)
-            assert witness.phases == tuple(op.space.labels_of(p) for p in phases)
-            label = "cyclic-indicator:{" + ", ".join(op.space.labels_of(phases[0])) + "}"
-            assert report.witness_orbit == OrbitCheck(label, d, False)
+            assert (witness.level, witness.info.cyclicity) == (level, d)
+            assert witness.info.phases == tuple(map(frozenset, phases))
+            label = "cyclic-indicator:{" + ", ".join(gen.labels_of(op.space, phases[0])) + "}"
+            assert report.witness_orbit == OrbitCheck(label, d)
+            assert not report.witness_orbit.converged
             g = tuple(F(int(i in phases[0])) for i in range(op.n))
             for n in range(1, 3 * d + 1):
                 g = gen.apply_exact(op, g)

@@ -15,7 +15,7 @@ F = Fraction
 
 
 def labelled(op, states):
-    return op.space.labels_of(states)
+    return gen.labels_of(op.space, states)
 
 
 class TestLowerReachSet:

@@ -1,6 +1,7 @@
 """Checks on the package sources themselves."""
 
 import ast
+import re
 from pathlib import Path
 
 import imclim
@@ -42,6 +43,14 @@ def test_every_public_name_is_used_by_the_package():
     # a helper that only tests use belongs in tests/, not in imclim.__all__
     used = set().union(*(referenced_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
     assert sorted(set(imclim.__all__) - {"__version__"} - used) == []
+
+
+def test_readme_names_every_public_name():
+    # every name in imclim.__all__ appears as code in the README
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert sorted(set(imclim.__all__) - {"__version__"} - named) == []
 
 
 def test_every_json_output_goes_through_json_text():

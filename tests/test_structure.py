@@ -151,17 +151,18 @@ class TestCost:
         # never asked for an index, build none, and the decomposition keeps
         # none of them
         op = gen.staircase_operator(20)  # read by parse_model
-        built = []
+        tables, built = [], []
 
         def recording(table):
+            tables.append(table)
             built.append(partition_states(table))
             return built[-1]
 
         monkeypatch.setattr(imclim.decomposition, "partition_states", recording)
         dec = decompose(op)
         assert dec.depth == len(built) == 20
-        assert "_pos" in vars(op.space) and built[0].space is op.space
-        assert not any("_pos" in vars(level.space) for level in built[1:])
+        assert "_pos" in vars(op.space) and tables[0].space is op.space
+        assert not any("_pos" in vars(table.space) for table in tables[1:])
         assert dec.graph.labels is op.space.labels
         kept = [dec.graph, *dec.classes, *(c for level in dec.maximal for c in level)]
         assert not any(isinstance(v, (StateSpace, StatePartition)) for v in kept)
