@@ -41,8 +41,6 @@ from .decomposition import (
     Verdict,
     Witness,
     decide_convergence,
-    decide_convergence_on_xm,
-    decide_ergodicity,
     decompose,
 )
 from .orbits import (
@@ -95,8 +93,6 @@ __all__ = [
     "Witness",
     "decompose",
     "decide_convergence",
-    "decide_convergence_on_xm",
-    "decide_ergodicity",
     # orbits
     "OrbitParams",
     "OrbitResult",

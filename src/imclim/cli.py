@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGENT = 2
 EXIT_INCONCLUSIVE = 3
+# the exit code of each ``convergent`` verdict
+_EXIT_CODES = {"yes": EXIT_OK, "no": EXIT_NOT_CONVERGENT, "inconclusive": EXIT_INCONCLUSIVE}
 
 log = logging.getLogger("imclim")
 
@@ -119,7 +121,7 @@ def _entry(part: str) -> float:
 def _parse_function(spec: str, op) -> np.ndarray:
     """The start function ``spec`` names: a label as written, else, stripped,
     a label, ``random:SEED``, comma-separated entries or one lone entry."""
-    labels = op.space._pos
+    labels = op.space.positions
     if spec not in labels:  # an exact label names its state, spaces and commas kept
         spec = spec.strip()
     if spec in labels:
@@ -201,12 +203,7 @@ def _cmd_analyze(args) -> int:
             print(f"orbit suite: {status} ({len(ev['checks'])} functions)")
             for item in ev["discrepancies"]:
                 print(f"  discrepancy: {item}")
-    verdict = report.verdict.convergent
-    if verdict == "yes":
-        return EXIT_OK
-    if verdict == "no":
-        return EXIT_NOT_CONVERGENT
-    return EXIT_INCONCLUSIVE
+    return _EXIT_CODES[report.verdict.convergent]
 
 
 @contextlib.contextmanager

@@ -10,8 +10,8 @@ its cut table, and :func:`decompose` folds that level into one
 :class:`Decomposition` in the model's indices and drops it: per state, the
 level it leaves at and its join round there, and per level, its maximal
 classes.  Every level's states are an ascending subset of the model's, so
-the model's indices keep each level's class order.  Verdict ``basis``
-strings name entries of the decision rule table in the project README.
+the model's indices keep each level's class order.  ``_RULES`` is the
+code's copy of the decision rule table in the project README.
 
 The module is purely structural: it reads support tables and graphs only,
 and runs no orbit.  The numerical cross-check of a verdict lives in
@@ -21,7 +21,7 @@ and runs no orbit.  The numerical cross-check of a verdict lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .graphs import AccessGraph, ClassInfo, build_graph
 from .operators import UpperOperator
@@ -33,11 +33,19 @@ BASIS_SUFFICIENT = "Theorem 1"
 BASIS_FINITELY_GENERATED = "Theorem 2"
 BASIS_CONDITION_FAILED = "Theorem 1 condition not met"
 
-_FOOTNOTE_NOTE = (
-    "non-convergence is only certified for finitely generated operators; the "
-    "tool applies that direction under full finite generation, although finite "
-    "pmf sets on the unabsorbed transient states alone would suffice"
-)
+#: The README's decision rules by ``convergent`` verdict: the rule it cites and its notes.
+_RULES = {
+    "yes": (BASIS_SUFFICIENT, ()),
+    "no": (BASIS_FINITELY_GENERATED, (
+        "non-convergence is only certified for finitely generated operators; the "
+        "tool applies that direction under full finite generation, although finite "
+        "pmf sets on the unabsorbed transient states alone would suffice",
+    )),
+    "inconclusive": (BASIS_CONDITION_FAILED, (
+        "the operator is not finitely generated, so a failed condition "
+        "does not refute convergence; orbits may still converge",
+    )),
+}
 
 
 @dataclass(frozen=True)
@@ -125,70 +133,49 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The three verdicts of :func:`decide_convergence` and the witness of a
+    failed condition; ``basis`` and ``notes`` are read off ``convergent``."""
+
     convergent: str  # "yes" | "no" | "inconclusive"
     ergodic: str  # "yes" | "no"
     convergent_on_xm: bool
-    basis: Mapping[str, str]
     witness: Witness | None
-    notes: tuple[str, ...] = ()
 
+    @property
+    def basis(self) -> dict[str, str]:
+        """The rule behind each verdict, keyed by verdict name."""
+        return {
+            "ergodic": BASIS_ERGODIC,
+            "convergent_on_xm": BASIS_XM,
+            "convergent": _RULES[self.convergent][0],
+        }
 
-def _first_nonregular(dec: Decomposition) -> Witness | None:
-    for k, level in enumerate(dec.maximal, start=1):
-        for info in level:
-            if info.cyclicity != 1:
-                return Witness(k, info)
-    return None
-
-
-def decide_convergence_on_xm(dec: Decomposition) -> bool:
-    """Orbits converge on the maximal states iff every maximal class has cyclicity 1."""
-    return all(c.cyclicity == 1 for c in dec.maximal[0])
-
-
-def decide_ergodicity(dec: Decomposition) -> str:
-    """Every orbit converges to a constant iff there is a single maximal
-    communication class, it absorbs everything, and it is regular."""
-    maximal = dec.maximal[0]
-    ok = len(maximal) == 1 and dec.depth == 1 and maximal[0].cyclicity == 1
-    return "yes" if ok else "no"
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return _RULES[self.convergent][1]
 
 
 def decide_convergence(op: UpperOperator, dec: Decomposition) -> Verdict:
-    """Combine the decomposition into the three-valued convergence verdict.
+    """Decide the three verdicts from the decomposition.
 
-    All level maximal classes regular certifies convergence for any operator.
-    A failed condition refutes convergence only for finitely generated
-    operators; otherwise the verdict is "inconclusive", because the condition
-    is not necessary in general.
+    All level maximal classes regular certifies convergence for any operator
+    (Theorem 1).  A failed condition, witnessed by the first non-regular
+    one, refutes convergence only for finitely generated operators (Theorem
+    2); otherwise the verdict is "inconclusive".  Level 1 decides ergodicity
+    (Proposition 1) and convergence on the maximal states (Proposition 3).
     """
-    ergodic = decide_ergodicity(dec)
-    convergent_on_xm = decide_convergence_on_xm(dec)
-    basis = {
-        "ergodic": BASIS_ERGODIC,
-        "convergent_on_xm": BASIS_XM,
-    }
-    witness = _first_nonregular(dec)
-    notes: list[str] = []
+    witness = next((Witness(k, info) for k, level in enumerate(dec.maximal, start=1)
+                    for info in level if not info.is_regular), None)
     if witness is None:
         convergent = "yes"
-        basis["convergent"] = BASIS_SUFFICIENT
     elif op.is_finitely_generated:
         convergent = "no"
-        basis["convergent"] = BASIS_FINITELY_GENERATED
-        notes.append(_FOOTNOTE_NOTE)
     else:
         convergent = "inconclusive"
-        basis["convergent"] = BASIS_CONDITION_FAILED
-        notes.append(
-            "the operator is not finitely generated, so a failed condition "
-            "does not refute convergence; orbits may still converge"
-        )
+    top = dec.maximal[0]
     return Verdict(
         convergent=convergent,
-        ergodic=ergodic,
-        convergent_on_xm=convergent_on_xm,
-        basis=basis,
+        ergodic="yes" if len(top) == 1 and dec.depth == 1 and top[0].is_regular else "no",
+        convergent_on_xm=all(info.is_regular for info in top),
         witness=witness,
-        notes=tuple(notes),
     )

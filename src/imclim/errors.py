@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one check of a count."""
+
+import numbers
 
 
 class ImclimError(Exception):
@@ -33,3 +35,10 @@ class NotWellDefinedError(PreconditionError):
 
 class UnsupportedOperatorError(ImclimError, TypeError):
     """The operator declares no candidate supports, so it has no structure to analyse."""
+
+
+def require_count(value, least: int, rule: str) -> None:
+    """Raise :class:`PreconditionError` ``"{rule}, got {value!r}"`` unless
+    ``value`` is an integer of at least ``least``; a ``bool`` is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise PreconditionError(f"{rule}, got {value!r}")

@@ -145,7 +145,7 @@ def parse_model(data) -> CredalOperator:
     unknown = sorted(set(raw_sets) - set(space.labels))
     if unknown:
         raise ModelValidationError(f"credal sets given for unknown states: {unknown}")
-    index = space._pos
+    index = space.positions
     per_state = []
     for label in space.labels:
         raw = raw_sets.get(label)

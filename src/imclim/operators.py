@@ -40,7 +40,8 @@ import numbers
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,18 +66,12 @@ class StateSpace:
             raise ModelValidationError(f"duplicate state labels: {dupes}")
 
     @functools.cached_property
-    def _pos(self) -> dict[str, int]:
-        """Each label's index, built on first use."""
-        return {x: i for i, x in enumerate(self.labels)}
+    def positions(self) -> Mapping[str, int]:
+        """Each label's index, as a read-only mapping built on first use."""
+        return MappingProxyType({x: i for i, x in enumerate(self.labels)})
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._pos[label]
-        except KeyError:
-            raise ModelValidationError(f"unknown state label '{label}'") from None
 
     def subset(self, indices: Sequence[int]) -> "StateSpace":
         """Sub-space keeping the original labels, ordered by ascending index."""

@@ -79,12 +79,13 @@ class, found by the graph layer, into the certificate the report carries.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, require_count
 from .operators import UpperOperator
 
 log = logging.getLogger(__name__)
@@ -96,6 +97,10 @@ _BLOCK_BYTES = 8 << 20
 #: Odd multiplier of the per-state print weights ``(2i + 1) * _PRINT_ODD``:
 #: odd, so the ``n`` weights are distinct and odd modulo ``2**64``.
 _PRINT_ODD = np.uint64(0x9E3779B97F4A7C15)
+
+#: What :func:`oracle_compare` and :func:`~imclim.report.analyze` require of a suite.
+SUITE_SIZE_RULE = "the number of random suite functions must be >= 0"
+SEED_RULE = "the seed must be a non-negative integer"
 
 
 @dataclass(frozen=True)
@@ -109,10 +114,11 @@ class OrbitParams:
     max_period: int = 64
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise PreconditionError("tolerance must be positive")
-        if self.max_period < 1 or self.max_iters < 1 or self.burn_in < 0:
-            raise PreconditionError("iteration budgets must be positive")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            raise PreconditionError(f"tolerance must be a positive number, got {tol!r}")
+        for name, least in (("burn_in", 0), ("max_iters", 1), ("max_period", 1)):
+            require_count(getattr(self, name), least, f"{name} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -207,14 +213,8 @@ def iterate_orbits(
     certificate wins.  Only period one, an exact repeat (residuals are frozen
     from then on), or budget exhaustion end a column's run.
 
-    A column is quiet before ``W = burn_in - max_period + 1``, and after it
-    while its period-1 residual stays within tolerance; a quiet column has
-    all its residuals taken only on a fingerprint hit, on ``W``, on ``W +
-    max_period - 1`` (where its period-1 streak is the steps since ``W``)
-    and on the budget's last step, and every other column on every step
-    from ``W``.  A block whose quiet column leaves tolerance after ``W``
-    reruns with no column quiet after ``W`` (see the module docstring).  The
-    results are those of scoring every step.
+    Quiet columns skip most residuals, by the rule in the module docstring;
+    the results are those of scoring every step.
 
     Raises :class:`PreconditionError` when the window of a budget cannot be
     allocated at all.
@@ -475,11 +475,10 @@ def default_function_suite(
     Random columns alternate between uniform draws and random 0/1 vectors,
     drawn from ``rng`` in column order; the latter are much better at
     exposing alternating limit cycles.  The block is allocated before any
-    draw.  Raises :class:`PreconditionError` for a negative ``extra`` and for
-    a block that cannot be allocated.
+    draw.  Raises :class:`PreconditionError` for an ``extra`` that is no
+    integer >= 0 and for a block that cannot be allocated.
     """
-    if extra < 0:
-        raise PreconditionError(f"the number of random suite functions must be >= 0, got {extra}")
+    require_count(extra, 0, SUITE_SIZE_RULE)
     n = op.n
     try:
         starts = np.zeros((n, n + extra))
@@ -516,10 +515,12 @@ def oracle_compare(
     any suite orbit that does not certify period 1; a "no" verdict expects at
     least one suite orbit with a longer cycle, flagged softly because a finite
     suite cannot witness every function.  "inconclusive" verdicts are never
-    contradicted by converging orbits.
+    contradicted by converging orbits.  Raises :class:`PreconditionError`
+    for a ``seed`` or ``extra_random`` that is no integer >= 0.
     """
     if verdict not in ("yes", "no", "inconclusive"):
         raise PreconditionError(f"unknown verdict {verdict!r}")
+    require_count(seed, 0, SEED_RULE)
     labels, starts = default_function_suite(op, extra_random, np.random.default_rng(seed))
     periods = _iterate(op, starts, params, windows=False)
     checks = tuple(map(OrbitCheck, labels, periods))

@@ -24,9 +24,11 @@ from .decomposition import (
     decide_convergence,
     decompose,
 )
-from .errors import PreconditionError
+from .errors import require_count
 from .operators import UpperOperator
 from .orbits import (
+    SEED_RULE,
+    SUITE_SIZE_RULE,
     OrbitCheck,
     OrbitComparison,
     OrbitParams,
@@ -186,7 +188,7 @@ class AnalysisReport:
             "ergodic": verdict.ergodic,
             "convergent_on_maximal_states": verdict.convergent_on_xm,
             "finitely_generated": self.operator.is_finitely_generated,
-            "basis": dict(verdict.basis),
+            "basis": verdict.basis,
             "witness": (
                 {
                     "level": witness.level,
@@ -251,15 +253,12 @@ def analyze(
     integer (including 0) runs the indicator suite plus that many random
     functions drawn from ``seed``.  A "no" verdict carries the certificate
     of :func:`~imclim.orbits.search_cycle_witness`, which runs no orbit.
-    Raises :class:`PreconditionError` for a negative ``seed`` or
-    ``suite_random`` before any work is done.
+    Raises :class:`PreconditionError` before any work is done for a
+    ``seed`` or ``suite_random`` that is no integer >= 0 (a ``bool`` is none).
     """
-    if seed < 0:
-        raise PreconditionError(f"the seed must be a non-negative integer, got {seed}")
-    if suite_random is not None and suite_random < 0:
-        raise PreconditionError(
-            f"the number of random suite functions must be >= 0, got {suite_random}"
-        )
+    require_count(seed, 0, SEED_RULE)
+    if suite_random is not None:
+        require_count(suite_random, 0, SUITE_SIZE_RULE)
     dec = decompose(op)
     verdict = decide_convergence(op, dec)
     witness_orbit = None

@@ -1063,7 +1063,7 @@ def fraction_load(data) -> tuple[StateSpace, tuple[tuple[tuple[tuple[int, Fracti
                     f"pmf #{k} for state '{label}' assigns mass to unknown states {bad}"
                 )
             try:
-                pmfs.append(_fraction_pmf(len(space), {space.index(y): m for y, m in entry.items()}))
+                pmfs.append(_fraction_pmf(len(space), {space.positions[y]: m for y, m in entry.items()}))
             except ModelValidationError as exc:
                 raise ModelValidationError(f"pmf #{k} for state '{label}': {exc}") from exc
         # the dense vectors' order: mass at a lower index is the larger entry

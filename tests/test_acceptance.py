@@ -26,7 +26,6 @@ from imclim import (
     build_graph,
     communication_classes,
     decide_convergence,
-    decide_convergence_on_xm,
     decompose,
     default_function_suite,
     iterate_orbit,
@@ -486,7 +485,7 @@ def test_criterion_5_single_class_equivalences():
     for _ in range(200):
         op = gen.random_operator(rng, n=rng.randint(2, 4))
         classes = communication_classes(build_graph(op.supports()))
-        flag = decide_convergence_on_xm(decompose(op))
+        flag = decide_convergence(op, decompose(op)).convergent_on_xm
         per_class = all(c.cyclicity == 1 for c in classes if c.is_maximal)
         if flag != per_class:
             failures.append("convergence-on-maximal-states mismatch")

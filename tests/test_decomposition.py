@@ -10,14 +10,14 @@ from imclim import (
     CredalOperator,
     OrbitCheck,
     PreconditionError,
+    StateSpace,
+    SupportTable,
     UnsupportedOperatorError,
     UpperOperator,
     analyze,
     build_graph,
     communication_classes,
     decide_convergence,
-    decide_convergence_on_xm,
-    decide_ergodicity,
     decompose,
     partition_states,
     search_cycle_witness,
@@ -205,6 +205,36 @@ class TestDecideConvergence:
         assert certificate == OrbitCheck("cyclic-indicator:{b}", 2)
         assert not certificate.converged
 
+    def test_level_one_witness_without_finite_generation(self):
+        # Pins today's behaviour at the ROADMAP loose end "Prop 3 against the
+        # convergence verdict": a swap that is not finitely generated fails
+        # Theorem 1 at level 1.  By Proposition 3 as the README states it,
+        # convergent_on_xm False already refutes convergence, yet the verdict
+        # is "inconclusive", since Theorem 2 needs finite generation.
+        class Swap(UpperOperator):
+            _SPACE = StateSpace(("a", "b"))
+            _TABLE = SupportTable(_SPACE, (((1,),), ((0,),)))
+
+            @property
+            def space(self):
+                return self._SPACE
+
+            def apply(self, f):
+                return self._check_vector(f)[::-1].copy()
+
+            def supports(self):
+                return self._TABLE
+
+        op = Swap()
+        verdict = decide_convergence(op, decompose(op))
+        assert verdict.convergent == "inconclusive"
+        assert verdict.basis["convergent"] == BASIS_CONDITION_FAILED
+        assert verdict.convergent_on_xm is False
+        assert verdict.witness.level == 1 and verdict.witness.info.cyclicity == 2
+        evidence = analyze(op, suite_random=0).orbit_evidence
+        assert [c.period for c in evidence.checks] == [2, 2]
+        assert evidence.agrees
+
     def test_ergodic_implies_convergent(self):
         rng = random.Random(72)
         for _ in range(200):
@@ -219,11 +249,11 @@ class TestDecideConvergence:
 
 class TestDecideErgodicity:
     def test_running_example_not_ergodic(self, running_op):
-        assert decide_ergodicity(decompose(running_op)) == "no"
+        assert decide_convergence(running_op, decompose(running_op)).ergodic == "no"
 
     def test_single_state_ergodic(self):
         op = gen.identity_operator(["only"])
-        assert decide_ergodicity(decompose(op)) == "yes"
+        assert decide_convergence(op, decompose(op)).ergodic == "yes"
 
     def test_single_regular_class_with_absorbed_tail(self):
         sets = {
@@ -232,7 +262,7 @@ class TestDecideErgodicity:
             "c": [{"b": F(1)}],
         }
         op = gen.build(["a", "b", "c"], sets)
-        assert decide_ergodicity(decompose(op)) == "yes"
+        assert decide_convergence(op, decompose(op)).ergodic == "yes"
         # numeric confirmation: orbits flatten to a constant
         from imclim import iterate_orbit
 
@@ -241,7 +271,7 @@ class TestDecideErgodicity:
         assert result.limit.max() - result.limit.min() <= 1e-8
 
     def test_two_cycle_not_ergodic(self, two_cycle_op):
-        assert decide_ergodicity(decompose(two_cycle_op)) == "no"
+        assert decide_convergence(two_cycle_op, decompose(two_cycle_op)).ergodic == "no"
 
     def test_matches_numeric_constant_limits(self):
         rng = random.Random(73)
@@ -251,7 +281,7 @@ class TestDecideErgodicity:
         agree = 0
         for _ in range(60):
             op = gen.random_operator(rng, n=rng.randint(1, 4))
-            symbolic = decide_ergodicity(decompose(op)) == "yes"
+            symbolic = decide_convergence(op, decompose(op)).ergodic == "yes"
             numeric = True
             for f in default_function_suite(op, 3, np.random.default_rng(1))[1].T:
                 result = iterate_orbit(op, f, fast)
@@ -265,10 +295,10 @@ class TestDecideErgodicity:
 
 class TestConvergenceOnMaximalStates:
     def test_running_true(self, running_op):
-        assert decide_convergence_on_xm(decompose(running_op)) is True
+        assert decide_convergence(running_op, decompose(running_op)).convergent_on_xm is True
 
     def test_maximal_two_cycle_false(self, two_cycle_op):
-        assert decide_convergence_on_xm(decompose(two_cycle_op)) is False
+        assert decide_convergence(two_cycle_op, decompose(two_cycle_op)).convergent_on_xm is False
         # the orbit of an indicator alternates on that class
         from imclim import iterate_orbit
 
@@ -277,7 +307,7 @@ class TestConvergenceOnMaximalStates:
 
     def test_single_state_true(self):
         op = gen.identity_operator(["s"])
-        assert decide_convergence_on_xm(decompose(op)) is True
+        assert decide_convergence(op, decompose(op)).convergent_on_xm is True
 
     def test_matches_per_class_orbit_behaviour(self):
         rng = random.Random(74)
@@ -297,7 +327,7 @@ class TestConvergenceOnMaximalStates:
                 result = iterate_orbit(sub, f, fast)
                 if not result.converged:
                     per_class_converged = False
-            assert decide_convergence_on_xm(decompose(op)) == per_class_converged
+            assert decide_convergence(op, decompose(op)).convergent_on_xm == per_class_converged
 
 
 class TestAbsorbedCases:
@@ -359,7 +389,7 @@ class TestTheoremRouteEquivalence:
     def _recursive_route(op: CredalOperator) -> bool:
         # maximal classes regular, then recurse on the unabsorbed remainder
         dec = decompose(op)
-        if not decide_convergence_on_xm(dec):
+        if not decide_convergence(op, dec).convergent_on_xm:
             return False
         remaining = gen.remaining_after(dec, 1)
         if not remaining:

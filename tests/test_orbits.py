@@ -633,8 +633,34 @@ class TestOracleCompare:
         assert np.array_equal(starts[:, 6], rng.integers(0, 2, 5))
 
     def test_negative_extra_refused(self, running_op):
-        with pytest.raises(PreconditionError, match=">= 0"):
-            default_function_suite(running_op, -1, np.random.default_rng(0))
+        for extra in (-1, 2.5):
+            with pytest.raises(PreconditionError, match=">= 0"):
+                default_function_suite(running_op, extra, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", [
+        lambda op: OrbitParams(max_iters=2.5),
+        lambda op: OrbitParams(burn_in=1.5),
+        lambda op: OrbitParams(max_period=True),
+        lambda op: OrbitParams(tolerance="1e-9"),
+        lambda op: OrbitParams(tolerance=float("nan")),
+        lambda op: analyze(op, suite_random=2.5),
+        lambda op: analyze(op, suite_random="3"),
+        lambda op: analyze(op, suite_random=1, seed=1.5),
+        lambda op: analyze(op, seed=True),
+        lambda op: oracle_compare(op, "yes", seed=-1),
+    ], ids=["float-budget", "float-burn-in", "bool-period", "str-tolerance", "nan-tolerance",
+            "float-suite", "str-suite", "float-seed", "bool-seed", "negative-seed"])
+    def test_counts_that_are_no_integers_are_refused(self, running_op, make):
+        with pytest.raises(PreconditionError):
+            make(running_op)
+
+    def test_numpy_scalars_and_infinite_tolerance_are_accepted(self, two_cycle_op):
+        params = OrbitParams(tolerance=np.float64(1e-9), burn_in=np.int64(0),
+                             max_iters=np.int64(10), max_period=np.int64(4))
+        assert iterate_orbit(two_cycle_op, [1.0, 0.0], params).detected_period == 2
+        assert iterate_orbit(two_cycle_op, [1.0, 0.0], OrbitParams(tolerance=float("inf"))).converged
+        report = analyze(two_cycle_op, suite_random=np.int64(1), seed=np.int64(2))
+        assert len(report.orbit_evidence.checks) == two_cycle_op.n + 1
 
     def test_checks_carry_the_engine_periods_and_build_no_results(self, monkeypatch):
         import imclim.orbits

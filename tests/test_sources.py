@@ -66,3 +66,17 @@ def test_every_json_output_goes_through_json_text():
     importers = sorted(p.name for p in SRC.glob("*.py") if "json" in imported_modules(p))
     assert calls == []
     assert importers == ["modelio.py"]  # json.loads reads the model files
+
+
+def test_no_module_reads_private_attributes_of_other_objects():
+    # a private attribute is its own object's business: ``x._name`` is read
+    # only through ``self`` or ``cls``; dunders are protocol, not privacy
+    reads = sorted(
+        f"{p.name}:{node.lineno}"
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+    assert reads == []

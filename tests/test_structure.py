@@ -161,8 +161,8 @@ class TestCost:
         monkeypatch.setattr(imclim.decomposition, "partition_states", recording)
         dec = decompose(op)
         assert dec.depth == len(built) == 20
-        assert "_pos" in vars(op.space) and tables[0].space is op.space
-        assert not any("_pos" in vars(table.space) for table in tables[1:])
+        assert "positions" in vars(op.space) and tables[0].space is op.space
+        assert not any("positions" in vars(table.space) for table in tables[1:])
         assert dec.graph.labels is op.space.labels
         kept = [dec.graph, *dec.classes, *(c for level in dec.maximal for c in level)]
         assert not any(isinstance(v, (StateSpace, StatePartition)) for v in kept)
