@@ -13,19 +13,24 @@ classes.  Every level's states are an ascending subset of the model's, so
 the model's indices keep each level's class order.  ``_RULES`` is the
 code's copy of the decision rule table in the project README.
 
-The module is purely structural: it reads support tables and graphs only,
-and runs no orbit.  The numerical cross-check of a verdict lives in
+Each level logs one ``debug`` line on the ``imclim.decomposition`` logger:
+its number, states, maximal classes, absorbed and remaining states.  The
+module is purely structural: it reads support tables and graphs only, and
+runs no orbit.  The numerical cross-check of a verdict lives in
 :mod:`imclim.orbits` and is combined with the verdict in :mod:`imclim.report`.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import AccessGraph, ClassInfo, build_graph
 from .operators import UpperOperator
 from .reachability import partition_states
+
+log = logging.getLogger(__name__)
 
 BASIS_ERGODIC = "Proposition 1"
 BASIS_XM = "Proposition 3"
@@ -116,6 +121,11 @@ def decompose(op: UpperOperator) -> Decomposition:
         else:
             top = [_renumbered(c, states) for c in top]
         maximal.append(tuple(top))
+        if log.isEnabledFor(logging.DEBUG):
+            on_top = sum(len(c.members) for c in top)
+            log.debug("decomposition level %d: %d states, %d maximal classes, %d absorbed, "
+                      "%d remaining", k, len(states), len(top),
+                      len(states) - on_top - len(local), len(local))
         if not local:
             return Decomposition(graph, classes, tuple(maximal), tuple(exits), tuple(rounds))
         table = table.restrict(local)

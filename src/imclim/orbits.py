@@ -22,48 +22,52 @@ functions as the columns of one ``(n, m)`` block: each step is a single
 ``P = min(max_period, max_iters)``, live in a ring buffer allocated once per
 block.  The sustained rule can fire only at or after the burn-in, on a
 streak of ``max_period`` steps, so it reads no residual before
-``W = burn_in - max_period + 1``.  Each column keeps a fingerprint of every
-iterate beside the ring, one integer product per step.  A *quiet* column is
-one that only an exact repeat can end: its new print is compared with the
-contiguous written print slots, with no per-step gather, and it has its
-residuals taken only when the print equals a past one, and retires only if
-one is exactly zero, so a collision, or a match on the slot about to be
-overwritten, costs time and never a result.
+``W = burn_in - max_period + 1`` and fires first on ``W + max_period - 1``.
 
-Every column is quiet before ``W``.  On step ``W`` every column has its
-residuals against all ring slots taken, and a column stays quiet only if
-its period-1 residual is within tolerance there.  From then on a quiet
-column takes its period-1 residual and its print on every step, and is
-scored in full only on a print hit, on ``W + max_period - 1`` and on the
-budget's last step: no streak from ``W`` reaches ``max_period`` sooner.  On
-``W + max_period - 1`` its period-1 streak is set to ``max_period - 1``,
-its true streak, since that residual was checked on every step since
-``W``, and the one sustained rule certifies period 1.  A step with every
-running column quiet and no print hit takes nothing more.  If a quiet
-column's period-1 residual leaves tolerance after ``W`` (or is nan), the
-run stops and the block reruns from its starts with no column quiet after
-``W``.  Both runs retire the same columns on the same steps, so ``apply``
-sees the same blocks and the results are those of scoring every step.
-Reruns cost nothing in practice: a non-expansive operator's period-1
-residual never grows in exact arithmetic, and the seeded suites of the
-``orbit`` benchmark (260 blocks) and of 300 random, wide and planted cyclic
-models under five budgets (1,505 blocks) rerun none.  Columns not quiet
-after ``W`` are scored in full on every step.  Rows scored apart are
-gathered over the written slots alone and differenced in place.  Residuals
-are taken over the slots in storage order and only the small per-slot
-result is reordered into period order, so no window is ever gathered.  Each
-column is certified on its own and retires on its own step; the running
-columns stay a contiguous prefix of the buffers.  A block takes as many
-columns as fit their ring, residual and print buffers in ``_BLOCK_BYTES``
-(at least one), so a wide suite runs as several blocks in turn.  Each block
-logs one ``debug`` line on the ``imclim.orbits`` logger, for the run that
-ends: its columns, steps, steps scored in full, whether it ran with quiet
-columns after ``W`` ("with quiet columns") or was rerun, and stop reasons.
-:func:`iterate_orbit` is the one-column case, and :func:`replay_orbit`
-recomputes its iterates.  Past about 256k window slots numpy advises huge
-pages, so the first write to a state's row faults in 2 MiB per buffer: a
-200-state run ending at step 962 peaked at 835 MiB with a budget of 10**6,
-and at 38 MiB with 10**3.
+A *quiet* column is one that only an exact repeat can end before then.
+Every column is quiet before ``W``; on ``W`` a column stays quiet only if
+its period-1 residual is within tolerance.  A quiet column keeps a
+fingerprint of every iterate beside the ring, one integer product per step,
+and its new print is compared with the contiguous written print slots, with
+no per-step gather.  A print hit is checked against its matched slot alone,
+and the column retires only on an exact repeat (every difference exactly
+zero), so a collision, or a match on the slot about to be overwritten,
+costs time and never a result.  On a repeat at period ``q`` the result is
+the smallest period within tolerance, at most ``q``: only the residuals of
+the periods below ``q`` are taken, and after ``W`` that is period 1.  A
+step with every running column quiet and no print hit takes the ring write,
+the prints, one comparison and one count.  After ``W`` it also takes the
+quiet columns' period-1 residuals, in one reduce: if one leaves tolerance
+(or is nan), the run stops and the block reruns from its starts with no
+column quiet after ``W``.  On ``W + max_period - 1`` each quiet column left
+certifies period 1 by the sustained rule, as its period-1 residual was
+within tolerance on every step since ``W``; on the budget's last step it
+ends with no period.  Reruns cost nothing in practice: a non-expansive
+operator's period-1 residual never grows in exact arithmetic, and the
+seeded suites of the ``orbit`` benchmark (260 blocks) and of 300 random,
+wide and planted cyclic models under five budgets (1,505 blocks) rerun
+none.
+
+A *loud* column, one not quiet after ``W``, is scored in full on every
+step, against all ring slots, and is not printed, as it never turns quiet
+again.  Loud rows among quiet ones are gathered over the written slots
+alone.  Residuals are taken over the slots in storage order and only the
+small per-slot result is put in period order, so no window is ever
+gathered.  Each column is certified on its own and retires on its own step;
+the running columns stay a contiguous prefix of the buffers, compacted only
+on a step that retires some column.  Both runs of a block retire the same
+columns on the same steps, so ``apply`` sees the same blocks, values and
+memory layout alike, and the results are those of scoring every period on
+every step.  A block takes as many columns as fit their ring, residual and
+print buffers in ``_BLOCK_BYTES`` (at least one), so a wide suite runs as
+several blocks in turn.  Each block logs one ``debug`` line on the ``imclim.orbits`` logger,
+for the run that ends: its columns, steps, steps with some column scored in
+full, whether it ran with quiet columns after ``W`` ("with quiet columns")
+or was rerun, and stop reasons.  :func:`iterate_orbit` is the one-column
+case, and :func:`replay_orbit` recomputes its iterates.  Past about 256k
+window slots numpy advises huge pages, so the first write to a state's row
+faults in 2 MiB per buffer: a 200-state run ending at step 962 peaked at
+835 MiB with a budget of 10**6, and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
@@ -78,6 +82,7 @@ class, found by the graph layer, into the certificate the report carries.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import numbers
 from dataclasses import dataclass
@@ -94,8 +99,9 @@ log = logging.getLogger(__name__)
 #: takes (at least one); wider suites run in several blocks, one after another.
 _BLOCK_BYTES = 8 << 20
 
-#: Odd multiplier of the per-state print weights ``(2i + 1) * _PRINT_ODD``:
-#: odd, so the ``n`` weights are distinct and odd modulo ``2**64``.
+#: Odd multiplier of the per-state print weights ``2 * (2i + 1) * _PRINT_ODD``:
+#: odd, so the ``n`` weights are distinct modulo ``2**64``.  Being even, a
+#: weight times a sign bit, ``2**63``, wraps to 0: prints ignore signs.
 _PRINT_ODD = np.uint64(0x9E3779B97F4A7C15)
 
 #: What :func:`oracle_compare` and :func:`~imclim.report.analyze` require of a suite.
@@ -253,29 +259,67 @@ def _fingerprint(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """One ``uint64`` print per column of the ``(n, m)`` array ``values``.
 
     The wrapping sum over states of each value's bit pattern times its
-    state's odd weight, as one integer product; ``values + 0.0`` turns -0.0
-    into +0.0, so columns that compare equal get equal prints, whatever the
-    order of summation.
+    state's even weight, as one integer product.  The weights drop the sign
+    bits, so -0.0 and +0.0 print alike and columns that compare equal get
+    equal prints, whatever the order of summation; columns equal up to
+    signs collide, which costs time and never a result.
     """
-    return weights @ (values + 0.0).view(np.uint64)
+    return weights @ values.view(np.uint64)
 
 
-def _residuals(ring: np.ndarray, current: np.ndarray, slot: int, scored: int,
+def _residuals(window: np.ndarray, current: np.ndarray, slot: int,
                out: np.ndarray) -> np.ndarray:
-    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for ring row ``k``, ``q <= scored``.
+    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for row ``k``, every ``q`` in ``window``.
 
-    ``ring`` is ``(k, n, slots)``: ring rows, or a copy of their written
-    slots; ``current`` the matching ``(n, k)`` iterates and ``slot`` the
-    ring slot they are stored in.  The differences are taken over the slots
-    in storage order, into ``out`` (which may be that copy), and only the
-    small (row, slot) result is put in period order.
+    ``window`` is ``(k, n, slots)``: ring rows' written slots, or a copy of
+    them; ``current`` the matching ``(n, k)`` iterates, stored in ``slot``.
+    The differences are taken over the slots in storage order, into ``out``,
+    and only the small (row, slot) result is put in period order: slots
+    ``slot - 1`` down to 0, then the last down to ``slot + 1``.
     """
-    filled = scored + 1  # slots 0..t hold iterates 0..t until the ring wraps
-    size = ring.shape[2]
-    past = np.arange(slot - 1, slot - scored - 1, -1) % size  # the slot of each period
-    diff = np.subtract(ring[:, :, :filled], current.T[:, :, None],
-                       out=out[:len(ring), :, :filled])
-    return np.abs(diff, out=diff).max(axis=1)[:, past]
+    diff = np.subtract(window, current.T[:, :, None], out=out[:len(window), :, :window.shape[2]])
+    by_slot = np.abs(diff, out=diff).max(axis=1)
+    return np.concatenate((by_slot[:, :slot][:, ::-1], by_slot[:, slot + 1:][:, ::-1]), axis=1)
+
+
+def _repeats(ring: np.ndarray, current: np.ndarray, hits: np.ndarray, rows: np.ndarray,
+             slot: int, tolerance: float) -> tuple:
+    """The columns among ``rows`` whose print hits are exact repeats.
+
+    ``hits[r, s]`` says that the print of ``rows[r]``'s new iterate, stored
+    in ring slot ``slot``, equals the one in slot ``s``.  Only matched slots
+    are compared, but not the overwritten slot ``slot``.  Returns the
+    running positions that repeat, the smallest period within tolerance of
+    each (at most the repeat's, whose residual is 0) and its residual.
+    ``inf - inf`` is nan, so equal infinities are no repeat, as under the
+    residual rule.  A running column repeats at most one past iterate: two
+    would be a repeat on an earlier step.
+    """
+    if slot < hits.shape[1]:
+        hits[:, slot] = False  # the overwritten slot: an iterate beyond the window
+    flat = np.flatnonzero(hits)
+    hit, matched = flat // hits.shape[1], flat % hits.shape[1]
+    rows = rows[hit]
+    same = ~(ring[rows, :, matched] - current[:, rows].T).any(axis=1)
+    rows, periods = rows[same], (slot - matched[same]) % ring.shape[2]
+    if not len(rows) or periods.max() == 1:  # a repeat at period 1 is its residual, 0
+        return rows, periods, np.zeros(len(rows))
+    # a row's residual at its own period is 0, so the first within tolerance is no later
+    past = (slot - np.arange(1, periods.max() + 1)) % ring.shape[2]  # the slot of each period
+    below = np.abs(ring[rows[:, None], :, past] - current[:, rows].T[:, None]).max(axis=2)
+    first = (below <= tolerance).argmax(axis=1)
+    return rows, first + 1, below[np.arange(len(rows)), first]
+
+
+def _split(quiet: np.ndarray) -> tuple:
+    """The running positions of the quiet and of the loud columns, each as
+    a slice when it is all of them and as ``None`` when it is none."""
+    count = np.count_nonzero(quiet)
+    if count == len(quiet):
+        return slice(0, count), None
+    if not count:
+        return None, slice(0, len(quiet))
+    return quiet.nonzero()[0], (~quiet).nonzero()[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
@@ -302,111 +346,130 @@ def _iterate_block(
             f"over {n} states does not fit in memory; lower the budget"
         ) from exc
     ring[:, :, 0] = block.T
-    weights = np.arange(1, 2 * n, 2, dtype=np.uint64) * _PRINT_ODD
+    weights = np.arange(2, 4 * n, 4, dtype=np.uint64) * _PRINT_ODD
     prints[:, 0] = _fingerprint(block, weights)
     current = np.array(block)  # (n, running), contiguous, as ``apply`` sees it
+    tol, budget, burn_in, max_period = p.tolerance, p.max_iters, p.burn_in, p.max_period
     # the first step whose residuals the sustained rule can read; streaks start here
-    scoring_from = max(1, p.burn_in - p.max_period + 1)
+    scoring_from = max(1, burn_in - max_period + 1)
     # a quiet column's period-1 streak reaches max_period here, at or after the burn-in
-    fires = scoring_from + p.max_period - 1
-    best = np.zeros(m, dtype=np.int64)  # smallest period certified so far, 0 for none
-    best_residual = np.zeros(m)  # with no period: the last step's period-1 residual
-    # scored in full only on a print hit, W, ``fires`` and the last step; from
-    # W on, only while its period-1 residual stays within tolerance
+    fires = scoring_from + max_period - 1
+    # by block column, for the loud columns: the smallest period certified so
+    # far (0 for none) and its residual
+    best = np.zeros(m, dtype=np.int64)
+    best_residual = np.zeros(m)
+    # A quiet column ends only by an exact repeat, on ``fires`` or on the
+    # last step; from W on it stays quiet only while its period-1 residual
+    # stays within tolerance.  Loud ones, none before W, are scored in full.
     quiet = np.ones(m, dtype=bool)
-    some_quiet = True  # some running column is quiet
+    quiet_rows, loud_rows = _split(quiet)
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
     scored_steps = 0
     stops = dict.fromkeys(("exact_repeat", "sustained", "budget"), 0)
 
-    for iteration in range(1, p.max_iters + 1):
+    for iteration in range(1, budget + 1):
         slot = iteration % size
         previous, current = current, op.apply(current)
         running = len(column)
         ring[:running, :, slot] = current.T
-        scored = min(iteration, cap)
-        last = iteration == p.max_iters
+        last = iteration == budget
+        # the columns that end on this step: (running positions, then per
+        # column its period or 0, its residual and whether it repeated exactly)
+        ending = []
 
-        if some_quiet:
-            if iteration > scoring_from:
-                step = np.abs(current - previous).max(axis=0)  # the period-1 residuals
-                if (quiet & ~(step <= p.tolerance)).any():  # nan leaves tolerance too
-                    return None
-            stamp = _fingerprint(current, weights)
-            hit = (prints[:running, :min(iteration, size)] == stamp[:, None]).any(axis=1)
-            prints[:running, slot] = stamp
-            if iteration == fires:
-                # a quiet column's period-1 residual was checked on every step
-                # since W, so this is its true streak: the sustained rule fires
-                streak[:running][quiet, 0] = p.max_period - 1
-        if not some_quiet or last or iteration == scoring_from or iteration == fires:
-            rows = np.arange(running)
-        else:  # ``quiet <= hit``: all but the quiet columns without a print hit
-            rows = (quiet <= hit).nonzero()[0]
-            if not len(rows):
-                continue
-
-        scored_steps += 1
-        if len(rows) == running:
-            residuals = _residuals(ring[:running], current, slot, scored, diffs)
-        else:  # only the written slots, each difference in place
-            window = ring[rows, :, :scored + 1]
-            residuals = _residuals(window, current[:, rows], slot, scored, window)
-        within = residuals <= p.tolerance
-        if iteration >= scoring_from:
-            counts = streak[rows, :scored] + 1
+        if iteration == scoring_from:
+            quiet = (np.abs(current - previous).max(axis=0) <= tol) & watch
+            quiet_rows, loud_rows = _split(quiet)
+        elif iteration > scoring_from and quiet_rows is not None:
+            # one reduce over the quiet columns' period-1 residuals; nan leaves tolerance too
+            if not np.abs(current[:, quiet_rows] - previous[:, quiet_rows]).max() <= tol:
+                return None
+        if quiet_rows is not None:
+            stamp = _fingerprint(current[:, quiet_rows], weights)
+            hits = prints[quiet_rows, :min(iteration, size)] == stamp[:, None]
+            prints[quiet_rows, slot] = stamp
+            if np.count_nonzero(hits):
+                rows, period, residual = _repeats(
+                    ring, current, hits, np.arange(running)[quiet_rows], slot, tol)
+                if len(rows):
+                    ending.append((rows, period.tolist(), residual.tolist(),
+                                   itertools.repeat(True)))
+        if loud_rows is not None:
+            scored_steps += 1
+            scored = min(iteration, cap)
+            residuals = _residuals(ring[loud_rows, :, :scored + 1], current[:, loud_rows],
+                                   slot, diffs)
+            within = residuals <= tol
+            counts = streak[loud_rows, :scored] + 1
             counts *= within
-            streak[rows, :scored] = counts
-        done = np.zeros(running, dtype=bool)
-        exact = np.zeros(running, dtype=bool)
-        # residuals[r] belongs to the running column rows[r]; both rules
-        # need some period within tolerance
-        if within.any():
-            exact[rows] = (residuals == 0.0).any(axis=1)
-            fired = exact[rows]
-            if iteration >= p.burn_in:  # so iteration >= W, and ``counts`` is set
-                fired = fired | (counts >= p.max_period).any(axis=1)
-            if fired.any():
-                candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
-                held_best = best[rows]
-                better = (fired & ((held_best == 0) | (candidate < held_best))).nonzero()[0]
-                best[rows[better]] = candidate[better]
-                best_residual[rows[better]] = residuals[better, candidate[better] - 1]
-                done[rows] = fired & ((best[rows] == 1) | exact[rows])
-        if last:  # rows are all running columns
-            none = best == 0
-            best_residual[none] = residuals[none, 0]
-            done[:] = True
-        elif iteration == scoring_from:  # rows are all running columns
-            quiet = within[:, 0] & ~done & watch
-            some_quiet = bool(quiet.any())
-        if not done.any():
+            streak[loud_rows, :scored] = counts
+            # both rules need some period within tolerance
+            if within.any() or last:
+                rows = np.arange(running)[loud_rows]
+                cols = column[rows]
+                zero = (residuals == 0.0).any(axis=1)
+                fired = zero
+                if iteration >= burn_in:  # so iteration >= W, and every streak counts from W
+                    fired = fired | (counts >= max_period).any(axis=1)
+                held = best[cols]
+                if fired.any():
+                    candidate = within.argmax(axis=1) + 1  # smallest period within tolerance
+                    better = fired & ((held == 0) | (candidate < held))
+                    held[better] = candidate[better]
+                    best[cols] = held
+                    best_residual[cols[better]] = residuals[better, candidate[better] - 1]
+                ends = fired & ((held == 1) | zero)
+                if last:
+                    none = held == 0
+                    best_residual[cols[none]] = residuals[none, 0]
+                    ends[:] = True
+                if ends.any():
+                    ending.append((rows[ends], held[ends].tolist(),
+                                   best_residual[cols[ends]].tolist(), zero[ends].tolist()))
+        if quiet_rows is not None and (iteration == fires or last):
+            # the quiet columns no repeat ended: period 1 on ``fires``, as
+            # their period-1 residual was within tolerance on every step
+            # since W, and none on the last step
+            rows = np.arange(running)[quiet_rows]
+            for ended in ending:
+                rows = np.setdiff1d(rows, ended[0], assume_unique=True)
+            if len(rows):
+                residual = np.abs(current[:, rows] - previous[:, rows]).max(axis=0)
+                ending.append((rows, itertools.repeat(int(iteration == fires)),
+                               residual.tolist(), itertools.repeat(False)))
+        if not ending:
             continue
 
-        order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
-        for k in done.nonzero()[0]:
-            period = int(best[k]) or None
-            if exact[k]:
-                reason = "exact_repeat"
-            elif period == 1:
-                reason = "sustained"
-            else:
-                reason = "budget"
-            stops[reason] += 1
-            if not windows:
-                results[column[k]] = period
-                continue
-            kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
-            kept.setflags(write=False)
-            results[column[k]] = OrbitResult(
-                detected_period=period,
-                residual=float(best_residual[k]),
-                iterations=iteration,
-                stop_reason=reason,
-                iterates_kept=tuple(kept),
-                params=p,
-            )
+        done = np.zeros(running, dtype=bool)
+        scored = min(iteration, cap)
+        if windows:
+            order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
+        for rows, periods, residuals, repeats in ending:
+            done[rows] = True
+            for k, col, period, residual, exact in zip(
+                    rows.tolist(), column[rows].tolist(), periods, residuals, repeats):
+                period = period or None
+                if exact:
+                    reason = "exact_repeat"
+                elif period == 1:
+                    reason = "sustained"
+                else:
+                    reason = "budget"
+                stops[reason] += 1
+                if not windows:
+                    results[col] = period
+                    continue
+                kept = ring[k][:, order].T.copy()  # one array; the results hold its rows
+                kept.setflags(write=False)
+                results[col] = OrbitResult(
+                    detected_period=period,
+                    residual=residual,
+                    iterations=iteration,
+                    stop_reason=reason,
+                    iterates_kept=tuple(kept),
+                    params=p,
+                )
         keep = (~done).nonzero()[0]
         if not len(keep):
             break
@@ -415,15 +478,18 @@ def _iterate_block(
         # the slots and periods written so far
         moved = np.arange(len(keep))
         holes = done[:len(keep)].nonzero()[0]
-        moved[holes] = keep[len(keep) - len(holes):]
-        for hole, source in zip(holes, moved[holes]):
-            ring[hole, :, :scored + 1] = ring[source, :, :scored + 1]
-            prints[hole, :scored + 1] = prints[source, :scored + 1]
-            streak[hole, :scored] = streak[source, :scored]
+        if len(holes):
+            sources = keep[len(keep) - len(holes):]
+            moved[holes] = sources
+            ring[holes, :, :scored + 1] = ring[sources, :, :scored + 1]
+            if quiet_rows is not None:
+                prints[holes, :scored + 1] = prints[sources, :scored + 1]
+            if loud_rows is not None:
+                streak[holes, :scored] = streak[sources, :scored]
         current = current[:, moved]
-        best, best_residual, quiet = best[moved], best_residual[moved], quiet[moved]
-        some_quiet = some_quiet and bool(quiet.any())
         column = column[moved]
+        quiet = quiet[moved]
+        quiet_rows, loud_rows = _split(quiet)
     log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
               "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,
               "with quiet columns" if watch else "rerun without quiet columns",

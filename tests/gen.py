@@ -1317,6 +1317,27 @@ def rotation_starts(op: ScaledRotation, params: OrbitParams, count: int) -> np.n
         params.tolerance / (move * op.rho ** (steps - 1)))
 
 
+class DoublingIntoSwap(UpperOperator):
+    """One state: doubles every value below ``1e-3``, then falls into the swap of 10 and 20.
+
+    It is no upper transition operator.  A start of ``tolerance * 2**-(W + 1)``
+    steps by ``tolerance / 4`` on step ``W`` and past the tolerance on step
+    ``W + 3``; about 20 steps later it repeats exactly at period 2, with a
+    step of 10: a quiet column that leaves tolerance after ``W`` and repeats
+    before ``W + max_period - 1``.
+    """
+
+    SPACE = StateSpace(("x",))
+
+    @property
+    def space(self) -> StateSpace:
+        return self.SPACE
+
+    def apply(self, f):
+        g = self._check_vector(f)
+        return np.where(g == 10.0, 20.0, np.where(g >= 1e-3, 10.0, 2 * g))
+
+
 def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:
     """``CredalOperator.apply`` before the gather-max: each state's maximum by ``np.maximum.reduceat``."""
     return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), dense_table(op.supports()).starts)

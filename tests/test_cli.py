@@ -408,9 +408,10 @@ class TestOrbit:
         assert quiet.returncode == loud.returncode == 0
         assert quiet.stderr == ""
         assert loud.stdout == quiet.stdout
-        # the burn-in lies past the exact repeat: only its step is scored
+        # the burn-in lies past the exact repeat, which its print hit finds:
+        # no step is scored in full
         assert loud.stderr == ("DEBUG:imclim.orbits:orbit block: 1 columns, 107 steps, "
-                               "1 scored in full, with quiet columns; "
+                               "0 scored in full, with quiet columns; "
                                "stops: exact_repeat 1, sustained 0, budget 0\n")
 
     @pytest.mark.parametrize("value", ["basic_format", "_styles", "fatal", "WARN", " debug"])

@@ -1,4 +1,5 @@
 import functools
+import logging
 import random
 from fractions import Fraction
 
@@ -150,6 +151,31 @@ class TestDecompose:
             assert members == gen.labels_of(op.space, (states[i] for i in info.members))
             assert witness.info.cyclicity == info.cyclicity
         assert witnessed >= 500
+
+    def test_each_level_logs_one_debug_line(self, running_op, caplog):
+        # level, states, maximal classes, absorbed and remaining, as counts
+        ops = [running_op, gen.staircase_operator(5)]
+        rng = random.Random(1505)
+        ops += [gen.planted_cyclic_operator(rng)[0] for _ in range(10)]
+        for op in ops:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="imclim.decomposition"):
+                dec = decompose(op)
+            lines = [r.getMessage() for r in caplog.records if r.name == "imclim.decomposition"]
+            assert len(lines) == dec.depth
+            for k, line in enumerate(lines, start=1):
+                states = sum(e >= k for e in dec.exits)
+                absorbed = len(gen.absorbed_at(dec, k))
+                remaining = len(gen.remaining_after(dec, k))
+                assert states == sum(len(c.members) for c in dec.maximal[k - 1]) + \
+                    absorbed + remaining
+                assert line == (f"decomposition level {k}: {states} states, "
+                                f"{len(dec.maximal[k - 1])} maximal classes, "
+                                f"{absorbed} absorbed, {remaining} remaining")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="imclim.decomposition"):
+            decompose(running_op)
+        assert not caplog.records
 
     def test_operator_without_supports_is_refused(self, running_op):
         class NoSupports(UpperOperator):

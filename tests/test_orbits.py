@@ -441,11 +441,10 @@ class TestScoringWindow:
         assert stops["sustained"] and stops["budget"], stops
 
     def test_full_rows_only_where_a_rule_can_read_them(self, monkeypatch):
-        # After W, a column is scored in full only on W itself, on the
-        # budget's last step, on a print hit, or once its step has left
-        # tolerance (not quiet from W): a quiet column gets its step and its print
-        # alone.  Before W only print hits are scored.  A rerun block scores
-        # every column in full from W on.
+        # A column is scored in full only while it is loud: from W on, once
+        # its period-1 residual has left tolerance.  A quiet column gets its
+        # step and its print alone, and a print hit is checked against its
+        # matched slot.  A rerun block scores every column in full from W on.
         import imclim.orbits
 
         residuals = imclim.orbits._residuals
@@ -453,10 +452,9 @@ class TestScoringWindow:
         calls = []
         watching = True
 
-        def recording(ring, current, slot, scored, out):
-            calls.append((watching, len(steps), np.array(ring[:, :, :scored + 1]),
-                          np.array(current), slot))
-            return residuals(ring, current, slot, scored, out)
+        def recording(window, current, slot, out):
+            calls.append((watching, len(steps), np.array(window)))
+            return residuals(window, current, slot, out)
 
         def run(op, block, p, cap, windows, watch):
             nonlocal watching
@@ -469,36 +467,130 @@ class TestScoringWindow:
         checked = 0
         blocks = [(op, block, self.GRID[k % len(self.GRID)])
                   for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 40))]
-        # a print that only equals the overwritten slot's is a hit the windows
-        # below no longer show; a rotation with rho = 1 can repeat after 65 steps
+        # rotations whose quiet columns leave tolerance between W and the
+        # burn-in; with rho = 1 one can repeat its overwritten slot after 65 steps
         blocks += [(op, starts, params) for params in self.GRID[:2]
                    for op, starts in itertools.islice(self.rotations(params), 5, None, 3)]
         for op, block, params in blocks:
             first = max(1, params.burn_in - params.max_period + 1)  # W
             fires = first + params.max_period - 1  # no column is quiet after this step
-            weights = np.arange(1, 2 * op.n, 2, dtype=np.uint64) * imclim.orbits._PRINT_ODD
             steps = []
             apply = op.apply
             monkeypatch.setattr(op, "apply", lambda f: steps.append(1) or apply(f))
             calls.clear()
             iterate_orbits(op, block, params)
-            for watched, step, window, current, slot in calls:
-                if not watched or step in (first, fires, params.max_iters) or step > fires:
+            for watched, step, window in calls:
+                if not watched or step > fires:
                     continue
-                prints = imclim.orbits._fingerprint(window.transpose(1, 0, 2).reshape(op.n, -1),
-                                                    weights).reshape(len(window), -1)
-                stamps = imclim.orbits._fingerprint(current, weights)
+                assert step >= first, (params, step)
+                size = window.shape[2]
                 for r in range(len(window)):
-                    past = np.delete(prints[r], slot)  # the slot the new iterate took
-                    if (past == stamps[r]).any():
-                        continue  # a print hit
-                    assert step > first, (params, step)
-                    size = window.shape[2]
                     moves = [np.abs(window[r, :, s % size] - window[r, :, (s - 1) % size]).max()
                              for s in range(first, step + 1)]
                     assert not all(move <= params.tolerance for move in moves), (params, step)
                     checked += 1
         assert checked >= 1000
+
+    def test_the_builtin_suite_matches_the_all_slots_engine(self, counterexample_op):
+        # the suite analyze runs on the builtin, whose budget columns are the
+        # one long loud path of the orbit benchmark, and a start whose first
+        # step overflows, block against block at the default budget
+        _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
+        params = OrbitParams()
+        reasons = Counter()
+        for block in (suite, np.array([[1e308], [0.0], [-1e308]])):
+            batch = iterate_orbits(counterexample_op, block, params)
+            reference = gen.all_slots_iterate_orbits(counterexample_op, block, params)
+            assert len(batch) == len(reference) == block.shape[1]
+            for a, b in zip(batch, reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
+                reasons[a.stop_reason] += 1
+        assert suite.shape[1] == 23
+        assert reasons["budget"] == 8 and reasons["exact_repeat"], reasons
+
+    def test_a_repeat_reports_the_smallest_period_within_tolerance(self, two_cycle_op):
+        # the swap of 1 and 1 + 1e-12 repeats exactly at period 2 on step 2,
+        # but its period-1 residual is within tolerance: period 1 it is
+        f = np.array([1.0, 1.0 + 1e-12])
+        step = (1.0 + 1e-12) - 1.0
+        for params in (OrbitParams(), OrbitParams(burn_in=0, max_period=4), FAST):
+            result = iterate_orbit(two_cycle_op, f, params)
+            assert (result.detected_period, result.stop_reason, result.iterations) == \
+                (1, "exact_repeat", 2)
+            assert result.residual == step
+            assert gen.orbit_result_bits(result) == \
+                gen.orbit_result_bits(gen.reference_iterate_orbit(two_cycle_op, f, params))
+            # beside a column that truly alternates, block against block
+            block = np.column_stack([f, [1.0, 0.0], f[::-1]])
+            batch = iterate_orbits(two_cycle_op, block, params)
+            assert [r.detected_period for r in batch] == [1, 2, 1]
+            reference = gen.all_slots_iterate_orbits(two_cycle_op, block, params)
+            for a, b in zip(batch, reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
+
+    def test_a_quiet_column_that_leaves_tolerance_then_repeats_reruns(self, monkeypatch):
+        # the step leaves tolerance after W and the column repeats exactly
+        # before W + max_period - 1: its period is 2, not the quiet period 1
+        import imclim.orbits
+
+        reruns = _count_reruns(monkeypatch)
+        op = gen.DoublingIntoSwap()
+        for params in (OrbitParams(), OrbitParams(burn_in=300, max_period=40)):
+            first = max(1, params.burn_in - params.max_period + 1)
+            leaving = params.tolerance * 2.0 ** -(first + 1)
+            starts = np.array([[leaving, 0.5, 10.0, leaving / 2]])
+            before = reruns["reruns"]
+            batch = iterate_orbits(op, starts, params)
+            assert reruns["reruns"] == before + 1
+            reference = gen.all_slots_iterate_orbits(op, starts, params)
+            for a, b in zip(batch, reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
+            assert batch[0].detected_period == 2 and batch[0].stop_reason == "exact_repeat"
+            assert first < batch[0].iterations < first + params.max_period - 1
+            monkeypatch.setattr(imclim.orbits, "default_function_suite",
+                                lambda *args: (["start"] * 4, starts))
+            assert oracle_compare(op, "inconclusive", params).checks[0].period == 2
+            monkeypatch.setattr(imclim.orbits, "default_function_suite", default_function_suite)
+            assert reruns["reruns"] == before + 2
+
+    def test_apply_runs_once_per_step_on_the_all_slots_blocks(self, monkeypatch, counterexample_op):
+        # Every run, a stopped one's included, applies the operator once per
+        # step, to the blocks (values and layout) that the engine scoring
+        # every step applies it to, so a count of applies is a count of
+        # steps.  A stopped run's blocks begin its rerun's.
+        import imclim.orbits
+
+        run_block = imclim.orbits._iterate_block
+        runs = []
+
+        def marking(op, block, p, cap, windows, watch):
+            runs.append([])
+            return run_block(op, block, p, cap, windows, watch)
+
+        monkeypatch.setattr(imclim.orbits, "_iterate_block", marking)
+        cases = [(op, block, self.GRID[k % len(self.GRID)])
+                 for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 30))]
+        cases += [(op, starts, params) for params in self.GRID[:2]
+                  for op, starts in itertools.islice(self.rotations(params), 2, None, 4)]
+        _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
+        cases.append((counterexample_op, suite, OrbitParams()))
+        stopped_runs = 0
+        for op, block, params in cases:
+            apply = op.apply
+            log = runs  # each apply is recorded in the last list of ``log``
+            monkeypatch.setattr(op, "apply", lambda f: log[-1].append(
+                (f.shape, f.strides, f.tobytes())) or apply(f))
+            runs.clear()
+            results = iterate_orbits(op, block, params)
+            log = [[]]
+            gen.all_slots_iterate_orbits(op, block, params)
+            *stopped, final = runs
+            assert final == log[0]
+            assert len(final) == max(r.iterations for r in results)
+            for run in stopped:
+                assert run == final[:len(run)]
+            stopped_runs += len(stopped)
+        assert stopped_runs >= 5, stopped_runs
 
 
 class TestCycleClosure:
