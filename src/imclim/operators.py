@@ -105,14 +105,17 @@ class SupportTable:
         """``states`` as ascending distinct indices.
 
         Raises :class:`ModelValidationError` naming the smallest one that is
-        no integer in ``0..n-1``.
+        no integer in ``0..n-1``; a ``bool`` is no index, though it equals one.
+        Each entry is checked before duplicates go, as ``{1, True, 1.0}`` is one
+        element.
         """
-        indices = sorted(set(states))
+        indices = sorted(states)
         n = len(self.space)
         for i in indices:
-            if type(i) is not int and not isinstance(i, numbers.Integral) or not 0 <= i < n:
+            if (type(i) is not int and (type(i) is bool or not isinstance(i, numbers.Integral))
+                    or not 0 <= i < n):
                 raise ModelValidationError(f"state index {i} out of range 0..{n - 1}")
-        return [int(i) for i in indices]
+        return list(dict.fromkeys(map(int, indices)))
 
     def restrict(self, keep: Sequence[int]) -> "SupportTable":
         """Table over ``keep``: the candidates with no support outside ``keep``, renumbered.
@@ -237,6 +240,15 @@ class CredalOperator(UpperOperator):
         return starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
 
     def apply(self, f):
+        """The gather-max over one matrix product of every candidate and column.
+
+        The product's bits can depend on the block's shape and memory
+        layout: a one-column block (matrix-vector) or a strided block, such
+        as ``block[:, index]`` returns, can round differently from the same
+        values in a contiguous block of several columns.  So the orbit
+        engine's iterates depend on when it compacts its running columns,
+        and it does so only on the steps that retire one.
+        """
         g = self._check_vector(f)
         return (self._matrix @ g).take(self._rows_by_rank, axis=0).max(axis=0)
 
@@ -260,7 +272,7 @@ def _curve_max(g):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fc = g[2]
         diffs = g[:2] - fc
-        a2, a1 = diffs
+        a2, a1 = diffs[0], diffs[1]
         halves = diffs * 0.5
         curve = _max2(fc, halves[0] * 0.5 + halves[1] + fc)
         # -a1 / (2 a2) exactly, as IEEE rounding is symmetric in sign; it is
@@ -317,9 +329,8 @@ class CounterexampleOperator(UpperOperator):
     def apply(self, f):
         g = self._check_vector(f)
         out = np.empty_like(g)
-        out[0] = g[0]
+        out[::2] = g[:2]  # a: f(a); c: f(b), before its maximum with f(a)
         out[1] = _curve_max(g)
-        out[2] = g[1]
         # rows b and c: _max2(f(a), row), both in one call
         np.copyto(out[1:], g[0], where=~(out[1:] > g[0]))
         return out

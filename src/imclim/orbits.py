@@ -48,26 +48,34 @@ seeded suites of the ``orbit`` benchmark (260 blocks) and of 300 random,
 wide and planted cyclic models under five budgets (1,505 blocks) rerun
 none.
 
-A *loud* column, one not quiet after ``W``, is scored in full on every
-step, against all ring slots, and is not printed, as it never turns quiet
-again.  Loud rows among quiet ones are gathered over the written slots
-alone.  Residuals are taken over the slots in storage order and only the
-small per-slot result is put in period order, so no window is ever
-gathered.  Each column is certified on its own and retires on its own step;
-the running columns stay a contiguous prefix of the buffers, compacted only
-on a step that retires some column.  Both runs of a block retire the same
+A *loud* column, one not quiet after ``W``, is not printed, as it never
+turns quiet again.  On every step one pass over the loud rows' written ring
+slots (gathered over those slots alone when quiet rows run beside them)
+gives each slot's largest difference from the new iterate, in storage
+order.  Both rules need some period within tolerance, so unless some slot
+but the newest is within it (nan never is) or the budget is spent, the step
+is *skipped*: every loud streak ends, the streaks are zeroed once on the
+first such step, and no rule runs.  Otherwise the small per-slot result is
+put in period order, with no window gathered, and the streak and fire rules
+run on it.  The builtin's budget columns are loud from ``W`` and skip on
+most steps.  Each column is certified on its own and retires on its own
+step; the running columns stay a contiguous prefix of the buffers,
+compacted only on a step that retires some column: each hole in the new
+prefix takes the next running column from beyond it by basic-slice copies
+of its ring, print and streak rows.  Both runs of a block retire the same
 columns on the same steps, so ``apply`` sees the same blocks, values and
 memory layout alike, and the results are those of scoring every period on
 every step.  A block takes as many columns as fit their ring, residual and
 print buffers in ``_BLOCK_BYTES`` (at least one), so a wide suite runs as
-several blocks in turn.  Each block logs one ``debug`` line on the ``imclim.orbits`` logger,
-for the run that ends: its columns, steps, steps with some column scored in
-full, whether it ran with quiet columns after ``W`` ("with quiet columns")
-or was rerun, and stop reasons.  :func:`iterate_orbit` is the one-column
-case, and :func:`replay_orbit` recomputes its iterates.  Past about 256k
-window slots numpy advises huge pages, so the first write to a state's row
-faults in 2 MiB per buffer: a 200-state run ending at step 962 peaked at
-835 MiB with a budget of 10**6, and at 38 MiB with 10**3.
+several blocks in turn.  Each block logs one ``debug`` line on the
+``imclim.orbits`` logger, for the run that ends: its columns, steps, loud
+steps that ran the streak and fire rules ("scored in full"; skipped steps
+are not counted), whether it ran with quiet columns after ``W`` ("with
+quiet columns") or was rerun, and stop reasons.  :func:`iterate_orbit` is
+the one-column case, and :func:`replay_orbit` recomputes its iterates.
+Past about 256k window slots numpy advises huge pages, so the first write
+to a state's row faults in 2 MiB per buffer: a 200-state run ending at step
+962 peaked at 835 MiB with a budget of 10**6, and at 38 MiB with 10**3.
 
 The same loop serves :func:`oracle_compare`, which reads only each suite
 function's period: there a retiring column leaves its period alone, and no
@@ -269,16 +277,22 @@ def _fingerprint(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _residuals(window: np.ndarray, current: np.ndarray, slot: int,
                out: np.ndarray) -> np.ndarray:
-    """``residuals[k, q - 1] = max|T^(t-q) f - T^t f|`` for row ``k``, every ``q`` in ``window``.
+    """``by_slot[k, s] = max|T^t f - ring slot s|`` for row ``k``, every slot ``s`` in ``window``.
 
     ``window`` is ``(k, n, slots)``: ring rows' written slots, or a copy of
     them; ``current`` the matching ``(n, k)`` iterates, stored in ``slot``.
     The differences are taken over the slots in storage order, into ``out``,
-    and only the small (row, slot) result is put in period order: slots
-    ``slot - 1`` down to 0, then the last down to ``slot + 1``.
+    and the result stays in storage order: period ``q`` is slot ``(slot -
+    q) % size``, see :func:`_by_period`.  Slot ``slot`` is the newest
+    iterate itself, whose maximum is 0 (or nan).
     """
     diff = np.subtract(window, current.T[:, :, None], out=out[:len(window), :, :window.shape[2]])
-    by_slot = np.abs(diff, out=diff).max(axis=1)
+    return np.abs(diff, out=diff).max(axis=1)
+
+
+def _by_period(by_slot: np.ndarray, slot: int) -> np.ndarray:
+    """``residuals[k, q - 1]``, the ``(k, slots)`` result of :func:`_residuals`
+    in period order: slots ``slot - 1`` down to 0, then the last down to ``slot + 1``."""
     return np.concatenate((by_slot[:, :slot][:, ::-1], by_slot[:, slot + 1:][:, ::-1]), axis=1)
 
 
@@ -288,27 +302,42 @@ def _repeats(ring: np.ndarray, current: np.ndarray, hits: np.ndarray, rows: np.n
 
     ``hits[r, s]`` says that the print of ``rows[r]``'s new iterate, stored
     in ring slot ``slot``, equals the one in slot ``s``.  Only matched slots
-    are compared, but not the overwritten slot ``slot``.  Returns the
+    are compared, but not the overwritten slot ``slot``: a single hit with
+    basic indexing, several in one vectorized check.  Returns, as lists, the
     running positions that repeat, the smallest period within tolerance of
     each (at most the repeat's, whose residual is 0) and its residual.
     ``inf - inf`` is nan, so equal infinities are no repeat, as under the
     residual rule.  A running column repeats at most one past iterate: two
     would be a repeat on an earlier step.
     """
+    size = ring.shape[2]
     if slot < hits.shape[1]:
         hits[:, slot] = False  # the overwritten slot: an iterate beyond the window
     flat = np.flatnonzero(hits)
-    hit, matched = flat // hits.shape[1], flat % hits.shape[1]
+    if len(flat) == 1:
+        hit, matched = divmod(int(flat[0]), hits.shape[1])
+        row = int(rows[hit])
+        if (ring[row, :, matched] - current[:, row]).any():
+            return [], [], []
+        period = (slot - matched) % size
+        if period == 1:  # a repeat at period 1 is its residual, 0
+            return [row], [1], [0.0]
+        # its residual at its own period is 0, so the first within tolerance is no later;
+        # the slot of period q is slot - q, from the end when negative
+        below = np.abs(ring[row][:, np.arange(slot - 1, slot - period - 1, -1)]
+                       - current[:, row, None]).max(axis=0)
+        first = int((below <= tolerance).argmax())
+        return [row], [first + 1], [float(below[first])]
+    hit, matched = np.divmod(flat, hits.shape[1])
     rows = rows[hit]
     same = ~(ring[rows, :, matched] - current[:, rows].T).any(axis=1)
-    rows, periods = rows[same], (slot - matched[same]) % ring.shape[2]
-    if not len(rows) or periods.max() == 1:  # a repeat at period 1 is its residual, 0
-        return rows, periods, np.zeros(len(rows))
-    # a row's residual at its own period is 0, so the first within tolerance is no later
-    past = (slot - np.arange(1, periods.max() + 1)) % ring.shape[2]  # the slot of each period
+    rows, periods = rows[same], (slot - matched[same]) % size
+    if not len(rows) or periods.max() == 1:
+        return rows.tolist(), periods.tolist(), [0.0] * len(rows)
+    past = np.arange(slot - 1, slot - periods.max() - 1, -1)  # the slot of each period
     below = np.abs(ring[rows[:, None], :, past] - current[:, rows].T[:, None]).max(axis=2)
     first = (below <= tolerance).argmax(axis=1)
-    return rows, first + 1, below[np.arange(len(rows)), first]
+    return rows.tolist(), (first + 1).tolist(), below[np.arange(len(rows)), first].tolist()
 
 
 def _split(quiet: np.ndarray) -> tuple:
@@ -360,12 +389,14 @@ def _iterate_block(
     best_residual = np.zeros(m)
     # A quiet column ends only by an exact repeat, on ``fires`` or on the
     # last step; from W on it stays quiet only while its period-1 residual
-    # stays within tolerance.  Loud ones, none before W, are scored in full.
+    # stays within tolerance.  Loud ones, none before W, have their window
+    # scored on every step, and run the rules only with a period within tolerance.
     quiet = np.ones(m, dtype=bool)
     quiet_rows, loud_rows = _split(quiet)
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
     scored_steps = 0
+    streaking = False  # whether some loud streak may be above 0
     stops = dict.fromkeys(("exact_repeat", "sustained", "budget"), 0)
 
     for iteration in range(1, budget + 1):
@@ -392,20 +423,27 @@ def _iterate_block(
             if np.count_nonzero(hits):
                 rows, period, residual = _repeats(
                     ring, current, hits, np.arange(running)[quiet_rows], slot, tol)
-                if len(rows):
-                    ending.append((rows, period.tolist(), residual.tolist(),
-                                   itertools.repeat(True)))
+                if rows:
+                    ending.append((rows, period, residual, itertools.repeat(True)))
         if loud_rows is not None:
-            scored_steps += 1
             scored = min(iteration, cap)
-            residuals = _residuals(ring[loud_rows, :, :scored + 1], current[:, loud_rows],
-                                   slot, diffs)
-            within = residuals <= tol
-            counts = streak[loud_rows, :scored] + 1
-            counts *= within
-            streak[loud_rows, :scored] = counts
-            # both rules need some period within tolerance
-            if within.any() or last:
+            by_slot = _residuals(ring[loud_rows, :, :scored + 1], current[:, loud_rows],
+                                 slot, diffs)
+            by_slot[:, slot] = np.nan  # the newest iterate itself: no period
+            # both rules need some period within tolerance; fmin passes over
+            # nan, which is never within it
+            if not (last or np.fmin.reduce(by_slot, axis=None) <= tol):
+                if streaking:  # every loud streak ends here
+                    streak[:running, :scored] = 0
+                    streaking = False
+            else:
+                scored_steps += 1
+                streaking = True
+                residuals = _by_period(by_slot, slot)
+                within = residuals <= tol
+                counts = streak[loud_rows, :scored] + 1
+                counts *= within
+                streak[loud_rows, :scored] = counts
                 rows = np.arange(running)[loud_rows]
                 cols = column[rows]
                 zero = (residuals == 0.0).any(axis=1)
@@ -425,30 +463,29 @@ def _iterate_block(
                     best_residual[cols[none]] = residuals[none, 0]
                     ends[:] = True
                 if ends.any():
-                    ending.append((rows[ends], held[ends].tolist(),
+                    ending.append((rows[ends].tolist(), held[ends].tolist(),
                                    best_residual[cols[ends]].tolist(), zero[ends].tolist()))
         if quiet_rows is not None and (iteration == fires or last):
             # the quiet columns no repeat ended: period 1 on ``fires``, as
             # their period-1 residual was within tolerance on every step
             # since W, and none on the last step
-            rows = np.arange(running)[quiet_rows]
-            for ended in ending:
-                rows = np.setdiff1d(rows, ended[0], assume_unique=True)
-            if len(rows):
+            ended = {k for rows, *_ in ending for k in rows}
+            rows = [k for k in np.arange(running)[quiet_rows].tolist() if k not in ended]
+            if rows:
                 residual = np.abs(current[:, rows] - previous[:, rows]).max(axis=0)
                 ending.append((rows, itertools.repeat(int(iteration == fires)),
                                residual.tolist(), itertools.repeat(False)))
         if not ending:
             continue
 
-        done = np.zeros(running, dtype=bool)
+        gone = []
         scored = min(iteration, cap)
         if windows:
             order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
         for rows, periods, residuals, repeats in ending:
-            done[rows] = True
+            gone += rows
             for k, col, period, residual, exact in zip(
-                    rows.tolist(), column[rows].tolist(), periods, residuals, repeats):
+                    rows, column[rows].tolist(), periods, residuals, repeats):
                 period = period or None
                 if exact:
                     reason = "exact_repeat"
@@ -470,25 +507,26 @@ def _iterate_block(
                     iterates_kept=tuple(kept),
                     params=p,
                 )
-        keep = (~done).nonzero()[0]
-        if not len(keep):
+        left = running - len(gone)
+        if not left:
             break
         # the new prefix keeps its running columns in place; each retired
-        # place in it takes a running column from beyond it, copying only
-        # the slots and periods written so far
-        moved = np.arange(len(keep))
-        holes = done[:len(keep)].nonzero()[0]
-        if len(holes):
-            sources = keep[len(keep) - len(holes):]
-            moved[holes] = sources
-            ring[holes, :, :scored + 1] = ring[sources, :, :scored + 1]
+        # place in it, in order, takes the next running column from beyond
+        # it by basic slices, copying only the slots and periods written so far
+        moved = np.arange(left)
+        holes = sorted(k for k in gone if k < left)
+        sources = sorted(set(range(left, running)).difference(gone)) if holes else ()
+        for hole, source in zip(holes, sources):
+            moved[hole] = source
+            column[hole] = column[source]
+            quiet[hole] = quiet[source]
+            ring[hole, :, :scored + 1] = ring[source, :, :scored + 1]
             if quiet_rows is not None:
-                prints[holes, :scored + 1] = prints[sources, :scored + 1]
+                prints[hole, :scored + 1] = prints[source, :scored + 1]
             if loud_rows is not None:
-                streak[holes, :scored] = streak[sources, :scored]
+                streak[hole, :scored] = streak[source, :scored]
         current = current[:, moved]
-        column = column[moved]
-        quiet = quiet[moved]
+        column, quiet = column[:left], quiet[:left]
         quiet_rows, loud_rows = _split(quiet)
     log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
               "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,

@@ -1338,6 +1338,36 @@ class DoublingIntoSwap(UpperOperator):
         return np.where(g == 10.0, 20.0, np.where(g >= 1e-3, 10.0, 2 * g))
 
 
+class ScriptedOrbit(UpperOperator):
+    """One state that moves by the given steps: from ``0.0`` on, each value
+    maps to itself plus the next step, and the last value to itself.
+
+    It is no upper transition operator.  A script of unit steps up to ``W``,
+    two steps of ``tolerance / 1000``, one unit step and then tiny steps
+    again is a loud column whose periods come within tolerance, all leave
+    it on one step, and period 1 then stays within it: the stale streaks of
+    the first tiny steps would fire the sustained rule too early.
+    """
+
+    SPACE = StateSpace(("x",))
+
+    def __init__(self, steps):
+        values = [0.0]
+        for step in steps:
+            values.append(values[-1] + step)
+        assert len(set(values)) == len(values), "a scripted orbit repeats no value"
+        self.values = values
+        self._next = dict(zip(values, values[1:] + values[-1:]))
+
+    @property
+    def space(self) -> StateSpace:
+        return self.SPACE
+
+    def apply(self, f):
+        g = self._check_vector(f)
+        return np.vectorize(self._next.__getitem__, otypes=[float])(g)
+
+
 def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:
     """``CredalOperator.apply`` before the gather-max: each state's maximum by ``np.maximum.reduceat``."""
     return np.maximum.reduceat(op._matrix @ np.asarray(f, dtype=float), dense_table(op.supports()).starts)

@@ -462,6 +462,16 @@ class TestStructuralHook:
             with pytest.raises(ModelValidationError, match=message):
                 lower_reach_set(table, [bad])
 
+    def test_bool_state_indices_rejected(self, running_op):
+        # True == 1 and hashes alike, so a bool would silently keep a state,
+        # also beside the index it equals; like 1.0, it is refused, and so
+        # is 1.0 beside 1
+        table = running_op.supports()
+        for keep in ([True], [0, False], [1, True], [True, 1], [1, 1.0]):
+            with pytest.raises(ModelValidationError, match="^state index (True|False|1.0) out of range"):
+                table.restrict(keep)
+        assert table.restrict([1, np.int64(1), 1]).space.labels == ("b",)
+
     def test_exact_path_reports_are_byte_identical(
         self, running_op, delayed_cycle_op, counterexample_op
     ):

@@ -491,6 +491,87 @@ class TestScoringWindow:
                     checked += 1
         assert checked >= 1000
 
+    def test_loud_steps_with_no_period_in_tolerance_skip_the_period_rule(
+            self, monkeypatch, caplog, counterexample_op):
+        # A loud step reads its window's per-slot maxima once.  With no slot
+        # but the newest within tolerance (nan never is), and not on the
+        # budget's last step, every loud streak ends and no rule runs: a
+        # skipped step.  Otherwise the streak and fire rules run: a scored
+        # step, which the debug line counts as "scored in full".  Each loud
+        # step calls _residuals once, so skipped = calls - scored.
+        import imclim.orbits
+
+        residuals = imclim.orbits._residuals
+        run_block = imclim.orbits._iterate_block
+        steps = []
+        loud = []  # per loud step of the current run: whether some period is within tolerance
+        budget = tolerance = None
+
+        def recording(window, current, slot, out):
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, never within tolerance
+                by_slot = np.abs(window - current.T[:, :, None]).max(axis=1)
+                near = (np.delete(by_slot, slot, axis=1) <= tolerance).any()
+            loud.append(bool(near) or len(steps) == budget)
+            return residuals(window, current, slot, out)
+
+        def run(op, block, p, cap, windows, watch):
+            steps.clear()  # steps and loud steps count from the run's start
+            loud.clear()
+            return run_block(op, block, p, cap, windows, watch)
+
+        monkeypatch.setattr(imclim.orbits, "_residuals", recording)
+        monkeypatch.setattr(imclim.orbits, "_iterate_block", run)
+
+        def counted(op, block, params, compare=True):
+            """(skipped, scored) loud steps of the run that ends, checked against the log."""
+            nonlocal budget, tolerance
+            budget, tolerance = params.max_iters, params.tolerance
+            apply = op.apply
+            monkeypatch.setattr(op, "apply", lambda f: steps.append(1) or apply(f))
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="imclim.orbits"):
+                results = iterate_orbits(op, block, params)
+            records = [r for r in caplog.records if r.name == "imclim.orbits"]
+            assert len(records) == 1
+            scored = int(re.search(r"(\d+) scored in full", records[0].getMessage())[1])
+            assert scored == sum(loud)
+            if compare:
+                reference = gen.all_slots_iterate_orbits(op, block, params)
+                for a, b in zip(results, reference):
+                    assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), params
+            return len(loud) - scored, scored, results
+
+        seeded = Counter()
+        for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 40)):
+            skipped, scored, _ = counted(op, block, self.GRID[k % len(self.GRID)])
+            seeded.update(skipped=skipped, scored=scored)
+        turning = Counter()
+        for params in self.GRID[:2]:
+            for op, starts in itertools.islice(self.rotations(params), 5, None, 3):
+                skipped, scored, _ = counted(op, starts, params)
+                turning.update(skipped=skipped, scored=scored)
+        assert seeded["skipped"] and seeded["scored"], seeded
+        assert turning["skipped"] and turning["scored"], turning
+
+        # the builtin's 8 budget columns are loud from W = 137 and no period
+        # comes within tolerance: they skip on every one of their 4,864 steps
+        # but the budget's last (the suite is compared in the test below)
+        _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
+        skipped, scored, results = counted(counterexample_op, suite, OrbitParams(), compare=False)
+        assert sum(r.stop_reason == "budget" for r in results) == 8
+        assert (skipped, scored) == (4863, 1)
+
+        # loud at W = 17, within tolerance on steps 18 and 19, out of it on
+        # step 20 (a skip), then period 1 within it from step 21: the
+        # sustained rule fires on step 24, not on 22 from stale streaks
+        params = OrbitParams(burn_in=20, max_period=4, max_iters=60)
+        tiny = params.tolerance / 1000
+        op = gen.ScriptedOrbit([1.0] * 17 + [tiny] * 2 + [1.0] + [tiny] * 10)
+        skipped, scored, results = counted(op, np.zeros((1, 1)), params)
+        assert (skipped, scored) == (2, 6)
+        assert (results[0].detected_period, results[0].stop_reason, results[0].iterations) == \
+            (1, "sustained", 24)
+
     def test_the_builtin_suite_matches_the_all_slots_engine(self, counterexample_op):
         # the suite analyze runs on the builtin, whose budget columns are the
         # one long loud path of the orbit benchmark, and a start whose first
