@@ -21,7 +21,8 @@ and in time linear in the number of support entries, so strict-positivity
 tests never depend on the scale of the input.  :meth:`SupportTable.restrict`
 is the one restriction: deeper decomposition levels cut the tuples, and no
 restricted operator is ever built.  An operator therefore declares only its
-``space``, ``apply`` and ``supports``.  A credal operator keeps its masses
+``space``, ``apply`` and ``supports``, and, when it can prove its orbits'
+limits in closed form, :meth:`UpperOperator.closed_form_limit`.  A credal operator keeps its masses
 exact, as reduced integer ``(numerator, denominator)`` pairs, only as the
 record of its model: the loader has already used them to validate each pmf,
 drop duplicates and fix the pmf order.  The package evaluates operators in
@@ -172,6 +173,16 @@ class UpperOperator(ABC):
             "refusing to derive structure from floating-point thresholds"
         )
 
+    def closed_form_limit(self, block: np.ndarray) -> np.ndarray | None:
+        """The orbit limits of the columns of an ``(n, k)`` start block, as an
+        ``(n, k)`` array, or ``None`` when the operator declares none.
+
+        A declared limit must be proven for every start: the orbit engine
+        ends a column that is still moving at ``W`` with period 1 and this
+        limit (stop reason ``"certified"``), see :mod:`imclim.orbits`.
+        """
+        return None
+
     def _check_vector(self, f) -> np.ndarray:
         g = np.asarray(f, dtype=float)
         if g.ndim not in (1, 2) or g.shape[0] != self.n:
@@ -313,9 +324,10 @@ class CounterexampleOperator(UpperOperator):
     Every orbit of this operator converges, yet its restriction to the states
     ``{b, c}`` is a pure swap of cyclicity 2: it is the canonical witness that
     for operators which are *not* finitely generated, the regular-levels
-    condition certifies convergence in one direction only.  Note that orbits
-    approach their limit at rate O(1/n), not geometrically, so tight
-    tolerances need very large iteration budgets.
+    condition certifies convergence in one direction only.  Orbits approach
+    their limit ``(f(a), max f, max f)`` at rate O(1/n), not geometrically,
+    so :meth:`closed_form_limit` declares it, and the orbit engine certifies
+    it instead of iterating to a tight tolerance.
     """
 
     is_finitely_generated = False
@@ -334,6 +346,19 @@ class CounterexampleOperator(UpperOperator):
         # rows b and c: _max2(f(a), row), both in one call
         np.copyto(out[1:], g[0], where=~(out[1:] > g[0]))
         return out
+
+    def closed_form_limit(self, block):
+        # Every orbit converges to (f(a), max f, max f), a fixed point of T.
+        # T commutes with adding a constant, so take f(a) = 0 and M = max f.
+        # One step gives Tf(b), Tf(c) >= 0 with max(Tf(b), Tf(c)) = M, and
+        # every later step keeps that.  Row c copies row b, so the gap
+        # d = M - min(Tf(b), Tf(c)) moves every second step, to
+        # d - d^2 / (4 (M - d)) when d <= M/2 and to M/4 + d/4 otherwise: a
+        # continuous map that never raises d and fixes only 0, so d falls to
+        # 0, like 8 M / n.  f(a) and max are exact in doubles.
+        g = self._check_vector(block)
+        top = g.max(axis=0)
+        return np.stack((g[0], top, top))
 
     def supports(self):
         # a: {a};  b: {a}, the curve's {c} at t = 0 and {a, b, c} for t in (0, 1/2];  c: {a}, {b}

@@ -14,7 +14,10 @@ holds it keeps holding.  In floats a rounding step can raise a residual, and
 an ``UpperOperator`` subclass need not be non-expansive at all; the engine
 relies on monotonicity only to skip work, never for a result (see quiet
 columns below).  The engine never reports divergence; exhausting the budget
-only means "no cycle found within budget".
+only means "no cycle found within budget".  An operator that proves its
+orbits' limits declares them through
+:meth:`~imclim.operators.UpperOperator.closed_form_limit`; the engine then
+certifies the limit of every column still moving on ``W`` (see below).
 
 One engine, :func:`iterate_orbits`, iterates a whole suite of start
 functions as the columns of one ``(n, m)`` block: each step is a single
@@ -26,7 +29,13 @@ streak of ``max_period`` steps, so it reads no residual before
 
 A *quiet* column is one that only an exact repeat can end before then.
 Every column is quiet before ``W``; on ``W`` a column stays quiet only if
-its period-1 residual is within tolerance.  A quiet column keeps a
+its period-1 residual is within tolerance.  On ``W`` the fire rule has one
+more term: when the operator declares a closed-form limit, each column
+whose period-1 residual is outside tolerance (or nan) ends with period 1,
+stop reason ``"certified"`` and the limit computed from its start values.
+The term reads the tolerance, not quietness, so a rerun certifies the same
+columns; the result keeps the run's real window and its period-1 residual
+on ``W``.  The builtin's slow O(1/n) orbits end here instead of at the budget.  A quiet column keeps a
 fingerprint of every iterate beside the ring, one integer product per step,
 and its new print is compared with the contiguous written print slots, with
 no per-step gather.  A print hit is checked against its matched slot alone,
@@ -57,8 +66,9 @@ but the newest is within it (nan never is) or the budget is spent, the step
 is *skipped*: every loud streak ends, the streaks are zeroed once on the
 first such step, and no rule runs.  Otherwise the small per-slot result is
 put in period order, with no window gathered, and the streak and fire rules
-run on it.  The builtin's budget columns are loud from ``W`` and skip on
-most steps.  Each column is certified on its own and retires on its own
+run on it.  Columns that are loud from ``W`` with no period in tolerance,
+such as the builtin's slow orbits without their limit, skip on most
+steps.  Each column is certified on its own and retires on its own
 step; the running columns stay a contiguous prefix of the buffers,
 compacted only on a step that retires some column: each hole in the new
 prefix takes the next running column from beyond it by basic-slice copies
@@ -147,11 +157,15 @@ class OrbitResult:
     last maps back to the first, within tolerance).  ``stop_reason`` says
     why the run ended: ``"exact_repeat"`` (some residual was exactly zero),
     ``"sustained"`` (period 1 certified by a residual sustained within
-    tolerance) or ``"budget"`` (the iteration budget was spent, possibly after
-    a period above one was certified).  ``iterates_kept`` is the run's last
-    ``min(max_period, iterations) + 1`` iterates; no trace is kept, and
-    ``replay_orbit(op, f, iterations)`` recomputes one.  The vectors of
-    ``limit_cycle`` and ``iterates_kept`` are read-only rows of one array.
+    tolerance), ``"certified"`` (period 1 and the operator's closed-form
+    limit, certified on step ``W``) or ``"budget"`` (the iteration budget was
+    spent, possibly after a period above one was certified).
+    ``certified_limit`` is that closed-form limit, and ``None`` for every
+    other stop; ``limit_cycle`` and ``limit`` return it.  ``iterates_kept``
+    is the run's last ``min(max_period, iterations) + 1`` iterates; no trace
+    is kept, and ``replay_orbit(op, f, iterations)`` recomputes one.  The
+    vectors of ``limit_cycle`` and ``iterates_kept`` are read-only rows of
+    one array.
     """
 
     detected_period: int | None
@@ -160,6 +174,7 @@ class OrbitResult:
     stop_reason: str
     iterates_kept: tuple[np.ndarray, ...]
     params: OrbitParams
+    certified_limit: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -167,13 +182,15 @@ class OrbitResult:
 
     @property
     def limit_cycle(self) -> tuple[np.ndarray, ...] | None:
+        if self.certified_limit is not None:
+            return (self.certified_limit,)
         period = self.detected_period
         return self.iterates_kept[-period:] if period else None
 
     @property
     def limit(self) -> np.ndarray | None:
         """The fixed point, when the orbit converged (period 1)."""
-        return self.iterates_kept[-1] if self.converged else None
+        return self.limit_cycle[0] if self.converged else None
 
 
 def _start_block(op: UpperOperator, f: Sequence[float]) -> np.ndarray:
@@ -225,7 +242,9 @@ def iterate_orbits(
     slowly damped alternation the even-step residual can cross the threshold
     long before the step residual, so iteration continues and a later, smaller
     certificate wins.  Only period one, an exact repeat (residuals are frozen
-    from then on), or budget exhaustion end a column's run.
+    from then on), or budget exhaustion end a column's run.  An operator that
+    declares a closed-form limit has a column still moving on ``W`` end there
+    with period 1 and that limit.
 
     Quiet columns skip most residuals, by the rule in the module docstring;
     the results are those of scoring every step.
@@ -340,15 +359,13 @@ def _repeats(ring: np.ndarray, current: np.ndarray, hits: np.ndarray, rows: np.n
     return rows.tolist(), (first + 1).tolist(), below[np.arange(len(rows)), first].tolist()
 
 
-def _split(quiet: np.ndarray) -> tuple:
-    """The running positions of the quiet and of the loud columns, each as
-    a slice when it is all of them and as ``None`` when it is none."""
-    count = np.count_nonzero(quiet)
-    if count == len(quiet):
-        return slice(0, count), None
-    if not count:
-        return None, slice(0, len(quiet))
-    return quiet.nonzero()[0], (~quiet).nonzero()[0]
+def _rows(mask: np.ndarray) -> slice | np.ndarray | None:
+    """The running positions where ``mask`` holds: a slice when it is all
+    of them and ``None`` when it is none."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return slice(0, count)
+    return mask.nonzero()[0] if count else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf residuals are nan, silently
@@ -392,12 +409,12 @@ def _iterate_block(
     # stays within tolerance.  Loud ones, none before W, have their window
     # scored on every step, and run the rules only with a period within tolerance.
     quiet = np.ones(m, dtype=bool)
-    quiet_rows, loud_rows = _split(quiet)
+    quiet_rows, loud_rows = slice(0, m), None
     column = np.arange(m)  # block column of each running column
     results: list = [None] * m
     scored_steps = 0
     streaking = False  # whether some loud streak may be above 0
-    stops = dict.fromkeys(("exact_repeat", "sustained", "budget"), 0)
+    stops = dict.fromkeys(("exact_repeat", "sustained", "certified", "budget"), 0)
 
     for iteration in range(1, budget + 1):
         slot = iteration % size
@@ -406,12 +423,26 @@ def _iterate_block(
         ring[:running, :, slot] = current.T
         last = iteration == budget
         # the columns that end on this step: (running positions, then per
-        # column its period or 0, its residual and whether it repeated exactly)
+        # column its period or 0, its residual, its stop reason and its
+        # closed-form limit or None)
         ending = []
 
         if iteration == scoring_from:
-            quiet = (np.abs(current - previous).max(axis=0) <= tol) & watch
-            quiet_rows, loud_rows = _split(quiet)
+            moves = np.abs(current - previous).max(axis=0)
+            within = moves <= tol  # nan is outside
+            quiet = within & watch
+            loud = ~quiet
+            # the certificate term of the fire rule: a column still moving
+            # ends with period 1 and the operator's proven limit, if it has one
+            outside = (~within).nonzero()[0]
+            limits = op.closed_form_limit(block[:, column[outside]]) if len(outside) else None
+            if limits is not None:
+                loud = within & ~watch
+                limits = np.array(np.asarray(limits, dtype=float).T, order="C")
+                limits.setflags(write=False)
+                ending.append((outside.tolist(), itertools.repeat(1), moves[outside].tolist(),
+                               itertools.repeat("certified"), limits))
+            quiet_rows, loud_rows = _rows(quiet), _rows(loud)
         elif iteration > scoring_from and quiet_rows is not None:
             # one reduce over the quiet columns' period-1 residuals; nan leaves tolerance too
             if not np.abs(current[:, quiet_rows] - previous[:, quiet_rows]).max() <= tol:
@@ -424,7 +455,8 @@ def _iterate_block(
                 rows, period, residual = _repeats(
                     ring, current, hits, np.arange(running)[quiet_rows], slot, tol)
                 if rows:
-                    ending.append((rows, period, residual, itertools.repeat(True)))
+                    ending.append((rows, period, residual, itertools.repeat("exact_repeat"),
+                                   itertools.repeat(None)))
         if loud_rows is not None:
             scored = min(iteration, cap)
             by_slot = _residuals(ring[loud_rows, :, :scored + 1], current[:, loud_rows],
@@ -463,8 +495,11 @@ def _iterate_block(
                     best_residual[cols[none]] = residuals[none, 0]
                     ends[:] = True
                 if ends.any():
-                    ending.append((rows[ends].tolist(), held[ends].tolist(),
-                                   best_residual[cols[ends]].tolist(), zero[ends].tolist()))
+                    periods = held[ends].tolist()
+                    reasons = ["exact_repeat" if exact else "sustained" if period == 1
+                               else "budget" for exact, period in zip(zero[ends].tolist(), periods)]
+                    ending.append((rows[ends].tolist(), periods, best_residual[cols[ends]].tolist(),
+                                   reasons, itertools.repeat(None)))
         if quiet_rows is not None and (iteration == fires or last):
             # the quiet columns no repeat ended: period 1 on ``fires``, as
             # their period-1 residual was within tolerance on every step
@@ -473,8 +508,9 @@ def _iterate_block(
             rows = [k for k in np.arange(running)[quiet_rows].tolist() if k not in ended]
             if rows:
                 residual = np.abs(current[:, rows] - previous[:, rows]).max(axis=0)
-                ending.append((rows, itertools.repeat(int(iteration == fires)),
-                               residual.tolist(), itertools.repeat(False)))
+                ending.append((rows, itertools.repeat(int(iteration == fires)), residual.tolist(),
+                               itertools.repeat("sustained" if iteration == fires else "budget"),
+                               itertools.repeat(None)))
         if not ending:
             continue
 
@@ -482,17 +518,11 @@ def _iterate_block(
         scored = min(iteration, cap)
         if windows:
             order = np.arange(slot - scored, slot + 1) % size  # oldest..newest
-        for rows, periods, residuals, repeats in ending:
+        for rows, periods, residuals, reasons, limits in ending:
             gone += rows
-            for k, col, period, residual, exact in zip(
-                    rows, column[rows].tolist(), periods, residuals, repeats):
+            for k, col, period, residual, reason, limit in zip(
+                    rows, column[rows].tolist(), periods, residuals, reasons, limits):
                 period = period or None
-                if exact:
-                    reason = "exact_repeat"
-                elif period == 1:
-                    reason = "sustained"
-                else:
-                    reason = "budget"
                 stops[reason] += 1
                 if not windows:
                     results[col] = period
@@ -506,6 +536,7 @@ def _iterate_block(
                     stop_reason=reason,
                     iterates_kept=tuple(kept),
                     params=p,
+                    certified_limit=limit,
                 )
         left = running - len(gone)
         if not left:
@@ -527,11 +558,11 @@ def _iterate_block(
                 streak[hole, :scored] = streak[source, :scored]
         current = current[:, moved]
         column, quiet = column[:left], quiet[:left]
-        quiet_rows, loud_rows = _split(quiet)
-    log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; "
-              "stops: exact_repeat %d, sustained %d, budget %d", m, iteration, scored_steps,
+        quiet_rows, loud_rows = _rows(quiet), _rows(~quiet)
+    log.debug("orbit block: %d columns, %d steps, %d scored in full, %s; stops: exact_repeat "
+              "%d, sustained %d, certified %d, budget %d", m, iteration, scored_steps,
               "with quiet columns" if watch else "rerun without quiet columns",
-              stops["exact_repeat"], stops["sustained"], stops["budget"])
+              *stops.values())
     return results
 
 

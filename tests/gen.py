@@ -1110,10 +1110,15 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
     """The scalar orbit engine the batched one replaced, kept as the reference.
 
     One function at a time: the window is a list of the last ``max_period + 1``
-    iterates, stacked on every step to score every period.
+    iterates, stacked on every step to score every period.  On step
+    ``W = burn_in - max_period + 1`` a period-1 residual outside tolerance
+    certifies the operator's closed-form limit, if it declares one, before
+    any other rule.
     """
     p = params or OrbitParams()
     current = np.asarray(f, dtype=float)
+    first = max(1, p.burn_in - p.max_period + 1)  # W
+    certified = None
     window: list[np.ndarray] = [current.copy()]
     streak = np.zeros(min(p.max_period, p.max_iters) + 1, dtype=np.int64)
     last_step_residual = float("inf")
@@ -1135,6 +1140,14 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
         within = residuals <= p.tolerance
         streak[periods] = np.where(within, streak[periods] + 1, 0)
         last_step_residual = float(residuals[-1])
+
+        if iteration == first and not residuals[-1] <= p.tolerance:
+            certified = op.closed_form_limit(current[:, None])
+            if certified is not None:
+                best_period, best_residual, reason = 1, last_step_residual, "certified"
+                certified = np.array(certified[:, 0])
+                certified.setflags(write=False)
+                break
 
         exact_repeat = bool((residuals == 0.0).any())
         sustained = iteration >= p.burn_in and bool(
@@ -1159,6 +1172,7 @@ def reference_iterate_orbit(op: UpperOperator, f, params: OrbitParams | None = N
         stop_reason=reason,
         iterates_kept=tuple(v.copy() for v in window),
         params=p,
+        certified_limit=certified,
     )
 
 
@@ -1170,13 +1184,16 @@ def all_slots_iterate_orbits(
 
     Every step takes the residuals against all ring slots for every running
     column, and every streak runs from the first step a period is scored.
-    The whole ``(n, m)`` block is one block: callers keep it narrower than
-    the engine's memory bound, so both iterate the same blocks and round
-    alike.
+    On step ``W = burn_in - max_period + 1`` each column whose period-1
+    residual is outside tolerance ends with the operator's closed-form
+    limit, if it declares one, whatever the other rules say.  The whole
+    ``(n, m)`` block is one block: callers keep it narrower than the
+    engine's memory bound, so both iterate the same blocks and round alike.
     """
     p = params or OrbitParams()
     block = np.asarray(starts, dtype=float)
     n, m = block.shape
+    first = max(1, p.burn_in - p.max_period + 1)  # W
     cap = min(p.max_period, p.max_iters)
     size = cap + 1
     ring = np.empty((m, n, size))
@@ -1207,6 +1224,15 @@ def all_slots_iterate_orbits(
         scoring += 1
         scoring *= within
 
+        certify = np.zeros(running, dtype=bool)
+        limits = {}
+        if iteration == first:
+            outside = ~(residuals[:, 0] <= p.tolerance)
+            found = op.closed_form_limit(block[:, column[outside]]) if outside.any() else None
+            if found is not None:
+                certify = outside
+                limits = dict(zip(outside.nonzero()[0].tolist(), found.T))
+
         done = exact = np.zeros(running, dtype=bool)
         if within.any():
             exact = (residuals == 0.0).any(axis=1)
@@ -1219,6 +1245,7 @@ def all_slots_iterate_orbits(
                 best[better] = candidate[better]
                 best_residual[better] = residuals[better, candidate[better] - 1]
                 done = fired & ((best == 1) | exact)
+        done = done | certify
         if iteration == p.max_iters:
             done = np.ones_like(done)
         elif not done.any():
@@ -1229,7 +1256,12 @@ def all_slots_iterate_orbits(
             kept = ring[k][:, order].T.copy()
             kept.setflags(write=False)
             period = int(best[k]) or None
-            if exact[k]:
+            limit = None
+            if certify[k]:
+                period, reason = 1, "certified"
+                limit = np.array(limits[k])
+                limit.setflags(write=False)
+            elif exact[k]:
                 reason = "exact_repeat"
             elif period == 1:
                 reason = "sustained"
@@ -1237,11 +1269,12 @@ def all_slots_iterate_orbits(
                 reason = "budget"
             results[column[k]] = OrbitResult(
                 detected_period=period,
-                residual=float(best_residual[k] if period else residuals[k, 0]),
+                residual=float(residuals[k, 0] if certify[k] or not period else best_residual[k]),
                 iterations=iteration,
                 stop_reason=reason,
                 iterates_kept=tuple(kept),
                 params=p,
+                certified_limit=limit,
             )
         keep = (~done).nonzero()[0]
         if not len(keep):
@@ -1272,6 +1305,7 @@ def orbit_result_bits(result: OrbitResult) -> tuple:
         result.stop_reason,
         bits(result.iterates_kept),
         result.params,
+        bits(None if result.certified_limit is None else (result.certified_limit,)),
     )
 
 
@@ -1366,6 +1400,17 @@ class ScriptedOrbit(UpperOperator):
     def apply(self, f):
         g = self._check_vector(f)
         return np.vectorize(self._next.__getitem__, otypes=[float])(g)
+
+
+class UncertifiedCounterexample(CounterexampleOperator):
+    """The builtin counterexample without its closed-form limit.
+
+    Its orbits take their O(1/n) approach to the budget: the orbit engine's
+    long loud path, which the builtin itself ends on step ``W``.
+    """
+
+    def closed_form_limit(self, block):
+        return None
 
 
 def reference_credal_apply(op: CredalOperator, f) -> np.ndarray:

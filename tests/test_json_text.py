@@ -95,6 +95,9 @@ def test_the_builtin_with_and_without_a_suite():
         assert report.to_json() == dumps(report.to_dict())
     block = decomposition_block(report.decomposition)
     assert json_text(block) == dumps(block)
-    payload = orbit_payload(iterate_orbit(op, np.array([0.0, 1.0, 0.0])))
-    assert payload["period"] == "none within budget"
-    assert json_text(payload) == dumps(payload)
+    # without its closed-form limit the orbit spends its budget; with it,
+    # the certified limit is the payload's one cycle element
+    for orbit_op, period in ((gen.UncertifiedCounterexample(), "none within budget"), (op, 1)):
+        payload = orbit_payload(iterate_orbit(orbit_op, np.array([0.0, 1.0, 0.0])))
+        assert payload["period"] == period
+        assert json_text(payload) == dumps(payload)

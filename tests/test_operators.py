@@ -158,6 +158,67 @@ class TestCounterexampleClosedForm:
             assert np.allclose(approx, [float(v) for v in exact], atol=1e-12)
 
 
+class TestCounterexampleLimit:
+    """The limit ``(f(a), max f, max f)`` that the builtin declares through ``closed_form_limit``."""
+
+    def test_exact_orbits_keep_the_invariants_and_close_the_gap(self, counterexample_op):
+        # In Fraction, for n = 1..8: T^n f(a) = f(a), max(T^n f(b), T^n f(c))
+        # = max f, and the sup-norm gap to (f(a), max f, max f) never grows
+        # and falls every second step while it is positive.  n stays small,
+        # as a vertex step squares the denominators.
+        rng = random.Random(31)
+        for _ in range(2000):
+            f = gen.random_rational_function(rng, 3)
+            top = max(f)
+            limit = (f[0], top, top)
+            gaps = [max(abs(x - y) for x, y in zip(f, limit))]
+            g = f
+            for n in range(1, 9):
+                g = gen.apply_exact(counterexample_op, g)
+                assert g[0] == f[0]
+                assert max(g[1], g[2]) == top
+                gaps.append(max(abs(x - y) for x, y in zip(g, limit)))
+                assert gaps[n] <= gaps[n - 1]
+                if n >= 3:
+                    assert gaps[n] < gaps[n - 2] or gaps[n - 2] == 0, (f, gaps)
+
+    @staticmethod
+    def starts(rng: np.random.Generator, count: int) -> np.ndarray:
+        """Uniform draws, scaled and shifted, with ties, 0/1 vectors and f(a) the largest."""
+        block = rng.random((3, count)) * rng.choice([1.0, 10.0, 1e-3], size=count)
+        block -= rng.random(count)
+        block[:, ::5] = rng.integers(0, 2, (3, len(block[0, ::5])))
+        block[0, 1::7] = block.max(axis=0)[1::7] + 1.0  # f(a) above the rest
+        block[1, 2::9] = block[2, 2::9]  # f(b) = f(c)
+        return block
+
+    def test_the_declared_limit_is_an_exact_fixed_point(self, counterexample_op):
+        block = self.starts(np.random.default_rng(32), 600)
+        limits = counterexample_op.closed_form_limit(block)
+        assert limits.shape == block.shape
+        for f, limit in zip(block.T, limits.T):
+            assert limit.tolist() == [f[0], max(f), max(f)]
+            exact = tuple(map(F, limit))
+            assert gen.apply_exact(counterexample_op, exact) == exact
+            assert counterexample_op.closed_form_limit(f).tolist() == limit.tolist()
+
+    def test_float_orbits_close_like_8_over_n(self, counterexample_op):
+        # |T^n f - L| <= 8.5 (max f - f(a)) / n: n times the gap approaches
+        # 8 (max f - f(a)) from below, and is 0 from the first step when f(a)
+        # is the largest value
+        block = self.starts(np.random.default_rng(33), 400)
+        limits = counterexample_op.closed_form_limit(block)
+        scale = limits[1] - limits[0]
+        assert (scale == 0).any() and (scale > 0).any()
+        g = block
+        for n in range(1, 3001):
+            g = counterexample_op.apply(g)
+            assert (np.abs(g - limits).max(axis=0) * n <= 8.5 * scale).all(), n
+
+    def test_credal_operators_declare_no_limit(self, running_op):
+        assert running_op.closed_form_limit(np.eye(5)) is None
+
+
 class TestBlockApply:
     """``apply`` on an ``(n, m)`` block acts column by column."""
 

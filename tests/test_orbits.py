@@ -11,6 +11,7 @@ import pytest
 
 import gen
 from imclim import (
+    CounterexampleOperator,
     DimensionMismatchError,
     OrbitCheck,
     OrbitParams,
@@ -87,20 +88,22 @@ class TestIterateOrbit:
         assert np.allclose(two_cycle_op.apply(cycle[0]), cycle[1], atol=2e-9)
         assert np.allclose(two_cycle_op.apply(cycle[1]), cycle[0], atol=2e-9)
 
-    def test_counterexample_slow_orbit_is_honest_at_defaults(self, counterexample_op):
+    def test_counterexample_slow_orbit_is_honest_at_defaults(self):
         # the middle-row curve makes these orbits approach their limit at rate
-        # O(1/n); within the default budget nothing can be certified
-        result = iterate_orbit(counterexample_op, [0.0, 1.0, 0.0])
+        # O(1/n); without its closed-form limit nothing can be certified
+        # within the default budget
+        result = iterate_orbit(gen.UncertifiedCounterexample(), [0.0, 1.0, 0.0])
         assert result.detected_period is None
         assert not result.converged
         assert result.stop_reason == "budget"
         assert result.iterations == OrbitParams().max_iters
 
-    def test_counterexample_limit_at_coarse_tolerance(self, counterexample_op):
-        # the gap to the limit shrinks like 1/n, so certifying period 1 at
-        # tolerance 1e-3 takes on the order of 1e4 iterations
+    def test_counterexample_limit_at_coarse_tolerance(self):
+        # the gap to the limit shrinks like 1/n, so without its closed-form
+        # limit certifying period 1 at tolerance 1e-3 takes on the order of
+        # 1e4 iterations
         params = OrbitParams(tolerance=1e-3, burn_in=50, max_iters=12000, max_period=8)
-        result = iterate_orbit(counterexample_op, [0.0, 1.0, 0.0], params)
+        result = iterate_orbit(gen.UncertifiedCounterexample(), [0.0, 1.0, 0.0], params)
         assert result.converged
         assert np.allclose(result.limit, [0.0, 1.0, 1.0], atol=5e-3)
         # the harmonic approach never repeats exactly
@@ -271,20 +274,21 @@ class TestScoringWindow:
         assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
 
     def test_replay_is_the_one_column_orbit(self, counterexample_op):
-        # random, sparse wide and planted cyclic models, and the builtin with
-        # a start whose first step overflows
+        # random, sparse wide and planted cyclic models, and the builtin, with
+        # and without its closed-form limit, with a start whose first step
+        # overflows: a certified run keeps its real window
         reasons = Counter()
         runs = 0
         for index, params in enumerate(self.GRID):
             rng = random.Random(1403 + index)
-            ops = [counterexample_op]
-            while len(ops) < 40:
+            ops = [counterexample_op, gen.UncertifiedCounterexample()]
+            while len(ops) < 41:
                 ops.append(gen.random_operator(rng))
                 ops.append(gen.random_wide_operator(rng, rng.randint(12, 24)))
                 ops.append(gen.planted_cyclic_operator(rng)[0])
             for k, op in enumerate(ops):
                 starts = list(default_function_suite(op, 2, np.random.default_rng(k))[1].T)
-                if op is counterexample_op:
+                if isinstance(op, type(counterexample_op)):
                     starts.append(np.array([1e308, 0.0, -1e308]))
                 for f in starts:
                     result = iterate_orbit(op, f, params)
@@ -296,7 +300,7 @@ class TestScoringWindow:
                     reasons[result.stop_reason] += 1
                     runs += 1
         assert runs >= 2000
-        assert set(reasons) == {"exact_repeat", "sustained", "budget"}, reasons
+        assert set(reasons) == {"exact_repeat", "sustained", "certified", "budget"}, reasons
 
     @staticmethod
     def blocks(columns: int):
@@ -406,7 +410,7 @@ class TestScoringWindow:
         # leave tolerance after W, rerun (see the test above).
         reruns = _count_reruns(monkeypatch)
         rng = random.Random(1404)
-        ops = [counterexample_op]
+        ops = [counterexample_op, gen.UncertifiedCounterexample()]
         for _ in range(100):
             ops.append(gen.random_operator(rng))
             ops.append(gen.random_wide_operator(rng, rng.randint(12, 24)))
@@ -431,13 +435,13 @@ class TestScoringWindow:
         match = re.fullmatch(
             rf"orbit block: 10 columns, {steps} steps, (\d+) scored in full, "
             r"rerun without quiet columns; stops: exact_repeat (\d+), "
-            r"sustained (\d+), budget (\d+)",
+            r"sustained (\d+), certified (\d+), budget (\d+)",
             records[0].getMessage(),
         )
         assert match, records[0].getMessage()
         assert int(match[1]) <= steps
         assert tuple(map(int, match.groups()[1:])) == (
-            stops["exact_repeat"], stops["sustained"], stops["budget"])
+            stops["exact_repeat"], stops["sustained"], stops["certified"], stops["budget"])
         assert stops["sustained"] and stops["budget"], stops
 
     def test_full_rows_only_where_a_rule_can_read_them(self, monkeypatch):
@@ -553,13 +557,19 @@ class TestScoringWindow:
         assert seeded["skipped"] and seeded["scored"], seeded
         assert turning["skipped"] and turning["scored"], turning
 
-        # the builtin's 8 budget columns are loud from W = 137 and no period
-        # comes within tolerance: they skip on every one of their 4,864 steps
-        # but the budget's last (the suite is compared in the test below)
-        _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
-        skipped, scored, results = counted(counterexample_op, suite, OrbitParams(), compare=False)
+        # without its closed-form limit, the builtin's 8 budget columns are
+        # loud from W = 137 and no period comes within tolerance: they skip on
+        # every one of their 4,864 steps but the budget's last (the suite is
+        # compared in the test below)
+        twin = gen.UncertifiedCounterexample()
+        _, suite = default_function_suite(twin, 20, np.random.default_rng(0))
+        skipped, scored, results = counted(twin, suite, OrbitParams(), compare=False)
         assert sum(r.stop_reason == "budget" for r in results) == 8
         assert (skipped, scored) == (4863, 1)
+        # the builtin itself certifies them on W: no loud step at all
+        skipped, scored, results = counted(counterexample_op, suite, OrbitParams(), compare=False)
+        assert sum(r.stop_reason == "certified" for r in results) == 8
+        assert (skipped, scored) == (0, 0)
 
         # loud at W = 17, within tolerance on steps 18 and 19, out of it on
         # step 20 (a skip), then period 1 within it from step 21: the
@@ -573,21 +583,24 @@ class TestScoringWindow:
             (1, "sustained", 24)
 
     def test_the_builtin_suite_matches_the_all_slots_engine(self, counterexample_op):
-        # the suite analyze runs on the builtin, whose budget columns are the
-        # one long loud path of the orbit benchmark, and a start whose first
-        # step overflows, block against block at the default budget
+        # the suite analyze runs on the builtin and a start whose first step
+        # overflows, block against block at the default budget: without the
+        # closed-form limit the 8 budget columns are the engine's long loud
+        # path, and with it they are certified on W
         _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
         params = OrbitParams()
-        reasons = Counter()
-        for block in (suite, np.array([[1e308], [0.0], [-1e308]])):
-            batch = iterate_orbits(counterexample_op, block, params)
-            reference = gen.all_slots_iterate_orbits(counterexample_op, block, params)
-            assert len(batch) == len(reference) == block.shape[1]
-            for a, b in zip(batch, reference):
-                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
-                reasons[a.stop_reason] += 1
-        assert suite.shape[1] == 23
-        assert reasons["budget"] == 8 and reasons["exact_repeat"], reasons
+        for op, ending in ((gen.UncertifiedCounterexample(), "budget"),
+                           (counterexample_op, "certified")):
+            reasons = Counter()
+            for block in (suite, np.array([[1e308], [0.0], [-1e308]])):
+                batch = iterate_orbits(op, block, params)
+                reference = gen.all_slots_iterate_orbits(op, block, params)
+                assert len(batch) == len(reference) == block.shape[1]
+                for a, b in zip(batch, reference):
+                    assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b)
+                    reasons[a.stop_reason] += 1
+            assert suite.shape[1] == 23
+            assert reasons[ending] == 8 and reasons["exact_repeat"], reasons
 
     def test_a_repeat_reports_the_smallest_period_within_tolerance(self, two_cycle_op):
         # the swap of 1 and 1 + 1e-12 repeats exactly at period 2 on step 2,
@@ -653,8 +666,10 @@ class TestScoringWindow:
                  for k, (op, block) in enumerate(itertools.islice(self.blocks(2000), 30))]
         cases += [(op, starts, params) for params in self.GRID[:2]
                   for op, starts in itertools.islice(self.rotations(params), 2, None, 4)]
+        # the builtin's suite, certified on W, and its long loud path without the limit
         _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
-        cases.append((counterexample_op, suite, OrbitParams()))
+        cases += [(counterexample_op, suite, OrbitParams()),
+                  (gen.UncertifiedCounterexample(), suite, OrbitParams())]
         stopped_runs = 0
         for op, block, params in cases:
             apply = op.apply
@@ -672,6 +687,94 @@ class TestScoringWindow:
                 assert run == final[:len(run)]
             stopped_runs += len(stopped)
         assert stopped_runs >= 5, stopped_runs
+
+
+class TestCertifiedLimit:
+    """An operator's closed-form limit ends a column still moving on ``W`` (stop reason ``"certified"``)."""
+
+    @staticmethod
+    def starts(seed: int, count: int) -> np.ndarray:
+        """The builtin's suite of ``count`` random columns, and starts with f(a) the largest."""
+        rng = np.random.default_rng(seed)
+        _, block = default_function_suite(CounterexampleOperator(), count, rng)
+        block[0, 3::4] = block.max(axis=0)[3::4] + rng.random(len(block[0, 3::4]))
+        return block
+
+    def test_the_builtin_matches_both_references(self, counterexample_op):
+        # one column against the scalar engine, blocks against the all-slots
+        # engine, every field bit for bit, under every budget of the grid
+        reasons = Counter()
+        for k, params in enumerate(TestScoringWindow.GRID):
+            block = self.starts(k, 40)
+            batch = iterate_orbits(counterexample_op, block, params)
+            reference = gen.all_slots_iterate_orbits(counterexample_op, block, params)
+            for f, a, b in zip(block.T, batch, reference):
+                assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), params
+                one = iterate_orbit(counterexample_op, f, params)
+                ref = gen.reference_iterate_orbit(counterexample_op, f, params)
+                assert gen.orbit_result_bits(one) == gen.orbit_result_bits(ref), params
+                reasons[a.stop_reason] += 1
+        assert set(reasons) == {"exact_repeat", "sustained", "certified", "budget"}, reasons
+
+    def test_a_certified_result_carries_the_limit(self, counterexample_op):
+        params = OrbitParams()
+        first = params.burn_in - params.max_period + 1  # W
+        f = np.array([0.0, 1.0, 0.0])
+        result = iterate_orbit(counterexample_op, f, params)
+        assert (result.detected_period, result.stop_reason, result.iterations) == \
+            (1, "certified", first)
+        assert result.converged
+        assert result.limit.tolist() == [0.0, 1.0, 1.0]
+        assert result.limit is result.certified_limit
+        assert result.limit_cycle == (result.certified_limit,)
+        assert not result.limit.flags.writeable
+        # the window and the residual are the run's own: the last iterates and
+        # the period-1 residual on W, still far outside tolerance
+        replay = list(replay_orbit(counterexample_op, f, first))
+        assert _bits(replay[-params.max_period - 1:]) == _bits(result.iterates_kept)
+        assert result.residual == np.abs(replay[-1] - replay[-2]).max() > params.tolerance
+        # the twin without a limit runs the same iterates to its budget
+        twin = iterate_orbit(gen.UncertifiedCounterexample(), f, params)
+        assert (twin.detected_period, twin.stop_reason, twin.certified_limit) == \
+            (None, "budget", None)
+
+    def test_only_columns_moving_on_w_change(self, counterexample_op):
+        # Against the twin without a limit: a column that ends before W, or
+        # is within tolerance on W, keeps every bit; the others end on W.
+        changed = Counter()
+        for k, params in enumerate(TestScoringWindow.GRID):
+            first = max(1, params.burn_in - params.max_period + 1)
+            block = self.starts(10 + k, 40)
+            twin = iterate_orbits(gen.UncertifiedCounterexample(), block, params)
+            for f, a, b in zip(block.T, iterate_orbits(counterexample_op, block, params), twin):
+                replay = list(replay_orbit(counterexample_op, f, min(first, b.iterations)))
+                moving = b.iterations >= first and \
+                    not np.abs(replay[-1] - replay[-2]).max() <= params.tolerance
+                changed[moving] += 1
+                if moving:
+                    assert (a.stop_reason, a.iterations, a.detected_period) == \
+                        ("certified", first, 1)
+                else:
+                    assert gen.orbit_result_bits(a) == gen.orbit_result_bits(b), params
+        assert changed[True] >= 50 and changed[False] >= 50, changed
+
+    def test_the_rerun_certifies_the_same_columns(self, counterexample_op):
+        # the certificate reads the tolerance, not which columns are quiet
+        import imclim.orbits
+
+        for k, params in enumerate(TestScoringWindow.GRID):
+            block = self.starts(20 + k, 40)
+            cap = min(params.max_period, params.max_iters)
+            watched, rerun = (imclim.orbits._iterate_block(counterexample_op, block, params, cap,
+                                                           True, watch) for watch in (True, False))
+            assert [gen.orbit_result_bits(r) for r in watched] == \
+                [gen.orbit_result_bits(r) for r in rerun]
+
+    def test_the_suite_reads_the_certified_period(self, counterexample_op):
+        _, suite = default_function_suite(counterexample_op, 20, np.random.default_rng(0))
+        comparison = oracle_compare(counterexample_op, "inconclusive", extra_random=20)
+        assert [c.period for c in comparison.checks] == \
+            [r.detected_period for r in iterate_orbits(counterexample_op, suite)] == [1] * 23
 
 
 class TestCycleClosure:

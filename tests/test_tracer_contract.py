@@ -76,7 +76,7 @@ def test_traced_analyses_time_the_witness(tmp_path, capsys):
 def test_traced_orbits_record_their_stop_reasons(capsys):
     # the tracer reads the result's params.max_iters, residual, iterations and
     # detected_period: the running example repeats exactly, the counterexample
-    # spends its budget
+    # spends its budget (the burn-in past it keeps its limit uncertified)
     demo = str(Path(__file__).resolve().parent.parent / "demos" / "running-example.json")
     tracer = load_tracer().Tracer()
     try:
@@ -84,7 +84,8 @@ def test_traced_orbits_record_their_stop_reasons(capsys):
         codes = [
             tracer.run("running", imclim.cli.main, ["orbit", demo, "-f", "b"]),
             tracer.run("counterexample", imclim.cli.main,
-                       ["orbit", "builtin:counterexample-5.1", "-f", "b", "--max-iters", "300"]),
+                       ["orbit", "builtin:counterexample-5.1", "-f", "b", "--max-iters", "300",
+                        "--burn-in", "400"]),
         ]
     finally:
         tracer.uninstall()
