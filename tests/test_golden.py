@@ -33,6 +33,12 @@ JSON escape, under ``analyze --json`` (with and without ``--suite 20``),
 ``5e-324``; those entries were recorded at commit 7ca3aa0, while every
 ``--json`` output was still written by ``json.dumps``.
 
+The builtin counterexample's entries of ``analyze --json --suite 20`` (in
+the first file and the corpus) and of ``orbit --trace`` were re-recorded
+when the engine came to certify the builtin's closed-form limit: 8 suite
+checks went from no period to period 1, and the traced orbit of ``b`` ends
+on step 137 with period 1 instead of spending its budget of 300.
+
 After a deliberate change of output, rewrite all three files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why.
 """
