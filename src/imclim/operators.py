@@ -22,10 +22,11 @@ tests never depend on the scale of the input.  :meth:`SupportTable.restrict`
 is the one restriction: deeper decomposition levels cut the tuples, and no
 restricted operator is ever built.  An operator therefore declares only its
 ``space``, ``apply`` and ``supports``, and, when it can prove its orbits'
-limits in closed form, :meth:`UpperOperator.closed_form_limit`.  A credal operator keeps its masses
-exact, as reduced integer ``(numerator, denominator)`` pairs, only as the
-record of its model: the loader has already used them to validate each pmf,
-drop duplicates and fix the pmf order.  The package evaluates operators in
+limits in closed form, :meth:`UpperOperator.closed_form_limit`.  A credal
+operator keeps its masses exact, as reduced integer ``(numerator,
+denominator)`` pairs, only as the record of its model: the loader has
+already used them to validate each pmf, drop duplicates and fix the pmf
+order.  The package evaluates operators in
 IEEE doubles only, through ``apply``, with each row entry the correctly
 rounded ``numerator / denominator``: the verdicts need no arithmetic, and the
 orbit engine in :mod:`imclim.orbits` iterates in floats.

@@ -35,27 +35,27 @@ whose period-1 residual is outside tolerance (or nan) ends with period 1,
 stop reason ``"certified"`` and the limit computed from its start values.
 The term reads the tolerance, not quietness, so a rerun certifies the same
 columns; the result keeps the run's real window and its period-1 residual
-on ``W``.  The builtin's slow O(1/n) orbits end here instead of at the budget.  A quiet column keeps a
-fingerprint of every iterate beside the ring, one integer product per step,
-and its new print is compared with the contiguous written print slots, with
-no per-step gather.  A print hit is checked against its matched slot alone,
-and the column retires only on an exact repeat (every difference exactly
-zero), so a collision, or a match on the slot about to be overwritten,
-costs time and never a result.  On a repeat at period ``q`` the result is
-the smallest period within tolerance, at most ``q``: only the residuals of
-the periods below ``q`` are taken, and after ``W`` that is period 1.  A
-step with every running column quiet and no print hit takes the ring write,
-the prints, one comparison and one count.  After ``W`` it also takes the
-quiet columns' period-1 residuals, in one reduce: if one leaves tolerance
-(or is nan), the run stops and the block reruns from its starts with no
-column quiet after ``W``.  On ``W + max_period - 1`` each quiet column left
-certifies period 1 by the sustained rule, as its period-1 residual was
-within tolerance on every step since ``W``; on the budget's last step it
-ends with no period.  Reruns cost nothing in practice: a non-expansive
-operator's period-1 residual never grows in exact arithmetic, and the
-seeded suites of the ``orbit`` benchmark (260 blocks) and of 300 random,
-wide and planted cyclic models under five budgets (1,505 blocks) rerun
-none.
+on ``W``.  The builtin's slow O(1/n) orbits end here instead of at the
+budget.  A quiet column keeps a fingerprint of every iterate beside the
+ring, one integer product per step, and its new print is compared with the
+contiguous written print slots, with no per-step gather.  A print hit is
+checked against its matched slot alone, and the column retires only on an
+exact repeat (every difference exactly zero), so a collision, or a match on
+the slot about to be overwritten, costs time and never a result.  On a
+repeat at period ``q`` the result is the smallest period within tolerance,
+at most ``q``: only the residuals of the periods below ``q`` are taken, and
+after ``W`` that is period 1.  A step with every running column quiet and
+no print hit takes the ring write, the prints, one comparison and one
+count.  After ``W`` it also takes the quiet columns' period-1 residuals, in
+one reduce: if one leaves tolerance (or is nan), the run stops and the
+block reruns from its starts with no column quiet after ``W``.
+On ``W + max_period - 1`` each quiet column left certifies period 1 by the
+sustained rule, as its period-1 residual was within tolerance on every step
+since ``W``; on the budget's last step it ends with no period.  Reruns cost
+nothing in practice: a non-expansive operator's period-1 residual never
+grows in exact arithmetic, and the seeded suites of the ``orbit`` benchmark
+(260 blocks) and of 300 random, wide and planted cyclic models under five
+budgets (1,505 blocks) rerun none.
 
 A *loud* column, one not quiet after ``W``, is not printed, as it never
 turns quiet again.  On every step one pass over the loud rows' written ring
@@ -438,7 +438,7 @@ def _iterate_block(
             limits = op.closed_form_limit(block[:, column[outside]]) if len(outside) else None
             if limits is not None:
                 loud = within & ~watch
-                limits = np.array(np.asarray(limits, dtype=float).T, order="C")
+                limits = limits.T.copy()  # one read-only row per column
                 limits.setflags(write=False)
                 ending.append((outside.tolist(), itertools.repeat(1), moves[outside].tolist(),
                                itertools.repeat("certified"), limits))
